@@ -461,18 +461,6 @@ class ConcreteRegularityStructure:
                 out.append((right, c))
         return FreeVector(out)
 
-    def left_factors_plus(self, tau: PlusMonomial) -> list[PlusMonomial]:
-        seen = {}
-        for (left, _), _c in self.delta_plus(tau).items():
-            seen[left] = None
-        return sorted(seen, key=term_key)
-
-    def left_factors_base(self, tau: BaseSymbol) -> list[BaseSymbol]:
-        seen = {}
-        for (left, _), _c in self.delta(tau).items():
-            seen[left] = None
-        return sorted(seen, key=term_key)
-
     def d_op(self, k: Multi, v) -> FreeVector:
         """D^k: k! times the right factor over left slot X^k; linear in v."""
         if isinstance(v, PlusMonomial):

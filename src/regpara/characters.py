@@ -124,15 +124,6 @@ class _InverseCharacter(Character):
         return self._base.gens()
 
 
-def counit_like(g: Character) -> Character:
-    """Counit with the same value and shape types as g."""
-    return Character(
-        g.structure,
-        tuple(0 * x for x in g.point),
-        {n: 0 * v for n, v in g.values.items()},
-    )
-
-
 def field_character(structure, grid, values: dict) -> Character:
     """Character valued in grid fields: point = coordinate arrays."""
     if grid.dim != structure.dim:
@@ -163,22 +154,6 @@ def two_point(g: Character, idx_y, idx_x, v) -> float:
                 gx_inv.of_monomial(right)
             )
     return acc
-
-
-def two_point_terms(g: Character, g_inv: Character, v) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Separable form of (y, x) -> g_{yx}(v): a list of (field in y, field in x)
-    value pairs summing to the two-point function."""
-    S = g.structure
-    if isinstance(v, PlusMonomial):
-        v = FreeVector.single(v)
-    shape = np.shape(g.point[0])
-    terms = []
-    for mono, c in v.sorted_items():
-        for (left, right), c2 in S.delta_plus(mono).sorted_items():
-            fy = np.broadcast_to(np.asarray(g.of_monomial(left), dtype=float), shape)
-            fx = np.broadcast_to(np.asarray(g_inv.of_monomial(right), dtype=float), shape)
-            terms.append((float(c * c2) * fy, fx))
-    return terms
 
 
 def f_character_values(g: Character, g_inv: Character, v):

@@ -234,14 +234,12 @@ def cmd_md_build(args) -> int:
     for i, sym in enumerate(s for s in S.base_symbols(gamma) if not any(s.poly)):
         target = float(gamma - S.homog_base(sym))
         brackets[sym] = synthesize(target, rng_base + i, grid).values
-    mode = "general" if args.general else "auto"
-    if mode == "general":
-        full = {}
-        for i, sym in enumerate(S.base_symbols(gamma)):
-            target = float(gamma - S.homog_base(sym))
-            full[sym] = synthesize(target, rng_base + i, grid).values
-        brackets = full
-    md = md_from_paracontrolled(model, brackets, gamma, mode=mode)
+    md = md_from_paracontrolled(model, brackets, gamma)
+    if args.general:
+        # Independent brackets on polynomial-decorated symbols violate the
+        # structure condition; the brackets of an md satisfy it by construction.
+        full = md_to_paracontrolled(model, md, with_reports=False).brackets
+        md = md_from_paracontrolled(model, full, gamma, mode="general")
     rep = validate_md(model, md, tol_slope=cfg.tol_slope)
     lines = [f"gamma={gamma}", f"coefficients={len(md.coeffs)}"]
     lines += rep.lines()

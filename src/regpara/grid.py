@@ -6,8 +6,9 @@ x^k keeps its meaning for characters and models.
 """
 from __future__ import annotations
 
+import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,8 +73,9 @@ class Grid:
             return (ax,)
         return tuple(np.meshgrid(ax, ax, indexing="ij"))
 
+    @functools.lru_cache(maxsize=32)
     def coord_fields(self) -> tuple[np.ndarray, ...]:
-        """Smooth-periodic coordinate fields.
+        """Smooth-periodic coordinate fields, computed once per grid (read-only).
 
         The true coordinate is flattened to zero across a boundary collar and
         then mollified by a spectral Gaussian (scale a few frequency steps).
@@ -85,11 +87,12 @@ class Grid:
         w = smooth_step((self.box - np.abs(ax)) / (COORD_MARGIN * self.box))
         xw = ax * w
         damp_scale = 3.0 * (np.pi / self.box)
-        freqs = np.fft.fftfreq(self.n, d=1.0 / self.n) * self.freq_step
-        damped = np.fft.ifft(np.fft.fft(xw) * np.exp(-((freqs / damp_scale) ** 2))).real
-        if self.dim == 1:
-            return (damped,)
-        return tuple(np.meshgrid(damped, damped, indexing="ij"))
+        freqs = np.fft.rfftfreq(self.n, d=1.0 / self.n) * self.freq_step
+        damped = np.fft.irfft(np.fft.rfft(xw) * np.exp(-((freqs / damp_scale) ** 2)), n=self.n)
+        out = (damped,) if self.dim == 1 else tuple(np.meshgrid(damped, damped, indexing="ij"))
+        for x in out:
+            x.setflags(write=False)
+        return out
 
     def freq_axes(self) -> tuple[np.ndarray, ...]:
         f = np.fft.fftfreq(self.n, d=1.0 / self.n) * self.freq_step
@@ -151,9 +154,6 @@ class Field:
     def zero(cls, grid: Grid) -> "Field":
         return cls.constant(grid, 0.0)
 
-    def spectrum(self) -> np.ndarray:
-        return np.fft.fftn(self.values)
-
     def _binary(self, other, op) -> "Field":
         if isinstance(other, Field):
             if other.grid != self.grid:
@@ -183,17 +183,8 @@ class Field:
     def sup(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def weighted_sup(self, a: float) -> float:
-        if a == 0:
-            return self.sup()
-        return float(np.max(self.grid.weight(a) * np.abs(self.values)))
-
     def __repr__(self):
         return f"Field(grid={self.grid}, sup={self.sup():.4g})"
-
-
-def from_spectrum(grid: Grid, spec: np.ndarray, preimage: Field | None = None) -> Field:
-    return Field(grid, np.fft.ifftn(spec).real, preimage=preimage)
 
 
 class TwoParamField:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import CHI_HI, CHI_LO, BlockDecomposition, low_pass, make_partition, smooth_step
+from .blocks import CHI_HI, CHI_LO, BlockDecomposition, make_partition, smooth_step
 from .grid import Field, Grid, TwoParamField
 
 # Per-block norms at or below this floor are treated as exactly zero and
@@ -146,12 +146,12 @@ def holder_norm(
     per-block quantile series instead of the sups, which is statistically
     stabler on random-phase data; the norm value always uses the sups."""
     decomp = make_partition(f.grid)
-    spec = f.spectrum()
+    spec = decomp.rfft(f.values)
     w = f.grid.weight(a) if a else None
     norms = np.empty(decomp.j_max + 2)
     fit_series = np.empty(decomp.j_max + 2) if quantile < 1.0 else None
     for j in decomp.js:
-        vals = np.fft.ifftn(decomp.rho(j) * spec).real
+        vals = decomp.irfft(decomp.half_rho(j) * spec)
         if w is not None:
             vals = w * vals
         vals = np.abs(vals)
@@ -235,33 +235,6 @@ class SeparableFamily:
             acc += c * u
         return Field(self.grid, acc)
 
-    def pair_with_lowpass(self, decomp: BlockDecomposition, j: int) -> np.ndarray:
-        """x -> <Lambda_x, P_j(x - .)> = (S_j Lambda_x)(x)."""
-        acc = np.zeros(self.grid.shape)
-        if j <= 0:
-            return acc
-        for c, u in self.terms:
-            acc += c * low_pass(decomp, j, Field(self.grid, u)).values
-        return acc
-
-    def pair_with_window(self, decomp: BlockDecomposition, j: int) -> np.ndarray:
-        """x -> <Lambda_x, G_j(x - .)> against the Gaussian low-pass window."""
-        sym = decomp.gauss_low_symbol(j)
-        acc = np.zeros(self.grid.shape)
-        for c, u in self.terms:
-            acc += c * np.fft.ifftn(sym * np.fft.fftn(u)).real
-        return acc
-
-    def minus(self, other: "SeparableFamily") -> "SeparableFamily":
-        return SeparableFamily(
-            self.grid, self.terms + [(-c, u) for c, u in other.terms]
-        )
-
-    def shift_by_field(self, f: Field, sign: float = 1.0) -> "SeparableFamily":
-        """Add sign * f(y) (constant in x) to the family."""
-        ones = np.ones(self.grid.shape)
-        return SeparableFamily(self.grid, self.terms + [(sign * ones, f.values)])
-
 
 def d_family_report(
     family: SeparableFamily,
@@ -278,16 +251,18 @@ def d_family_report(
     j >= 1 only (the default window already does).  kernel="gauss" (default)
     pairs against the Gaussian low-pass window, which scales cleanly on the
     integer frequency lattice; kernel="sharp" uses the partition's own P_j.
+    Each term's spectrum is taken once and paired at every j.
     """
     decomp = make_partition(family.grid)
+    spectra = [decomp.rfft(u) for _, u in family.terms]
     w = family.grid.weight(a) if a else None
     norms = np.zeros(decomp.j_max + 2)
     fit_series = np.zeros(decomp.j_max + 2)
     for j in range(1, decomp.j_max + 1):
-        if kernel == "gauss":
-            vals = family.pair_with_window(decomp, j)
-        else:
-            vals = family.pair_with_lowpass(decomp, j)
+        sym = decomp.half_gauss(j) if kernel == "gauss" else decomp.half_low(j)
+        vals = np.zeros(family.grid.shape)
+        for (c, _), spec in zip(family.terms, spectra):
+            vals += c * decomp.irfft(sym * spec)
         if w is not None:
             vals = w * vals
         vals = np.abs(vals)
@@ -299,10 +274,6 @@ def d_family_report(
         lo, hi = default_fit_window(decomp)
         window = (max(lo, 1), hi)
     return report_from_block_norms(norms, alpha, a, window, decomp, fit_series=fit_series)
-
-
-def d_family_norm(family: SeparableFamily, alpha: float, a: float = 0.0) -> float:
-    return d_family_report(family, alpha, a).norm
 
 
 def two_point_slope(

@@ -3,28 +3,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blocks import (
-    ANNULUS_HI,
-    ANNULUS_LO,
-    BlockDecomposition,
-    from_spectrum,
-    smooth_step,
-)
-from .grid import Field, Grid, TwoParamField
+from .blocks import ANNULUS_HI, ANNULUS_LO, BlockDecomposition, low_pass, smooth_step
+from .grid import Field, TwoParamField
 
 
 def _check(decomp: BlockDecomposition, *fields: Field) -> None:
     for f in fields:
         if f.grid != decomp.grid:
             raise ValueError("grid mismatch")
-
-
-def _blocks(decomp: BlockDecomposition, f: Field) -> np.ndarray:
-    spec = f.spectrum()
-    out = np.empty((decomp.j_max + 2,) + decomp.grid.shape)
-    for j in decomp.js:
-        out[j + 1] = np.fft.ifftn(decomp.rho(j) * spec).real
-    return out
 
 
 def paraproduct(decomp: BlockDecomposition, f: Field, g: Field) -> Field:
@@ -35,50 +21,41 @@ def paraproduct(decomp: BlockDecomposition, f: Field, g: Field) -> Field:
 def modified_paraproduct(decomp: BlockDecomposition, m: int, f: Field, g: Field) -> Field:
     """P^m_f g = sum_{j>=1} |grad|^m (S_j f * |grad|^{-m} Delta_j g).
 
-    m = 0 runs the identical code path as the plain paraproduct, so P^0 = P
-    bit for bit.
+    |grad|^{-m} is applied once to g and |grad|^m once to the block sum,
+    which is the same operator since both are linear.  m = 0 runs the
+    identical code path as the plain paraproduct, so P^0 = P bit for bit.
     """
     _check(decomp, f, g)
     if m < 0:
         raise ValueError("modified paraproduct requires m in N")
-    grid = decomp.grid
-    fspec = f.spectrum()
-    gspec = g.spectrum()
-    r = grid.freq_radius()
-    with np.errstate(divide="ignore"):
-        r_neg = np.where(r > 0, r**-float(m), 0.0) if m else None
-    acc = np.zeros(grid.shape)
+    fspec = decomp.rfft(f.values)
+    gspec = decomp.rfft(g.values)
+    if m:
+        gspec = decomp.half_power(-m) * gspec
+    acc = np.zeros(decomp.grid.shape)
     for j in range(1, decomp.j_max + 1):
-        s = np.fft.ifftn(decomp.low_symbol(j) * fspec).real
-        block_spec = decomp.rho(j) * gspec
-        if m:
-            block_spec = block_spec * r_neg
-        d = np.fft.ifftn(block_spec).real
-        term = s * d
-        if m:
-            term = np.fft.ifftn(r**m * np.fft.fftn(term)).real
-        acc += term
-    return Field(grid, acc)
+        s = decomp.irfft(decomp.half_low(j) * fspec)
+        acc += s * decomp.irfft(decomp.half_rho(j) * gspec)
+    if m:
+        acc = decomp.irfft(decomp.half_power(m) * decomp.rfft(acc))
+    return Field(decomp.grid, acc)
 
 
 def resonant(decomp: BlockDecomposition, f: Field, g: Field) -> Field:
     """Pi(f, g) = sum_{|i-j|<=1} (Delta_i f)(Delta_j g)."""
     _check(decomp, f, g)
-    fb = _blocks(decomp, f)
-    gb = _blocks(decomp, g)
+    fspec = decomp.rfft(f.values)
+    gspec = decomp.rfft(g.values)
     acc = np.zeros(decomp.grid.shape)
     for i in decomp.js:
-        for j in (i - 1, i, i + 1):
-            if -1 <= j <= decomp.j_max:
-                acc += fb[i + 1] * gb[j + 1]
+        near = decomp.irfft(decomp.half_band(i - 1, i + 1) * gspec)
+        acc += decomp.irfft(decomp.half_rho(i) * fspec) * near
     return Field(decomp.grid, acc)
 
 
 def smooth_part(decomp: BlockDecomposition, g: Field) -> Field:
-    """S g = g - P_1 g = (Delta_{-1} + Delta_0) g."""
-    _check(decomp, g)
-    spec = g.spectrum()
-    return from_spectrum(decomp.grid, (decomp.rho(-1) + decomp.rho(0)) * spec)
+    """S g = g - P_1 g = (Delta_{-1} + Delta_0) g = S_2 g."""
+    return low_pass(decomp, 2, g)
 
 
 def commutator(decomp: BlockDecomposition, f: Field, g: Field, h: Field) -> Field:
@@ -97,17 +74,16 @@ ENV_LO = ANNULUS_LO - 0.75
 ENV_HI = ANNULUS_HI + 0.75
 
 
-def _envelope_symbol(grid: Grid, j: int, m: int = 0) -> np.ndarray:
+def _envelope_symbol(decomp: BlockDecomposition, j: int, m: int = 0) -> np.ndarray:
     """Symbol of R_j^m = |grad|^m R_j: |xi|^m chi_A(2^{-j}|xi|), where the
     smooth window chi_A is exactly 1 on [ENV_LO, ENV_HI]."""
-    r = grid.freq_radius()
-    scaled = r / 2.0**j
+    scaled = decomp.radius / 2.0**j
     lo0, hi0 = ENV_LO / 2.0, ENV_HI * 1.25
     sym = smooth_step((scaled - lo0) / (ENV_LO - lo0)) * smooth_step(
         (hi0 - scaled) / (hi0 - ENV_HI)
     )
     if m:
-        sym = sym * r**m
+        sym = sym * decomp.half_power(m)
     return sym
 
 
@@ -131,19 +107,14 @@ def two_param_block(
         raise ValueError(f"two-parameter blocks need 1 <= j <= {decomp.j_max}")
     if envelope is None:
         envelope = m != 0
-    spec = np.fft.fft2(lam.values)
-    psym = decomp.low_symbol(j)
-    qsym = decomp.rho(j).astype(float).copy()
+    n = grid.n
+    qsym = decomp.half_rho(j)
     if m:
-        r = grid.freq_radius()
-        with np.errstate(divide="ignore"):
-            qsym = qsym * np.where(r > 0, r**-float(m), 0.0)
-    spec = psym[:, None] * spec * qsym[None, :]
-    diag = np.diag(np.fft.ifft2(spec).real).copy()
-    out = Field(grid, diag)
+        qsym = qsym * decomp.half_power(-m)
+    spec = decomp.low_symbol(j)[:, None] * np.fft.rfft2(lam.values) * qsym[None, :]
+    out = Field(grid, np.diag(np.fft.irfft2(spec, s=(n, n), axes=(0, 1))).copy())
     if envelope:
-        env = _envelope_symbol(grid, j, m)
-        out = from_spectrum(grid, env * out.spectrum())
+        out = decomp.apply(_envelope_symbol(decomp, j, m), out)
     return out
 
 

@@ -125,6 +125,16 @@ class TestPipelines:
         assert code == 0
         assert "status=pass" in out
 
+    @pytest.mark.parametrize("structure", [["toy"], ["bhz", "--noncanonical"]])
+    def test_md_build_general(self, structure, tmp_path, capsys):
+        model = str(tmp_path / "model")
+        assert main(["model-build", "--structure", *structure, "--grid", "256",
+                     "--out", model]) == 0
+        code, out = run(["md-build", "--model", model, "--gamma", "9/8", "--general",
+                         "--grid", "256"], capsys)
+        assert code == 0
+        assert "overall pass" in out
+
     def test_byte_identical_reports_across_runs(self, tmp_path):
         cmd = [sys.executable, "-m", "regpara.cli", "roundtrip", "--structure",
                "toy", "--side", "g", "--grid", "256", "--seed", "3"]
