@@ -15,6 +15,19 @@ Every spectral operation of the package goes through the BlockDecomposition
 of its grid, one per grid.  Fields are real, so transforms are
 rfftn/irfftn on the half spectrum, and every symbol in use is radial or a
 per-axis product, so it lives on the half spectrum only.
+
+Sub-grids.  S_j f is supported in |xi| < (CHI_HI/2) 2^j and Delta_j g in
+|xi| < ANNULUS_HI 2^j, so their product lives in |xi| < 3.75 * 2^j; in
+lattice units (divided by freq_step) call that the bound K.  On a periodic
+grid of M points per axis with M/2 > K both factors and their product are
+represented without aliasing, so the product can be formed there and its
+spectrum added into the grid's half spectrum unchanged, up to the factor
+(M/N)^d of the transform normalisation.  `subgrid_size` picks the smallest
+such power of two (at least SUBGRID_MIN points), `restrict` cuts a half
+spectrum down to it (in d = 2 the low and the high wrap of axis 0) and
+`scatter_add` adds a sub-grid half spectrum back.  A product whose sub-grid
+would reach N does alias on the full grid; callers form those on the full
+grid, so their aliasing is the same as that of a pointwise product there.
 """
 from __future__ import annotations
 
@@ -28,6 +41,7 @@ CHI_LO = 4.0 / 3.0
 CHI_HI = 3.0 / 2.0
 ANNULUS_LO = CHI_LO            # inner radius of the block-0 annulus
 ANNULUS_HI = 2.0 * CHI_HI     # outer radius of the block-0 annulus
+SUBGRID_MIN = 64               # fewest points per axis of a sub-grid
 
 
 def chi(r: np.ndarray) -> np.ndarray:
@@ -77,8 +91,43 @@ class BlockDecomposition:
     def rfft(self, values: np.ndarray) -> np.ndarray:
         return np.fft.rfftn(values)
 
-    def irfft(self, spec: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(spec, s=self.grid.shape, axes=tuple(range(self.grid.dim)))
+    def irfft(self, spec: np.ndarray, size: int | None = None, out=None) -> np.ndarray:
+        """Inverse real FFT onto the grid, or onto its sub-grid of `size`
+        points per axis.  Leading axes of `spec`, beyond the grid's own,
+        index a stack of independent spectra."""
+        d = self.grid.dim
+        return np.fft.irfftn(spec, s=(size or self.grid.n,) * d, axes=tuple(range(-d, 0)), out=out)
+
+    # -- sub-grids -----------------------------------------------------------
+
+    def subgrid_size(self, bound: float) -> int:
+        """Smallest power of two M >= SUBGRID_MIN with M/2 above `bound`
+        (a frequency radius), capped at the grid's n."""
+        size = SUBGRID_MIN
+        while size // 2 <= bound / self.grid.freq_step and size < self.grid.n:
+            size *= 2
+        return min(size, self.grid.n)
+
+    def restrict(self, half: np.ndarray, size: int) -> np.ndarray:
+        """The modes of a half spectrum (or a stack of them) that the sub-grid
+        of `size` points per axis holds; those past its Nyquist mode are dropped."""
+        if size == self.grid.n:
+            return half
+        h = size // 2
+        out = half[..., : h + 1]
+        if self.grid.dim == 2:
+            out = np.concatenate((out[..., :h, :], out[..., self.grid.n - h :, :]), axis=-2)
+        return out
+
+    def scatter_add(self, acc: np.ndarray, sub: np.ndarray, size: int) -> None:
+        """acc += sub, a sub-grid half spectrum, placed at its modes below the
+        sub-grid Nyquist frequency (band-limited sums carry none above)."""
+        h = size // 2
+        if self.grid.dim == 1:
+            acc[:h] += sub[:h]
+        else:
+            acc[:h, :h] += sub[:h, :h]
+            acc[self.grid.n - h + 1 :, :h] += sub[h + 1 :, :h]
 
     def apply(self, sym, f: Field) -> Field:
         """The Fourier multiplier with half-spectrum symbol `sym` applied to f."""

@@ -368,7 +368,6 @@ def main(argv=None) -> int:
         p.add_argument("--box", type=float, default=float(np.pi))
         p.add_argument("--dim", type=int, default=1)
         p.add_argument("--m", type=int, default=-1)
-        p.add_argument("--cutoff", default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol-slope", type=float, default=0.2)
         p.add_argument("--tol-rel", type=float, default=1e-8)

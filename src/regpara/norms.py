@@ -150,11 +150,12 @@ def holder_norm(
     w = f.grid.weight(a) if a else None
     norms = np.empty(decomp.j_max + 2)
     fit_series = np.empty(decomp.j_max + 2) if quantile < 1.0 else None
+    buf = np.empty(f.grid.shape)
     for j in decomp.js:
-        vals = decomp.irfft(decomp.half_rho(j) * spec)
+        vals = decomp.irfft(decomp.half_rho(j) * spec, out=buf)
         if w is not None:
-            vals = w * vals
-        vals = np.abs(vals)
+            vals *= w
+        np.abs(vals, out=vals)
         if mask is not None:
             vals = vals[mask]
         norms[j + 1] = np.max(vals)

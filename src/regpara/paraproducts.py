@@ -1,16 +1,103 @@
-"""Paraproducts, resonant products, and their modified/two-parameter versions."""
+"""Paraproducts, resonant products, and their modified/two-parameter versions.
+
+Every block sum (P, P^m and Pi) runs through one kernel, `_block_sum`.  A
+block product has a spectral support bound: S_j f * Delta_j g lies in
+|xi| < (CHI_HI/2 + ANNULUS_HI) 2^j = 3.75 * 2^j, and Delta_i f times
+Delta_{i-1..i+1} g in |xi| < 3 ANNULUS_HI 2^i = 9 * 2^i.  The kernel forms
+each product on the smallest sub-grid of M points per axis with M/2 above
+that bound (in lattice units), where neither the factors nor the product
+alias, and adds its spectrum into the grid's half spectrum (see the
+docstring of `blocks`).  The top blocks, whose sub-grid would reach the
+grid's own n, are multiplied on the grid and summed in real space, exactly
+as a pointwise product is: their aliasing is what makes
+P_f g + P_g f + Pi(f, g) = fg hold to rounding.  The summed spectrum goes
+through one inverse FFT, after |grad|^m when m > 0.  Forming products below
+their band also keeps the rounding error of real-space products above the
+band out of the spectrum, where |grad|^m would amplify it.
+"""
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
-from .blocks import ANNULUS_HI, ANNULUS_LO, BlockDecomposition, low_pass, smooth_step
+from .blocks import (
+    ANNULUS_HI,
+    ANNULUS_LO,
+    CHI_HI,
+    BlockDecomposition,
+    low_pass,
+    smooth_step,
+)
 from .grid import Field, TwoParamField
+
+PARA_BOUND = CHI_HI / 2.0 + ANNULUS_HI      # S_j f * Delta_j g, per 2^j
+RESONANT_BOUND = 3.0 * ANNULUS_HI           # Delta_i f * Delta_{i-1..i+1} g, per 2^i
 
 
 def _check(decomp: BlockDecomposition, *fields: Field) -> None:
     for f in fields:
         if f.grid != decomp.grid:
             raise ValueError("grid mismatch")
+
+
+@functools.lru_cache(maxsize=64)
+def _schedule(decomp: BlockDecomposition, resonant: bool) -> tuple:
+    """The block products of Pi (resonant) or of P on decomp's grid, as
+    (sub-grid groups, full-grid blocks).  A group is (size, F symbols,
+    G symbols), stacked on that sub-grid; a full-grid block is its pair of
+    (lo, hi) Delta ranges, whose symbols are rebuilt per call rather than
+    held.  Products whose symbols vanish on the lattice (rho_J, say) are
+    left out."""
+    if resonant:
+        blocks = [(RESONANT_BOUND * 2.0**i, (i, i), (i - 1, i + 1)) for i in decomp.js]
+    else:
+        blocks = [(PARA_BOUND * 2.0**j, (-1, j - 2), (j, j)) for j in range(1, decomp.j_max + 1)]
+    by_size: dict[int, list] = {}
+    full = []
+    for bound, fband, gband in blocks:
+        size = decomp.subgrid_size(bound)
+        fsym = decomp.restrict(decomp.half_band(*fband), size)
+        gsym = decomp.restrict(decomp.half_band(*gband), size)
+        if not (fsym.any() and gsym.any()):
+            continue
+        if size == decomp.grid.n:
+            full.append((fband, gband))
+        else:
+            by_size.setdefault(size, []).append((fsym, gsym))
+    groups = []
+    for size, syms in by_size.items():
+        fsyms, gsyms = (np.stack(side) for side in zip(*syms))
+        fsyms.setflags(write=False)
+        gsyms.setflags(write=False)
+        groups.append((size, fsyms, gsyms))
+    return tuple(groups), tuple(full)
+
+
+def _block_sum(decomp: BlockDecomposition, resonant: bool, fspec, gspec, m: int = 0) -> np.ndarray:
+    """|grad|^m of the block sum of P or Pi, from the half spectra of f and g.
+
+    The products on one sub-grid are transformed as a stack and summed there,
+    then added into the half spectrum; those on the grid itself are summed in
+    real space, one at a time.  One inverse FFT of the summed spectrum ends it."""
+    grid = decomp.grid
+    groups, full = _schedule(decomp, resonant)
+    acc = np.zeros(grid.shape)
+    for fband, gband in full:
+        fb = decomp.irfft(decomp.half_band(*fband) * fspec)
+        acc += fb * decomp.irfft(decomp.half_band(*gband) * gspec)
+    spec = np.zeros(decomp.radius.shape, dtype=complex)
+    for size, fsym, gsym in groups:
+        fb = decomp.irfft(fsym * decomp.restrict(fspec, size), size)
+        gb = decomp.irfft(gsym * decomp.restrict(gspec, size), size)
+        prod = np.sum(fb * gb, axis=0)
+        prod *= (size / grid.n) ** grid.dim
+        decomp.scatter_add(spec, decomp.rfft(prod), size)
+    if m:
+        spec += decomp.rfft(acc)
+        spec *= decomp.half_power(m)
+        return decomp.irfft(spec)
+    return acc + decomp.irfft(spec)
 
 
 def paraproduct(decomp: BlockDecomposition, f: Field, g: Field) -> Field:
@@ -28,29 +115,17 @@ def modified_paraproduct(decomp: BlockDecomposition, m: int, f: Field, g: Field)
     _check(decomp, f, g)
     if m < 0:
         raise ValueError("modified paraproduct requires m in N")
-    fspec = decomp.rfft(f.values)
     gspec = decomp.rfft(g.values)
     if m:
         gspec = decomp.half_power(-m) * gspec
-    acc = np.zeros(decomp.grid.shape)
-    for j in range(1, decomp.j_max + 1):
-        s = decomp.irfft(decomp.half_low(j) * fspec)
-        acc += s * decomp.irfft(decomp.half_rho(j) * gspec)
-    if m:
-        acc = decomp.irfft(decomp.half_power(m) * decomp.rfft(acc))
-    return Field(decomp.grid, acc)
+    return Field(decomp.grid, _block_sum(decomp, False, decomp.rfft(f.values), gspec, m))
 
 
 def resonant(decomp: BlockDecomposition, f: Field, g: Field) -> Field:
     """Pi(f, g) = sum_{|i-j|<=1} (Delta_i f)(Delta_j g)."""
     _check(decomp, f, g)
-    fspec = decomp.rfft(f.values)
-    gspec = decomp.rfft(g.values)
-    acc = np.zeros(decomp.grid.shape)
-    for i in decomp.js:
-        near = decomp.irfft(decomp.half_band(i - 1, i + 1) * gspec)
-        acc += decomp.irfft(decomp.half_rho(i) * fspec) * near
-    return Field(decomp.grid, acc)
+    fspec, gspec = decomp.rfft(f.values), decomp.rfft(g.values)
+    return Field(decomp.grid, _block_sum(decomp, True, fspec, gspec))
 
 
 def smooth_part(decomp: BlockDecomposition, g: Field) -> Field:
@@ -100,9 +175,18 @@ def two_param_block(
     For m = 0 the envelope convolution is a no-op on the relevant annulus and
     is skipped by default; pass envelope=True to insert R_j explicitly.
     """
-    grid = decomp.grid
-    if lam.grid != grid:
+    return _two_param_block(decomp, j, _two_param_spectrum(decomp, lam), m, envelope)
+
+
+def _two_param_spectrum(decomp: BlockDecomposition, lam: TwoParamField) -> np.ndarray:
+    if lam.grid != decomp.grid:
         raise ValueError("grid mismatch")
+    return np.fft.rfft2(lam.values)
+
+
+def _two_param_block(decomp, j, lam_spec, m=0, envelope=None) -> Field:
+    """two_param_block from the rfft2 of Lambda."""
+    grid = decomp.grid
     if j < 1 or j > decomp.j_max:
         raise ValueError(f"two-parameter blocks need 1 <= j <= {decomp.j_max}")
     if envelope is None:
@@ -111,28 +195,29 @@ def two_param_block(
     qsym = decomp.half_rho(j)
     if m:
         qsym = qsym * decomp.half_power(-m)
-    spec = decomp.low_symbol(j)[:, None] * np.fft.rfft2(lam.values) * qsym[None, :]
+    spec = decomp.low_symbol(j)[:, None] * lam_spec * qsym[None, :]
     out = Field(grid, np.diag(np.fft.irfft2(spec, s=(n, n), axes=(0, 1))).copy())
     if envelope:
         out = decomp.apply(_envelope_symbol(decomp, j, m), out)
     return out
 
 
-def two_param_paraproduct(decomp: BlockDecomposition, lam: TwoParamField) -> Field:
-    """**P** Lambda = sum_{j>=1} Q_j Lambda; **P**(f (x) g) = P_f g."""
+def _two_param_sum(decomp: BlockDecomposition, m: int, lam: TwoParamField) -> Field:
+    """sum_{j>=1} Q_j^m Lambda, transforming Lambda once."""
+    lam_spec = _two_param_spectrum(decomp, lam)
     acc = Field.zero(decomp.grid)
     for j in range(1, decomp.j_max + 1):
-        acc = acc + two_param_block(decomp, j, lam)
+        acc = acc + _two_param_block(decomp, j, lam_spec, m)
     return acc
+
+
+def two_param_paraproduct(decomp: BlockDecomposition, lam: TwoParamField) -> Field:
+    """**P** Lambda = sum_{j>=1} Q_j Lambda; **P**(f (x) g) = P_f g."""
+    return _two_param_sum(decomp, 0, lam)
 
 
 def two_param_modified(decomp: BlockDecomposition, m: int, lam: TwoParamField) -> Field:
     """**P**^m Lambda = sum_{j>=1} Q_j^m Lambda; **P**^m(f (x) g) = P^m_f g."""
     if m < 0:
         raise ValueError("two-parameter modified paraproduct requires m in N")
-    if m == 0:
-        return two_param_paraproduct(decomp, lam)
-    acc = Field.zero(decomp.grid)
-    for j in range(1, decomp.j_max + 1):
-        acc = acc + two_param_block(decomp, j, lam, m)
-    return acc
+    return _two_param_sum(decomp, m, lam)

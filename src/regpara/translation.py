@@ -131,6 +131,47 @@ def two_point_g_report(model: Model, v, alpha: float,
     return slope, pts
 
 
+class _SampledFields:
+    """g and g^{-1} fields of a model, each evaluated once and then read at
+    index arrays, one entry per sampled point."""
+
+    def __init__(self, model: Model):
+        self.model = model
+        self._g: dict = {}
+        self._g_inv: dict = {}
+
+    def g(self, mono) -> np.ndarray:
+        if mono not in self._g:
+            self._g[mono] = self.model.g_field(mono)
+        return self._g[mono]
+
+    def g_inv(self, mono) -> np.ndarray:
+        if mono not in self._g_inv:
+            self._g_inv[mono] = self.model.g_inv_field(mono)
+        return self._g_inv[mono]
+
+    def two_point(self, v, ia, ib):
+        """g_{yx}(v) at index arrays (ia, ib); v a monomial or FreeVector.
+        Each sample is summed in the same order as a scalar loop would."""
+        if isinstance(v, PlusMonomial):
+            v = FreeVector.single(v)
+        acc = 0.0
+        for mono, c0 in v.sorted_items():
+            for (left, right), c in self.model.structure.delta_plus(mono).sorted_items():
+                acc = acc + float(c0 * c) * self.g(left)[ia] * self.g_inv(right)[ib]
+        return acc
+
+
+def _two_point_value(model: Model, v, ia, ib):
+    """g_{yx}(v) at grid indices, or index arrays, (ia, ib)."""
+    return _SampledFields(model).two_point(v, ia, ib)
+
+
+def _sample_index(idxs: np.ndarray, slot: int) -> tuple:
+    """Index arrays of slot `slot` of samples shaped (samples, slots, dim)."""
+    return tuple(idxs[:, slot, a] for a in range(idxs.shape[2]))
+
+
 def chen_residual(model: Model, rng: np.random.Generator, samples: int = 100) -> float:
     """Relative residual of g_{zy} * g_{yx} = g_{zx} over random triples."""
     S, grid = model.structure, model.grid
@@ -138,42 +179,21 @@ def chen_residual(model: Model, rng: np.random.Generator, samples: int = 100) ->
     if not gens:
         return 0.0
     idxs = rng.integers(0, grid.n, size=(samples, 3, grid.dim))
+    ix, iy, iz = (_sample_index(idxs, slot) for slot in range(3))
     worst = 0.0
     for name in gens:
         mono = PlusMonomial.of_gen(name, S.dim)
-        dp = S.delta_plus(mono).sorted_items()
-        gv = {m: None for pair, _ in dp for m in pair}
-        fields = {}
-        for m in gv:
-            fields[m] = (model.g_field(m), model.g_inv_field(m))
-        scale = max(np.max(np.abs(model.g_field(mono))), 1.0)
-        for row in idxs:
-            ix, iy, iz = (tuple(r) for r in row)
-            def gpair(ia, ib):
-                acc = 0.0
-                for (left, right), c in dp:
-                    acc += float(c) * fields[left][0][ia] * fields[right][1][ib]
-                return acc
-            # chen: g_{zx} = sum over Delta+ of g_{zy}(left) g_{yx}(right)
-            acc = 0.0
-            for (left, right), c in dp:
-                gzy = _two_point_value(model, left, iz, iy)
-                gyx = _two_point_value(model, right, iy, ix)
-                acc += float(c) * gzy * gyx
-            direct = gpair(iz, ix)
-            worst = max(worst, abs(acc - direct) / scale)
+        fields = _SampledFields(model)
+        scale = max(np.max(np.abs(fields.g(mono))), 1.0)
+        # chen: g_{zx} = sum over Delta+ of g_{zy}(left) g_{yx}(right)
+        acc = 0.0
+        for (left, right), c in S.delta_plus(mono).sorted_items():
+            gzy = fields.two_point(left, iz, iy)
+            gyx = fields.two_point(right, iy, ix)
+            acc = acc + float(c) * gzy * gyx
+        direct = fields.two_point(mono, iz, ix)
+        worst = max(worst, np.max(np.abs(acc - direct) / scale))
     return worst
-
-
-def _two_point_value(model: Model, v, ia, ib) -> float:
-    """g_{yx}(v) at grid indices (ia, ib); v a monomial or FreeVector."""
-    if isinstance(v, PlusMonomial):
-        v = FreeVector.single(v)
-    acc = 0.0
-    for mono, c0 in v.sorted_items():
-        for (left, right), c in model.structure.delta_plus(mono).sorted_items():
-            acc += float(c0 * c) * model.g_field(left)[ia] * model.g_inv_field(right)[ib]
-    return acc
 
 
 # -- model validation ------------------------------------------------------------
@@ -287,9 +307,12 @@ def lemma_gyx_f_residual(model: Model, rng: np.random.Generator, samples: int = 
     g, g_inv = model.g, model.g_inv
     worst = 0.0
     pairs = rng.integers(0, grid.n, size=(samples, 2, grid.dim))
+    iy, ix = _sample_index(pairs, 0), _sample_index(pairs, 1)
+    diff = [model.g.point[i][iy] - model.g.point[i][ix] for i in range(S.dim)]
     for name in sorted(model.g.values):
         mono = PlusMonomial.of_gen(name, S.dim)
         h = S.plus_gens[name]
+        fields = _SampledFields(model)
         for k, dk in _d_symbol_vectors(S, mono):
             f_fields = {}
             max_l = int(h) - mi_abs(k) if h == int(h) else int(math.floor(h - mi_abs(k)))
@@ -310,22 +333,17 @@ def lemma_gyx_f_residual(model: Model, rng: np.random.Generator, samples: int = 
                      np.asarray(f_character_values(g, g_inv, dk_left), dtype=float))
                 )
             scale = max(float(np.max(np.abs(np.asarray(g(dk), dtype=float)))), 1.0)
-            for row in pairs:
-                iy, ix = tuple(row[0]), tuple(row[1])
-                lhs = _two_point_value(model, dk, iy, ix)
-                rhs = 0.0
-                for c, left, right, f_y in sigma_data:
-                    gyx = _two_point_value(model, right, iy, ix)
-                    rhs += c * gyx * f_y[iy]
-                diff = np.array([
-                    model.g.point[i][iy] - model.g.point[i][ix] for i in range(S.dim)
-                ])
-                for l, f_x in f_fields.items():
-                    coef = 1.0
-                    for d_, li in zip(diff, l):
-                        coef *= d_**li
-                    rhs -= coef / mi_factorial(l) * f_x[ix]
-                worst = max(worst, abs(lhs - rhs) / scale)
+            lhs = fields.two_point(dk, iy, ix)
+            rhs = 0.0
+            for c, left, right, f_y in sigma_data:
+                gyx = fields.two_point(right, iy, ix)
+                rhs = rhs + c * gyx * f_y[iy]
+            for l, f_x in f_fields.items():
+                coef = 1.0
+                for d_, li in zip(diff, l):
+                    coef = coef * d_**li
+                rhs = rhs - coef / mi_factorial(l) * f_x[ix]
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
     return worst
 
 

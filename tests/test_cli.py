@@ -80,6 +80,13 @@ class TestVerbs:
         code = main(["structure-validate", "--structure", "/nonexistent/file.txt"])
         assert code == 2
 
+    def test_cutoff_flag_is_rejected(self, capsys):
+        # the rule cutoff comes from the structure or rule file; no verb takes one
+        with pytest.raises(SystemExit) as exc:
+            main(["structure-validate", "--structure", "toy", "--cutoff", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cutoff 2" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def model_dir(tmp_path_factory):

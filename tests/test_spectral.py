@@ -8,10 +8,10 @@ lattice frequency, the Nyquist modes included, carries mass.
 import numpy as np
 import pytest
 
-from regpara import blocks
+from regpara import blocks, norms
 from regpara.blocks import chi, derivative, fourier_multiplier, make_partition
 from regpara.grid import Field, Grid
-from regpara.norms import SeparableFamily, d_family_report, holder_norm
+from regpara.norms import SeparableFamily, d_family_report, holder_norm, interior_mask
 from regpara.paraproducts import modified_paraproduct, paraproduct, resonant
 
 REL = 1e-12
@@ -82,10 +82,12 @@ def _close(got, want):
     assert float(np.max(np.abs(np.asarray(got) - want))) <= REL * scale
 
 
-GRIDS = [Grid(1, 256, np.pi), Grid(2, 64, np.pi)]
+# At box 4 the frequency step is pi/4, so a product bound of 3.75 * 2^j is
+# 4.77 * 2^j lattice steps: its sub-grids are twice those of box pi.
+GRIDS = [Grid(1, 256, np.pi), Grid(2, 64, np.pi), Grid(1, 256, 4.0)]
 
 
-@pytest.fixture(scope="module", params=GRIDS, ids=["d1-n256", "d2-n64"])
+@pytest.fixture(scope="module", params=GRIDS, ids=["d1-n256", "d2-n64", "d1-box4"])
 def case(request):
     grid = request.param
     rng = np.random.default_rng(17)
@@ -166,3 +168,103 @@ def test_symbols_are_cached_per_grid(monkeypatch):
     paraproduct(decomp, f, g)
     assert first > 0
     assert len(calls) == first
+
+
+def test_holder_norm_series_are_bit_identical(case, monkeypatch):
+    """The buffered block loop gives exactly the sups and quantiles of the
+    plain loop: Delta_j f transformed, weighted, |.|, masked."""
+    grid, _, (f, _, _) = case
+    decomp = make_partition(grid)
+    w, mask = grid.weight(1.0), interior_mask(grid)
+    spec = decomp.rfft(f.values)
+    want_norms, want_series = [], []
+    for j in decomp.js:
+        vals = np.abs(w * decomp.irfft(decomp.half_rho(j) * spec))[mask]
+        want_norms.append(np.max(vals))
+        want_series.append(np.quantile(vals, 0.5))
+    seen = {}
+    report = norms.report_from_block_norms
+
+    def spy(block_norms, *args, fit_series=None, **kwargs):
+        seen["series"] = fit_series
+        return report(block_norms, *args, fit_series=fit_series, **kwargs)
+
+    monkeypatch.setattr(norms, "report_from_block_norms", spy)
+    got = holder_norm(f, 0.5, a=1.0, mask=mask, quantile=0.5)
+    assert np.array_equal(got.block_norms, want_norms)
+    assert np.array_equal(seen["series"], want_series)
+
+
+# -- sub-grid block products -------------------------------------------------
+
+
+def _long_double_modified(grid, m, f, g):
+    """P^m_f g on the full lattice in long double, block by block with
+    |grad|^m applied once to the sum; symbols are the float64 ones."""
+    ld = np.longdouble
+    ref = Reference(grid)
+    r = ref.r.astype(ld)
+    power = np.zeros_like(r)
+    power[r > 0] = r[r > 0] ** m
+    inverse = np.zeros_like(r)
+    inverse[r > 0] = r[r > 0] ** -m
+    fspec, gspec = np.fft.fft(f.astype(ld)), np.fft.fft(g.astype(ld)) * inverse
+    acc = np.zeros(grid.shape, dtype=ld)
+    for j in range(1, ref.J + 1):
+        acc += np.fft.ifft(ref.low[j].astype(ld) * fspec).real * np.fft.ifft(
+            ref.rho[j].astype(ld) * gspec
+        ).real
+    return np.fft.ifft(power * np.fft.fft(acc)).real
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="long double is no wider than double on this platform",
+)
+@pytest.mark.parametrize("m, rel", [(0, 1e-14), (1, 1e-14), (2, 1e-14), (3, 1e-12)])
+def test_modified_paraproduct_against_long_double(m, rel):
+    """Products formed below their band keep real-space rounding above it out
+    of the spectrum, so |grad|^m has nothing there to amplify."""
+    grid = Grid(1, 4096, np.pi)
+    rng = np.random.default_rng(41)
+    f, g = (Field(grid, rng.standard_normal(grid.shape)) for _ in range(2))
+    want = _long_double_modified(grid, m, f.values, g.values)
+    got = modified_paraproduct(make_partition(grid), m, f, g).values
+    assert float(np.max(np.abs(got - want)) / np.max(np.abs(want))) <= rel
+
+
+def _count_subgrid_transforms(monkeypatch, grid):
+    """Record every irfftn onto fewer points per axis than the grid has."""
+    calls = []
+    irfftn = np.fft.irfftn
+
+    def counting(a, s=None, axes=None, norm=None, out=None):
+        if s is not None and s[-1] < grid.n:
+            calls.append(s)
+        return irfftn(a, s=s, axes=axes, norm=norm, out=out)
+
+    monkeypatch.setattr(np.fft, "irfftn", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n, subgrids", [(256, True), (64, False)])
+def test_subgrid_products_in_2d(monkeypatch, n, subgrids):
+    """At 256^2 the low blocks are formed on sub-grids; at 64^2 the 64-point
+    minimum keeps every block on the grid itself."""
+    grid = Grid(2, n, np.pi)
+    ref = Reference(grid)
+    rng = np.random.default_rng(43)
+    f, g = (Field(grid, rng.standard_normal(grid.shape)) for _ in range(2))
+    decomp = make_partition(grid)
+    calls = _count_subgrid_transforms(monkeypatch, grid)
+    for op, want in [
+        (lambda: paraproduct(decomp, f, g), ref.modified(0, f.values, g.values)),
+        (lambda: modified_paraproduct(decomp, 2, f, g), ref.modified(2, f.values, g.values)),
+        (lambda: resonant(decomp, f, g), ref.resonant(f.values, g.values)),
+    ]:
+        before = len(calls)
+        _close(op().values, want)
+        assert (len(calls) > before) == subgrids
+    assert np.array_equal(
+        paraproduct(decomp, f, g).values, modified_paraproduct(decomp, 0, f, g).values
+    )

@@ -1,13 +1,23 @@
 """Modelled distributions, paracontrolled systems, reconstruction, and the
 auxiliary cross-check structure."""
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from regpara.algebra import BaseSymbol, PlusMonomial, mi_zero, polynomial_structure
+from regpara.algebra import (
+    BaseSymbol,
+    FreeVector,
+    PlusMonomial,
+    mi_abs,
+    mi_factorial,
+    mi_range,
+    mi_zero,
+    polynomial_structure,
+)
 from regpara.blocks import derivative
-from regpara.characters import field_character
+from regpara.characters import f_character_values, field_character
 from regpara.grid import Field
 from regpara.library import structure
 from regpara.models import Model, reconstruct, reconstruction_family
@@ -15,7 +25,10 @@ from regpara.norms import holder_norm, interior_mask, synthesize
 from regpara.translation import (
     ModelledDistribution,
     StructureConditionError,
+    _d_symbol_vectors,
+    chen_residual,
     lambda_cross_check,
+    lemma_gyx_f_residual,
     md_from_paracontrolled,
     md_to_paracontrolled,
     reconstruction_report,
@@ -205,3 +218,82 @@ class TestContinuityProbe:
         lo, hi = sorted(responses)
         assert hi / lo < 2.0
         assert hi > 0
+
+
+# -- sampled identity checks against their per-sample loops ----------------------
+
+
+def _scalar_two_point(model, v, ia, ib):
+    if isinstance(v, PlusMonomial):
+        v = FreeVector.single(v)
+    acc = 0.0
+    for mono, c0 in v.sorted_items():
+        for (left, right), c in model.structure.delta_plus(mono).sorted_items():
+            acc += float(c0 * c) * model.g_field(left)[ia] * model.g_inv_field(right)[ib]
+    return acc
+
+
+def _scalar_chen(model, rng, samples):
+    S, grid = model.structure, model.grid
+    idxs = rng.integers(0, grid.n, size=(samples, 3, grid.dim))
+    worst = 0.0
+    for name in sorted(model.g.values):
+        mono = PlusMonomial.of_gen(name, S.dim)
+        scale = max(np.max(np.abs(model.g_field(mono))), 1.0)
+        for row in idxs:
+            ix, iy, iz = (tuple(r) for r in row)
+            acc = 0.0
+            for (left, right), c in S.delta_plus(mono).sorted_items():
+                acc += (float(c) * _scalar_two_point(model, left, iz, iy)
+                        * _scalar_two_point(model, right, iy, ix))
+            direct = _scalar_two_point(model, mono, iz, ix)
+            worst = max(worst, abs(acc - direct) / scale)
+    return worst
+
+
+def _scalar_lemma_gyx_f(model, rng, samples):
+    S, grid, g, g_inv = model.structure, model.grid, model.g, model.g_inv
+    pairs = rng.integers(0, grid.n, size=(samples, 2, grid.dim))
+    worst = 0.0
+    for name in sorted(model.g.values):
+        mono = PlusMonomial.of_gen(name, S.dim)
+        h = S.plus_gens[name]
+        for k, dk in _d_symbol_vectors(S, mono):
+            max_l = int(h) - mi_abs(k) if h == int(h) else int(math.floor(h - mi_abs(k)))
+            f_fields = {}
+            for l in mi_range(S.dim, max(max_l, 0)):
+                dkl = S.d_op(tuple(a + b for a, b in zip(k, l)), mono)
+                f_fields[l] = (np.asarray(f_character_values(g, g_inv, dkl), dtype=float)
+                               if dkl else np.zeros(grid.shape))
+            scale = max(float(np.max(np.abs(np.asarray(g(dk), dtype=float)))), 1.0)
+            for row in pairs:
+                iy, ix = tuple(row[0]), tuple(row[1])
+                lhs = _scalar_two_point(model, dk, iy, ix)
+                rhs = 0.0
+                for (left, right), c in S.delta_plus(mono).sorted_items():
+                    dk_left = S.d_op(k, left)
+                    if left.is_poly or not dk_left:
+                        continue
+                    f_y = np.asarray(f_character_values(g, g_inv, dk_left), dtype=float)
+                    rhs += float(c) * _scalar_two_point(model, right, iy, ix) * f_y[iy]
+                diff = np.array([g.point[i][iy] - g.point[i][ix] for i in range(S.dim)])
+                for l, f_x in f_fields.items():
+                    coef = 1.0
+                    for d_, li in zip(diff, l):
+                        coef *= d_**li
+                    rhs -= coef / mi_factorial(l) * f_x[ix]
+                worst = max(worst, abs(lhs - rhs) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("which", ["toy_model", "bhz_model"])
+def test_sampled_residuals_equal_their_per_sample_loops(which, request):
+    """Each field is read at all samples at once, but every sample is still
+    summed in the loop's order, so the residuals agree to the bit."""
+    model, _gb, _pib = request.getfixturevalue(which)
+    assert chen_residual(model, np.random.default_rng(5), 40) == _scalar_chen(
+        model, np.random.default_rng(5), 40
+    )
+    assert lemma_gyx_f_residual(model, np.random.default_rng(6), 30) == _scalar_lemma_gyx_f(
+        model, np.random.default_rng(6), 30
+    )
