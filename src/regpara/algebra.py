@@ -36,10 +36,6 @@ def mi_sub(k: Multi, l: Multi) -> Multi | None:
     return out if all(a >= 0 for a in out) else None
 
 
-def mi_le(l: Multi, k: Multi) -> bool:
-    return all(a <= b for a, b in zip(l, k))
-
-
 def mi_factorial(k: Multi) -> int:
     out = 1
     for a in k:
@@ -138,9 +134,6 @@ class BaseSymbol:
     def is_poly(self) -> bool:
         """True iff the symbol lies in B_X_ (pure underlined polynomial)."""
         return self.core == "1"
-
-    def mul_poly(self, k: Multi) -> "BaseSymbol":
-        return BaseSymbol(self.core, mi_add(self.poly, k))
 
     def __str__(self):
         if not any(self.poly):

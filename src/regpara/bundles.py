@@ -29,20 +29,13 @@ class Config:
     seed: int = 0
     tol_slope: float = 0.2
     tol_rel: float = 1e-8
-    fit_lo: int = -100   # -100: default window
-    fit_hi: int = -100
 
     def grid(self) -> Grid:
         return Grid(self.dim, self.n, self.box)
 
-    def window(self):
-        if self.fit_lo == -100 or self.fit_hi == -100:
-            return None
-        return (self.fit_lo, self.fit_hi)
-
     def lines(self) -> list[str]:
         out = []
-        for name in ("dim", "n", "box", "m", "seed", "tol_slope", "tol_rel", "fit_lo", "fit_hi"):
+        for name in ("dim", "n", "box", "m", "seed", "tol_slope", "tol_rel"):
             out.append(f"{name}={getattr(self, name)}")
         return out
 
@@ -50,6 +43,10 @@ class Config:
 def write_config(path, cfg: Config) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(cfg.lines()) + "\n")
+
+
+# Keys that older bundles wrote (a fit window no estimator read); skipped on read.
+_RETIRED_CONFIG_KEYS = ("fit_lo", "fit_hi")
 
 
 def read_config(path) -> Config:
@@ -62,6 +59,8 @@ def read_config(path) -> Config:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
+            if key in _RETIRED_CONFIG_KEYS:
+                continue
             if not hasattr(cfg, key):
                 raise ValueError(f"{path}: unknown config key {key!r}")
             cur = getattr(cfg, key)

@@ -64,12 +64,8 @@ def _load_structure(args):
 
 
 def _config(args) -> Config:
-    cfg = Config(dim=args.dim, n=args.grid, box=args.box, m=args.m, seed=args.seed,
-                 tol_slope=args.tol_slope, tol_rel=args.tol_rel)
-    if args.fit_window:
-        lo, hi = args.fit_window.split(":")
-        cfg.fit_lo, cfg.fit_hi = int(lo), int(hi)
-    return cfg
+    return Config(dim=args.dim, n=args.grid, box=args.box, m=args.m, seed=args.seed,
+                  tol_slope=args.tol_slope, tol_rel=args.tol_rel)
 
 
 def _emit(lines, out_dir=None, name="report.txt"):
@@ -83,6 +79,15 @@ def _emit(lines, out_dir=None, name="report.txt"):
 
 def _report_exit(report) -> int:
     return 0 if report.ok else 1
+
+
+def _slope_check(slope, target: float, tol: float, lines: list, label: str) -> bool:
+    """Whether a fitted slope reaches target - tol; a missing slope passes.
+    A measured slope appends `label slope=S target=T pass|FAIL` to lines."""
+    good = slope is None or slope >= target - tol
+    if slope is not None:
+        lines.append(f"{label} slope={slope:.4f} target={target:.4f} {'pass' if good else 'FAIL'}")
+    return good
 
 
 def cmd_structure_validate(args) -> int:
@@ -190,28 +195,18 @@ def cmd_model_extract(args) -> int:
     model, cfg = read_model_bundle(args.model)
     m = cfg.m if cfg.m >= 0 else default_m(model.structure)
     data = extract_brackets(model, m=m)
+    S, grid = model.structure, model.grid
     lines = [f"m={m}"]
     ok = True
-    grid = model.grid
     named = {}
     for mono, vals in data.g_side.items():
-        rep = data.reports.get(f"g:{mono}")
         named[f"g:{mono}"] = Field(grid, vals)
-        if rep is not None and rep.slope is not None:
-            h = float(model.structure.homog_plus(mono))
-            good = rep.slope >= h - cfg.tol_slope
-            ok &= good
-            lines.append(f"g_bracket {term_key(mono)} slope={rep.slope:.4f} "
-                         f"target={h:.4f} {'pass' if good else 'FAIL'}")
+        ok &= _slope_check(data.reports[f"g:{mono}"].slope, float(S.homog_plus(mono)),
+                           cfg.tol_slope, lines, f"g_bracket {term_key(mono)}")
     for sym, vals in data.pi_side.items():
-        rep = data.reports.get(f"pi:{sym}")
         named[f"pi:{sym}"] = Field(grid, vals)
-        if rep is not None and rep.slope is not None:
-            h = float(model.structure.homog_base(sym))
-            good = rep.slope >= h - cfg.tol_slope
-            ok &= good
-            lines.append(f"pi_bracket {term_key(sym)} slope={rep.slope:.4f} "
-                         f"target={h:.4f} {'pass' if good else 'FAIL'}")
+        ok &= _slope_check(data.reports[f"pi:{sym}"].slope, float(S.homog_base(sym)),
+                           cfg.tol_slope, lines, f"pi_bracket {term_key(sym)}")
     if args.out:
         write_bracket_bundle(args.out, model.structure, named, cfg)
     _emit(lines, args.out)
@@ -280,14 +275,10 @@ def cmd_md_extract(args) -> int:
     system = md_to_paracontrolled(model, md)
     lines = [f"gamma={md.gamma}"]
     ok = True
-    for sym, vals in system.brackets.items():
-        rep = system.reports.get(f"f:{sym}")
-        if rep is not None and rep.slope is not None:
-            target = float(md.gamma - model.structure.homog_base(sym))
-            good = rep.slope >= target - cfg.tol_slope
-            ok &= good
-            lines.append(f"md_bracket {term_key(sym)} slope={rep.slope:.4f} "
-                         f"target={target:.4f} {'pass' if good else 'FAIL'}")
+    for sym in system.brackets:
+        target = float(md.gamma - model.structure.homog_base(sym))
+        ok &= _slope_check(system.reports[f"f:{sym}"].slope, target, cfg.tol_slope,
+                           lines, f"md_bracket {term_key(sym)}")
     if args.out:
         named = {f"b:{s}": Field(model.grid, v) for s, v in system.brackets.items()}
         named["reconstruction"] = Field(model.grid, system.reconstruction_bracket)
@@ -371,7 +362,6 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol-slope", type=float, default=0.2)
         p.add_argument("--tol-rel", type=float, default=1e-8)
-        p.add_argument("--fit-window", default=None, metavar="JMIN:JMAX")
         if structure:
             p.add_argument("--structure", required=True,
                            help="structure file, rule file, or shipped name "

@@ -1,6 +1,10 @@
 """Models on concrete regularity structures and the paracontrolled bracket
 calculus: extraction of bracket data from models, and reconstruction of the
 Pi and g components from free bracket data.
+
+Both run one triangular recursion through `BracketExtractor.step`: extraction
+<tau> = Pi tau - sum_{sigma < tau} P^m_{g(tau/sigma)} <sigma> (sign -1), and
+reconstruction Pi tau = <tau> + the same sum (sign +1); likewise for g(tau).
 """
 from __future__ import annotations
 
@@ -16,7 +20,6 @@ from .algebra import (
     FreeVector,
     PlusMonomial,
     mi_abs,
-    mi_factorial,
     mi_zero,
     term_key,
 )
@@ -108,10 +111,15 @@ def diag_derivative(model: Model, mono: PlusMonomial, k) -> np.ndarray:
     return derivative(u, k).values
 
 
-def diag_derivative_vector(model: Model, v: FreeVector, k) -> np.ndarray:
+def diag_two_point(model: Model, v, k) -> np.ndarray:
+    """The field x -> d^k_y g_{yx}(v) |_{y=x} for a monomial or FreeVector v,
+    expanded over Delta+ as sum d^k g(a) * g^{-1}(b)."""
+    if isinstance(v, PlusMonomial):
+        v = FreeVector.single(v)
     acc = np.zeros(model.grid.shape)
     for mono, c in v.sorted_items():
-        acc += float(c) * diag_derivative(model, mono, k)
+        for (a, b), c2 in model.structure.delta_plus(mono).sorted_items():
+            acc += float(c * c2) * diag_derivative(model, a, k) * model.g_inv_field(b)
     return acc
 
 
@@ -130,8 +138,13 @@ class BracketData:
 class BracketExtractor:
     """Lazy evaluation of the bracket recursions over one model.
 
+    Every recursion is `step(start, terms, sign)` = start + sign * sum P^m_c u
+    over (c, u) in terms.  Extraction takes sign = -1:
+
     g-side:  <tau>^{m,g}  = g(tau)  - sum_{1 < nu < tau, nu not poly} P^m_{g(tau/nu)} <nu>^{m,g}
     Pi-side: <sigma>^{m,M} = Pi sigma - sum_{mu < sigma, mu not in B_X_} P^m_{g(sigma/mu)} <mu>^{m,M}
+
+    and reconstruction (build_g, build_pi) sign = +1, from the bracket.
     """
 
     def __init__(self, model: Model, m: int):
@@ -141,22 +154,35 @@ class BracketExtractor:
         self._g_memo: dict[PlusMonomial, np.ndarray] = {}
         self._pi_memo: dict[BaseSymbol, np.ndarray] = {}
 
+    def step(self, start, terms, sign: int = -1) -> np.ndarray:
+        """start + sign * sum_{(c, u) in terms} P^m_c u, the terms added in
+        order; start is a Field or an array, c and u are arrays."""
+        grid = self.model.grid
+        acc = np.array(start.values if isinstance(start, Field) else start, dtype=float)
+        for c, u in terms:
+            p = modified_paraproduct(self.decomp, self.m, Field(grid, c), Field(grid, u)).values
+            if sign < 0:
+                acc -= p
+            else:
+                acc += p
+        return acc
+
+    def coproduct_terms(self, tau, coproduct: FreeVector, bracket):
+        """(g(tau/sigma), <sigma>) for each term sigma (x) tau/sigma of the
+        coproduct of tau with sigma != tau not polynomial; <sigma> = bracket(sigma)."""
+        for (left, right), c in coproduct.sorted_items():
+            if left == tau or left.is_poly:
+                continue
+            yield float(c) * self.model.g_field(right), bracket(left)
+
     def g_bracket(self, mono: PlusMonomial) -> np.ndarray:
         if mono.is_poly:
             raise ValueError(f"g-brackets are indexed by B+ \\ B_X^+, got {mono}")
         hit = self._g_memo.get(mono)
-        if hit is not None:
-            return hit
-        S = self.model.structure
-        acc = self.model.g_field(mono).copy()
-        for (left, right), c in S.delta_plus(mono).sorted_items():
-            if left == mono or left.is_poly:
-                continue
-            coef = Field(self.model.grid, float(c) * self.model.g_field(right))
-            inner = Field(self.model.grid, self.g_bracket(left))
-            acc -= modified_paraproduct(self.decomp, self.m, coef, inner).values
-        self._g_memo[mono] = acc
-        return acc
+        if hit is None:
+            terms = self.coproduct_terms(mono, self.model.structure.delta_plus(mono), self.g_bracket)
+            hit = self._g_memo[mono] = self.step(self.model.g_field(mono), terms)
+        return hit
 
     def g_bracket_vector(self, v: FreeVector) -> np.ndarray:
         acc = np.zeros(self.model.grid.shape)
@@ -168,18 +194,10 @@ class BracketExtractor:
         if sym.is_poly:
             raise ValueError(f"Pi-brackets are indexed by B \\ B_X_, got {sym}")
         hit = self._pi_memo.get(sym)
-        if hit is not None:
-            return hit
-        S = self.model.structure
-        acc = self.model.pi_symbol(sym).copy()
-        for (left, right), c in S.delta(sym).sorted_items():
-            if left == sym or left.is_poly:
-                continue
-            coef = Field(self.model.grid, float(c) * self.model.g_field(right))
-            inner = Field(self.model.grid, self.pi_bracket(left))
-            acc -= modified_paraproduct(self.decomp, self.m, coef, inner).values
-        self._pi_memo[sym] = acc
-        return acc
+        if hit is None:
+            terms = self.coproduct_terms(sym, self.model.structure.delta(sym), self.pi_bracket)
+            hit = self._pi_memo[sym] = self.step(self.model.pi_symbol(sym), terms)
+        return hit
 
 
 def extract_brackets(model: Model, m: int | None = None,
@@ -236,24 +254,14 @@ def build_pi(structure: ConcreteRegularityStructure, grid: Grid, g: Character,
 
     model = Model(S, grid, g, {})
     ex = BracketExtractor(model, m)
-    decomp = make_partition(grid)
     for name in sorted(S.base_gens, key=lambda n: (S.base_gens[n], term_key(n))):
         if name == "1":
             continue
         h = S.base_gens[name]
         sym = BaseSymbol(name, mi_zero(S.dim))
         if h < 0:
-            vals = np.asarray(
-                brackets[name].values if isinstance(brackets[name], Field) else brackets[name],
-                dtype=float,
-            ).copy()
-            for (left, right), c in S.delta(sym).sorted_items():
-                if left == sym or left.is_poly:
-                    continue
-                coef = Field(grid, float(c) * model.g_field(right))
-                inner = Field(grid, ex.pi_bracket(left))
-                vals += modified_paraproduct(decomp, m, coef, inner).values
-            model.pi[name] = vals
+            terms = ex.coproduct_terms(sym, S.delta(sym), ex.pi_bracket)
+            model.pi[name] = ex.step(brackets[name], terms, sign=+1)
         else:
             # positive homogeneity: Pi tau reconstructs
             # h_tau(x) = sum_{sigma < tau} g_x(tau/sigma) sigma
@@ -336,24 +344,13 @@ def build_g(structure: ConcreteRegularityStructure, grid: Grid,
     missing = [r for r in roots if r not in brackets]
     if missing:
         raise ValueError(f"missing g-brackets for generators: {missing}")
-    decomp = make_partition(grid)
     g = field_character(S, grid, {})
     model = Model(S, grid, g, {})
     ex = BracketExtractor(model, 0)
-
-    def as_array(v):
-        return np.asarray(v.values if isinstance(v, Field) else v, dtype=float)
-
     for root in roots:
         gen = PlusMonomial.of_gen(root, S.dim)
-        acc = as_array(brackets[root]).copy()
-        for (left, right), c in S.dplus_table[root].sorted_items():
-            if left == gen or left.is_poly:
-                continue
-            coef = Field(grid, float(c) * model.g_field(right))
-            inner = Field(grid, ex.g_bracket(left))
-            acc += paraproduct(decomp, coef, inner).values
-        g.values[root] = acc
+        terms = ex.coproduct_terms(gen, S.delta_plus(gen), ex.g_bracket)
+        g.values[root] = ex.step(brackets[root], terms, sign=+1)
         # orbit members D^k root via the diagonal-derivative formula
         h_root = S.plus_gens[root]
         members = sorted(
@@ -371,11 +368,7 @@ def build_g(structure: ConcreteRegularityStructure, grid: Grid,
                     continue
                 if S.homog_plus(left) > mi_abs(k):
                     continue
-                two_point_dk = np.zeros(grid.shape)
-                for (mu, nu), c2 in S.delta_plus(left).sorted_items():
-                    two_point_dk += float(c2) * diag_derivative(model, mu, k) * \
-                        model.g_inv_field(nu)
-                vals -= float(c) * model.g_field(right) * two_point_dk
+                vals -= float(c) * model.g_field(right) * diag_two_point(model, left, k)
             g.values[name] = vals
     return g
 

@@ -56,10 +56,6 @@ class NormReport:
     r: float = DEFAULT_R             # model-metric constant, config only
     fit_js: list[int] = field(default_factory=list)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.slope is None
-
     def lines(self) -> list[str]:
         out = [f"# j norm (alpha={self.alpha} a={self.a} r={self.r})"]
         for j, v in zip(range(-1, len(self.block_norms) - 1), self.block_norms):

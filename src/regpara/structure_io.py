@@ -328,10 +328,6 @@ def read_structure(path) -> ConcreteRegularityStructure:
     )
 
 
-def _mono_str(m) -> str:
-    return str(m)
-
-
 def write_structure(path, S: ConcreteRegularityStructure) -> None:
     """Deterministic serialization: sorted generators and canonical term order."""
     lines = [f"dim {S.dim}", f"cutoff {S.cutoff}"]

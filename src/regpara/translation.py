@@ -1,5 +1,11 @@
 """Modelled distributions, paracontrolled systems, model validation, and the
 auxiliary negative-homogeneity cross-check structure.
+
+md <-> paracontrolled runs `models.BracketExtractor.step` over the quotients
+mu/sigma in span(B+ \\ B_X^+): md_to_paracontrolled takes sign -1,
+<f_sigma>^g = f_sigma - sum_{sigma < mu} P_{f_mu} <mu/sigma>^g and
+<f>^M = Rf - sum_sigma P_{f_sigma} <sigma>^M; md_from_paracontrolled takes
+sign +1, f_sigma = <f_sigma>^g + the same sum.
 """
 from __future__ import annotations
 
@@ -20,7 +26,7 @@ from .algebra import (
     mi_zero,
     term_key,
 )
-from .blocks import derivative, j_operator, lp_block, make_partition, fourier_multiplier
+from .blocks import derivative, fourier_multiplier, j_operator, make_partition
 from .characters import (
     f_character_values,
 )
@@ -38,10 +44,10 @@ from .models import (
     BracketExtractor,
     Model,
     diag_derivative,
+    diag_two_point,
     reconstruct,
     reconstruction_family,
 )
-from .paraproducts import paraproduct
 from .parallel import parallel_map
 
 SLOPE_TOL = 0.2
@@ -105,30 +111,40 @@ class Report:
 
 # -- two-point slope estimation -------------------------------------------------
 
-def pair_mask(grid: Grid, steps: int, base: np.ndarray) -> np.ndarray:
-    """Pairs (x, x + h) lying entirely in the interior mask."""
-    return base & np.roll(base, -steps, axis=0)
+def _two_point_fit(grid: Grid, diff, quantile: float) -> tuple[float | None, list]:
+    """Slope and (h, q) series of the worst axis. Per axis, q is the quantile
+    of |diff(steps, axis)| over the pairs (x, x + h e_axis) lying entirely in
+    the interior mask, at each dyadic separation h; diff(steps, axis) is the
+    two-point field with y shifted by steps grid points along axis. The
+    smallest fitted slope decides; an axis without a slope (the field does
+    not vary along it) does not, and if no axis has one, axis 0 is returned."""
+    base = interior_mask(grid)
+    fits = []
+    for axis in range(grid.dim):
+        pts = []
+        for steps in dyadic_separations(grid):
+            vals = diff(steps, axis)[base & np.roll(base, -steps, axis=axis)]
+            pts.append((steps * grid.step, float(np.quantile(np.abs(vals, out=vals), quantile))))
+        fits.append((two_point_slope(pts)[0], pts))
+    return min(fits, key=lambda f: (f[0] is None, f[0] or 0.0))
 
 
 def two_point_g_report(model: Model, v, alpha: float,
                        quantile: float = 0.5) -> tuple[float | None, list]:
-    """Fitted slope of |g_{yx}(v)| against dyadic separations y - x = h."""
-    S, grid = model.structure, model.grid
-    base = interior_mask(grid)
-    pts = []
+    """Fitted slope of |g_{yx}(v)| against dyadic separations y - x = h
+    along each axis; the worst axis decides."""
     terms = [
         (float(c), model.g_field(left), model.g_inv_field(right))
-        for (left, right), c in S.delta_plus(v).sorted_items()
+        for (left, right), c in model.structure.delta_plus(v).sorted_items()
     ]
-    for steps in dyadic_separations(grid):
-        acc = np.zeros(grid.shape)
+
+    def diff(steps, axis):
+        acc = np.zeros(model.grid.shape)
         for c, gy, gxi in terms:
-            acc += c * np.roll(gy, -steps, axis=0) * gxi
-        sel = pair_mask(grid, steps, base)
-        vals = np.abs(acc[sel])
-        pts.append((steps * grid.step, float(np.quantile(vals, quantile))))
-    slope, _ = two_point_slope(pts)
-    return slope, pts
+            acc += c * np.roll(gy, -steps, axis=axis) * gxi
+        return acc
+
+    return _two_point_fit(model.grid, diff, quantile)
 
 
 class _SampledFields:
@@ -160,11 +176,6 @@ class _SampledFields:
             for (left, right), c in self.model.structure.delta_plus(mono).sorted_items():
                 acc = acc + float(c0 * c) * self.g(left)[ia] * self.g_inv(right)[ib]
         return acc
-
-
-def _two_point_value(model: Model, v, ia, ib):
-    """g_{yx}(v) at grid indices, or index arrays, (ia, ib)."""
-    return _SampledFields(model).two_point(v, ia, ib)
 
 
 def _sample_index(idxs: np.ndarray, slot: int) -> tuple:
@@ -406,36 +417,34 @@ def _quotient_in_plus_span(S: ConcreteRegularityStructure, quot: FreeVector) -> 
     return kinds == {False}
 
 
+def _plus_quotients(S: ConcreteRegularityStructure, symbols, sigma: BaseSymbol):
+    """(mu, mu/sigma) for every mu != sigma among symbols whose quotient is
+    nonzero and lies in span(B+ \\ B_X^+)."""
+    for mu in symbols:
+        if mu == sigma:
+            continue
+        quot = S.quotient_base(mu, sigma)
+        if quot and _quotient_in_plus_span(S, quot):
+            yield mu, quot
+
+
 def md_to_paracontrolled(model: Model, md: ModelledDistribution,
-                         m: int = 0, with_reports: bool = True) -> ParacontrolledSystem:
+                         with_reports: bool = True) -> ParacontrolledSystem:
     """Paracontrolled representation of a modelled distribution:
     <f_sigma>^g = f_sigma - sum_{sigma < mu} P_{f_mu} <mu/sigma>^g
     (descending homogeneity), and <f>^M = Rf - sum_sigma P_{f_sigma} <sigma>^M."""
     S, grid = model.structure, model.grid
     gamma = md.gamma
-    decomp = make_partition(grid)
-    ex = BracketExtractor(model, m)
-    symbols = [s for s in S.base_symbols(gamma)]
+    ex = BracketExtractor(model, 0)
+    symbols = S.base_symbols(gamma)
     order = sorted(symbols, key=lambda s: (S.homog_base(s), term_key(s)), reverse=True)
     out: dict[BaseSymbol, np.ndarray] = {}
     for sigma in order:
-        acc = md.coeff(sigma).copy()
-        for mu in symbols:
-            if mu == sigma:
-                continue
-            quot = S.quotient_base(mu, sigma)
-            if not quot or not _quotient_in_plus_span(S, quot):
-                continue
-            inner = Field(grid, ex.g_bracket_vector(quot))
-            acc -= paraproduct(decomp, Field(grid, md.coeff(mu)), inner).values
-        out[sigma] = acc
+        terms = ((md.coeff(mu), ex.g_bracket_vector(quot))
+                 for mu, quot in _plus_quotients(S, symbols, sigma))
+        out[sigma] = ex.step(md.coeff(sigma), terms)
     rf = reconstruct(model, md.coeffs, gamma)
-    rec = rf.values.copy()
-    for sigma in symbols:
-        if sigma.is_poly:
-            continue
-        inner = Field(grid, ex.pi_bracket(sigma))
-        rec -= paraproduct(decomp, Field(grid, md.coeff(sigma)), inner).values
+    rec = ex.step(rf, ((md.coeff(s), ex.pi_bracket(s)) for s in symbols if not s.is_poly))
     system = ParacontrolledSystem(S, grid, gamma, out, rec)
     if with_reports:
         mask = interior_mask(grid)
@@ -474,23 +483,12 @@ def md_from_paracontrolled(model: Model, brackets: dict[BaseSymbol, np.ndarray],
         core_only = all(not any(s.poly) for s in brackets)
         mode = "d" if core_only and S.check_assumptions().d_ok else "general"
     ex = BracketExtractor(model, 0)
-    decomp = make_partition(grid)
     coeffs: dict[BaseSymbol, np.ndarray] = {}
 
     def bracket_recursion(sigma: BaseSymbol) -> np.ndarray:
-        acc = np.asarray(
-            brackets[sigma].values if isinstance(brackets[sigma], Field) else brackets[sigma],
-            dtype=float,
-        ).copy()
-        for mu in symbols:
-            if mu == sigma:
-                continue
-            quot = S.quotient_base(mu, sigma)
-            if not quot or not _quotient_in_plus_span(S, quot):
-                continue
-            inner = Field(grid, ex.g_bracket_vector(quot))
-            acc += paraproduct(decomp, Field(grid, compute(mu)), inner).values
-        return acc
+        terms = ((compute(mu), ex.g_bracket_vector(quot))
+                 for mu, quot in _plus_quotients(S, symbols, sigma))
+        return ex.step(brackets[sigma], terms, sign=+1)
 
     def derivative_formula(sigma: BaseSymbol) -> np.ndarray:
         # EqSimpleStructureCondition with the 1/k! normalisation
@@ -532,24 +530,10 @@ def md_from_paracontrolled(model: Model, brackets: dict[BaseSymbol, np.ndarray],
 def _md_diagonal_derivative(model, S, symbols, coeff_of, tau: BaseSymbol, k, gamma) -> np.ndarray:
     """d_y^k { f_tau(y) - sum_{tau<mu, mu/tau not in T_X, |mu/tau|<=|k|}
     g_{yx}(mu/tau) f_mu(x) } |_{y=x}, all derivatives spectral."""
-    grid = model.grid
-    f_tau = Field(grid, coeff_of(tau))
-    vals = derivative(f_tau, k).values.copy()
-    for mu in symbols:
-        if mu == tau:
-            continue
-        quot = S.quotient_base(mu, tau)
-        if not quot or not _quotient_in_plus_span(S, quot):
-            continue
-        if S.homog_base(mu) - S.homog_base(tau) > mi_abs(k):
-            continue
-        # d^k_y g_{yx}(quot) |_{y=x} expanded over Delta+ of each monomial
-        dk_two_point = np.zeros(grid.shape)
-        for mono, c in quot.sorted_items():
-            for (a, b), c2 in S.delta_plus(mono).sorted_items():
-                dk_two_point += float(c * c2) * diag_derivative(model, a, k) * \
-                    model.g_inv_field(b)
-        vals -= dk_two_point * coeff_of(mu)
+    vals = derivative(Field(model.grid, coeff_of(tau)), k).values.copy()
+    for mu, quot in _plus_quotients(S, symbols, tau):
+        if S.homog_base(mu) - S.homog_base(tau) <= mi_abs(k):
+            vals -= diag_two_point(model, quot, k) * coeff_of(mu)
     return vals
 
 
@@ -588,7 +572,6 @@ def validate_md(model: Model, md: ModelledDistribution,
     """Two-point checks <tau', f(y) - g_hat_{yx} f(x)> ~ |y-x|^{gamma-|tau|}."""
     S, grid = model.structure, model.grid
     rep = Report(f"modelled distribution gamma={md.gamma}")
-    base = interior_mask(grid)
     symbols = S.base_symbols(md.gamma)
     for tau in symbols:
         target = float(md.gamma - S.homog_base(tau))
@@ -602,14 +585,14 @@ def validate_md(model: Model, md: ModelledDistribution,
                     terms.append(
                         (float(c * c2), model.g_field(a), model.g_inv_field(b), md.coeff(mu))
                     )
-        pts = []
-        for steps in dyadic_separations(grid):
-            acc = np.roll(md.coeff(tau), -steps, axis=0).copy()
+
+        def diff(steps, axis):
+            acc = np.roll(md.coeff(tau), -steps, axis=axis)
             for c, ga, gb, fmu in terms:
-                acc -= c * np.roll(ga, -steps, axis=0) * gb * fmu
-            sel = pair_mask(grid, steps, base)
-            pts.append((steps * grid.step, float(np.quantile(np.abs(acc[sel]), quantile))))
-        slope, _ = two_point_slope(pts)
+                acc -= c * np.roll(ga, -steps, axis=axis) * gb * fmu
+            return acc
+
+        slope, _ = _two_point_fit(grid, diff, quantile)
         rep.add_slope(f"md:two-point:{tau}", slope, target, tol_slope)
     return rep
 

@@ -29,16 +29,6 @@ from .algebra import (
 )
 
 
-@dataclass(frozen=True)
-class EdgeType:
-    name: str
-    homogeneity: Fraction
-
-    def __post_init__(self):
-        if self.homogeneity == 0:
-            raise ValueError(f"edge type {self.name} must have nonzero homogeneity")
-
-
 ODec = tuple[Multi, tuple[tuple[str, int], ...]]  # Z^d part, Z(L) part
 
 

@@ -189,12 +189,16 @@ class TestBundles:
         assert (root / "gamma.txt").read_text().strip() == "9/8"
 
     def test_config_round_trip(self, tmp_path):
-        cfg = Config(n=128, seed=9, tol_slope=0.25, fit_lo=2, fit_hi=5)
+        cfg = Config(n=128, seed=9, tol_slope=0.25)
         p = tmp_path / "config.txt"
         write_config(p, cfg)
         back = read_config(p)
         assert back == cfg
-        assert back.window() == (2, 5)
+
+    def test_config_with_retired_fit_window_keys_loads(self, tmp_path):
+        p = tmp_path / "config.txt"
+        p.write_text("dim=1\nn=128\nseed=9\nfit_lo=-100\nfit_hi=-100\n")
+        assert read_config(p) == Config(n=128, seed=9)
 
     def test_unknown_config_key(self, tmp_path):
         p = tmp_path / "config.txt"

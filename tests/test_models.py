@@ -334,12 +334,12 @@ class TestFirstGeneratorTaylorStructure:
         gy = sample_character(g, iy)
         gx = sample_character(g, ix)
         diff = g.point[0][iy] - g.point[0][ix]
-        from regpara.translation import _two_point_value
+        from regpara.translation import _SampledFields
 
         for name in members:
             k = rep.c_orbit[name][1]
             mono = PlusMonomial.of_gen(name, 1)
-            lhs = _two_point_value(model, mono, iy, ix)
+            lhs = _SampledFields(model).two_point(mono, iy, ix)
             rhs = gy.of_monomial(mono)
             l = 0
             while True:

@@ -1,5 +1,6 @@
 """Modelled distributions, paracontrolled systems, reconstruction, and the
 auxiliary cross-check structure."""
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -18,12 +19,14 @@ from regpara.algebra import (
 )
 from regpara.blocks import derivative
 from regpara.characters import f_character_values, field_character
-from regpara.grid import Field
-from regpara.library import structure
-from regpara.models import Model, reconstruct, reconstruction_family
+from regpara.grid import Field, Grid
+from regpara.library import TOY_RULE, structure
+from regpara.models import Model, build_g, reconstruct, reconstruction_family
 from regpara.norms import holder_norm, interior_mask, synthesize
+from regpara.rules import enumerate_basis, export_structure
 from regpara.translation import (
     ModelledDistribution,
+    SLOPE_TOL,
     StructureConditionError,
     _d_symbol_vectors,
     chen_residual,
@@ -32,6 +35,7 @@ from regpara.translation import (
     md_from_paracontrolled,
     md_to_paracontrolled,
     reconstruction_report,
+    two_point_g_report,
     validate_md,
 )
 
@@ -168,6 +172,28 @@ class TestReconstruction:
         assert rel_err(system.reconstruction_bracket, F.values) < 1e-12
         rf = reconstruct(model, md.coeffs, md.gamma)
         assert rel_err(rf.values, F.values) < 1e-12
+
+
+@pytest.mark.parametrize("varying_axis", [0, 1])
+def test_two_point_g_report_probes_every_axis(varying_axis):
+    """In d = 2 a g-bracket that varies along one axis only has g_{yx} = 0
+    for y - x along the other; the slope along the varying axis must still
+    be measured and reach its target."""
+    rule = dataclasses.replace(TOY_RULE, dim=2, noises=(("xi", Fraction(-1, 4)),), name="toy2d")
+    S = export_structure(enumerate_basis(rule))
+    grid, line = Grid(2, 64, np.pi), Grid(1, 64, np.pi)
+    roots = sorted(S.check_assumptions().c_generators, key=lambda n: (S.plus_gens[n], n))
+    for seed in range(5):
+        gb = {}
+        for i, r in enumerate(roots):
+            f = synthesize(float(S.plus_gens[r]), seed=seed + i, grid=line).values
+            gb[r] = Field(grid, np.moveaxis(np.tile(f, (grid.n, 1)), 1, varying_axis))
+        model = Model(S, grid, build_g(S, grid, gb), {})
+        for r in roots:
+            alpha = float(S.plus_gens[r])
+            slope, pts = two_point_g_report(model, PlusMonomial.of_gen(r, 2), alpha)
+            assert all(q > 0 for _h, q in pts)
+            assert slope is not None and slope >= alpha - SLOPE_TOL, (seed, r, slope)
 
 
 class TestAuxiliaryStructure:
