@@ -2,23 +2,22 @@
 synthetic test fields with prescribed regularity."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import CHI_HI, CHI_LO, BlockDecomposition, make_partition, smooth_step
+from .blocks import CHI_HI, CHI_LO, make_partition, smooth_step
 from .grid import Field, Grid, TwoParamField
 
-# Per-block norms at or below this floor are treated as exactly zero and
-# excluded from slope fits.
+# Per-scale statistics at or below this floor are treated as exactly zero
+# and excluded from slope fits.
 ZERO_FLOOR = 1e-290
 
 DEFAULT_R = 2.0
 
-
-def default_fit_window(decomp: BlockDecomposition) -> tuple[int, int]:
-    """Fit window j in [2, J-2]; boundary blocks are excluded."""
-    return (2, decomp.j_max - 2)
+# Quantile taken per scale by the checks that fit medians: D-family,
+# two-point and J-decay.
+MEDIAN = 0.5
 
 
 def synthesis_top(grid: Grid, max_freq_fraction: float = 1.0 / 3.0) -> int:
@@ -30,16 +29,38 @@ def synthesis_top(grid: Grid, max_freq_fraction: float = 1.0 / 3.0) -> int:
     return j
 
 
-def fit_slope(js: np.ndarray, lognorms: np.ndarray) -> tuple[float, float]:
-    """Least-squares fit lognorm ~ intercept - slope * j.
+def log_scale_fit(xs, series, window: tuple[float, float] | None = None):
+    """Least-squares fit log2 series ~ intercept + slope * x, the one place a
+    regularity exponent is read off a per-scale series; x is the block index
+    j or log2 of a separation.
 
-    The returned slope is the estimated regularity alpha with
-    ||Delta_j f|| ~ 2^{-j alpha}.
+    Fitted are the points with x in the inclusive window (all if None) whose
+    value lies above the zero floor max(ZERO_FLOOR, 1e-13 * max(series)),
+    taken over the whole series.  Returns (slope, intercept, x of the fitted
+    points); slope and intercept are None when fewer than two points survive.
     """
-    if len(js) < 2:
-        raise ValueError("slope fit needs at least two blocks")
-    coeffs = np.polyfit(js, lognorms, 1)
-    return -float(coeffs[0]), float(coeffs[1])
+    lo, hi = window if window is not None else (-np.inf, np.inf)
+    floor = max(ZERO_FLOOR, 1e-13 * float(np.max(series)))
+    used = [i for i, x in enumerate(xs) if lo <= x <= hi and series[i] > floor]
+    fit_xs = [xs[i] for i in used]
+    if len(used) < 2:
+        return None, None, fit_xs
+    coeffs = np.polyfit(np.asarray(fit_xs, dtype=float), np.log2(np.asarray(series)[used]), 1)
+    return float(coeffs[0]), float(coeffs[1]), fit_xs
+
+
+def scale_stats(samples: np.ndarray, weight: np.ndarray | None = None,
+                mask: np.ndarray | None = None, sup: bool = True, median: bool = True):
+    """(sup, median) of |weight * samples| over the mask: what one scale
+    contributes to a per-scale series, each None unless asked for.  samples
+    is overwritten."""
+    if weight is not None:
+        samples *= weight
+    if mask is not None:
+        samples = samples[mask]
+    np.abs(samples, out=samples)
+    return (np.max(samples) if sup else None,
+            np.quantile(samples, MEDIAN) if median else None)
 
 
 @dataclass
@@ -53,11 +74,31 @@ class NormReport:
     norm: float                      # sup_j 2^{j alpha} ||Delta_j f||
     slope: float | None              # fitted regularity (None if all-zero)
     intercept: float | None
-    r: float = DEFAULT_R             # model-metric constant, config only
-    fit_js: list[int] = field(default_factory=list)
+    fit_js: list[int]                # blocks the fit used
+
+    @classmethod
+    def from_blocks(cls, block_norms: np.ndarray, fit_series: np.ndarray,
+                    alpha: float, a: float = 0.0) -> "NormReport":
+        """Report on per-block series indexed j + 1, j = -1..J: the norm
+        value from the sups, the regularity from fit_series over j in
+        [2, J-2] as minus the log-scale slope (||Delta_j f|| ~ 2^{-j alpha})."""
+        j_max = len(block_norms) - 2
+        window = (2, j_max - 2)
+        slope, intercept, fit_js = log_scale_fit(range(-1, j_max + 1), fit_series, window)
+        js = np.arange(-1, j_max + 1)
+        return cls(
+            block_norms=block_norms,
+            alpha=alpha,
+            a=a,
+            window=window,
+            norm=float(np.max(2.0 ** (js * alpha) * block_norms)),
+            slope=None if slope is None else -slope,
+            intercept=intercept,
+            fit_js=fit_js,
+        )
 
     def lines(self) -> list[str]:
-        out = [f"# j norm (alpha={self.alpha} a={self.a} r={self.r})"]
+        out = [f"# j norm (alpha={self.alpha} a={self.a} r={DEFAULT_R})"]
         for j, v in zip(range(-1, len(self.block_norms) - 1), self.block_norms):
             out.append(f"{j} {v:.12e}")
         out.append(f"norm {self.norm:.12e}")
@@ -71,45 +112,6 @@ class NormReport:
 
     def __str__(self):
         return "\n".join(self.lines())
-
-
-def report_from_block_norms(
-    norms: np.ndarray,
-    alpha: float,
-    a: float,
-    window: tuple[int, int] | None,
-    decomp: BlockDecomposition,
-    r: float = DEFAULT_R,
-    fit_series: np.ndarray | None = None,
-) -> NormReport:
-    """Assemble a NormReport: the norm value always uses the sup series; the
-    slope fit may use a separate (e.g. quantile) series for statistical
-    robustness of the exponent estimate."""
-    if window is None:
-        window = default_fit_window(decomp)
-    js_all = np.arange(-1, decomp.j_max + 1)
-    norm = float(np.max(2.0 ** (js_all * alpha) * norms))
-    series = norms if fit_series is None else fit_series
-    lo, hi = window
-    floor = max(ZERO_FLOOR, 1e-13 * float(np.max(series)))
-    sel = [j for j in range(lo, hi + 1) if series[j + 1] > floor]
-    if len(sel) >= 2:
-        slope, intercept = fit_slope(
-            np.array(sel, dtype=float), np.log2(series[np.array(sel) + 1])
-        )
-    else:
-        slope, intercept = None, None
-    return NormReport(
-        block_norms=norms,
-        alpha=alpha,
-        a=a,
-        window=window,
-        norm=norm,
-        slope=slope,
-        intercept=intercept,
-        r=r,
-        fit_js=sel,
-    )
 
 
 def interior_mask(grid: Grid, margin: float | None = None) -> np.ndarray:
@@ -126,40 +128,22 @@ def interior_mask(grid: Grid, margin: float | None = None) -> np.ndarray:
     return out
 
 
-def holder_norm(
-    f: Field,
-    alpha: float,
-    a: float = 0.0,
-    window: tuple[int, int] | None = None,
-    r: float = DEFAULT_R,
-    mask: np.ndarray | None = None,
-    quantile: float = 1.0,
-) -> NormReport:
+def holder_norm(f: Field, alpha: float, a: float = 0.0,
+                mask: np.ndarray | None = None) -> NormReport:
     """Weighted Hölder norm data: sup_j 2^{j alpha} ||Delta_j f||_{L^inf_a}.
 
-    An optional boolean mask restricts the sup (used by model validators to
-    exclude the periodic-wrap collar).  quantile < 1 fits the slope on a
-    per-block quantile series instead of the sups, which is statistically
-    stabler on random-phase data; the norm value always uses the sups."""
+    An optional boolean mask restricts the sups (used by model validators to
+    exclude the periodic-wrap collar).  The slope is fitted on the sups
+    themselves, over j in [2, J-2]."""
     decomp = make_partition(f.grid)
     spec = decomp.rfft(f.values)
     w = f.grid.weight(a) if a else None
     norms = np.empty(decomp.j_max + 2)
-    fit_series = np.empty(decomp.j_max + 2) if quantile < 1.0 else None
     buf = np.empty(f.grid.shape)
     for j in decomp.js:
         vals = decomp.irfft(decomp.half_rho(j) * spec, out=buf)
-        if w is not None:
-            vals *= w
-        np.abs(vals, out=vals)
-        if mask is not None:
-            vals = vals[mask]
-        norms[j + 1] = np.max(vals)
-        if fit_series is not None:
-            fit_series[j + 1] = np.quantile(vals, quantile)
-    return report_from_block_norms(
-        norms, alpha, a, window, decomp, r, fit_series=fit_series
-    )
+        norms[j + 1] = scale_stats(vals, w, mask, median=False)[0]
+    return NormReport.from_blocks(norms, norms, alpha, a)
 
 
 def two_param_norm(lam: TwoParamField, alpha: float, a: float = 0.0) -> float:
@@ -233,57 +217,28 @@ class SeparableFamily:
         return Field(self.grid, acc)
 
 
-def d_family_report(
-    family: SeparableFamily,
-    alpha: float,
-    a: float = 0.0,
-    window: tuple[int, int] | None = None,
-    mask: np.ndarray | None = None,
-    kernel: str = "gauss",
-    quantile: float = 0.5,
-) -> NormReport:
-    """D^alpha_a data: per-j sup_x |x|_*^a |<Lambda_x, P_j(x-.)>| plus slope.
+def d_family_report(family: SeparableFamily, alpha: float,
+                    mask: np.ndarray | None = None) -> NormReport:
+    """D^alpha data: per-j sup_x |<Lambda_x, P_j(x-.)>| plus slope.
 
-    P_j vanishes for j <= 0 under the strict S_j convention, so the fit uses
-    j >= 1 only (the default window already does).  kernel="gauss" (default)
-    pairs against the Gaussian low-pass window, which scales cleanly on the
-    integer frequency lattice; kernel="sharp" uses the partition's own P_j.
-    Each term's spectrum is taken once and paired at every j.
+    P_j is the Gaussian low-pass window, which scales cleanly on the integer
+    frequency lattice; it vanishes for j <= 0 under the strict S_j
+    convention, so only j >= 1 is paired.  The slope is fitted on the per-j
+    medians over the mask, which drift less than the sups on random-phase
+    data, over j in [2, J-2].  Each term's spectrum is taken once and paired
+    at every j.
     """
     decomp = make_partition(family.grid)
     spectra = [decomp.rfft(u) for _, u in family.terms]
-    w = family.grid.weight(a) if a else None
     norms = np.zeros(decomp.j_max + 2)
-    fit_series = np.zeros(decomp.j_max + 2)
+    medians = np.zeros(decomp.j_max + 2)
     for j in range(1, decomp.j_max + 1):
-        sym = decomp.half_gauss(j) if kernel == "gauss" else decomp.half_low(j)
+        sym = decomp.half_gauss(j)
         vals = np.zeros(family.grid.shape)
         for (c, _), spec in zip(family.terms, spectra):
             vals += c * decomp.irfft(sym * spec)
-        if w is not None:
-            vals = w * vals
-        vals = np.abs(vals)
-        if mask is not None:
-            vals = vals[mask]
-        norms[j + 1] = np.max(vals)
-        fit_series[j + 1] = np.quantile(vals, quantile)
-    if window is None:
-        lo, hi = default_fit_window(decomp)
-        window = (max(lo, 1), hi)
-    return report_from_block_norms(norms, alpha, a, window, decomp, fit_series=fit_series)
-
-
-def two_point_slope(
-    values_by_sep: list[tuple[float, float]],
-) -> tuple[float | None, float | None]:
-    """Fit sup-values against separations: |F| ~ h^alpha gives slope alpha."""
-    pts = [(h, v) for h, v in values_by_sep if v > ZERO_FLOOR]
-    if len(pts) < 2:
-        return None, None
-    hs = np.log2([h for h, _ in pts])
-    vs = np.log2([v for _, v in pts])
-    coeffs = np.polyfit(hs, vs, 1)
-    return float(coeffs[0]), float(coeffs[1])
+        norms[j + 1], medians[j + 1] = scale_stats(vals, mask=mask)
+    return NormReport.from_blocks(norms, medians, alpha)
 
 
 def dyadic_separations(grid: Grid, count: int = 5) -> list[int]:

@@ -38,7 +38,8 @@ from .norms import (
     dyadic_separations,
     holder_norm,
     interior_mask,
-    two_point_slope,
+    log_scale_fit,
+    scale_stats,
 )
 from .models import (
     BracketExtractor,
@@ -48,7 +49,6 @@ from .models import (
     reconstruct,
     reconstruction_family,
 )
-from .parallel import parallel_map
 
 SLOPE_TOL = 0.2
 REL_TOL = 1e-8
@@ -111,26 +111,27 @@ class Report:
 
 # -- two-point slope estimation -------------------------------------------------
 
-def _two_point_fit(grid: Grid, diff, quantile: float) -> tuple[float | None, list]:
-    """Slope and (h, q) series of the worst axis. Per axis, q is the quantile
+def _two_point_fit(grid: Grid, diff) -> tuple[float | None, list]:
+    """Slope and (h, q) series of the worst axis. Per axis, q is the median
     of |diff(steps, axis)| over the pairs (x, x + h e_axis) lying entirely in
-    the interior mask, at each dyadic separation h; diff(steps, axis) is the
-    two-point field with y shifted by steps grid points along axis. The
-    smallest fitted slope decides; an axis without a slope (the field does
-    not vary along it) does not, and if no axis has one, axis 0 is returned."""
+    the interior mask, at each dyadic separation h, and the slope is fitted
+    on log2 q against log2 h; diff(steps, axis) is the two-point field with y
+    shifted by steps grid points along axis. The smallest fitted slope
+    decides; an axis without a slope (the field does not vary along it) does
+    not, and if no axis has one, axis 0 is returned."""
     base = interior_mask(grid)
     fits = []
     for axis in range(grid.dim):
-        pts = []
+        hs, qs = [], []
         for steps in dyadic_separations(grid):
-            vals = diff(steps, axis)[base & np.roll(base, -steps, axis=axis)]
-            pts.append((steps * grid.step, float(np.quantile(np.abs(vals, out=vals), quantile))))
-        fits.append((two_point_slope(pts)[0], pts))
+            pairs = base & np.roll(base, -steps, axis=axis)
+            hs.append(steps * grid.step)
+            qs.append(float(scale_stats(diff(steps, axis), mask=pairs, sup=False)[1]))
+        fits.append((log_scale_fit(np.log2(hs), qs)[0], list(zip(hs, qs))))
     return min(fits, key=lambda f: (f[0] is None, f[0] or 0.0))
 
 
-def two_point_g_report(model: Model, v, alpha: float,
-                       quantile: float = 0.5) -> tuple[float | None, list]:
+def two_point_g_report(model: Model, v, alpha: float) -> tuple[float | None, list]:
     """Fitted slope of |g_{yx}(v)| against dyadic separations y - x = h
     along each axis; the worst axis decides."""
     terms = [
@@ -144,7 +145,7 @@ def two_point_g_report(model: Model, v, alpha: float,
             acc += c * np.roll(gy, -steps, axis=axis) * gxi
         return acc
 
-    return _two_point_fit(model.grid, diff, quantile)
+    return _two_point_fit(model.grid, diff)
 
 
 class _SampledFields:
@@ -233,31 +234,19 @@ def validate_model(model: Model, tol_slope: float = SLOPE_TOL,
             ok &= np.array_equal(model.pi_symbol(sym), grid.poly(k) * model.pi[name])
     rep.add("c:polynomial-action", ok)
 
-    # (b) two-point slopes on the plus-generators (parallel over generators)
-    gen_names = sorted(model.g.values, key=lambda n: (S.plus_gens[n], n))
-
-    def _b_check(name):
+    # (b) two-point slopes on the plus-generators
+    for name in sorted(model.g.values, key=lambda n: (S.plus_gens[n], n)):
         h = float(S.plus_gens[name])
-        vals = model.g_field(PlusMonomial.of_gen(name, S.dim))
-        slope, _ = two_point_g_report(model, PlusMonomial.of_gen(name, S.dim), h)
-        return name, bool(np.all(np.isfinite(vals))), slope, h
+        mono = PlusMonomial.of_gen(name, S.dim)
+        rep.add("b:finite:" + name, bool(np.all(np.isfinite(model.g_field(mono)))))
+        rep.add_slope("b:two-point:" + name, two_point_g_report(model, mono, h)[0], h, tol_slope)
 
-    for name, finite, slope, h in parallel_map(_b_check, gen_names):
-        rep.add("b:finite:" + name, finite)
-        rep.add_slope("b:two-point:" + name, slope, h, tol_slope)
-
-    # (d) D-family slopes on the base generators (parallel over generators)
+    # (d) D-family slopes on the base generators
     mask = interior_mask(grid)
-    base_names = sorted((n for n in model.pi if n != "1"),
-                        key=lambda n: (S.base_gens[n], n))
-
-    def _d_check(name):
+    for name in sorted((n for n in model.pi if n != "1"), key=lambda n: (S.base_gens[n], n)):
         h = float(S.base_gens[name])
         fam = model.pi_recentered_family(BaseSymbol(name, mi_zero(S.dim)))
-        return name, d_family_report(fam, h, mask=mask).slope, h
-
-    for name, slope, h in parallel_map(_d_check, base_names):
-        rep.add_slope("d:family:" + name, slope, h, tol_slope)
+        rep.add_slope("d:family:" + name, d_family_report(fam, h, mask=mask).slope, h, tol_slope)
 
     # Chen relation on random triples
     res = chen_residual(model, rng, samples=min(samples, 100))
@@ -392,7 +381,8 @@ class ModelledDistribution:
     coeffs: dict[BaseSymbol, np.ndarray]
 
     def coeff(self, sym: BaseSymbol) -> np.ndarray:
-        return self.coeffs.get(sym, np.zeros(self.grid.shape))
+        vals = self.coeffs.get(sym)
+        return np.zeros(self.grid.shape) if vals is None else vals
 
 
 @dataclass
@@ -541,6 +531,7 @@ def _check_structure_condition(model: Model, md: ModelledDistribution, tol: floa
     S, grid = model.structure, md.grid
     gamma = md.gamma
     symbols = S.base_symbols(gamma)
+    mask = interior_mask(grid)
     worst = None
     for tau in symbols:
         h = S.homog_base(tau)
@@ -558,7 +549,6 @@ def _check_structure_condition(model: Model, md: ModelledDistribution, tol: floa
                 c = quot.coeff(PlusMonomial.of_poly(k)) * mi_factorial(k)
                 if c:
                     rhs += float(c) * md.coeff(mu)
-            mask = interior_mask(grid)
             scale = max(float(np.max(np.abs(md.coeff(tau)))), 1.0)
             res = float(np.max(np.abs((lhs - rhs)[mask]))) / scale
             if worst is None or res > worst[2]:
@@ -568,7 +558,7 @@ def _check_structure_condition(model: Model, md: ModelledDistribution, tol: floa
 
 
 def validate_md(model: Model, md: ModelledDistribution,
-                tol_slope: float = SLOPE_TOL, quantile: float = 0.5) -> Report:
+                tol_slope: float = SLOPE_TOL) -> Report:
     """Two-point checks <tau', f(y) - g_hat_{yx} f(x)> ~ |y-x|^{gamma-|tau|}."""
     S, grid = model.structure, model.grid
     rep = Report(f"modelled distribution gamma={md.gamma}")
@@ -592,7 +582,7 @@ def validate_md(model: Model, md: ModelledDistribution,
                 acc -= c * np.roll(ga, -steps, axis=axis) * gb * fmu
             return acc
 
-        slope, _ = _two_point_fit(grid, diff, quantile)
+        slope, _ = _two_point_fit(grid, diff)
         rep.add_slope(f"md:two-point:{tau}", slope, target, tol_slope)
     return rep
 
@@ -658,28 +648,22 @@ def lambda_cross_check(model: Model, root: str, m: int | None = None,
                     continue
                 terms.append((float(c), left, right))
             acc = np.zeros(grid.shape)
-            per_j = []
+            medians = np.zeros(decomp.j_max + 2)
             for j in decomp.js:
                 vals = np.zeros(grid.shape)
                 for c, left, right in terms:
                     jop = j_operator(decomp, j, k, m, lam_fields[left])
                     vals += c * model.g_inv_field(right) * jop.values
                 acc += vals
-                per_j.append(vals)
+                if j >= 1:
+                    medians[j + 1] = scale_stats(vals, mask=mask, sup=False)[1]
             scale = max(float(np.max(np.abs(direct[mask]))), 1e-8)
             res = float(np.max(np.abs((acc - direct)[mask]))) / scale
             rep.add(f"agreement:{mo}:k={k}", res <= tol_agree, res, 0.0, tol_agree)
             # first decay bound: |J_j(Lambda_x sigma^{(m)})(x)| <~ 2^{-j(|sigma|-|k|)}
             target = float(h_sigma - mi_abs(k))
-            qs = np.zeros(decomp.j_max + 2)
-            for j in range(1, decomp.j_max + 1):
-                qs[j + 1] = np.quantile(np.abs(per_j[j + 1][mask]), 0.5)
-            from .norms import report_from_block_norms
-
-            drep = report_from_block_norms(
-                qs, target, 0.0, (2, decomp.j_max - 2), decomp, fit_series=qs
-            )
-            rep.add_slope(f"decay:{mo}:k={k}", drep.slope, target, tol_slope)
+            slope = NormReport.from_blocks(medians, medians, target).slope
+            rep.add_slope(f"decay:{mo}:k={k}", slope, target, tol_slope)
     return rep
 
 

@@ -63,3 +63,33 @@ def test_readme_common_flags_are_accepted_by_every_verb():
         text = _help([verb, "--help"])
         missing = [f for f in flags if not re.search(rf"(?<![\w-]){f}(?![\w-])", text)]
         assert missing == [], f"{verb} does not accept {missing}"
+
+
+# numpy functions that read an exponent or a per-scale statistic off data
+ESTIMATORS = ("polyfit", "lstsq", "quantile", "percentile", "median")
+
+
+def _estimator_uses(node, owner, out):
+    """(enclosing function, name) of every np.<estimator> attribute and
+    every imported estimator name under node."""
+    for child in ast.iter_child_nodes(node):
+        name = getattr(child, "attr", None) or getattr(child, "name", None)
+        if isinstance(child, (ast.Attribute, ast.alias)) and name in ESTIMATORS:
+            out.append((owner, name))
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        _estimator_uses(child, inner, out)
+    return out
+
+
+def test_one_slope_estimator():
+    """Every regularity verdict comes from norms.log_scale_fit over a series
+    of norms.scale_stats: a further estimator anywhere in the package fails."""
+    uses = [
+        (path.name, owner, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for owner, name in _estimator_uses(ast.parse(path.read_text(encoding="utf-8")), None, [])
+    ]
+    assert sorted(uses) == [
+        ("norms.py", "log_scale_fit", "polyfit"),
+        ("norms.py", "scale_stats", "quantile"),
+    ]

@@ -366,14 +366,3 @@ class TestPolynomialOnlyModel:
         rep = validate_model(model, samples=10)
         assert rep.ok
 
-
-class TestThreadDeterminism:
-    def test_validation_identical_across_worker_counts(self, toy_model, monkeypatch):
-        from regpara.translation import validate_model
-
-        model, _gb, _pib = toy_model
-        monkeypatch.setenv("REGPARA_THREADS", "1")
-        rep1 = validate_model(model, samples=10)
-        monkeypatch.setenv("REGPARA_THREADS", "4")
-        rep4 = validate_model(model, samples=10)
-        assert [c.line() for c in rep1.checks] == [c.line() for c in rep4.checks]

@@ -5,15 +5,17 @@ import pytest
 from regpara.blocks import make_partition
 from regpara.grid import Field, Grid, TwoParamField
 from regpara.norms import (
+    ZERO_FLOOR,
+    NormReport,
     SeparableFamily,
     boundary_window,
     d_family_report,
     dyadic_separations,
     holder_norm,
     interior_mask,
+    log_scale_fit,
     synthesize,
     two_param_norm,
-    two_point_slope,
 )
 
 
@@ -155,12 +157,44 @@ class TestDFamily:
 class TestSlopeFitting:
     def test_two_point_slope_recovers_exponent(self):
         pts = [(2.0**-i, 3.0 * 2.0 ** (-i * 0.8)) for i in range(1, 7)]
-        slope, _ = two_point_slope(pts)
+        hs, vs = zip(*pts)
+        slope, _, _ = log_scale_fit(np.log2(hs), vs)
         assert slope == pytest.approx(0.8, abs=1e-9)
 
     def test_degenerate_input(self):
-        slope, intercept = two_point_slope([(0.5, 0.0)])
+        slope, intercept, _ = log_scale_fit(np.log2([0.5]), [0.0])
         assert slope is None and intercept is None
+
+    def test_points_at_the_relative_floor_are_dropped(self):
+        series = [1.0, 2.0**-1, 1e-13, 2.0**-3, 2.0**-4]
+        slope, _, used = log_scale_fit(range(5), series)
+        assert used == [0, 1, 3, 4]
+        assert slope == pytest.approx(-1.0, abs=1e-12)
+        assert log_scale_fit(range(5), series, (1, 3))[2] == [1, 3]
+        # the floor is taken over the whole series, not over the window
+        slope, intercept, used = log_scale_fit(range(5), [1.0, 1e-14, 2e-14, 4e-14, 1.0], (1, 3))
+        assert slope is None and intercept is None and used == []
+
+    def test_matches_the_former_block_and_two_point_fits(self):
+        rng = np.random.default_rng(0)
+        j_max = 12
+        block = 2.0 ** -np.arange(-1.0, j_max + 1) * rng.uniform(0.5, 2.0, j_max + 2)
+        block[5] = 0.0
+        # block fit: j in [2, J-2], floor relative to the whole series, slope negated
+        floor = max(ZERO_FLOOR, 1e-13 * float(np.max(block)))
+        sel = [j for j in range(2, j_max - 1) if block[j + 1] > floor]
+        c = np.polyfit(np.array(sel, dtype=float), np.log2(block[np.array(sel) + 1]), 1)
+        slope, intercept, used = log_scale_fit(range(-1, j_max + 1), block, (2, j_max - 2))
+        assert (-slope, intercept, used) == (-float(c[0]), float(c[1]), sel)
+        rep = NormReport.from_blocks(block, block, 0.5)
+        assert (rep.slope, rep.intercept, rep.fit_js) == (-float(c[0]), float(c[1]), sel)
+        # two-point fit: log2 value against log2 separation, absolute floor only
+        pts = [(s * 0.0245, float(v)) for s, v in zip([1, 2, 4, 8, 16], rng.uniform(0.1, 1.0, 5))]
+        kept = [(h, v) for h, v in pts if v > ZERO_FLOOR]
+        c = np.polyfit(np.log2([h for h, _ in kept]), np.log2([v for _, v in kept]), 1)
+        hs, vs = zip(*pts)
+        slope, intercept, _ = log_scale_fit(np.log2(hs), vs)
+        assert (slope, intercept) == (float(c[0]), float(c[1]))
 
     def test_dyadic_separations_are_dyadic(self, grid256):
         seps = dyadic_separations(grid256)

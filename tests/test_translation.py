@@ -123,6 +123,15 @@ class TestModelledDistributionRoundTrips:
         md0 = ModelledDistribution(model.structure, model.grid, GAMMA, {})
         assert validate_md(model, md0).ok
 
+    def test_coeff_returns_the_stored_array_or_zeros(self, md_setup):
+        _model, _brackets, md = md_setup
+        for sym, vals in md.coeffs.items():
+            assert md.coeff(sym) is vals
+        missing = BaseSymbol("xi", (7,))
+        assert missing not in md.coeffs
+        zeros = md.coeff(missing)
+        assert zeros.shape == md.grid.shape and not np.any(zeros)
+
 
 class TestReconstruction:
     def test_d_gamma_slope(self, md_setup):
