@@ -43,6 +43,16 @@ ANNULUS_LO = CHI_LO            # inner radius of the block-0 annulus
 ANNULUS_HI = 2.0 * CHI_HI     # outer radius of the block-0 annulus
 SUBGRID_MIN = 64               # fewest points per axis of a sub-grid
 
+# The scratch arrays of a plan: name -> (on the half spectrum, dtype).  On the
+# grid: a running real-space sum, one block, and the block it multiplies; on
+# the half spectrum: a real symbol, a symbol times a spectrum, a summed
+# spectrum, and an operand's spectrum times a symbol.
+WORKSPACE = {
+    "acc": (False, float), "block": (False, float), "factor": (False, float),
+    "symbol": (True, float), "spec": (True, complex), "sum": (True, complex),
+    "operand": (True, complex),
+}
+
 
 def chi(r: np.ndarray) -> np.ndarray:
     """Smooth radial step: exactly 1 on r <= 4/3, exactly 0 on r >= 3/2."""
@@ -59,6 +69,12 @@ class BlockDecomposition:
     caller.  Methods named half_* return half-spectrum symbols (read-only
     when cached); `rho`, `low_symbol` and `multipliers` return full-lattice
     arrays for callers that inspect symbols directly.
+
+    The plan also owns a workspace: named scratch arrays on the grid or on
+    the half spectrum (`work`), made on first use and reused by every block
+    loop for its N-point temporaries.  A plan is shared by every caller on
+    its grid, so it serves one thread at a time, and no result handed out
+    may be a view of its workspace.
     """
 
     def __init__(self, grid: Grid, j_max: int):
@@ -79,6 +95,7 @@ class BlockDecomposition:
         self.ladder = np.stack([chi(self.radius / 2.0**k) for k in range(j_max + 2)])
         self.ladder.setflags(write=False)
         self._powers: dict[int, np.ndarray] = {}
+        self._work: dict[str, np.ndarray] = {}
         # full-lattice index -> half-spectrum index along the last axis
         self._mirror = np.minimum(np.arange(n), n - np.arange(n))
 
@@ -86,10 +103,27 @@ class BlockDecomposition:
     def js(self) -> range:
         return range(-1, self.j_max + 1)
 
+    @functools.cached_property
+    def live_js(self) -> tuple[int, ...]:
+        """The blocks whose symbol is nonzero somewhere on the lattice; the
+        others (rho_J when the lattice ends below its annulus) are empty."""
+        return tuple(j for j in self.js if self.half_rho(j).any())
+
+    # -- workspace -------------------------------------------------------------
+
+    def work(self, name: str) -> np.ndarray:
+        """The scratch array `name` of WORKSPACE; its contents are whatever
+        the last user left."""
+        buf = self._work.get(name)
+        if buf is None:
+            half, dtype = WORKSPACE[name]
+            buf = self._work[name] = np.empty(self.radius.shape if half else self.grid.shape, dtype)
+        return buf
+
     # -- transforms ----------------------------------------------------------
 
-    def rfft(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(values)
+    def rfft(self, values: np.ndarray, out=None) -> np.ndarray:
+        return np.fft.rfftn(values, out=out)
 
     def irfft(self, spec: np.ndarray, size: int | None = None, out=None) -> np.ndarray:
         """Inverse real FFT onto the grid, or onto its sub-grid of `size`
@@ -133,17 +167,23 @@ class BlockDecomposition:
         """The Fourier multiplier with half-spectrum symbol `sym` applied to f."""
         if f.grid != self.grid:
             raise ValueError("grid mismatch")
-        return Field(self.grid, self.irfft(sym * self.rfft(f.values)))
+        return Field.adopt(self.grid, self.irfft(sym * f.spectrum))
+
+    def block(self, sym: np.ndarray, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """irfft(sym * spec) written into `out`, the product formed in the
+        workspace."""
+        return self.irfft(np.multiply(sym, spec, out=self.work("spec")), out=out)
 
     # -- half-spectrum symbols -----------------------------------------------
 
-    def half_band(self, lo: int, hi: int) -> np.ndarray:
-        """Symbol of sum_{lo <= j <= hi} Delta_j; blocks outside -1..J are empty."""
+    def half_band(self, lo: int, hi: int, out=None) -> np.ndarray:
+        """Symbol of sum_{lo <= j <= hi} Delta_j; blocks outside -1..J are empty.
+        A difference of ladder rows is written into `out` when given."""
         lo, hi = max(lo, -1), min(hi, self.j_max)
         if hi < lo:
             return np.zeros(self.radius.shape)
         top = self.ladder[hi + 1]
-        return top if lo == -1 else top - self.ladder[lo]
+        return top if lo == -1 else np.subtract(top, self.ladder[lo], out=out)
 
     def half_rho(self, j: int) -> np.ndarray:
         if j < -1 or j > self.j_max:
@@ -164,15 +204,19 @@ class BlockDecomposition:
             self._powers[m] = sym
         return sym
 
-    def half_gauss(self, j: int) -> np.ndarray:
+    def half_gauss(self, j: int, out=None) -> np.ndarray:
         """Gaussian low-pass window at scale 2^j, used by slope estimators.
 
         On the integer frequency lattice forced by the box size, compactly
         supported profiles are under-sampled at small j and their real-space
         kernels have fat tails; the Gaussian's periodization stays thin at
         every lattice granularity, so pairings against it scale cleanly.
+        Written into `out` when given.
         """
-        return np.exp(-((self.radius / 2.0**j) ** 2))
+        t = np.divide(self.radius, 2.0**j, out=out)
+        np.square(t, out=t)
+        np.negative(t, out=t)
+        return np.exp(t, out=t)
 
     def half_derivative(self, k: tuple[int, ...]):
         """Symbol of d^k, (i xi)^k, as the full lattice applies it to a real
@@ -255,9 +299,9 @@ def fourier_multiplier(m: int, f: Field) -> Field:
     if m == 0:
         return f
     plan = spectral_plan(f.grid)
-    spec = plan.rfft(f.values)
+    spec = f.spectrum
     if m > 0:
-        return Field(f.grid, plan.irfft(plan.half_power(m) * spec), preimage=f)
+        return Field.adopt(f.grid, plan.irfft(plan.half_power(m) * spec), preimage=f)
     low = plan.radius < ANNULUS_LO
     mass = np.max(np.abs(spec[low])) if np.any(low) else 0.0
     scale = np.max(np.abs(spec))
@@ -266,7 +310,7 @@ def fourier_multiplier(m: int, f: Field) -> Field:
             f"|grad|^{m} undefined: spectral mass {mass:.3e} on the shell "
             f"|xi| < {ANNULUS_LO:.4g} (relative {mass / scale:.3e})"
         )
-    return Field(f.grid, plan.irfft(plan.half_power(m) * spec))
+    return Field.adopt(f.grid, plan.irfft(plan.half_power(m) * spec))
 
 
 def derivative(f: Field, k: tuple[int, ...]) -> Field:

@@ -7,6 +7,7 @@ inputs, seed, and config.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -44,6 +45,7 @@ from .structure_io import (
     read_structure,
 )
 from .translation import (
+    INSUFFICIENT,
     lambda_cross_check,
     md_from_paracontrolled,
     md_to_paracontrolled,
@@ -81,12 +83,16 @@ def _report_exit(report) -> int:
     return 0 if report.ok else 1
 
 
-def _slope_check(slope, target: float, tol: float, lines: list, label: str) -> bool:
-    """Whether a fitted slope reaches target - tol; a missing slope passes.
-    A measured slope appends `label slope=S target=T pass|FAIL` to lines."""
-    good = slope is None or slope >= target - tol
-    if slope is not None:
-        lines.append(f"{label} slope={slope:.4f} target={target:.4f} {'pass' if good else 'FAIL'}")
+def _slope_check(report, target: float, tol: float, lines: list, label: str) -> bool:
+    """Whether the fitted slope of a NormReport reaches target - tol, and
+    `label slope=S target=T pass|FAIL` appended to lines.  Without a slope
+    the line reads `label insufficient-scales scales=N target=T`, which is
+    not a failure."""
+    if report.slope is None:
+        lines.append(f"{label} {INSUFFICIENT} scales={len(report.fit_js)} target={target:.4f}")
+        return True
+    good = report.slope >= target - tol
+    lines.append(f"{label} slope={report.slope:.4f} target={target:.4f} {'pass' if good else 'FAIL'}")
     return good
 
 
@@ -201,11 +207,11 @@ def cmd_model_extract(args) -> int:
     named = {}
     for mono, vals in data.g_side.items():
         named[f"g:{mono}"] = Field(grid, vals)
-        ok &= _slope_check(data.reports[f"g:{mono}"].slope, float(S.homog_plus(mono)),
+        ok &= _slope_check(data.reports[f"g:{mono}"], float(S.homog_plus(mono)),
                            cfg.tol_slope, lines, f"g_bracket {term_key(mono)}")
     for sym, vals in data.pi_side.items():
         named[f"pi:{sym}"] = Field(grid, vals)
-        ok &= _slope_check(data.reports[f"pi:{sym}"].slope, float(S.homog_base(sym)),
+        ok &= _slope_check(data.reports[f"pi:{sym}"], float(S.homog_base(sym)),
                            cfg.tol_slope, lines, f"pi_bracket {term_key(sym)}")
     if args.out:
         write_bracket_bundle(args.out, model.structure, named, cfg)
@@ -277,7 +283,7 @@ def cmd_md_extract(args) -> int:
     ok = True
     for sym in system.brackets:
         target = float(md.gamma - model.structure.homog_base(sym))
-        ok &= _slope_check(system.reports[f"f:{sym}"].slope, target, cfg.tol_slope,
+        ok &= _slope_check(system.reports[f"f:{sym}"], target, cfg.tol_slope,
                            lines, f"md_bracket {term_key(sym)}")
     if args.out:
         named = {f"b:{s}": Field(model.grid, v) for s, v in system.brackets.items()}
@@ -293,9 +299,10 @@ def cmd_reconstruct(args) -> int:
     rep = reconstruction_report(model, md)
     target = float(md.gamma)
     ok = rep.slope is None or rep.slope >= target - cfg.tol_slope
+    status = INSUFFICIENT if rep.slope is None else ("pass" if ok else "FAIL")
     lines = [f"gamma={md.gamma}",
              f"d_slope={'none' if rep.slope is None else f'{rep.slope:.4f}'}",
-             f"target={target:.4f}", f"status={'pass' if ok else 'FAIL'}"]
+             f"target={target:.4f}", f"status={status}"]
     _emit(lines, args.out)
     return 0 if ok else 1
 
@@ -346,7 +353,9 @@ def cmd_lambda_check(args) -> int:
     return _report_exit(rep)
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser of every verb, built once per process."""
     parser = argparse.ArgumentParser(
         prog="regpara",
         description="Concrete regularity structures and paracontrolled calculus",
@@ -434,8 +443,11 @@ def main(argv=None) -> int:
     common(p, model=True)
     p.add_argument("--generator", required=True)
     p.set_defaults(fn=cmd_lambda_check)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, KeyError, OSError) as exc:

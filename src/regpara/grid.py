@@ -129,22 +129,43 @@ class Field:
 
     `preimage` is set when the field was produced as |grad|^m of another
     field (m > 0); block -1 of a negative-order multiplier is only defined
-    through it.
+    through it.  `spectrum` is the half spectrum rfftn(values), taken on
+    first use and kept, so a field passed to several spectral operations is
+    transformed once.
     """
 
-    __slots__ = ("grid", "values", "preimage")
+    __slots__ = ("grid", "values", "preimage", "_spectrum")
 
     def __init__(self, grid: Grid, values: np.ndarray, preimage: "Field | None" = None):
-        values = np.asarray(values, dtype=float)
+        self._set(grid, np.array(values, dtype=float, order="C"), preimage)
+
+    @classmethod
+    def adopt(cls, grid: Grid, values: np.ndarray, preimage: "Field | None" = None) -> "Field":
+        """A field over `values`, a float array made for it that no one else
+        holds: it is frozen in place instead of copied."""
+        out = cls.__new__(cls)
+        out._set(grid, values, preimage)
+        return out
+
+    def _set(self, grid: Grid, values: np.ndarray, preimage) -> None:
         if values.shape != grid.shape:
             raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("field values must be finite")
-        values = values.copy()
         values.setflags(write=False)
         self.grid = grid
         self.values = values
         self.preimage = preimage
+        self._spectrum = None
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """rfftn of the values, computed once (read-only)."""
+        if self._spectrum is None:
+            spec = np.fft.rfftn(self.values)
+            spec.setflags(write=False)
+            self._spectrum = spec
+        return self._spectrum
 
     @classmethod
     def constant(cls, grid: Grid, c: float) -> "Field":

@@ -58,6 +58,7 @@ class Model:
         self.pi = dict(pi)
         self.pi.setdefault("1", np.ones(grid.shape))
         self._g_inv: Character | None = None
+        self._diag: dict = {}
 
     @property
     def g_inv(self) -> Character:
@@ -103,12 +104,15 @@ def diag_derivative(model: Model, mono: PlusMonomial, k) -> np.ndarray:
 
     Coordinate fields are smooth-periodic, so the whole monomial field passes
     through the FFT with no wrap artifacts; interior values agree with the
-    true polynomial derivative.
+    true polynomial derivative.  Computed once per (mono, k) and model; g is
+    set once per generator, so a stored value never goes stale.
     """
     if not any(k):
         return model.g_field(mono)
-    u = Field(model.grid, model.g_field(mono))
-    return derivative(u, k).values
+    hit = model._diag.get((mono, k))
+    if hit is None:
+        hit = model._diag[(mono, k)] = derivative(Field(model.grid, model.g_field(mono)), k).values
+    return hit
 
 
 def diag_two_point(model: Model, v, k) -> np.ndarray:
@@ -145,22 +149,27 @@ class BracketExtractor:
     Pi-side: <sigma>^{m,M} = Pi sigma - sum_{mu < sigma, mu not in B_X_} P^m_{g(sigma/mu)} <mu>^{m,M}
 
     and reconstruction (build_g, build_pi) sign = +1, from the bracket.
+
+    Brackets and bracket vectors are kept as Fields, so each is
+    forward-transformed once per extractor however many paraproducts take it.
     """
 
     def __init__(self, model: Model, m: int):
         self.model = model
         self.m = m
         self.decomp = make_partition(model.grid)
-        self._g_memo: dict[PlusMonomial, np.ndarray] = {}
-        self._pi_memo: dict[BaseSymbol, np.ndarray] = {}
+        self._g_memo: dict[PlusMonomial, Field] = {}
+        self._pi_memo: dict[BaseSymbol, Field] = {}
+        self._vector_memo: dict[FreeVector, Field] = {}
 
     def step(self, start, terms, sign: int = -1) -> np.ndarray:
         """start + sign * sum_{(c, u) in terms} P^m_c u, the terms added in
-        order; start is a Field or an array, c and u are arrays."""
+        order; start, c and u are Fields or arrays."""
         grid = self.model.grid
         acc = np.array(start.values if isinstance(start, Field) else start, dtype=float)
         for c, u in terms:
-            p = modified_paraproduct(self.decomp, self.m, Field(grid, c), Field(grid, u)).values
+            c, u = (x if isinstance(x, Field) else Field(grid, x) for x in (c, u))
+            p = modified_paraproduct(self.decomp, self.m, c, u).values
             if sign < 0:
                 acc -= p
             else:
@@ -175,28 +184,33 @@ class BracketExtractor:
                 continue
             yield float(c) * self.model.g_field(right), bracket(left)
 
-    def g_bracket(self, mono: PlusMonomial) -> np.ndarray:
+    def g_bracket(self, mono: PlusMonomial) -> Field:
         if mono.is_poly:
             raise ValueError(f"g-brackets are indexed by B+ \\ B_X^+, got {mono}")
         hit = self._g_memo.get(mono)
         if hit is None:
             terms = self.coproduct_terms(mono, self.model.structure.delta_plus(mono), self.g_bracket)
-            hit = self._g_memo[mono] = self.step(self.model.g_field(mono), terms)
+            hit = self._g_memo[mono] = Field.adopt(
+                self.model.grid, self.step(self.model.g_field(mono), terms))
         return hit
 
-    def g_bracket_vector(self, v: FreeVector) -> np.ndarray:
-        acc = np.zeros(self.model.grid.shape)
-        for mono, c in v.sorted_items():
-            acc += float(c) * self.g_bracket(mono)
-        return acc
+    def g_bracket_vector(self, v: FreeVector) -> Field:
+        hit = self._vector_memo.get(v)
+        if hit is None:
+            acc = np.zeros(self.model.grid.shape)
+            for mono, c in v.sorted_items():
+                acc += float(c) * self.g_bracket(mono).values
+            hit = self._vector_memo[v] = Field.adopt(self.model.grid, acc)
+        return hit
 
-    def pi_bracket(self, sym: BaseSymbol) -> np.ndarray:
+    def pi_bracket(self, sym: BaseSymbol) -> Field:
         if sym.is_poly:
             raise ValueError(f"Pi-brackets are indexed by B \\ B_X_, got {sym}")
         hit = self._pi_memo.get(sym)
         if hit is None:
             terms = self.coproduct_terms(sym, self.model.structure.delta(sym), self.pi_bracket)
-            hit = self._pi_memo[sym] = self.step(self.model.pi_symbol(sym), terms)
+            hit = self._pi_memo[sym] = Field.adopt(
+                self.model.grid, self.step(self.model.pi_symbol(sym), terms))
         return hit
 
 
@@ -211,19 +225,19 @@ def extract_brackets(model: Model, m: int | None = None,
     for mono in S.plus_monomials(plus_bound(S)):
         if mono.is_poly or not all(n in model.g.values for n, _ in mono.gens):
             continue
-        vals = ex.g_bracket(mono)
-        out.g_side[mono] = vals
+        bracket = ex.g_bracket(mono)
+        out.g_side[mono] = bracket.values
         if with_reports:
             h = float(S.homog_plus(mono))
-            out.reports[f"g:{mono}"] = holder_norm(Field(model.grid, vals), h)
+            out.reports[f"g:{mono}"] = holder_norm(bracket, h)
     for sym in S.base_symbols():
         if sym.is_poly or sym.core not in model.pi:
             continue
-        vals = ex.pi_bracket(sym)
-        out.pi_side[sym] = vals
+        bracket = ex.pi_bracket(sym)
+        out.pi_side[sym] = bracket.values
         if with_reports:
             h = float(S.homog_base(sym))
-            out.reports[f"pi:{sym}"] = holder_norm(Field(model.grid, vals), h)
+            out.reports[f"pi:{sym}"] = holder_norm(bracket, h)
     return out
 
 

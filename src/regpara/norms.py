@@ -2,12 +2,13 @@
 synthetic test fields with prescribed regularity."""
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blocks import CHI_HI, CHI_LO, make_partition, smooth_step
-from .grid import Field, Grid, TwoParamField
+from .grid import COORD_MARGIN, Field, Grid, TwoParamField
 
 # Per-scale statistics at or below this floor are treated as exactly zero
 # and excluded from slope fits.
@@ -114,17 +115,19 @@ class NormReport:
         return "\n".join(self.lines())
 
 
-def interior_mask(grid: Grid, margin: float | None = None) -> np.ndarray:
-    """Boolean mask of points at relative distance >= margin from the box
-    boundary; sup norms restricted to it ignore periodic-wrap artifacts of
-    true-coordinate polynomials."""
-    if margin is None:
-        from .grid import COORD_MARGIN
+def interior_box(grid: Grid) -> slice:
+    """Indices, along every axis, of the points at relative distance >=
+    COORD_MARGIN from the box boundary: the interior is this slice on each
+    axis."""
+    inside = np.flatnonzero(np.abs(grid.axis()) <= (1.0 - COORD_MARGIN) * grid.box)
+    return slice(int(inside[0]), int(inside[-1]) + 1) if inside.size else slice(0, 0)
 
-        margin = COORD_MARGIN
-    out = np.ones(grid.shape, dtype=bool)
-    for x in grid.coords():
-        out &= np.abs(x) <= (1.0 - margin) * grid.box
+
+def interior_mask(grid: Grid) -> np.ndarray:
+    """Boolean mask of the interior box; sup norms restricted to it ignore
+    periodic-wrap artifacts of true-coordinate polynomials."""
+    out = np.zeros(grid.shape, dtype=bool)
+    out[(interior_box(grid),) * grid.dim] = True
     return out
 
 
@@ -134,14 +137,14 @@ def holder_norm(f: Field, alpha: float, a: float = 0.0,
 
     An optional boolean mask restricts the sups (used by model validators to
     exclude the periodic-wrap collar).  The slope is fitted on the sups
-    themselves, over j in [2, J-2]."""
+    themselves, over j in [2, J-2].  Blocks whose symbol vanishes on the
+    lattice are not transformed; their sup is 0."""
     decomp = make_partition(f.grid)
-    spec = decomp.rfft(f.values)
     w = f.grid.weight(a) if a else None
-    norms = np.empty(decomp.j_max + 2)
-    buf = np.empty(f.grid.shape)
-    for j in decomp.js:
-        vals = decomp.irfft(decomp.half_rho(j) * spec, out=buf)
+    norms = np.zeros(decomp.j_max + 2)
+    buf, band = decomp.work("block"), decomp.work("symbol")
+    for j in decomp.live_js:
+        vals = decomp.block(decomp.half_band(j, j, out=band), f.spectrum, buf)
         norms[j + 1] = scale_stats(vals, w, mask, median=False)[0]
     return NormReport.from_blocks(norms, norms, alpha, a)
 
@@ -217,28 +220,53 @@ class SeparableFamily:
         return Field(self.grid, acc)
 
 
-def d_family_report(family: SeparableFamily, alpha: float,
-                    mask: np.ndarray | None = None) -> NormReport:
+def d_family_report(family, alpha, mask: np.ndarray | None = None):
     """D^alpha data: per-j sup_x |<Lambda_x, P_j(x-.)>| plus slope.
 
     P_j is the Gaussian low-pass window, which scales cleanly on the integer
     frequency lattice; it vanishes for j <= 0 under the strict S_j
     convention, so only j >= 1 is paired.  The slope is fitted on the per-j
     medians over the mask, which drift less than the sups on random-phase
-    data, over j in [2, J-2].  Each term's spectrum is taken once and paired
-    at every j.
+    data, over j in [2, J-2].
+
+    `family` is one SeparableFamily, or a list of them on one grid with a
+    list of exponents `alpha`, giving a list of reports.  Each distinct
+    field u (the same array) among all terms is transformed once and paired
+    once per j, however many terms hold it.
     """
-    decomp = make_partition(family.grid)
-    spectra = [decomp.rfft(u) for _, u in family.terms]
-    norms = np.zeros(decomp.j_max + 2)
-    medians = np.zeros(decomp.j_max + 2)
+    if isinstance(family, SeparableFamily):
+        return d_family_report([family], [alpha], mask)[0]
+    if not family:
+        return []
+    decomp = make_partition(family[0].grid)
+    fields = [u for fam in family for _, u in fam.terms]
+    uses = Counter(id(u) for u in fields)
+    spectra = {}
+    for u in fields:
+        if id(u) not in spectra:
+            spectra[id(u)] = decomp.rfft(u)
+    # a field held by several terms keeps its pairing for the whole scale
+    kept = {key: np.empty(decomp.grid.shape) for key, n in uses.items() if n > 1}
+    series = [(np.zeros(decomp.j_max + 2), np.zeros(decomp.j_max + 2)) for _ in family]
+    sym = decomp.work("symbol")
+    once, term, vals = decomp.work("block"), decomp.work("factor"), decomp.work("acc")
     for j in range(1, decomp.j_max + 1):
-        sym = decomp.half_gauss(j)
-        vals = np.zeros(family.grid.shape)
-        for (c, _), spec in zip(family.terms, spectra):
-            vals += c * decomp.irfft(sym * spec)
-        norms[j + 1], medians[j + 1] = scale_stats(vals, mask=mask)
-    return NormReport.from_blocks(norms, medians, alpha)
+        decomp.half_gauss(j, out=sym)
+        paired = set()
+        for fam, (norms, medians) in zip(family, series):
+            vals.fill(0.0)
+            for c, u in fam.terms:
+                key = id(u)
+                if key not in kept:
+                    pairing = decomp.block(sym, spectra[key], once)
+                else:
+                    pairing = kept[key]
+                    if key not in paired:
+                        decomp.block(sym, spectra[key], pairing)
+                        paired.add(key)
+                vals += np.multiply(c, pairing, out=term)
+            norms[j + 1], medians[j + 1] = scale_stats(vals, mask=mask)
+    return [NormReport.from_blocks(norms, medians, a) for (norms, medians), a in zip(series, alpha)]
 
 
 def dyadic_separations(grid: Grid, count: int = 5) -> list[int]:

@@ -79,14 +79,20 @@ def _block_sum(decomp: BlockDecomposition, resonant: bool, fspec, gspec, m: int 
 
     The products on one sub-grid are transformed as a stack and summed there,
     then added into the half spectrum; those on the grid itself are summed in
-    real space, one at a time.  One inverse FFT of the summed spectrum ends it."""
+    real space, one at a time, in the plan's workspace.  One inverse FFT of
+    the summed spectrum ends it, into the one array returned."""
     grid = decomp.grid
     groups, full = _schedule(decomp, resonant)
-    acc = np.zeros(grid.shape)
+    acc = decomp.work("acc")
+    acc.fill(0.0)
+    fb, gb, band = decomp.work("block"), decomp.work("factor"), decomp.work("symbol")
     for fband, gband in full:
-        fb = decomp.irfft(decomp.half_band(*fband) * fspec)
-        acc += fb * decomp.irfft(decomp.half_band(*gband) * gspec)
-    spec = np.zeros(decomp.radius.shape, dtype=complex)
+        decomp.block(decomp.half_band(*fband, out=band), fspec, fb)
+        decomp.block(decomp.half_band(*gband, out=band), gspec, gb)
+        fb *= gb
+        acc += fb
+    spec = decomp.work("sum")
+    spec.fill(0.0)
     for size, fsym, gsym in groups:
         fb = decomp.irfft(fsym * decomp.restrict(fspec, size), size)
         gb = decomp.irfft(gsym * decomp.restrict(gspec, size), size)
@@ -94,10 +100,12 @@ def _block_sum(decomp: BlockDecomposition, resonant: bool, fspec, gspec, m: int 
         prod *= (size / grid.n) ** grid.dim
         decomp.scatter_add(spec, decomp.rfft(prod), size)
     if m:
-        spec += decomp.rfft(acc)
+        spec += decomp.rfft(acc, out=decomp.work("spec"))
         spec *= decomp.half_power(m)
         return decomp.irfft(spec)
-    return acc + decomp.irfft(spec)
+    out = decomp.irfft(spec)
+    out += acc
+    return out
 
 
 def paraproduct(decomp: BlockDecomposition, f: Field, g: Field) -> Field:
@@ -115,17 +123,16 @@ def modified_paraproduct(decomp: BlockDecomposition, m: int, f: Field, g: Field)
     _check(decomp, f, g)
     if m < 0:
         raise ValueError("modified paraproduct requires m in N")
-    gspec = decomp.rfft(g.values)
+    gspec = g.spectrum
     if m:
-        gspec = decomp.half_power(-m) * gspec
-    return Field(decomp.grid, _block_sum(decomp, False, decomp.rfft(f.values), gspec, m))
+        gspec = np.multiply(decomp.half_power(-m), gspec, out=decomp.work("operand"))
+    return Field.adopt(decomp.grid, _block_sum(decomp, False, f.spectrum, gspec, m))
 
 
 def resonant(decomp: BlockDecomposition, f: Field, g: Field) -> Field:
     """Pi(f, g) = sum_{|i-j|<=1} (Delta_i f)(Delta_j g)."""
     _check(decomp, f, g)
-    fspec, gspec = decomp.rfft(f.values), decomp.rfft(g.values)
-    return Field(decomp.grid, _block_sum(decomp, True, fspec, gspec))
+    return Field.adopt(decomp.grid, _block_sum(decomp, True, f.spectrum, g.spectrum))
 
 
 def smooth_part(decomp: BlockDecomposition, g: Field) -> Field:

@@ -37,6 +37,7 @@ from .norms import (
     d_family_report,
     dyadic_separations,
     holder_norm,
+    interior_box,
     interior_mask,
     log_scale_fit,
     scale_stats,
@@ -56,6 +57,9 @@ REL_TOL = 1e-8
 
 # -- check bookkeeping ---------------------------------------------------------
 
+INSUFFICIENT = "insufficient-scales"
+
+
 @dataclass
 class Check:
     name: str
@@ -63,10 +67,14 @@ class Check:
     value: float | None
     target: float | None
     tol: float | None
+    # a slope check whose series had too few usable scales to fit: how many
+    scales: int | None = None
 
     def line(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        bits = [f"{self.name} {status}"]
+        if self.scales is not None:
+            bits = [f"{self.name} {INSUFFICIENT} scales={self.scales}"]
+        else:
+            bits = [f"{self.name} {'pass' if self.passed else 'FAIL'}"]
         if self.value is not None:
             bits.append(f"value={self.value:.6g}")
         if self.target is not None:
@@ -84,16 +92,15 @@ class Report:
     def add(self, name, passed, value=None, target=None, tol=None):
         self.checks.append(Check(name, bool(passed), value, target, tol))
 
-    def add_slope(self, name, slope, target, tol=SLOPE_TOL, one_sided=True):
+    def add_slope(self, name, slope, target, tol=SLOPE_TOL, *, scales: int):
         """Norm-membership checks are one-sided: decaying faster than the
-        target exponent never violates a C^alpha / D^alpha bound."""
+        target exponent never violates a C^alpha / D^alpha bound.  Without a
+        slope (fewer than two usable scales, `scales` of them) the verdict is
+        insufficient-scales: not a failure, but never a pass."""
         if slope is None:
-            ok = True
-        elif one_sided:
-            ok = slope >= target - tol
+            self.checks.append(Check(name, True, None, target, tol, scales))
         else:
-            ok = abs(slope - target) <= tol
-        self.checks.append(Check(name, ok, slope, target, tol))
+            self.checks.append(Check(name, slope >= target - tol, slope, target, tol))
 
     @property
     def ok(self) -> bool:
@@ -111,38 +118,43 @@ class Report:
 
 # -- two-point slope estimation -------------------------------------------------
 
-def _two_point_fit(grid: Grid, diff) -> tuple[float | None, list]:
-    """Slope and (h, q) series of the worst axis. Per axis, q is the median
-    of |diff(steps, axis)| over the pairs (x, x + h e_axis) lying entirely in
-    the interior mask, at each dyadic separation h, and the slope is fitted
-    on log2 q against log2 h; diff(steps, axis) is the two-point field with y
-    shifted by steps grid points along axis. The smallest fitted slope
-    decides; an axis without a slope (the field does not vary along it) does
-    not, and if no axis has one, axis 0 is returned."""
-    base = interior_mask(grid)
+def _two_point_fit(grid: Grid, diff) -> tuple[float | None, list, int]:
+    """Slope, (h, q) series and number of fitted scales of the worst axis.
+    Per axis, q is the median of |diff(ys, xs)| over the pairs
+    (x, x + h e_axis) lying entirely in the interior, at each dyadic
+    separation h, and the slope is fitted on log2 q against log2 h;
+    diff(ys, xs) is the two-point field on those pairs, y taken on the index
+    box ys and x on xs.  The interior is a box, so the pairs of one
+    separation are one too, and separations stay below the collar width, so
+    no pair wraps.  The smallest fitted slope decides; an axis without a
+    slope (the field does not vary along it) does not, and if no axis has
+    one, axis 0 is returned."""
+    box = interior_box(grid)
     fits = []
     for axis in range(grid.dim):
         hs, qs = [], []
         for steps in dyadic_separations(grid):
-            pairs = base & np.roll(base, -steps, axis=axis)
+            xs = tuple(slice(box.start, box.stop - steps) if a == axis else box for a in range(grid.dim))
+            ys = tuple(slice(box.start + steps, box.stop) if a == axis else box for a in range(grid.dim))
             hs.append(steps * grid.step)
-            qs.append(float(scale_stats(diff(steps, axis), mask=pairs, sup=False)[1]))
-        fits.append((log_scale_fit(np.log2(hs), qs)[0], list(zip(hs, qs))))
+            qs.append(float(scale_stats(diff(ys, xs), sup=False)[1]))
+        slope, _, used = log_scale_fit(np.log2(hs), qs)
+        fits.append((slope, list(zip(hs, qs)), len(used)))
     return min(fits, key=lambda f: (f[0] is None, f[0] or 0.0))
 
 
-def two_point_g_report(model: Model, v, alpha: float) -> tuple[float | None, list]:
+def two_point_g_report(model: Model, v) -> tuple[float | None, list, int]:
     """Fitted slope of |g_{yx}(v)| against dyadic separations y - x = h
-    along each axis; the worst axis decides."""
+    along each axis; the worst axis decides (see _two_point_fit)."""
     terms = [
         (float(c), model.g_field(left), model.g_inv_field(right))
         for (left, right), c in model.structure.delta_plus(v).sorted_items()
     ]
 
-    def diff(steps, axis):
-        acc = np.zeros(model.grid.shape)
+    def diff(ys, xs):
+        acc = 0.0
         for c, gy, gxi in terms:
-            acc += c * np.roll(gy, -steps, axis=axis) * gxi
+            acc = acc + c * gy[ys] * gxi[xs]
         return acc
 
     return _two_point_fit(model.grid, diff)
@@ -239,14 +251,15 @@ def validate_model(model: Model, tol_slope: float = SLOPE_TOL,
         h = float(S.plus_gens[name])
         mono = PlusMonomial.of_gen(name, S.dim)
         rep.add("b:finite:" + name, bool(np.all(np.isfinite(model.g_field(mono)))))
-        rep.add_slope("b:two-point:" + name, two_point_g_report(model, mono, h)[0], h, tol_slope)
+        slope, _, scales = two_point_g_report(model, mono)
+        rep.add_slope("b:two-point:" + name, slope, h, tol_slope, scales=scales)
 
-    # (d) D-family slopes on the base generators
-    mask = interior_mask(grid)
-    for name in sorted((n for n in model.pi if n != "1"), key=lambda n: (S.base_gens[n], n)):
-        h = float(S.base_gens[name])
-        fam = model.pi_recentered_family(BaseSymbol(name, mi_zero(S.dim)))
-        rep.add_slope("d:family:" + name, d_family_report(fam, h, mask=mask).slope, h, tol_slope)
+    # (d) D-family slopes on the base generators, their Pi fields paired once
+    names = sorted((n for n in model.pi if n != "1"), key=lambda n: (S.base_gens[n], n))
+    hs = [float(S.base_gens[name]) for name in names]
+    fams = [model.pi_recentered_family(BaseSymbol(name, mi_zero(S.dim))) for name in names]
+    for name, h, d_rep in zip(names, hs, d_family_report(fams, hs, mask=interior_mask(grid))):
+        rep.add_slope("d:family:" + name, d_rep.slope, h, tol_slope, scales=len(d_rep.fit_js))
 
     # Chen relation on random triples
     res = chen_residual(model, rng, samples=min(samples, 100))
@@ -473,7 +486,7 @@ def md_from_paracontrolled(model: Model, brackets: dict[BaseSymbol, np.ndarray],
         core_only = all(not any(s.poly) for s in brackets)
         mode = "d" if core_only and S.check_assumptions().d_ok else "general"
     ex = BracketExtractor(model, 0)
-    coeffs: dict[BaseSymbol, np.ndarray] = {}
+    coeffs: dict[BaseSymbol, Field] = {}   # each transformed once
 
     def bracket_recursion(sigma: BaseSymbol) -> np.ndarray:
         terms = ((compute(mu), ex.g_bracket_vector(quot))
@@ -484,12 +497,12 @@ def md_from_paracontrolled(model: Model, brackets: dict[BaseSymbol, np.ndarray],
         # EqSimpleStructureCondition with the 1/k! normalisation
         core = BaseSymbol(sigma.core, mi_zero(S.dim))
         k = sigma.poly
-        vals = _md_diagonal_derivative(model, S, symbols, compute, core, k, gamma)
+        vals = _md_diagonal_derivative(model, S, symbols, lambda s: compute(s).values, core, k, gamma)
         return vals / mi_factorial(k)
 
     computing: set[BaseSymbol] = set()
 
-    def compute(sigma: BaseSymbol) -> np.ndarray:
+    def compute(sigma: BaseSymbol) -> Field:
         if sigma in coeffs:
             return coeffs[sigma]
         if sigma in computing:
@@ -500,8 +513,8 @@ def md_from_paracontrolled(model: Model, brackets: dict[BaseSymbol, np.ndarray],
         else:
             vals = derivative_formula(sigma)
         computing.discard(sigma)
-        coeffs[sigma] = vals
-        return vals
+        coeffs[sigma] = Field.adopt(grid, vals)
+        return coeffs[sigma]
 
     if mode == "general":
         missing = [s for s in symbols if s not in brackets]
@@ -511,7 +524,10 @@ def md_from_paracontrolled(model: Model, brackets: dict[BaseSymbol, np.ndarray],
         raise ValueError(f"missing md brackets for: {[str(s) for s in missing]}")
     for s in symbols:
         compute(s)
-    md = ModelledDistribution(S, grid, gamma, coeffs)
+    # compute refers to itself through its closure; unbinding it frees the
+    # extractor and the coefficient spectra now instead of at a collection
+    del compute
+    md = ModelledDistribution(S, grid, gamma, {s: f.values for s, f in coeffs.items()})
     if mode == "general":
         _check_structure_condition(model, md, tol)
     return md
@@ -576,14 +592,14 @@ def validate_md(model: Model, md: ModelledDistribution,
                         (float(c * c2), model.g_field(a), model.g_inv_field(b), md.coeff(mu))
                     )
 
-        def diff(steps, axis):
-            acc = np.roll(md.coeff(tau), -steps, axis=axis)
+        def diff(ys, xs):
+            acc = md.coeff(tau)[ys].copy()
             for c, ga, gb, fmu in terms:
-                acc -= c * np.roll(ga, -steps, axis=axis) * gb * fmu
+                acc -= c * ga[ys] * gb[xs] * fmu[xs]
             return acc
 
-        slope, _ = _two_point_fit(grid, diff)
-        rep.add_slope(f"md:two-point:{tau}", slope, target, tol_slope)
+        slope, _, scales = _two_point_fit(grid, diff)
+        rep.add_slope(f"md:two-point:{tau}", slope, target, tol_slope, scales=scales)
     return rep
 
 
@@ -662,8 +678,9 @@ def lambda_cross_check(model: Model, root: str, m: int | None = None,
             rep.add(f"agreement:{mo}:k={k}", res <= tol_agree, res, 0.0, tol_agree)
             # first decay bound: |J_j(Lambda_x sigma^{(m)})(x)| <~ 2^{-j(|sigma|-|k|)}
             target = float(h_sigma - mi_abs(k))
-            slope = NormReport.from_blocks(medians, medians, target).slope
-            rep.add_slope(f"decay:{mo}:k={k}", slope, target, tol_slope)
+            decay = NormReport.from_blocks(medians, medians, target)
+            rep.add_slope(f"decay:{mo}:k={k}", decay.slope, target, tol_slope,
+                          scales=len(decay.fit_js))
     return rep
 
 

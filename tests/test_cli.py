@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from regpara import cli
 from regpara.cli import main
 
 GOLDEN_BHZ_TRANSFORM = """\
@@ -86,6 +87,28 @@ class TestVerbs:
             main(["structure-validate", "--structure", "toy", "--cutoff", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --cutoff 2" in capsys.readouterr().err
+
+    def test_parser_is_built_once(self, capsys):
+        assert cli._parser() is cli._parser()
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["model-check"])
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "the following arguments are required: --model" in errors[0]
+
+    def test_slope_check_without_scales_is_named(self):
+        import numpy as np
+
+        from regpara.grid import Field, Grid
+        from regpara.norms import holder_norm
+
+        rep = holder_norm(Field.zero(Grid(1, 256, np.pi)), 0.5)
+        lines = []
+        assert cli._slope_check(rep, 0.5, 0.2, lines, "g_bracket u")
+        assert lines == ["g_bracket u insufficient-scales scales=0 target=0.5000"]
 
 
 @pytest.fixture(scope="module")

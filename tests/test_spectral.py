@@ -5,6 +5,8 @@ np.fft.fftn / ifftn(...).real with symbols built here from `chi` and the
 lattice radius, independently of the plan.  Inputs are white noise, so every
 lattice frequency, the Nyquist modes included, carries mass.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -272,3 +274,85 @@ def test_subgrid_products_in_2d(monkeypatch, n, subgrids):
     assert np.array_equal(
         paraproduct(decomp, f, g).values, modified_paraproduct(decomp, 0, f, g).values
     )
+
+
+# -- the plan's workspace and carried spectra --------------------------------
+
+
+def _spectral_results(decomp, f, g, h):
+    fam = SeparableFamily(decomp.grid, [(f.values, g.values), (np.ones(decomp.grid.shape), h.values)])
+    return {
+        "P^2": modified_paraproduct(decomp, 2, f, g).values,
+        "Pi": resonant(decomp, f, g).values,
+        "holder": holder_norm(f, 0.5).block_norms,
+        "d-family": d_family_report(fam, 0.5).block_norms,
+    }
+
+
+def test_results_never_alias_the_workspace(case):
+    """Every block loop writes its temporaries into the plan's workspace; a
+    result is its own array, unchanged by later calls on the same plan."""
+    grid, _, (f, g, h) = case
+    decomp = make_partition(grid)
+    first = _spectral_results(decomp, f, g, h)
+    kept = {name: vals.copy() for name, vals in first.items()}
+    _spectral_results(decomp, h, f, g)
+    for name, vals in first.items():
+        assert np.array_equal(vals, kept[name]), name
+        assert not any(np.shares_memory(vals, decomp.work(w)) for w in blocks.WORKSPACE), name
+
+
+def test_field_spectrum_is_taken_once(case, monkeypatch):
+    grid, _, (f, g, _) = case
+    u, v = Field(grid, f.values), Field(grid, g.values)
+    rfftn = np.fft.rfftn
+    full = []
+
+    def counting(a, *args, **kwargs):
+        if np.shape(a) == grid.shape:
+            full.append(1)
+        return rfftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftn", counting)
+    spec = u.spectrum
+    assert np.array_equal(spec, rfftn(f.values))
+    assert not spec.flags.writeable
+    decomp = make_partition(grid)
+    paraproduct(decomp, u, v)
+    resonant(decomp, v, u)
+    holder_norm(u, 0.5)
+    derivative(u, (1,) * grid.dim)
+    assert u.spectrum is spec
+    assert len(full) == 2  # u once, v once
+
+
+# Traced peak of one call on a warm plan, in N-point float arrays, operand
+# spectra included.  Before the workspace these read 4.5, 6.6, 7.5 and 6.6.
+PEAK_ARRAYS = {"holder_norm": 2.5, "P^2": 5.0, "Pi": 5.0, "d-family": 5.0}
+
+
+def test_block_loops_stay_within_a_few_arrays():
+    grid = Grid(1, 4096, np.pi)
+    rng = np.random.default_rng(5)
+    values = [rng.standard_normal(grid.shape) for _ in range(3)]
+    decomp = make_partition(grid)
+    fam = SeparableFamily(grid, [(values[0], values[1]), (np.ones(grid.shape), values[2]),
+                                 (-values[1], values[0])])
+    ops = {
+        "holder_norm": lambda f, g: holder_norm(f, 0.5),
+        "P^2": lambda f, g: modified_paraproduct(decomp, 2, f, g),
+        "Pi": lambda f, g: resonant(decomp, f, g),
+        "d-family": lambda f, g: d_family_report(fam, 0.5),
+    }
+    peaks = {}
+    for name, op in ops.items():
+        op(Field(grid, values[0]), Field(grid, values[1]))  # warm the plan
+        f, g = Field(grid, values[0]), Field(grid, values[1])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            op(f, g)
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - base) / (8 * grid.size)
+        finally:
+            tracemalloc.stop()
+    assert all(peaks[name] <= bound for name, bound in PEAK_ARRAYS.items()), peaks

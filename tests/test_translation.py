@@ -22,7 +22,13 @@ from regpara.characters import f_character_values, field_character
 from regpara.grid import Field, Grid
 from regpara.library import TOY_RULE, structure
 from regpara.models import Model, build_g, reconstruct, reconstruction_family
-from regpara.norms import holder_norm, interior_mask, synthesize
+from regpara.norms import (
+    dyadic_separations,
+    holder_norm,
+    interior_mask,
+    log_scale_fit,
+    synthesize,
+)
 from regpara.rules import enumerate_basis, export_structure
 from regpara.translation import (
     ModelledDistribution,
@@ -200,9 +206,80 @@ def test_two_point_g_report_probes_every_axis(varying_axis):
         model = Model(S, grid, build_g(S, grid, gb), {})
         for r in roots:
             alpha = float(S.plus_gens[r])
-            slope, pts = two_point_g_report(model, PlusMonomial.of_gen(r, 2), alpha)
+            slope, pts, _ = two_point_g_report(model, PlusMonomial.of_gen(r, 2))
             assert all(q > 0 for _h, q in pts)
             assert slope is not None and slope >= alpha - SLOPE_TOL, (seed, r, slope)
+
+
+def test_slope_check_without_scales_is_named(toy_structure, grid256):
+    """The all-zero modelled distribution leaves no scale to fit: every
+    two-point check says so by name, and the report still passes."""
+    model, _gb, _pib = build_random_model(toy_structure, grid256)
+    symbols = toy_structure.base_symbols(GAMMA)
+    md = ModelledDistribution(toy_structure, grid256, GAMMA, {s: np.zeros(grid256.shape) for s in symbols})
+    rep = validate_md(model, md)
+    assert rep.ok
+    assert len(rep.checks) == len(symbols)
+    for check in rep.checks:
+        assert check.line().startswith(f"{check.name} insufficient-scales scales=0 target=")
+    assert rep.lines()[-1] == "overall pass"
+
+
+def _rolled_two_point_fit(grid, diff):
+    """The two-point fit as the full-grid code formed it: the field rolled by
+    the separation, its interior pairs picked by a boolean mask."""
+    base = interior_mask(grid)
+    fits = []
+    for axis in range(grid.dim):
+        hs, qs = [], []
+        for steps in dyadic_separations(grid):
+            pairs = base & np.roll(base, -steps, axis=axis)
+            hs.append(steps * grid.step)
+            qs.append(float(np.quantile(np.abs(diff(steps, axis)[pairs]), 0.5)))
+        fits.append((log_scale_fit(np.log2(hs), qs)[0], list(zip(hs, qs))))
+    return min(fits, key=lambda f: (f[0] is None, f[0] or 0.0))
+
+
+TOY2D = dataclasses.replace(TOY_RULE, dim=2, noises=(("xi", Fraction(-1, 4)),), name="toy2d")
+
+
+@pytest.mark.parametrize("name, grid", [
+    ("toy", Grid(1, 256, np.pi)), ("bhz", Grid(1, 256, np.pi)), ("toy2d", Grid(2, 64, np.pi)),
+], ids=["toy", "bhz", "toy2d"])
+def test_two_point_boxes_give_the_rolled_medians(name, grid):
+    """Differences taken on slices of the interior box are the same multiset
+    as the rolled, masked ones, so every median and slope is identical."""
+    S = (export_structure(enumerate_basis(TOY2D)) if name == "toy2d"
+         else structure(name, noncanonical=name == "bhz"))
+    model, _gb, _pib = build_random_model(S, grid, seed=3)
+    for gen in sorted(model.g.values):
+        mono = PlusMonomial.of_gen(gen, S.dim)
+        terms = [(float(c), model.g_field(a), model.g_inv_field(b))
+                 for (a, b), c in S.delta_plus(mono).sorted_items()]
+
+        def g_diff(steps, axis):
+            return sum(c * np.roll(ga, -steps, axis=axis) * gb for c, ga, gb in terms)
+
+        assert two_point_g_report(model, mono)[:2] == _rolled_two_point_fit(grid, g_diff)
+    cores = [s for s in S.base_symbols(GAMMA) if not any(s.poly)]
+    brackets = {s: synthesize(float(GAMMA - S.homog_base(s)), seed=50 + i, grid=grid).values
+                for i, s in enumerate(cores)}
+    md = md_from_paracontrolled(model, brackets, GAMMA, mode="d")
+    symbols = S.base_symbols(GAMMA)
+    want = []
+    for tau in symbols:
+        terms = [(float(c * c2), model.g_field(a), model.g_inv_field(b), md.coeff(mu))
+                 for mu in symbols for mono, c in S.quotient_base(mu, tau).sorted_items()
+                 for (a, b), c2 in S.delta_plus(mono).sorted_items()]
+
+        def md_diff(steps, axis):
+            acc = np.roll(md.coeff(tau), -steps, axis=axis)
+            for c, ga, gb, fmu in terms:
+                acc -= c * np.roll(ga, -steps, axis=axis) * gb * fmu
+            return acc
+
+        want.append(_rolled_two_point_fit(grid, md_diff)[0])
+    assert [c.value for c in validate_md(model, md).checks] == want
 
 
 class TestAuxiliaryStructure:
