@@ -119,52 +119,15 @@ def _write_field_map(root, sub, named_fields) -> list[str]:
     return lines
 
 
-def write_model_bundle(root, model: Model, cfg: Config) -> None:
-    os.makedirs(root, exist_ok=True)
-    write_structure(os.path.join(root, "structure.txt"), model.structure)
-    write_config(os.path.join(root, "config.txt"), cfg)
-    grid = model.grid
-    lines = _write_field_map(
-        root, "g", {n: Field(grid, v) for n, v in model.g.values.items()}
-    )
-    lines += _write_field_map(
-        root, "pi", {n: Field(grid, v) for n, v in model.pi.items() if n != "1"}
-    )
-    with open(os.path.join(root, "fields.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
-    _write_manifest(root)
-
-
-def read_model_bundle(root) -> tuple[Model, Config]:
-    verify_manifest(root)
-    S = read_structure(os.path.join(root, "structure.txt"))
-    cfg = read_config(os.path.join(root, "config.txt"))
-    grid = cfg.grid()
-    g_values = {}
-    pi_values = {}
-    with open(os.path.join(root, "fields.txt"), "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            kind, rel, name = line.split(" ", 2)
-            f = read_field(os.path.join(root, rel))
-            if f.grid != grid:
-                raise ValueError(f"{rel}: grid does not match bundle config")
-            if kind == "g":
-                g_values[name] = f.values
-            else:
-                pi_values[name] = f.values
-    g = field_character(S, grid, g_values)
-    return Model(S, grid, g, pi_values), cfg
-
-
-def write_bracket_bundle(root, structure, named_fields: dict[str, Field], cfg: Config,
-                         kind: str = "bracket", extra: dict[str, str] | None = None) -> None:
+def _write_bundle(root, structure, cfg: Config, field_maps, extra=None) -> None:
+    """Structure, config, one field map per (sub, named fields) pair, the
+    `fields.txt` naming them, the extra text files, then the manifest."""
     os.makedirs(root, exist_ok=True)
     write_structure(os.path.join(root, "structure.txt"), structure)
     write_config(os.path.join(root, "config.txt"), cfg)
-    lines = _write_field_map(root, kind, named_fields)
+    lines = []
+    for sub, named_fields in field_maps:
+        lines += _write_field_map(root, sub, named_fields)
     with open(os.path.join(root, "fields.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
     for name, text in (extra or {}).items():
@@ -173,19 +136,49 @@ def write_bracket_bundle(root, structure, named_fields: dict[str, Field], cfg: C
     _write_manifest(root)
 
 
-def read_bracket_bundle(root) -> tuple[dict[str, Field], Config]:
+def _read_bundle(root) -> tuple[list[tuple[str, str, Field]], Config]:
+    """(sub, name, field) of every `fields.txt` entry, each on the config's
+    grid, and the config; the manifest is verified first."""
     verify_manifest(root)
     cfg = read_config(os.path.join(root, "config.txt"))
     grid = cfg.grid()
-    out = {}
+    entries = []
     with open(os.path.join(root, "fields.txt"), "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
             if not line:
                 continue
-            _kind, rel, name = line.split(" ", 2)
+            sub, rel, name = line.split(" ", 2)
             f = read_field(os.path.join(root, rel))
             if f.grid != grid:
                 raise ValueError(f"{rel}: grid does not match bundle config")
-            out[name] = f
-    return out, cfg
+            entries.append((sub, name, f))
+    return entries, cfg
+
+
+def write_model_bundle(root, model: Model, cfg: Config) -> None:
+    grid = model.grid
+    _write_bundle(root, model.structure, cfg, [
+        ("g", {n: Field(grid, v) for n, v in model.g.values.items()}),
+        ("pi", {n: Field(grid, v) for n, v in model.pi.items() if n != "1"}),
+    ])
+
+
+def read_model_bundle(root) -> tuple[Model, Config]:
+    entries, cfg = _read_bundle(root)
+    S = read_structure(os.path.join(root, "structure.txt"))
+    grid = cfg.grid()
+    g_values = {name: f.values for sub, name, f in entries if sub == "g"}
+    pi_values = {name: f.values for sub, name, f in entries if sub != "g"}
+    g = field_character(S, grid, g_values)
+    return Model(S, grid, g, pi_values), cfg
+
+
+def write_bracket_bundle(root, structure, named_fields: dict[str, Field], cfg: Config,
+                         kind: str = "bracket", extra: dict[str, str] | None = None) -> None:
+    _write_bundle(root, structure, cfg, [(kind, named_fields)], extra)
+
+
+def read_bracket_bundle(root) -> tuple[dict[str, Field], Config]:
+    entries, cfg = _read_bundle(root)
+    return {name: f for _sub, name, f in entries}, cfg

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import library
-from .algebra import BaseSymbol, PlusMonomial, term_key
+from .algebra import BaseSymbol, FreeVector, PlusMonomial, term_key
 from .bundles import (
     Config,
     read_bracket_bundle,
@@ -46,10 +46,12 @@ from .structure_io import (
 )
 from .translation import (
     INSUFFICIENT,
+    ModelledDistribution,
     lambda_cross_check,
     md_from_paracontrolled,
     md_to_paracontrolled,
     reconstruction_report,
+    slope_verdict,
     validate_md,
     validate_model,
 )
@@ -65,9 +67,11 @@ def _load_structure(args):
     return read_structure(path)
 
 
-def _config(args) -> Config:
-    return Config(dim=args.dim, n=args.grid, box=args.box, m=args.m, seed=args.seed,
-                  tol_slope=args.tol_slope, tol_rel=args.tol_rel)
+def _config(args, S, tol_slope: float = Config.tol_slope) -> Config:
+    """The run configuration of a verb that builds a model; the grid
+    dimension is the structure's."""
+    return Config(dim=S.dim, n=args.grid, box=args.box, m=args.m, seed=args.seed,
+                  tol_slope=tol_slope, tol_rel=args.tol_rel)
 
 
 def _emit(lines, out_dir=None, name="report.txt"):
@@ -84,16 +88,15 @@ def _report_exit(report) -> int:
 
 
 def _slope_check(report, target: float, tol: float, lines: list, label: str) -> bool:
-    """Whether the fitted slope of a NormReport reaches target - tol, and
+    """Whether the slope verdict on a NormReport is not FAIL, and
     `label slope=S target=T pass|FAIL` appended to lines.  Without a slope
-    the line reads `label insufficient-scales scales=N target=T`, which is
-    not a failure."""
-    if report.slope is None:
+    the line reads `label insufficient-scales scales=N target=T`."""
+    verdict = slope_verdict(report.slope, target, tol)
+    if verdict == INSUFFICIENT:
         lines.append(f"{label} {INSUFFICIENT} scales={len(report.fit_js)} target={target:.4f}")
-        return True
-    good = report.slope >= target - tol
-    lines.append(f"{label} slope={report.slope:.4f} target={target:.4f} {'pass' if good else 'FAIL'}")
-    return good
+    else:
+        lines.append(f"{label} slope={report.slope:.4f} target={target:.4f} {verdict}")
+    return verdict != "FAIL"
 
 
 def cmd_structure_validate(args) -> int:
@@ -154,8 +157,6 @@ def cmd_bhz_transform(args) -> int:
     if witness_s:
         lines.append(f"noncanonical_witness={witness_s}")
     # round trip of the change of basis
-    from .algebra import FreeVector
-
     errs = 0
     for t in basis.b_dot:
         back = FreeVector.zero()
@@ -187,10 +188,8 @@ def _random_model(S, cfg: Config):
 
 def cmd_model_build(args) -> int:
     S = _load_structure(args)
-    cfg = _config(args)
+    cfg = _config(args, S, args.tol_slope)
     model, gb, pib, m = _random_model(S, cfg)
-    if not args.out:
-        raise SystemExit("model-build requires --out DIR")
     write_model_bundle(args.out, model, cfg)
     _emit([f"structure={S.name}", f"g_fields={len(model.g.values)}",
            f"pi_fields={len(model.pi) - 1}", f"m={m}", f"out={args.out}"])
@@ -253,9 +252,7 @@ def cmd_md_build(args) -> int:
 
 
 def _read_md(model, path):
-    from .translation import ModelledDistribution
-
-    named, cfg = read_bracket_bundle(path)
+    named, _cfg = read_bracket_bundle(path)
     S = model.structure
     coeffs = {}
     for name, f in named.items():
@@ -263,16 +260,12 @@ def _read_md(model, path):
             raise ValueError(f"{path}: unexpected field {name!r} in md bundle")
         sym = parse_base_symbol(path, 0, name[2:], S.dim, S.base_gens)
         coeffs[sym] = f.values
-    gamma = Fraction(cfg_extra_gamma(path))
-    return ModelledDistribution(S, model.grid, gamma, coeffs)
-
-
-def cfg_extra_gamma(path):
     meta = os.path.join(path, "gamma.txt")
-    if os.path.exists(meta):
-        with open(meta, "r", encoding="utf-8") as fh:
-            return fh.read().strip()
-    raise ValueError(f"{path}: missing gamma.txt")
+    if not os.path.exists(meta):
+        raise ValueError(f"{path}: missing gamma.txt")
+    with open(meta, "r", encoding="utf-8") as fh:
+        gamma = Fraction(fh.read().strip())
+    return ModelledDistribution(S, model.grid, gamma, coeffs)
 
 
 def cmd_md_extract(args) -> int:
@@ -298,18 +291,17 @@ def cmd_reconstruct(args) -> int:
     md = _read_md(model, args.md)
     rep = reconstruction_report(model, md)
     target = float(md.gamma)
-    ok = rep.slope is None or rep.slope >= target - cfg.tol_slope
-    status = INSUFFICIENT if rep.slope is None else ("pass" if ok else "FAIL")
+    status = slope_verdict(rep.slope, target, cfg.tol_slope)
     lines = [f"gamma={md.gamma}",
              f"d_slope={'none' if rep.slope is None else f'{rep.slope:.4f}'}",
              f"target={target:.4f}", f"status={status}"]
     _emit(lines, args.out)
-    return 0 if ok else 1
+    return 1 if status == "FAIL" else 0
 
 
 def cmd_roundtrip(args) -> int:
     S = _load_structure(args)
-    cfg = _config(args)
+    cfg = _config(args, S)
     grid = cfg.grid()
     model, gb, pib, m = _random_model(S, cfg)
     lines = [f"structure={S.name}", f"side={args.side}", f"seed={cfg.seed}", f"m={m}"]
@@ -353,96 +345,91 @@ def cmd_lambda_check(args) -> int:
     return _report_exit(rep)
 
 
+def _structure_flags(p):
+    p.add_argument("--structure", required=True,
+                   help="structure file, rule file, or shipped name "
+                        "(polynomial, toy, toy2d, bhz, twonoise)")
+    p.add_argument("--noncanonical", action="store_true")
+
+
+def _build_flags(p):
+    """The random model that model-build and roundtrip draw."""
+    _structure_flags(p)
+    p.add_argument("--grid", type=int, default=Config.n, help="points per axis")
+    p.add_argument("--box", type=float, default=Config.box, help="box half-width")
+    p.add_argument("--m", type=int, default=Config.m,
+                   help="paraproduct order (-1: the structure default)")
+    p.add_argument("--seed", type=int, default=Config.seed)
+    p.add_argument("--tol-rel", type=float, default=Config.tol_rel,
+                   help="relative-error bound of the bracket round trip")
+
+
+def _rule_flags(p):
+    p.add_argument("--rule", required=True, help="rule file or shipped rule name")
+
+
+def _model_flags(p):
+    p.add_argument("--model", required=True, help="model bundle directory")
+
+
+def _md_flags(p):
+    _model_flags(p)
+    p.add_argument("--md", required=True, help="modelled-distribution bundle")
+
+
 @functools.lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser of every verb, built once per process."""
+    """The argument parser of every verb, built once per process.  Each verb
+    takes --out and exactly the flags its cmd_* function reads."""
     parser = argparse.ArgumentParser(
         prog="regpara",
         description="Concrete regularity structures and paracontrolled calculus",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, structure=False, model=False, md=False):
-        p.add_argument("--out", default=None, help="directory for artifacts")
-        p.add_argument("--grid", type=int, default=512)
-        p.add_argument("--box", type=float, default=float(np.pi))
-        p.add_argument("--dim", type=int, default=1)
-        p.add_argument("--m", type=int, default=-1)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol-slope", type=float, default=0.2)
-        p.add_argument("--tol-rel", type=float, default=1e-8)
-        if structure:
-            p.add_argument("--structure", required=True,
-                           help="structure file, rule file, or shipped name "
-                                "(polynomial, toy, bhz, twonoise)")
-            p.add_argument("--noncanonical", action="store_true")
-        if model:
-            p.add_argument("--model", required=True, help="model bundle directory")
-        if md:
-            p.add_argument("--md", required=True, help="modelled-distribution bundle")
+    def verb(name, fn, help, flags=None, out_required=False):
+        # no abbreviations: --m must not stand for --model or --md
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.add_argument("--out", default=None, required=out_required,
+                       help="directory for artifacts")
+        if flags:
+            flags(p)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("structure-validate", help="assumption checks (A)-(D) plus Hopf exactness")
-    common(p, structure=True)
-    p.set_defaults(fn=cmd_structure_validate)
-
-    p = sub.add_parser("coproduct", help="print the coproduct of one basis element")
-    common(p, structure=True)
+    verb("structure-validate", cmd_structure_validate,
+         "assumption checks (A)-(D) plus Hopf exactness", _structure_flags)
+    p = verb("coproduct", cmd_coproduct, "print the coproduct of one basis element",
+             _structure_flags)
     p.add_argument("--element", required=True)
     p.add_argument("--side", choices=("plus", "base"), default="plus")
-    p.set_defaults(fn=cmd_coproduct)
-
-    p = sub.add_parser("bhz-enumerate", help="enumerate tree bases of a rule")
-    common(p)
-    p.add_argument("--rule", required=True)
-    p.set_defaults(fn=cmd_bhz_enumerate)
-
-    p = sub.add_parser("bhz-transform", help="assumption-(D) scan and basis change")
-    common(p)
-    p.add_argument("--rule", required=True)
-    p.set_defaults(fn=cmd_bhz_transform)
-
-    p = sub.add_parser("model-build", help="build a random model and write a bundle")
-    common(p, structure=True)
-    p.set_defaults(fn=cmd_model_build)
-
-    p = sub.add_parser("model-extract", help="extract bracket data from a model bundle")
-    common(p, model=True)
-    p.set_defaults(fn=cmd_model_extract)
-
-    p = sub.add_parser("model-check", help="validate model conditions (a)-(d)")
-    common(p, model=True)
-    p.set_defaults(fn=cmd_model_check)
-
-    p = sub.add_parser("md-build", help="build a modelled distribution from random brackets")
-    common(p, model=True)
+    verb("bhz-enumerate", cmd_bhz_enumerate, "enumerate tree bases of a rule", _rule_flags)
+    verb("bhz-transform", cmd_bhz_transform, "assumption-(D) scan and basis change", _rule_flags)
+    p = verb("model-build", cmd_model_build, "build a random model and write a bundle",
+             _build_flags, out_required=True)
+    p.add_argument("--tol-slope", type=float, default=Config.tol_slope,
+                   help="slope tolerance, kept in the bundle for the verbs that read it")
+    verb("model-extract", cmd_model_extract, "extract bracket data from a model bundle",
+         _model_flags)
+    verb("model-check", cmd_model_check, "validate model conditions (a)-(d)", _model_flags)
+    p = verb("md-build", cmd_md_build, "build a modelled distribution from random brackets",
+             _model_flags)
     p.add_argument("--gamma", required=True)
     p.add_argument("--general", action="store_true")
-    p.set_defaults(fn=cmd_md_build)
-
-    p = sub.add_parser("md-extract", help="paracontrolled representation of an md bundle")
-    common(p, model=True, md=True)
-    p.set_defaults(fn=cmd_md_extract)
-
-    p = sub.add_parser("reconstruct", help="reconstruction and its D^gamma check")
-    common(p, model=True, md=True)
-    p.set_defaults(fn=cmd_reconstruct)
-
-    p = sub.add_parser("roundtrip", help="extract-after-build bracket round trip")
-    common(p, structure=True)
+    verb("md-extract", cmd_md_extract, "paracontrolled representation of an md bundle",
+         _md_flags)
+    verb("reconstruct", cmd_reconstruct, "reconstruction and its D^gamma check", _md_flags)
+    p = verb("roundtrip", cmd_roundtrip, "extract-after-build bracket round trip", _build_flags)
     p.add_argument("--side", choices=("g", "pi", "both"), default="both")
-    p.set_defaults(fn=cmd_roundtrip)
-
-    p = sub.add_parser("norm-report", help="per-block norms and fitted slope of a field file")
-    common(p)
+    p = verb("norm-report", cmd_norm_report, "per-block norms and fitted slope of a field file")
     p.add_argument("--field", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--a", type=float, default=0.0)
-    p.set_defaults(fn=cmd_norm_report)
-
-    p = sub.add_parser("lambda-check", help="auxiliary-structure / J-operator cross-check")
-    common(p, model=True)
+    p = verb("lambda-check", cmd_lambda_check, "auxiliary-structure / J-operator cross-check",
+             _model_flags)
     p.add_argument("--generator", required=True)
-    p.set_defaults(fn=cmd_lambda_check)
+    p.add_argument("--m", type=int, default=-1,
+                   help="paraproduct order (-1: the structure default)")
     return parser
 
 

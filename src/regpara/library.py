@@ -1,15 +1,12 @@
 """Shipped example structures and rules used by tests, demos, and the CLI."""
 from __future__ import annotations
 
+import dataclasses
 import functools
 from fractions import Fraction
 
 from .algebra import ConcreteRegularityStructure, polynomial_structure
 from .rules import Rule, TreeBasis, enumerate_basis, export_structure
-
-
-def polynomial(dim: int = 1, cutoff=2) -> ConcreteRegularityStructure:
-    return polynomial_structure(dim, Fraction(cutoff))
 
 
 # One noise at -5/8, kernel of order 1, cutoff 1.  Small basis with two
@@ -25,6 +22,10 @@ TOY_RULE = Rule(
     max_e=0,
     name="toy",
 )
+
+# The toy rule in d = 2 with the noise at -1/4.  At cutoff 1 its basis is
+# four trees of B. and one plus-generator; satisfies assumption (D).
+TOY2D_RULE = dataclasses.replace(TOY_RULE, dim=2, noises=(("xi", Fraction(-1, 4)),), name="toy2d")
 
 # One heavier noise at -9/8 with a second-order kernel, cutoff 2.  The
 # canonical basis contains I_0^t(X_1 Theta) and fails assumption (D) with the
@@ -54,7 +55,7 @@ TWO_NOISE_RULE = Rule(
     name="twonoise",
 )
 
-RULES = {r.name: r for r in (TOY_RULE, BHZ_RULE, TWO_NOISE_RULE)}
+RULES = {r.name: r for r in (TOY_RULE, TOY2D_RULE, BHZ_RULE, TWO_NOISE_RULE)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -65,5 +66,5 @@ def basis(name: str) -> TreeBasis:
 @functools.lru_cache(maxsize=None)
 def structure(name: str, noncanonical: bool = False) -> ConcreteRegularityStructure:
     if name == "polynomial":
-        return polynomial()
+        return polynomial_structure(1, 2)
     return export_structure(basis(name), noncanonical=noncanonical)

@@ -20,10 +20,14 @@ DEFAULT_R = 2.0
 # two-point and J-decay.
 MEDIAN = 0.5
 
+# Synthesized content stays below this fraction of the lattice Nyquist
+# radius, so pointwise products of a few synthesized fields do not alias.
+SYNTHESIS_CAP = 1.0 / 3.0
 
-def synthesis_top(grid: Grid, max_freq_fraction: float = 1.0 / 3.0) -> int:
+
+def synthesis_top(grid: Grid) -> int:
     """Largest block fully below the synthesis anti-aliasing cap."""
-    cap = max_freq_fraction * grid.max_freq_radius()
+    cap = SYNTHESIS_CAP * grid.max_freq_radius()
     j = 0
     while CHI_HI * 2.0 ** (j + 1) <= cap:
         j += 1
@@ -149,36 +153,26 @@ def holder_norm(f: Field, alpha: float, a: float = 0.0,
     return NormReport.from_blocks(norms, norms, alpha, a)
 
 
-def two_param_norm(lam: TwoParamField, alpha: float, a: float = 0.0) -> float:
-    """sup (|x|_*^a ^ |y|_*^a) |F(x,y)| / |x-y|^alpha over off-diagonal pairs."""
+def two_param_norm(lam: TwoParamField, alpha: float) -> float:
+    """sup |F(x,y)| / |x-y|^alpha over off-diagonal pairs."""
     if alpha <= 0:
         raise ValueError("two-parameter norm needs alpha > 0")
-    grid = lam.grid
-    x = grid.axis()
+    x = lam.grid.axis()
     dist = np.abs(x[:, None] - x[None, :])
-    w = grid.weight(a).ravel() if a else np.ones(grid.n)
-    wmin = np.minimum(w[:, None], w[None, :])
     off = dist > 0
-    return float(np.max(wmin[off] * np.abs(lam.values[off]) / dist[off] ** alpha))
+    return float(np.max(np.abs(lam.values[off]) / dist[off] ** alpha))
 
 
-def sampled_two_param_norm(
-    values_of_pair,
-    grid: Grid,
-    alpha: float,
-    a: float = 0.0,
-    pairs: int = 4096,
-    seed: int = 0,
-) -> float:
-    """Two-parameter norm evaluated on a random pair sample; the dense array
-    is never materialised, so this is the d=2 evaluation path.
+def sampled_two_param_norm(values_of_pair, grid: Grid, alpha: float, pairs: int = 4096) -> float:
+    """Two-parameter norm evaluated on a random pair sample (seed 0); the
+    dense array is never materialised, so this is the d=2 evaluation path.
 
     values_of_pair(idx_x, idx_y) takes tuples of index arrays (one per axis)
     and returns |pairs| values F(x, y).
     """
     if alpha <= 0:
         raise ValueError("two-parameter norm needs alpha > 0")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     ix = tuple(rng.integers(0, grid.n, size=pairs) for _ in range(grid.dim))
     iy = tuple(rng.integers(0, grid.n, size=pairs) for _ in range(grid.dim))
     coords = grid.coords()
@@ -186,12 +180,7 @@ def sampled_two_param_norm(
     dist = np.sqrt((dx**2).sum(axis=0))
     keep = dist > 0
     vals = np.abs(np.asarray(values_of_pair(ix, iy), dtype=float))
-    if a:
-        w = grid.weight(a)
-        wmin = np.minimum(w[ix], w[iy])
-    else:
-        wmin = 1.0
-    out = (wmin * vals)[keep] / dist[keep] ** alpha
+    out = vals[keep] / dist[keep] ** alpha
     return float(np.max(out)) if out.size else 0.0
 
 
@@ -269,11 +258,12 @@ def d_family_report(family, alpha, mask: np.ndarray | None = None):
     return [NormReport.from_blocks(norms, medians, a) for (norms, medians), a in zip(series, alpha)]
 
 
-def dyadic_separations(grid: Grid, count: int = 5) -> list[int]:
-    """Grid-step offsets 1, 2, 4, ... used for two-point slope checks."""
+def dyadic_separations(grid: Grid) -> list[int]:
+    """Grid-step offsets 1, 2, 4, 8, 16 (those up to n/8) used for two-point
+    slope checks."""
     out = []
     s = 1
-    while len(out) < count and s <= grid.n // 8:
+    while len(out) < 5 and s <= grid.n // 8:
         out.append(s)
         s *= 2
     return out
@@ -290,21 +280,14 @@ def boundary_window(grid: Grid, margin: float = 0.15) -> np.ndarray:
     return out
 
 
-def synthesize(
-    alpha: float,
-    seed: int,
-    grid: Grid,
-    scale: float = 1.0,
-    window: float = 0.0,
-    max_freq_fraction: float = 1.0 / 3.0,
-) -> Field:
-    """Random-phase field with per-block sup norms scale * 2^{-j alpha}.
+def synthesize(alpha: float, seed: int, grid: Grid, window: float = 0.0) -> Field:
+    """Random-phase field with per-block sup norms 2^{-j alpha}.
 
     Each block is drawn on the exclusive zone of its annulus (where only
     rho_j is active), so Delta_j of the sum reproduces the block exactly and
     the fitted slope equals alpha up to rounding.  Deterministic under seed.
 
-    Content is capped at max_freq_fraction of the lattice Nyquist radius so
+    Content is capped at SYNTHESIS_CAP of the lattice Nyquist radius so
     that pointwise products of a few synthesized fields do not alias around
     the Nyquist frequency.  window > 0 multiplies by a smooth collar
     vanishing near the box boundary (relative width `window`).
@@ -312,7 +295,7 @@ def synthesize(
     decomp = make_partition(grid)
     rng = np.random.default_rng(seed)
     r = grid.freq_radius()
-    cap = max_freq_fraction * grid.max_freq_radius()
+    cap = SYNTHESIS_CAP * grid.max_freq_radius()
     acc = np.zeros(grid.shape)
     for j in range(0, decomp.j_max + 1):
         # exclusive zone of block j: chi(2^{-(j+1)} r) = 1 and chi(2^{-j} r) = 0
@@ -324,7 +307,7 @@ def synthesize(
         sup = np.max(np.abs(u))
         if sup == 0.0:
             continue
-        acc += (scale * 2.0 ** (-j * alpha) / sup) * u
+        acc += (2.0 ** (-j * alpha) / sup) * u
     if window > 0.0:
         acc = acc * boundary_window(grid, window)
     return Field(grid, acc)

@@ -169,20 +169,13 @@ def _envelope_symbol(decomp: BlockDecomposition, j: int, m: int = 0) -> np.ndarr
     return sym
 
 
-def two_param_block(
-    decomp: BlockDecomposition,
-    j: int,
-    lam: TwoParamField,
-    m: int = 0,
-    envelope: bool | None = None,
-) -> Field:
-    """Q_j Lambda (m = 0) or Q_j^m Lambda: low-pass in the first slot, block
-    (with |grad|^{-m}) in the second, diagonal trace, then the R_j^m envelope.
-
-    For m = 0 the envelope convolution is a no-op on the relevant annulus and
-    is skipped by default; pass envelope=True to insert R_j explicitly.
+def two_param_block(decomp: BlockDecomposition, j: int, lam: TwoParamField,
+                    envelope: bool | None = None) -> Field:
+    """Q_j Lambda: low-pass in the first slot, block in the second, diagonal
+    trace.  The R_j envelope convolution is a no-op on the relevant annulus
+    and is skipped by default; pass envelope=True to insert it explicitly.
     """
-    return _two_param_block(decomp, j, _two_param_spectrum(decomp, lam), m, envelope)
+    return _two_param_block(decomp, j, _two_param_spectrum(decomp, lam), 0, envelope)
 
 
 def _two_param_spectrum(decomp: BlockDecomposition, lam: TwoParamField) -> np.ndarray:
@@ -191,8 +184,10 @@ def _two_param_spectrum(decomp: BlockDecomposition, lam: TwoParamField) -> np.nd
     return np.fft.rfft2(lam.values)
 
 
-def _two_param_block(decomp, j, lam_spec, m=0, envelope=None) -> Field:
-    """two_param_block from the rfft2 of Lambda."""
+def _two_param_block(decomp, j, lam_spec, m, envelope=None) -> Field:
+    """Q_j^m Lambda from the rfft2 of Lambda: low-pass in the first slot,
+    block with |grad|^{-m} in the second, diagonal trace, then the R_j^m
+    envelope (by default only for m > 0)."""
     grid = decomp.grid
     if j < 1 or j > decomp.j_max:
         raise ValueError(f"two-parameter blocks need 1 <= j <= {decomp.j_max}")

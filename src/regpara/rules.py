@@ -336,46 +336,28 @@ def export_structure(basis: TreeBasis, noncanonical: bool = False) -> ConcreteRe
             terms.append(((plus_monomial(left), plus_monomial(right)), c))
         dplus_table[plus_names[t]] = FreeVector(terms)
 
-    if not noncanonical:
-        cores = basis.b_dot
-        core_names = {t: ("1" if t.is_unit else serialize(t)) for t in cores}
-
-        def base_symbol(tree: DecoratedTree) -> BaseSymbol:
-            core = tree.with_root_n(mi_zero(d))
-            nm = core_names.get(core)
-            if nm is None:
-                raise KeyError(f"tree {serialize(core)} missing from B.")
-            return BaseSymbol(nm, tree.n_dec)
-
-        delta_table = {}
-        for t in cores:
-            if t.is_unit:
-                continue
-            terms = []
-            for (left, right), c in algebra.delta(t).items():
-                terms.append(((base_symbol(left), plus_monomial(right)), c))
-            delta_table[core_names[t]] = FreeVector(terms)
-        base_gens = {core_names[t]: algebra.homogeneity(t) for t in cores}
+    if noncanonical:
+        cores, delta, label = basis.b_dot_tilde, algebra.delta_noncanonical, "f-tree {} missing from B~."
     else:
-        cores = basis.b_dot_tilde
-        core_names = {t: ("1" if t.is_unit else serialize(t)) for t in cores}
+        cores, delta, label = basis.b_dot, algebra.delta, "tree {} missing from B."
+    core_names = {t: ("1" if t.is_unit else serialize(t)) for t in cores}
 
-        def base_symbol(tree: DecoratedTree) -> BaseSymbol:
-            core = tree.with_root_n(mi_zero(d))
-            nm = core_names.get(core)
-            if nm is None:
-                raise KeyError(f"f-tree {serialize(core)} missing from B~.")
-            return BaseSymbol(nm, tree.n_dec)
+    def base_symbol(tree: DecoratedTree) -> BaseSymbol:
+        core = tree.with_root_n(mi_zero(d))
+        nm = core_names.get(core)
+        if nm is None:
+            raise KeyError(label.format(serialize(core)))
+        return BaseSymbol(nm, tree.n_dec)
 
-        delta_table = {}
-        for t in cores:
-            if t.is_unit:
-                continue
-            terms = []
-            for (left, right), c in basis.algebra.delta_noncanonical(t).items():
-                terms.append(((base_symbol(left), plus_monomial(right)), c))
-            delta_table[core_names[t]] = FreeVector(terms)
-        base_gens = {core_names[t]: algebra.homogeneity(t) for t in cores}
+    delta_table = {}
+    for t in cores:
+        if t.is_unit:
+            continue
+        terms = []
+        for (left, right), c in delta(t).items():
+            terms.append(((base_symbol(left), plus_monomial(right)), c))
+        delta_table[core_names[t]] = FreeVector(terms)
+    base_gens = {core_names[t]: algebra.homogeneity(t) for t in cores}
 
     return ConcreteRegularityStructure(
         dim=d,

@@ -53,11 +53,25 @@ from .models import (
 
 SLOPE_TOL = 0.2
 REL_TOL = 1e-8
+# Relative residual above which general-mode md_from_paracontrolled rejects
+# brackets for violating the structure condition.
+STRUCTURE_TOL = 1e-6
 
 
 # -- check bookkeeping ---------------------------------------------------------
 
 INSUFFICIENT = "insufficient-scales"
+
+
+def slope_verdict(slope: float | None, target: float, tol: float) -> str:
+    """pass, FAIL or insufficient-scales: the one verdict on a fitted
+    regularity.  Norm-membership checks are one-sided: decaying faster than
+    the target exponent never violates a C^alpha / D^alpha bound.  Without a
+    slope (fewer than two usable scales) the verdict is insufficient-scales:
+    not a failure, but never a pass."""
+    if slope is None:
+        return INSUFFICIENT
+    return "pass" if slope >= target - tol else "FAIL"
 
 
 @dataclass
@@ -93,14 +107,11 @@ class Report:
         self.checks.append(Check(name, bool(passed), value, target, tol))
 
     def add_slope(self, name, slope, target, tol=SLOPE_TOL, *, scales: int):
-        """Norm-membership checks are one-sided: decaying faster than the
-        target exponent never violates a C^alpha / D^alpha bound.  Without a
-        slope (fewer than two usable scales, `scales` of them) the verdict is
-        insufficient-scales: not a failure, but never a pass."""
-        if slope is None:
-            self.checks.append(Check(name, True, None, target, tol, scales))
-        else:
-            self.checks.append(Check(name, slope >= target - tol, slope, target, tol))
+        """A slope check under slope_verdict; `scales` usable scales are
+        named when there are too few to fit."""
+        verdict = slope_verdict(slope, target, tol)
+        self.checks.append(Check(name, verdict != "FAIL", slope, target, tol,
+                                 scales if verdict == INSUFFICIENT else None))
 
     @property
     def ok(self) -> bool:
@@ -467,13 +478,13 @@ class StructureConditionError(ValueError):
 
 
 def md_from_paracontrolled(model: Model, brackets: dict[BaseSymbol, np.ndarray],
-                           gamma, mode: str = "auto",
-                           tol: float = 1e-6) -> ModelledDistribution:
+                           gamma, mode: str = "auto") -> ModelledDistribution:
     """Modelled distribution from bracket data.
 
     general mode: brackets indexed by all of B below gamma; coefficients by
     the descending bracket recursion; the structure condition is verified and
-    violations raise StructureConditionError carrying the worst (tau, k).
+    a residual above STRUCTURE_TOL raises StructureConditionError carrying
+    the worst (tau, k).
 
     (D) mode: brackets indexed by B. only; polynomial-decorated coefficients
     are defined directly by the diagonal-derivative formula (with the 1/k!
@@ -529,7 +540,7 @@ def md_from_paracontrolled(model: Model, brackets: dict[BaseSymbol, np.ndarray],
     del compute
     md = ModelledDistribution(S, grid, gamma, {s: f.values for s, f in coeffs.items()})
     if mode == "general":
-        _check_structure_condition(model, md, tol)
+        _check_structure_condition(model, md)
     return md
 
 
@@ -543,7 +554,7 @@ def _md_diagonal_derivative(model, S, symbols, coeff_of, tau: BaseSymbol, k, gam
     return vals
 
 
-def _check_structure_condition(model: Model, md: ModelledDistribution, tol: float) -> None:
+def _check_structure_condition(model: Model, md: ModelledDistribution) -> None:
     S, grid = model.structure, md.grid
     gamma = md.gamma
     symbols = S.base_symbols(gamma)
@@ -569,8 +580,8 @@ def _check_structure_condition(model: Model, md: ModelledDistribution, tol: floa
             res = float(np.max(np.abs((lhs - rhs)[mask]))) / scale
             if worst is None or res > worst[2]:
                 worst = (tau, k, res)
-    if worst is not None and worst[2] > tol:
-        raise StructureConditionError(worst[0], worst[1], worst[2], tol)
+    if worst is not None and worst[2] > STRUCTURE_TOL:
+        raise StructureConditionError(worst[0], worst[1], worst[2], STRUCTURE_TOL)
 
 
 def validate_md(model: Model, md: ModelledDistribution,

@@ -88,6 +88,19 @@ class TestVerbs:
         assert exc.value.code == 2
         assert "unrecognized arguments: --cutoff 2" in capsys.readouterr().err
 
+    def test_removed_flag_is_rejected(self, capsys):
+        # the grid of a bundle verb is the bundle's; no such verb takes --grid
+        with pytest.raises(SystemExit) as exc:
+            main(["model-check", "--model", "M", "--grid", "64"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --grid 64" in capsys.readouterr().err
+
+    def test_model_build_requires_out(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["model-build", "--structure", "toy"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --out" in capsys.readouterr().err
+
     def test_parser_is_built_once(self, capsys):
         assert cli._parser() is cli._parser()
         errors = []
@@ -160,10 +173,24 @@ class TestPipelines:
         model = str(tmp_path / "model")
         assert main(["model-build", "--structure", *structure, "--grid", "256",
                      "--out", model]) == 0
-        code, out = run(["md-build", "--model", model, "--gamma", "9/8", "--general",
-                         "--grid", "256"], capsys)
+        code, out = run(["md-build", "--model", model, "--gamma", "9/8", "--general"], capsys)
         assert code == 0
         assert "overall pass" in out
+
+    def test_model_build_takes_the_dimension_from_the_structure(self, tmp_path, capsys):
+        model = tmp_path / "model"
+        code, out = run(["model-build", "--structure", "toy2d", "--grid", "64",
+                         "--out", str(model)], capsys)
+        assert code == 0
+        assert "structure=toy2d-canonical" in out
+        config = (model / "config.txt").read_text(encoding="utf-8").splitlines()
+        assert "dim=2" in config and "n=64" in config
+
+    def test_roundtrip_verb_in_two_dimensions(self, capsys):
+        code, out = run(["roundtrip", "--structure", "toy2d", "--grid", "64",
+                         "--side", "both"], capsys)
+        assert code == 0
+        assert "status=pass" in out
 
     def test_byte_identical_reports_across_runs(self, tmp_path):
         cmd = [sys.executable, "-m", "regpara.cli", "roundtrip", "--structure",

@@ -1,5 +1,6 @@
 """Repository hygiene: no library definition without a user, and every flag
-the README documents is one the CLI accepts."""
+a verb accepts is one it reads and the README documents."""
+import argparse
 import ast
 import contextlib
 import io
@@ -51,18 +52,55 @@ def _help(argv) -> str:
     return out.getvalue()
 
 
-def test_readme_common_flags_are_accepted_by_every_verb():
+def _args_reads(functions, name, seen) -> set[str]:
+    """Attributes of `args` read by cli function `name` and by every cli
+    function it hands `args` to."""
+    if name in seen:
+        return set()
+    seen.add(name)
+    reads = set()
+    for node in ast.walk(functions[name]):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "args":
+            reads.add(node.attr)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in functions \
+                and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args):
+            reads |= _args_reads(functions, node.func.id, seen)
+    return reads
+
+
+def _readme_flags() -> dict[str, set[str]]:
+    """verb -> the flags README's per-verb list gives it, --out included."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    listed = re.search(r"Common flags:\s*`([^`]*)`", readme)
-    assert listed is not None, "README has no 'Common flags' line"
-    flags = re.findall(r"--[a-z][a-z-]*", listed.group(1))
-    assert flags
-    verbs = re.search(r"\{([a-z,-]+)\}", _help(["--help"])).group(1).split(",")
+    assert "Flags by verb." in readme, "README has no per-verb flag list"
+    items = readme.split("Flags by verb.", 1)[1].split("\n\n")[1]
+    out = {}
+    for item in items.removeprefix("- ").split("\n- "):
+        head, _, flags = item.partition(":")
+        for verb in re.findall(r"`([a-z-]+)`", head):
+            out[verb] = set(re.findall(r"--[a-z][a-z-]*", flags)) | {"--out"}
+    return out
+
+
+def test_every_flag_is_read():
+    """Each option a verb accepts is read as args.<dest> by its cmd_*
+    function or a helper given args, and README lists exactly the options
+    of each verb's --help."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    verbs = next(a for a in cli._parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
     assert verbs
-    for verb in verbs:
-        text = _help([verb, "--help"])
-        missing = [f for f in flags if not re.search(rf"(?<![\w-]){f}(?![\w-])", text)]
-        assert missing == [], f"{verb} does not accept {missing}"
+    unread = []
+    for verb, p in verbs.items():
+        reads = _args_reads(functions, p.get_default("fn").__name__, set())
+        unread += [f"{verb} {a.option_strings[0]}" for a in p._actions
+                   if a.option_strings and a.dest != "help" and a.dest not in reads]
+    assert unread == []
+    in_help = {verb: set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", _help([verb, "--help"])))
+               - {"--help"} for verb in verbs}
+    assert _readme_flags() == in_help
 
 
 # numpy functions that read an exponent or a per-scale statistic off data

@@ -1,6 +1,5 @@
 """Modelled distributions, paracontrolled systems, reconstruction, and the
 auxiliary cross-check structure."""
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -20,7 +19,7 @@ from regpara.algebra import (
 from regpara.blocks import derivative
 from regpara.characters import f_character_values, field_character
 from regpara.grid import Field, Grid
-from regpara.library import TOY_RULE, structure
+from regpara.library import structure
 from regpara.models import Model, build_g, reconstruct, reconstruction_family
 from regpara.norms import (
     dyadic_separations,
@@ -29,7 +28,6 @@ from regpara.norms import (
     log_scale_fit,
     synthesize,
 )
-from regpara.rules import enumerate_basis, export_structure
 from regpara.translation import (
     ModelledDistribution,
     SLOPE_TOL,
@@ -194,8 +192,7 @@ def test_two_point_g_report_probes_every_axis(varying_axis):
     """In d = 2 a g-bracket that varies along one axis only has g_{yx} = 0
     for y - x along the other; the slope along the varying axis must still
     be measured and reach its target."""
-    rule = dataclasses.replace(TOY_RULE, dim=2, noises=(("xi", Fraction(-1, 4)),), name="toy2d")
-    S = export_structure(enumerate_basis(rule))
+    S = structure("toy2d")
     grid, line = Grid(2, 64, np.pi), Grid(1, 64, np.pi)
     roots = sorted(S.check_assumptions().c_generators, key=lambda n: (S.plus_gens[n], n))
     for seed in range(5):
@@ -240,17 +237,13 @@ def _rolled_two_point_fit(grid, diff):
     return min(fits, key=lambda f: (f[0] is None, f[0] or 0.0))
 
 
-TOY2D = dataclasses.replace(TOY_RULE, dim=2, noises=(("xi", Fraction(-1, 4)),), name="toy2d")
-
-
 @pytest.mark.parametrize("name, grid", [
     ("toy", Grid(1, 256, np.pi)), ("bhz", Grid(1, 256, np.pi)), ("toy2d", Grid(2, 64, np.pi)),
 ], ids=["toy", "bhz", "toy2d"])
 def test_two_point_boxes_give_the_rolled_medians(name, grid):
     """Differences taken on slices of the interior box are the same multiset
     as the rolled, masked ones, so every median and slope is identical."""
-    S = (export_structure(enumerate_basis(TOY2D)) if name == "toy2d"
-         else structure(name, noncanonical=name == "bhz"))
+    S = structure(name, noncanonical=name == "bhz")
     model, _gb, _pib = build_random_model(S, grid, seed=3)
     for gen in sorted(model.g.values):
         mono = PlusMonomial.of_gen(gen, S.dim)
