@@ -67,11 +67,12 @@ def _load_structure(args):
     return read_structure(path)
 
 
-def _config(args, S, tol_slope: float = Config.tol_slope) -> Config:
+def _config(args, S, tol_slope: float = Config.tol_slope,
+            tol_rel: float = Config.tol_rel) -> Config:
     """The run configuration of a verb that builds a model; the grid
     dimension is the structure's."""
     return Config(dim=S.dim, n=args.grid, box=args.box, m=args.m, seed=args.seed,
-                  tol_slope=tol_slope, tol_rel=args.tol_rel)
+                  tol_slope=tol_slope, tol_rel=tol_rel)
 
 
 def _emit(lines, out_dir=None, name="report.txt"):
@@ -301,7 +302,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     S = _load_structure(args)
-    cfg = _config(args, S)
+    cfg = _config(args, S, tol_rel=args.tol_rel)
     grid = cfg.grid()
     model, gb, pib, m = _random_model(S, cfg)
     lines = [f"structure={S.name}", f"side={args.side}", f"seed={cfg.seed}", f"m={m}"]
@@ -360,8 +361,6 @@ def _build_flags(p):
     p.add_argument("--m", type=int, default=Config.m,
                    help="paraproduct order (-1: the structure default)")
     p.add_argument("--seed", type=int, default=Config.seed)
-    p.add_argument("--tol-rel", type=float, default=Config.tol_rel,
-                   help="relative-error bound of the bracket round trip")
 
 
 def _rule_flags(p):
@@ -421,6 +420,8 @@ def _parser() -> argparse.ArgumentParser:
     verb("reconstruct", cmd_reconstruct, "reconstruction and its D^gamma check", _md_flags)
     p = verb("roundtrip", cmd_roundtrip, "extract-after-build bracket round trip", _build_flags)
     p.add_argument("--side", choices=("g", "pi", "both"), default="both")
+    p.add_argument("--tol-rel", type=float, default=Config.tol_rel,
+                   help="relative-error bound of the bracket round trip")
     p = verb("norm-report", cmd_norm_report, "per-block norms and fitted slope of a field file")
     p.add_argument("--field", required=True)
     p.add_argument("--alpha", type=float, required=True)

@@ -186,6 +186,40 @@ class TestPipelines:
         config = (model / "config.txt").read_text(encoding="utf-8").splitlines()
         assert "dim=2" in config and "n=64" in config
 
+    def test_build_flags_reach_the_verbs_that_use_them(self, tmp_path, capsys):
+        from regpara.bundles import read_model_bundle
+
+        model = tmp_path / "model"
+        code, out = run(["model-build", "--structure", "toy", "--grid", "128",
+                         "--box", "2.5", "--m", "3", "--seed", "5", "--tol-slope", "10",
+                         "--out", str(model)], capsys)
+        assert code == 0
+        assert "m=3" in out.splitlines()
+        config = (model / "config.txt").read_text(encoding="utf-8").splitlines()
+        assert config == ["dim=1", "n=128", "box=2.5", "m=3", "seed=5",
+                          "tol_slope=10.0", "tol_rel=1e-08"]
+        built, _ = read_model_bundle(model)
+        assert (built.grid.n, built.grid.box) == (128, 2.5)
+        # the stored order and slope tolerance govern the bundle verbs
+        code, out = run(["model-extract", "--model", str(model)], capsys)
+        assert code == 0
+        assert out.splitlines()[0] == "m=3"
+        code, out = run(["model-check", "--model", str(model)], capsys)
+        assert code == 0
+        assert "target=0.375 tol=10" in out
+        generator = "I[t;(0)](I[xi;(0)](1))"
+        code, out = run(["lambda-check", "--model", str(model), "--generator", generator],
+                        capsys)
+        assert f"at {generator}, m=2" in out
+        code, out = run(["lambda-check", "--model", str(model), "--generator", generator,
+                         "--m", "4"], capsys)
+        assert f"at {generator}, m=4" in out
+        # roundtrip compares against its own --tol-rel; float error exceeds 0
+        code, out = run(["roundtrip", "--structure", "toy", "--grid", "128",
+                         "--tol-rel", "0"], capsys)
+        assert code == 1
+        assert "status=FAIL" in out
+
     def test_roundtrip_verb_in_two_dimensions(self, capsys):
         code, out = run(["roundtrip", "--structure", "toy2d", "--grid", "64",
                          "--side", "both"], capsys)

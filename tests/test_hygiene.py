@@ -103,6 +103,36 @@ def test_every_flag_is_read():
     assert _readme_flags() == in_help
 
 
+def _cfg_reads(function) -> set[str]:
+    """Config fields read as cfg.<field> under function; cfg.grid() reads
+    the grid's three."""
+    reads = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "cfg":
+            reads |= {"dim", "n", "box"} if node.attr == "grid" else {node.attr}
+    return reads
+
+
+def test_stored_build_flags_are_read_from_the_bundle():
+    """A model-build flag that goes into config.txt is read back, as its
+    Config field, by a verb that loads the bundle or by the bundle reader."""
+    trees = {name: ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+             for name in ("cli.py", "bundles.py")}
+    functions = {n.name: n for tree in trees.values() for n in tree.body
+                 if isinstance(n, ast.FunctionDef)}
+    readers = [f for name, f in functions.items() if name == "_read_bundle"
+               or name.startswith("cmd_") and "read_model_bundle" in ast.unparse(f)]
+    assert len(readers) > 5
+    read = set().union(*map(_cfg_reads, readers))
+    build = next(a for a in cli._parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices["model-build"]
+    stored = {{"grid": "n"}.get(a.dest, a.dest) for a in build._actions
+              if a.dest not in ("help", "out", "structure", "noncanonical")}
+    assert stored <= set(cli.Config.__dataclass_fields__)
+    assert stored - read == set()
+
+
 # numpy functions that read an exponent or a per-scale statistic off data
 ESTIMATORS = ("polyfit", "lstsq", "quantile", "percentile", "median")
 
