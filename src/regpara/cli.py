@@ -436,8 +436,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # the verb's function is looked up by name on each call: the parser is
+    # built once, and a rebound cmd_* (a wrapper, say) must still be called
+    fn = globals()[args.fn.__name__]
     try:
-        return args.fn(args)
+        return fn(args)
     except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

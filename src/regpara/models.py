@@ -59,6 +59,7 @@ class Model:
         self.pi.setdefault("1", np.ones(grid.shape))
         self._g_inv: Character | None = None
         self._diag: dict = {}
+        self._md_products: dict = {}
 
     @property
     def g_inv(self) -> Character:
@@ -80,6 +81,27 @@ class Model:
             out = self.grid.poly(s.poly) * out
         return out
 
+    def md_product(self, sigma: BaseSymbol, mu: BaseSymbol, f_mu: np.ndarray,
+                   form) -> np.ndarray:
+        """P_{f_mu} <mu/sigma>^g of the md sigma-recursion (m = 0), formed by
+        form() unless the model holds it.
+
+        The model keeps one product per (sigma, mu) together with the f_mu
+        it was formed from, and returns it while the f_mu asked for is that
+        array or has the same bits; a new f_mu replaces the entry, so there
+        are never more entries than (sigma, mu) pairs.  Only a read-only f_mu
+        that owns its data (the values of a Field) is kept: a writable array
+        could change after its product was formed.  g and Pi are set once,
+        so the bracket <mu/sigma>^g never goes stale.
+        """
+        hit = self._md_products.get((sigma, mu))
+        if hit is not None and _same_bits(hit[0], f_mu):
+            return hit[1]
+        product = form()
+        if not f_mu.flags.writeable and f_mu.flags.owndata:
+            self._md_products[(sigma, mu)] = (f_mu, product)
+        return product
+
     def pi_recentered_family(self, t: BaseSymbol) -> SeparableFamily:
         """Pi^g_x t = sum_{s <= t} Pi(s) g_x^{-1}(t/s) as a separable family
         (coefficient in x, field in y)."""
@@ -95,6 +117,15 @@ class Model:
         for (left, right), c in self.structure.delta(t).sorted_items():
             acc += float(c) * float(self.g_inv_field(right)[idx]) * self.pi_symbol(left)
         return Field(self.grid, acc)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """a is b, or two float arrays of one shape with equal bit patterns (so
+    -0.0 and 0.0 differ, as they may in a product formed from them)."""
+    if a is b:
+        return True
+    return (a.shape == b.shape and a.dtype == b.dtype == np.float64
+            and np.array_equal(a.view(np.int64), b.view(np.int64)))
 
 
 # -- diagonal spectral derivatives ----------------------------------------------
@@ -165,11 +196,19 @@ class BracketExtractor:
     def step(self, start, terms, sign: int = -1) -> np.ndarray:
         """start + sign * sum_{(c, u) in terms} P^m_c u, the terms added in
         order; start, c and u are Fields or arrays."""
-        grid = self.model.grid
+        return self.accumulate(start, (self.product(c, u) for c, u in terms), sign)
+
+    def product(self, c, u) -> np.ndarray:
+        """P^m_c u for Fields or arrays c and u (read-only)."""
+        c, u = (x if isinstance(x, Field) else Field(self.model.grid, x) for x in (c, u))
+        return modified_paraproduct(self.decomp, self.m, c, u).values
+
+    @staticmethod
+    def accumulate(start, products, sign: int) -> np.ndarray:
+        """start + sign * sum of the products, added in order into a copy of
+        start: the sum of `step`."""
         acc = np.array(start.values if isinstance(start, Field) else start, dtype=float)
-        for c, u in terms:
-            c, u = (x if isinstance(x, Field) else Field(grid, x) for x in (c, u))
-            p = modified_paraproduct(self.decomp, self.m, c, u).values
+        for p in products:
             if sign < 0:
                 acc -= p
             else:
@@ -320,13 +359,17 @@ def reconstruction_family(model: Model, coeffs: dict[BaseSymbol, np.ndarray]) ->
 
 
 def reconstruct(model: Model, coeffs: dict[BaseSymbol, np.ndarray], gamma) -> Field:
-    """R f for a modelled distribution with the given coefficients.
+    """R f for a modelled distribution with the given coefficients."""
+    return reconstruct_family(model, reconstruction_family(model, coeffs), gamma)
 
-    gamma > 0: the two-parameter paraproduct of Lambda_x = Pi^g_x f(x) plus
-    the unique C^gamma correction, which on the grid is the diagonal trace.
+
+def reconstruct_family(model: Model, fam: SeparableFamily, gamma) -> Field:
+    """R f from its family Lambda_x = Pi^g_x f(x) (reconstruction_family).
+
+    gamma > 0: the two-parameter paraproduct of Lambda plus the unique
+    C^gamma correction, which on the grid is the diagonal trace.
     gamma <= 0: **P**(Lambda) alone (reconstruction is not unique there).
     """
-    fam = reconstruction_family(model, coeffs)
     if Fraction(gamma) > 0:
         return fam.diagonal()
     decomp = make_partition(model.grid)

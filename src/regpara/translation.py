@@ -48,6 +48,7 @@ from .models import (
     diag_derivative,
     diag_two_point,
     reconstruct,
+    reconstruct_family,
     reconstruction_family,
 )
 
@@ -442,6 +443,23 @@ def _plus_quotients(S: ConcreteRegularityStructure, symbols, sigma: BaseSymbol):
             yield mu, quot
 
 
+def _sigma_step(model: Model, ex: BracketExtractor, symbols, sigma: BaseSymbol,
+                start, coeff, sign: int) -> np.ndarray:
+    """start + sign * sum_{sigma < mu} P_{f_mu} <mu/sigma>^g with f_mu =
+    coeff(mu), a Field or an array: `BracketExtractor.step` over the
+    quotients of sigma, in their order.  Each product comes from
+    `Model.md_product`, so md_from_paracontrolled and md_to_paracontrolled
+    form it once per model and f_mu; <mu/sigma>^g is formed only with it."""
+    def products():
+        for mu, quot in _plus_quotients(model.structure, symbols, sigma):
+            f = coeff(mu)
+            vals = f.values if isinstance(f, Field) else np.asarray(f, dtype=float)
+            yield model.md_product(sigma, mu, vals,
+                                   lambda: ex.product(f, ex.g_bracket_vector(quot)))
+
+    return ex.accumulate(start, products(), sign)
+
+
 def md_to_paracontrolled(model: Model, md: ModelledDistribution,
                          with_reports: bool = True) -> ParacontrolledSystem:
     """Paracontrolled representation of a modelled distribution:
@@ -454,9 +472,7 @@ def md_to_paracontrolled(model: Model, md: ModelledDistribution,
     order = sorted(symbols, key=lambda s: (S.homog_base(s), term_key(s)), reverse=True)
     out: dict[BaseSymbol, np.ndarray] = {}
     for sigma in order:
-        terms = ((md.coeff(mu), ex.g_bracket_vector(quot))
-                 for mu, quot in _plus_quotients(S, symbols, sigma))
-        out[sigma] = ex.step(md.coeff(sigma), terms)
+        out[sigma] = _sigma_step(model, ex, symbols, sigma, md.coeff(sigma), md.coeff, sign=-1)
     rf = reconstruct(model, md.coeffs, gamma)
     rec = ex.step(rf, ((md.coeff(s), ex.pi_bracket(s)) for s in symbols if not s.is_poly))
     system = ParacontrolledSystem(S, grid, gamma, out, rec)
@@ -500,9 +516,7 @@ def md_from_paracontrolled(model: Model, brackets: dict[BaseSymbol, np.ndarray],
     coeffs: dict[BaseSymbol, Field] = {}   # each transformed once
 
     def bracket_recursion(sigma: BaseSymbol) -> np.ndarray:
-        terms = ((compute(mu), ex.g_bracket_vector(quot))
-                 for mu, quot in _plus_quotients(S, symbols, sigma))
-        return ex.step(brackets[sigma], terms, sign=+1)
+        return _sigma_step(model, ex, symbols, sigma, brackets[sigma], compute, sign=+1)
 
     def derivative_formula(sigma: BaseSymbol) -> np.ndarray:
         # EqSimpleStructureCondition with the 1/k! normalisation
@@ -616,12 +630,12 @@ def validate_md(model: Model, md: ModelledDistribution,
 
 def reconstruction_report(model: Model, md: ModelledDistribution) -> NormReport:
     """D^gamma check of the family x -> Rf - Pi^g_x f(x)."""
-    rf = reconstruct(model, md.coeffs, md.gamma)
     fam = reconstruction_family(model, md.coeffs)
-    ones = np.ones(model.grid.shape)
-    resid = SeparableFamily(
-        model.grid, [(ones, rf.values)] + [(-c, u) for c, u in fam.terms]
-    )
+    rf = reconstruct_family(model, fam, md.gamma)
+    # the family's own coefficients, negated in place, are those of -Lambda_x
+    for c, _ in fam.terms:
+        np.negative(c, out=c)
+    resid = SeparableFamily(model.grid, [(np.ones(model.grid.shape), rf.values)] + fam.terms)
     return d_family_report(resid, float(md.gamma), mask=interior_mask(model.grid))
 
 

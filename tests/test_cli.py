@@ -112,6 +112,21 @@ class TestVerbs:
         assert errors[0] == errors[1]
         assert "the following arguments are required: --model" in errors[0]
 
+    def test_main_calls_a_rebound_verb_function(self, monkeypatch, capsys):
+        # the parser is built once, so main must not call the function it
+        # held when it was built
+        cli._parser()
+        calls = []
+
+        def wrapped(args):
+            calls.append(args.rule)
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_bhz_enumerate", wrapped)
+        assert main(["bhz-enumerate", "--rule", "toy"]) == 7
+        assert calls == ["toy"]
+        assert capsys.readouterr().out == ""
+
     def test_slope_check_without_scales_is_named(self):
         import numpy as np
 

@@ -1,6 +1,7 @@
 """Modelled distributions, paracontrolled systems, reconstruction, and the
 auxiliary cross-check structure."""
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -185,6 +186,170 @@ class TestReconstruction:
         assert rel_err(system.reconstruction_bracket, F.values) < 1e-12
         rf = reconstruct(model, md.coeffs, md.gamma)
         assert rel_err(rf.values, F.values) < 1e-12
+
+    def test_report_leaves_its_inputs_alone(self, md_setup):
+        model, _brackets, md = md_setup
+        before = {s: v.copy() for s, v in md.coeffs.items()}
+        pi_before = {n: v.copy() for n, v in model.pi.items()}
+        first = reconstruction_report(model, md)
+        for s, v in md.coeffs.items():
+            assert np.array_equal(v, before[s])
+        for n, v in model.pi.items():
+            assert np.array_equal(v, pi_before[n])
+        again = reconstruction_report(model, md)
+        assert np.array_equal(first.block_norms, again.block_norms)
+
+
+# -- the model's memo of md-recursion products ------------------------------------
+
+MEMO_CASES = [("toy", Grid(1, 1024, np.pi)), ("bhz", Grid(1, 1024, np.pi)),
+              ("toy2d", Grid(2, 64, np.pi))]
+MEMO_IDS = ["toy-1024", "bhz-noncanonical-1024", "toy2d-64"]
+
+
+def _memo_structure(name):
+    return structure(name, noncanonical=name == "bhz")
+
+
+def _core_brackets(S, grid, seed=100):
+    cores = [s for s in S.base_symbols(GAMMA) if not any(s.poly)]
+    return {s: synthesize(float(GAMMA - S.homog_base(s)), seed=seed + i, grid=grid).values
+            for i, s in enumerate(cores)}
+
+
+def _fresh_model(S, grid):
+    """The same model every time, with an empty memo."""
+    return build_random_model(S, grid, seed=20)[0]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _sigma_mu_pairs(S):
+    from regpara.translation import _plus_quotients
+
+    symbols = S.base_symbols(GAMMA)
+    return {(s, mu) for s in symbols for mu, _q in _plus_quotients(S, symbols, s)}
+
+
+class TestMdProductMemo:
+    @pytest.mark.parametrize("name, grid", MEMO_CASES, ids=MEMO_IDS)
+    def test_outputs_equal_those_of_a_fresh_model(self, name, grid):
+        S = _memo_structure(name)
+        model = _fresh_model(S, grid)
+        md = md_from_paracontrolled(model, _core_brackets(S, grid), GAMMA, mode="d")
+        system = md_to_paracontrolled(model, md)
+        md2 = md_from_paracontrolled(model, dict(system.brackets), GAMMA, mode="general")
+        assert model._md_products
+        want = md_to_paracontrolled(_fresh_model(S, grid), md)
+        want2 = md_from_paracontrolled(_fresh_model(S, grid), dict(system.brackets), GAMMA,
+                                       mode="general")
+        assert system.brackets.keys() == want.brackets.keys()
+        for s, v in want.brackets.items():
+            assert _same_bits(system.brackets[s], v), s
+        assert _same_bits(system.reconstruction_bracket, want.reconstruction_bracket)
+        for key, rep in want.reports.items():
+            assert _same_bits(system.reports[key].block_norms, rep.block_norms), key
+            assert system.reports[key].slope == rep.slope
+        assert md2.coeffs.keys() == want2.coeffs.keys()
+        for s, v in want2.coeffs.items():
+            assert _same_bits(md2.coeffs[s], v), s
+
+    @pytest.mark.parametrize("name, grid", MEMO_CASES, ids=MEMO_IDS)
+    def test_md_recursion_products_are_formed_once(self, name, grid, monkeypatch):
+        """Across md_from (D mode), md_to and the general-mode rebuild of
+        md_to's brackets, each product P_{f_mu} <mu/sigma>^g is formed once."""
+        import regpara.models as models
+
+        S = _memo_structure(name)
+        model = _fresh_model(S, grid)
+        pairs, inside, formed = [], [], []   # pairs formed; the one forming; its products
+        paraproduct, md_product = models.modified_paraproduct, models.Model.md_product
+
+        def spy(decomp, m, f, g):
+            if inside:
+                formed.append((m, hash(f.values.tobytes()), hash(g.values.tobytes())))
+            return paraproduct(decomp, m, f, g)
+
+        def tagged(self, sigma, mu, f_mu, form):
+            def tagged_form():
+                pairs.append((sigma, mu))
+                inside.append((sigma, mu))
+                try:
+                    return form()
+                finally:
+                    inside.pop()
+            return md_product(self, sigma, mu, f_mu, tagged_form)
+
+        monkeypatch.setattr(models, "modified_paraproduct", spy)
+        monkeypatch.setattr(models.Model, "md_product", tagged)
+
+        def stage(run):
+            del formed[:]
+            return run(), set(formed)
+
+        md, by_from = stage(
+            lambda: md_from_paracontrolled(model, _core_brackets(S, grid), GAMMA, mode="d"))
+        system, by_to = stage(lambda: md_to_paracontrolled(model, md, with_reports=False))
+        _md2, by_general = stage(lambda: md_from_paracontrolled(
+            model, dict(system.brackets), GAMMA, mode="general"))
+        assert by_from and not by_from & by_to
+        assert by_general == set()
+        # md_from forms the pairs of the core sigmas, md_to the rest
+        assert Counter(pairs) == Counter(_sigma_mu_pairs(S))
+
+    def test_a_changed_coefficient_gets_its_own_product(self):
+        S, grid = _memo_structure("toy"), Grid(1, 1024, np.pi)
+        model = _fresh_model(S, grid)
+        md = md_from_paracontrolled(model, _core_brackets(S, grid), GAMMA, mode="d")
+        first = md_to_paracontrolled(model, md, with_reports=False)
+        # a multiplier of the recursion, held as a Field's (read-only) values
+        mu = next(mu for _s, mu in sorted(_sigma_mu_pairs(S), key=str))
+        coeffs = dict(md.coeffs)
+        coeffs[mu] = Field(grid, 2.0 * md.coeffs[mu]).values
+        changed = ModelledDistribution(S, grid, GAMMA, coeffs)
+        got = md_to_paracontrolled(model, changed, with_reports=False)
+        want = md_to_paracontrolled(_fresh_model(S, grid), changed, with_reports=False)
+        moved = 0
+        for s, v in want.brackets.items():
+            assert _same_bits(got.brackets[s], v), s
+            moved += not _same_bits(v, first.brackets[s])
+        assert moved > 1   # mu's own bracket and one below it at least
+        # the entries now hold the new coefficient; the old md forms its own again
+        again = md_to_paracontrolled(model, md, with_reports=False)
+        for s, v in first.brackets.items():
+            assert _same_bits(again.brackets[s], v), s
+
+    def test_writable_coefficients_are_never_kept(self):
+        S, grid = _memo_structure("toy"), Grid(1, 1024, np.pi)
+        md = md_from_paracontrolled(_fresh_model(S, grid), _core_brackets(S, grid), GAMMA,
+                                    mode="d")
+        writable = ModelledDistribution(S, grid, GAMMA,
+                                        {s: v.copy() for s, v in md.coeffs.items()})
+        model = _fresh_model(S, grid)
+        first = md_to_paracontrolled(model, writable, with_reports=False)
+        assert model._md_products == {}
+        for v in writable.coeffs.values():
+            v *= 3.0
+        got = md_to_paracontrolled(model, writable, with_reports=False)
+        want = md_to_paracontrolled(_fresh_model(S, grid), writable, with_reports=False)
+        for s, v in want.brackets.items():
+            assert _same_bits(got.brackets[s], v), s
+            assert not _same_bits(v, first.brackets[s]), s
+        assert model._md_products == {}
+
+    def test_memo_is_bounded_by_the_sigma_mu_pairs(self):
+        S, grid = _memo_structure("toy"), Grid(1, 1024, np.pi)
+        model = _fresh_model(S, grid)
+        for seed in range(5):
+            md = md_from_paracontrolled(model, _core_brackets(S, grid, seed=200 + 10 * seed),
+                                        GAMMA, mode="d")
+            system = md_to_paracontrolled(model, md, with_reports=False)
+            md_from_paracontrolled(model, dict(system.brackets), GAMMA, mode="general")
+            assert set(model._md_products) <= _sigma_mu_pairs(S)
+        assert len(model._md_products) == len(_sigma_mu_pairs(S))
 
 
 @pytest.mark.parametrize("varying_axis", [0, 1])
