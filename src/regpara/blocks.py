@@ -28,6 +28,18 @@ spectrum down to it (in d = 2 the low and the high wrap of axis 0) and
 `scatter_add` adds a sub-grid half spectrum back.  A product whose sub-grid
 would reach N does alias on the full grid; callers form those on the full
 grid, so their aliasing is the same as that of a pointwise product there.
+
+Stacked block transforms.  Every block loop (`holder_norm`,
+`d_family_report`, the full-grid top blocks of a paraproduct) transforms
+its blocks through `BlockDecomposition.blocks`, `lanes` of them per inverse
+FFT: a stack of spectra along a leading axis, which numpy's pocketfft runs
+several at a time in SIMD lanes, each lane bit for bit the one-at-a-time
+transform.  `lanes` is 4 in d = 1 and 1 in d = 2.  With numpy 2.4 on a
+2-core Xeon, 16 inverse transforms of 32768 points took about 7 ms one at
+a time and 5 ms in fours (deeper stacks gained little more and would
+double the workspace); in d = 2 a transform already vectorises across its
+rows, and a stack of 16 took 18 ms against 14 ms looped at 256^2 (73
+against 52 ms at 512^2).
 """
 from __future__ import annotations
 
@@ -43,14 +55,16 @@ ANNULUS_LO = CHI_LO            # inner radius of the block-0 annulus
 ANNULUS_HI = 2.0 * CHI_HI     # outer radius of the block-0 annulus
 SUBGRID_MIN = 64               # fewest points per axis of a sub-grid
 
-# The scratch arrays of a plan: name -> (on the half spectrum, dtype).  On the
-# grid: a running real-space sum, one block, and the block it multiplies; on
-# the half spectrum: a real symbol, a symbol times a spectrum, a summed
-# spectrum, and an operand's spectrum times a symbol.
+# The scratch arrays of a plan: name -> (on the half spectrum, dtype, rows):
+# rows None for one array, else a stack of max(lanes, rows) rows.  On the
+# grid: a running real-space sum, and `lanes` blocks (at least the two
+# factors of a product); on the half spectrum: a real symbol, `lanes`
+# symbols times spectra, a summed spectrum, and an operand's spectrum times a
+# symbol.
 WORKSPACE = {
-    "acc": (False, float), "block": (False, float), "factor": (False, float),
-    "symbol": (True, float), "spec": (True, complex), "sum": (True, complex),
-    "operand": (True, complex),
+    "acc": (False, float, None), "blocks": (False, float, 2),
+    "symbol": (True, float, None), "stack": (True, complex, 1), "sum": (True, complex, None),
+    "operand": (True, complex, None),
 }
 
 
@@ -74,12 +88,14 @@ class BlockDecomposition:
     the half spectrum (`work`), made on first use and reused by every block
     loop for its N-point temporaries.  A plan is shared by every caller on
     its grid, so it serves one thread at a time, and no result handed out
-    may be a view of its workspace.
+    may be a view of its workspace.  `lanes` is the depth of a stacked block
+    transform (`blocks`), fixed by the dimension (module docstring).
     """
 
     def __init__(self, grid: Grid, j_max: int):
         self.grid = grid
         self.j_max = j_max
+        self.lanes = 4 if grid.dim == 1 else 1
         n = grid.n
         # numpy's lattice convention, the Nyquist frequency counted as -n/2,
         # on every axis; the last one keeps its first n/2 + 1 entries.  Open
@@ -116,8 +132,11 @@ class BlockDecomposition:
         the last user left."""
         buf = self._work.get(name)
         if buf is None:
-            half, dtype = WORKSPACE[name]
-            buf = self._work[name] = np.empty(self.radius.shape if half else self.grid.shape, dtype)
+            half, dtype, rows = WORKSPACE[name]
+            shape = self.radius.shape if half else self.grid.shape
+            if rows is not None:
+                shape = (max(self.lanes, rows), *shape)
+            buf = self._work[name] = np.empty(shape, dtype)
         return buf
 
     # -- transforms ----------------------------------------------------------
@@ -169,10 +188,23 @@ class BlockDecomposition:
             raise ValueError("grid mismatch")
         return Field.adopt(self.grid, self.irfft(sym * f.spectrum))
 
-    def block(self, sym: np.ndarray, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """irfft(sym * spec) written into `out`, the product formed in the
-        workspace."""
-        return self.irfft(np.multiply(sym, spec, out=self.work("spec")), out=out)
+    def blocks(self, pairs, out: np.ndarray) -> np.ndarray:
+        """out[i] = irfft(sym_i * spec_i) for the (sym, spec) pairs in order,
+        at most len(out) of them; returns out[:k] for k pairs.
+
+        Each product is formed in a row of the workspace stack before the
+        next pair is drawn, so the symbols of successive pairs may share one
+        buffer; every `lanes` rows go through one stacked inverse FFT."""
+        stack = self.work("stack")
+        k = 0
+        for sym, spec in pairs:
+            np.multiply(sym, spec, out=stack[k % self.lanes])
+            k += 1
+            if k % self.lanes == 0:
+                self.irfft(stack, out=out[k - self.lanes : k])
+        if k % self.lanes:
+            self.irfft(stack[: k % self.lanes], out=out[k - k % self.lanes : k])
+        return out[:k]
 
     # -- half-spectrum symbols -----------------------------------------------
 

@@ -65,7 +65,7 @@ def scale_stats(samples: np.ndarray, weight: np.ndarray | None = None,
         samples = samples[mask]
     np.abs(samples, out=samples)
     return (np.max(samples) if sup else None,
-            np.quantile(samples, MEDIAN) if median else None)
+            np.quantile(samples, MEDIAN, overwrite_input=True) if median else None)
 
 
 @dataclass
@@ -146,10 +146,14 @@ def holder_norm(f: Field, alpha: float, a: float = 0.0,
     decomp = make_partition(f.grid)
     w = f.grid.weight(a) if a else None
     norms = np.zeros(decomp.j_max + 2)
-    buf, band = decomp.work("block"), decomp.work("symbol")
-    for j in decomp.live_js:
-        vals = decomp.block(decomp.half_band(j, j, out=band), f.spectrum, buf)
-        norms[j + 1] = scale_stats(vals, w, mask, median=False)[0]
+    lanes, band = decomp.lanes, decomp.work("symbol")
+    rows = decomp.work("blocks")[:lanes]
+    live = decomp.live_js
+    for start in range(0, len(live), lanes):
+        js = live[start : start + lanes]
+        out = decomp.blocks(((decomp.half_band(j, j, out=band), f.spectrum) for j in js), rows)
+        for j, vals in zip(js, out):
+            norms[j + 1] = scale_stats(vals, w, mask, median=False)[0]
     return NormReport.from_blocks(norms, norms, alpha, a)
 
 
@@ -221,7 +225,10 @@ def d_family_report(family, alpha, mask: np.ndarray | None = None):
     `family` is one SeparableFamily, or a list of them on one grid with a
     list of exponents `alpha`, giving a list of reports.  Each distinct
     field u (the same array) among all terms is transformed once and paired
-    once per j, however many terms hold it.
+    once per j, however many terms hold it.  The pairings of one scale go
+    through the plan's stacked block transforms: those of fields held by
+    several terms first, kept for the whole scale, then the others in runs
+    of `lanes` per family, each run summed in term order.
     """
     if isinstance(family, SeparableFamily):
         return d_family_report([family], [alpha], mask)[0]
@@ -234,28 +241,44 @@ def d_family_report(family, alpha, mask: np.ndarray | None = None):
     for u in fields:
         if id(u) not in spectra:
             spectra[id(u)] = decomp.rfft(u)
-    # a field held by several terms keeps its pairing for the whole scale
-    kept = {key: np.empty(decomp.grid.shape) for key, n in uses.items() if n > 1}
+    shared = [key for key, n in uses.items() if n > 1]
+    kept_rows = np.empty((len(shared), *decomp.grid.shape))
+    kept = dict(zip(shared, kept_rows))
+    term = np.empty(decomp.grid.shape) if shared else None   # c times a kept pairing
     series = [(np.zeros(decomp.j_max + 2), np.zeros(decomp.j_max + 2)) for _ in family]
-    sym = decomp.work("symbol")
-    once, term, vals = decomp.work("block"), decomp.work("factor"), decomp.work("acc")
+    sym, vals = decomp.work("symbol"), decomp.work("acc")
+    once = decomp.work("blocks")[: decomp.lanes]
     for j in range(1, decomp.j_max + 1):
         decomp.half_gauss(j, out=sym)
-        paired = set()
+        decomp.blocks(((sym, spectra[key]) for key in shared), kept_rows)
         for fam, (norms, medians) in zip(family, series):
             vals.fill(0.0)
-            for c, u in fam.terms:
-                key = id(u)
-                if key not in kept:
-                    pairing = decomp.block(sym, spectra[key], once)
-                else:
-                    pairing = kept[key]
-                    if key not in paired:
-                        decomp.block(sym, spectra[key], pairing)
-                        paired.add(key)
-                vals += np.multiply(c, pairing, out=term)
+            for run in _runs(fam.terms, kept, decomp.lanes):
+                fresh = ((sym, spectra[key]) for _, key in run if key not in kept)
+                paired = iter(decomp.blocks(fresh, once))
+                for c, key in run:
+                    if key in kept:
+                        vals += np.multiply(c, kept[key], out=term)
+                    else:
+                        pairing = next(paired)
+                        vals += np.multiply(c, pairing, out=pairing)
             norms[j + 1], medians[j + 1] = scale_stats(vals, mask=mask)
     return [NormReport.from_blocks(norms, medians, a) for (norms, medians), a in zip(series, alpha)]
+
+
+def _runs(terms, kept, lanes: int):
+    """Consecutive runs of (c, id(u)) over the terms, each holding at most
+    `lanes` terms whose field u is not in `kept`."""
+    run, fresh = [], 0
+    for c, u in terms:
+        if id(u) not in kept:
+            if fresh == lanes:
+                yield run
+                run, fresh = [], 0
+            fresh += 1
+        run.append((c, id(u)))
+    if run:
+        yield run
 
 
 def dyadic_separations(grid: Grid) -> list[int]:

@@ -44,11 +44,11 @@ def _check(decomp: BlockDecomposition, *fields: Field) -> None:
 @functools.lru_cache(maxsize=64)
 def _schedule(decomp: BlockDecomposition, resonant: bool) -> tuple:
     """The block products of Pi (resonant) or of P on decomp's grid, as
-    (sub-grid groups, full-grid blocks).  A group is (size, F symbols,
-    G symbols), stacked on that sub-grid; a full-grid block is its pair of
-    (lo, hi) Delta ranges, whose symbols are rebuilt per call rather than
-    held.  Products whose symbols vanish on the lattice (rho_J, say) are
-    left out."""
+    (sub-grid groups, full-grid blocks).  A group is (size, symbols): the
+    F symbols then the G symbols of its products, stacked on that sub-grid;
+    a full-grid block is its pair of (lo, hi) Delta ranges, whose symbols
+    are rebuilt per call rather than held.  Products whose symbols vanish on
+    the lattice (rho_J, say) are left out."""
     if resonant:
         blocks = [(RESONANT_BOUND * 2.0**i, (i, i), (i - 1, i + 1)) for i in decomp.js]
     else:
@@ -66,41 +66,49 @@ def _schedule(decomp: BlockDecomposition, resonant: bool) -> tuple:
         else:
             by_size.setdefault(size, []).append((fsym, gsym))
     groups = []
-    for size, syms in by_size.items():
-        fsyms, gsyms = (np.stack(side) for side in zip(*syms))
-        fsyms.setflags(write=False)
-        gsyms.setflags(write=False)
-        groups.append((size, fsyms, gsyms))
+    for size, pairs in by_size.items():
+        fsyms, gsyms = zip(*pairs)
+        syms = np.stack(fsyms + gsyms)
+        syms.setflags(write=False)
+        groups.append((size, syms))
     return tuple(groups), tuple(full)
 
 
 def _block_sum(decomp: BlockDecomposition, resonant: bool, fspec, gspec, m: int = 0) -> np.ndarray:
     """|grad|^m of the block sum of P or Pi, from the half spectra of f and g.
 
-    The products on one sub-grid are transformed as a stack and summed there,
-    then added into the half spectrum; those on the grid itself are summed in
-    real space, one at a time, in the plan's workspace.  One inverse FFT of
+    The F and G factors of the products on one sub-grid are transformed as
+    one stack and the products summed there, then added into the half
+    spectrum; the factors of those on the grid itself go through the plan's
+    stacked block transforms, F and G of a product side by side, and the
+    products are summed in real space in the workspace.  One inverse FFT of
     the summed spectrum ends it, into the one array returned."""
     grid = decomp.grid
     groups, full = _schedule(decomp, resonant)
     acc = decomp.work("acc")
     acc.fill(0.0)
-    fb, gb, band = decomp.work("block"), decomp.work("factor"), decomp.work("symbol")
-    for fband, gband in full:
-        decomp.block(decomp.half_band(*fband, out=band), fspec, fb)
-        decomp.block(decomp.half_band(*gband, out=band), gspec, gb)
-        fb *= gb
-        acc += fb
+    rows, band = decomp.work("blocks"), decomp.work("symbol")
+    factors = [pair for fband, gband in full for pair in ((fband, fspec), (gband, gspec))]
+    for start in range(0, len(factors), len(rows)):
+        chunk = factors[start : start + len(rows)]
+        out = decomp.blocks(((decomp.half_band(*b, out=band), s) for b, s in chunk), rows)
+        for fb, gb in zip(out[0::2], out[1::2]):
+            fb *= gb
+            acc += fb
     spec = decomp.work("sum")
     spec.fill(0.0)
-    for size, fsym, gsym in groups:
-        fb = decomp.irfft(fsym * decomp.restrict(fspec, size), size)
-        gb = decomp.irfft(gsym * decomp.restrict(gspec, size), size)
-        prod = np.sum(fb * gb, axis=0)
+    for size, syms in groups:
+        k = len(syms) // 2
+        stack = np.empty(syms.shape, complex)
+        np.multiply(syms[:k], decomp.restrict(fspec, size), out=stack[:k])
+        np.multiply(syms[k:], decomp.restrict(gspec, size), out=stack[k:])
+        b = decomp.irfft(stack, size)
+        del stack   # not held while the products are formed
+        prod = np.sum(b[:k] * b[k:], axis=0)
         prod *= (size / grid.n) ** grid.dim
         decomp.scatter_add(spec, decomp.rfft(prod), size)
     if m:
-        spec += decomp.rfft(acc, out=decomp.work("spec"))
+        spec += decomp.rfft(acc, out=decomp.work("stack")[0])
         spec *= decomp.half_power(m)
         return decomp.irfft(spec)
     out = decomp.irfft(spec)

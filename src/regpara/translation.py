@@ -404,10 +404,20 @@ class ModelledDistribution:
     grid: Grid
     gamma: Fraction
     coeffs: dict[BaseSymbol, np.ndarray]
+    # the Fields md_from_paracontrolled made the coefficients as, with the
+    # half spectra it took; md_to_paracontrolled uses them, then clears this
+    coeff_fields: dict[BaseSymbol, Field] = field(default_factory=dict, repr=False, compare=False)
 
     def coeff(self, sym: BaseSymbol) -> np.ndarray:
         vals = self.coeffs.get(sym)
         return np.zeros(self.grid.shape) if vals is None else vals
+
+    def operand(self, sym: BaseSymbol) -> Field | np.ndarray:
+        """coeff(sym) as a paraproduct operand: its Field in coeff_fields
+        while coeffs still holds that Field's values, so its spectrum is not
+        taken again; otherwise coeff(sym)."""
+        f = self.coeff_fields.get(sym)
+        return f if f is not None and f.values is self.coeffs.get(sym) else self.coeff(sym)
 
 
 @dataclass
@@ -472,9 +482,10 @@ def md_to_paracontrolled(model: Model, md: ModelledDistribution,
     order = sorted(symbols, key=lambda s: (S.homog_base(s), term_key(s)), reverse=True)
     out: dict[BaseSymbol, np.ndarray] = {}
     for sigma in order:
-        out[sigma] = _sigma_step(model, ex, symbols, sigma, md.coeff(sigma), md.coeff, sign=-1)
+        out[sigma] = _sigma_step(model, ex, symbols, sigma, md.coeff(sigma), md.operand, sign=-1)
     rf = reconstruct(model, md.coeffs, gamma)
-    rec = ex.step(rf, ((md.coeff(s), ex.pi_bracket(s)) for s in symbols if not s.is_poly))
+    rec = ex.step(rf, ((md.operand(s), ex.pi_bracket(s)) for s in symbols if not s.is_poly))
+    md.coeff_fields.clear()   # their spectra are used; the md holds its values only
     system = ParacontrolledSystem(S, grid, gamma, out, rec)
     if with_reports:
         mask = interior_mask(grid)
@@ -550,9 +561,9 @@ def md_from_paracontrolled(model: Model, brackets: dict[BaseSymbol, np.ndarray],
     for s in symbols:
         compute(s)
     # compute refers to itself through its closure; unbinding it frees the
-    # extractor and the coefficient spectra now instead of at a collection
+    # extractor now instead of at a collection
     del compute
-    md = ModelledDistribution(S, grid, gamma, {s: f.values for s, f in coeffs.items()})
+    md = ModelledDistribution(S, grid, gamma, {s: f.values for s, f in coeffs.items()}, coeffs)
     if mode == "general":
         _check_structure_condition(model, md)
     return md
@@ -635,7 +646,8 @@ def reconstruction_report(model: Model, md: ModelledDistribution) -> NormReport:
     # the family's own coefficients, negated in place, are those of -Lambda_x
     for c, _ in fam.terms:
         np.negative(c, out=c)
-    resid = SeparableFamily(model.grid, [(np.ones(model.grid.shape), rf.values)] + fam.terms)
+    ones = np.broadcast_to(1.0, model.grid.shape)
+    resid = SeparableFamily(model.grid, [(ones, rf.values)] + fam.terms)
     return d_family_report(resid, float(md.gamma), mask=interior_mask(model.grid))
 
 

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from regpara import blocks, norms
+from regpara import blocks, norms, paraproducts
 from regpara.blocks import chi, derivative, fourier_multiplier, make_partition
 from regpara.grid import Field, Grid
 from regpara.norms import SeparableFamily, d_family_report, holder_norm, interior_mask
@@ -356,3 +356,151 @@ def test_block_loops_stay_within_a_few_arrays():
         finally:
             tracemalloc.stop()
     assert all(peaks[name] <= bound for name, bound in PEAK_ARRAYS.items()), peaks
+
+
+# -- stacked block transforms --------------------------------------------------
+
+# The fixture's grids, and one where the top blocks of Pi fill two stacks.
+STACK_GRIDS = GRIDS + [Grid(1, 4096, np.pi)]
+STACK_IDS = ["d1-n256", "d2-n64", "d1-box4", "d1-n4096"]
+
+
+@pytest.fixture(scope="module", params=STACK_GRIDS, ids=STACK_IDS)
+def stack_case(request):
+    grid = request.param
+    rng = np.random.default_rng(29)
+    return grid, [rng.standard_normal(grid.shape) for _ in range(7)]
+
+
+def _one_block(decomp, sym, spec):
+    """irfft(sym * spec), a transform of its own."""
+    return decomp.irfft(sym * spec)
+
+
+def _block_sum_one_at_a_time(decomp, resonant, fspec, gspec, m):
+    """_block_sum with every block transformed on its own, in its order of
+    summation."""
+    grid = decomp.grid
+    groups, full = paraproducts._schedule(decomp, resonant)
+    acc = np.zeros(grid.shape)
+    for fband, gband in full:
+        acc += _one_block(decomp, decomp.half_band(*fband), fspec) * _one_block(
+            decomp, decomp.half_band(*gband), gspec)
+    spec = np.zeros(decomp.radius.shape, complex)
+    for size, syms in groups:
+        k = len(syms) // 2
+        fb = [decomp.irfft(s * decomp.restrict(fspec, size), size) for s in syms[:k]]
+        gb = [decomp.irfft(s * decomp.restrict(gspec, size), size) for s in syms[k:]]
+        prod = np.sum(np.stack(fb) * np.stack(gb), axis=0)
+        prod *= (size / grid.n) ** grid.dim
+        decomp.scatter_add(spec, decomp.rfft(prod), size)
+    if m:
+        spec += decomp.rfft(acc)
+        spec *= decomp.half_power(m)
+        return decomp.irfft(spec)
+    return decomp.irfft(spec) + acc
+
+
+def test_stacked_block_sums_are_bit_identical(stack_case):
+    grid, (f, g, *_) = stack_case
+    decomp = make_partition(grid)
+    u, v = Field(grid, f), Field(grid, g)
+    fspec, gspec = u.spectrum, v.spectrum
+    inverse = decomp.half_power(-2) * gspec
+    for name, got, want in [
+        ("P", paraproduct(decomp, u, v), _block_sum_one_at_a_time(decomp, False, fspec, gspec, 0)),
+        ("P^2", modified_paraproduct(decomp, 2, u, v),
+         _block_sum_one_at_a_time(decomp, False, fspec, inverse, 2)),
+        ("Pi", resonant(decomp, u, v), _block_sum_one_at_a_time(decomp, True, fspec, gspec, 0)),
+    ]:
+        assert np.array_equal(got.values, want), name
+
+
+def _d_family_one_at_a_time(families, alphas, mask):
+    """d_family_report with each pairing transformed on its own."""
+    decomp = make_partition(families[0].grid)
+    out = []
+    for fam, alpha in zip(families, alphas):
+        norms_, medians = np.zeros(decomp.j_max + 2), np.zeros(decomp.j_max + 2)
+        for j in range(1, decomp.j_max + 1):
+            sym = decomp.half_gauss(j)
+            vals = np.zeros(decomp.grid.shape)
+            for c, u in fam.terms:
+                vals += c * _one_block(decomp, sym, decomp.rfft(u))
+            norms_[j + 1], medians[j + 1] = norms.scale_stats(vals, mask=mask)
+        out.append(norms.NormReport.from_blocks(norms_, medians, alpha))
+    return out
+
+
+def test_stacked_d_family_reports_are_bit_identical(stack_case):
+    """One family with more distinct fields than a stack holds, and several
+    families sharing fields with each other and within one family."""
+    grid, (a, b, c, d, e, f, g) = stack_case
+    ones = np.ones(grid.shape)
+    single = SeparableFamily(grid, [(a, b), (ones, c), (-b, d), (c, e), (d, f), (e, g), (g, a)])
+    shared = [
+        SeparableFamily(grid, [(a, b), (ones, c), (-b, a)]),
+        SeparableFamily(grid, [(c, b), (a, d), (e, c), (f, e), (g, f), (ones, g), (d, a), (b, d)]),
+        SeparableFamily(grid, [(b, b)]),
+    ]
+    mask = interior_mask(grid)
+    for families, alphas in [([single], [0.5]), (shared, [0.5, 0.25, 1.0])]:
+        got = d_family_report(families, alphas, mask=mask)
+        want = _d_family_one_at_a_time(families, alphas, mask)
+        for r, w in zip(got, want):
+            assert np.array_equal(r.block_norms, w.block_norms)
+            assert (r.slope, r.intercept, r.fit_js) == (w.slope, w.intercept, w.fit_js)
+    assert np.array_equal(d_family_report(single, 0.5).block_norms,
+                          _d_family_one_at_a_time([single], [0.5], None)[0].block_norms)
+
+
+def _count_full_grid_inverse(monkeypatch, grid):
+    calls = []
+    irfftn = np.fft.irfftn
+
+    def counting(a, s=None, axes=None, norm=None, out=None):
+        if s is not None and s[-1] == grid.n:
+            calls.append(np.shape(a)[: np.ndim(a) - grid.dim])
+        return irfftn(a, s=s, axes=axes, norm=norm, out=out)
+
+    monkeypatch.setattr(np.fft, "irfftn", counting)
+    return calls
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 4096, np.pi), Grid(2, 64, np.pi)], ids=["d1", "d2"])
+def test_stack_depth_follows_the_dimension(monkeypatch, grid):
+    """Four blocks per inverse FFT in d = 1, one in d = 2; every sub-grid
+    group's F and G factors in one transform."""
+    decomp = make_partition(grid)
+    f = Field(grid, np.random.default_rng(31).standard_normal(grid.shape))
+    assert decomp.lanes == (4 if grid.dim == 1 else 1)
+    calls = _count_full_grid_inverse(monkeypatch, grid)
+    holder_norm(f, 0.5)
+    live = len(decomp.live_js)
+    assert len(calls) == (-(-live // 4) if grid.dim == 1 else live)
+    assert all(stack[0] <= decomp.lanes for stack in calls)
+    sub = _count_subgrid_transforms(monkeypatch, grid)
+    for is_resonant in (False, True):
+        del sub[:]
+        paraproducts._block_sum(decomp, is_resonant, f.spectrum, f.spectrum)
+        assert len(sub) == len(paraproducts._schedule(decomp, is_resonant)[0])
+
+
+def _workspace_bytes(decomp):
+    return sum(decomp.work(name).nbytes for name in blocks.WORKSPACE)
+
+
+def test_workspace_budget():
+    """A warm d = 1 plan at n = 32768 holds at most 4 MB of workspace; a
+    d = 2 plan holds what a one-block-at-a-time workspace does: three grid
+    arrays, one real and three complex half spectra."""
+    grid = Grid(1, 32768, np.pi)
+    decomp = make_partition(grid)
+    rng = np.random.default_rng(37)
+    f, g = (Field(grid, rng.standard_normal(grid.shape)) for _ in range(2))
+    _spectral_results(decomp, f, g, f)
+    assert _workspace_bytes(decomp) <= 4e6
+    for n in (64, 128):
+        decomp = make_partition(Grid(2, n, np.pi))
+        half = n * (n // 2 + 1)
+        assert _workspace_bytes(decomp) == 8 * (3 * n * n + half) + 16 * 3 * half

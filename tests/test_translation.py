@@ -340,6 +340,34 @@ class TestMdProductMemo:
             assert not _same_bits(v, first.brackets[s]), s
         assert model._md_products == {}
 
+    @pytest.mark.parametrize("name, grid", MEMO_CASES, ids=MEMO_IDS)
+    def test_md_to_reuses_the_coefficient_spectra_of_md_from(self, name, grid, monkeypatch):
+        """md_to takes the coefficients md_from made as Fields, so it does not
+        transform again a coefficient whose own spectrum md_from took, and
+        then releases them; its output is that of the same md given as bare
+        arrays."""
+        S = _memo_structure(name)
+        model = _fresh_model(S, grid)
+        rfftn, seen = np.fft.rfftn, []
+
+        def recording(a, *args, **kwargs):
+            seen.append(a)
+            return rfftn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfftn", recording)
+        md = md_from_paracontrolled(model, _core_brackets(S, grid), GAMMA, mode="d")
+        transformed = {v.tobytes() for v in md.coeffs.values() if any(a is v for a in seen)}
+        assert transformed
+        del seen[:]
+        system = md_to_paracontrolled(model, md, with_reports=False)
+        assert not transformed & {np.asarray(a).tobytes() for a in seen}
+        assert md.coeff_fields == {}   # used, then let go: the md holds its values only
+        bare = ModelledDistribution(S, grid, GAMMA, dict(md.coeffs))
+        want = md_to_paracontrolled(_fresh_model(S, grid), bare, with_reports=False)
+        for s, v in want.brackets.items():
+            assert _same_bits(system.brackets[s], v), s
+        assert _same_bits(system.reconstruction_bracket, want.reconstruction_bracket)
+
     def test_memo_is_bounded_by_the_sigma_mu_pairs(self):
         S, grid = _memo_structure("toy"), Grid(1, 1024, np.pi)
         model = _fresh_model(S, grid)
