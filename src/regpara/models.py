@@ -181,7 +181,8 @@ class BracketExtractor:
 
     and reconstruction (build_g, build_pi) sign = +1, from the bracket.
 
-    Brackets and bracket vectors are kept as Fields, so each is
+    Brackets, bracket vectors and the coefficients c g(tau/sigma) of the
+    coproduct terms are kept as Fields, so each is evaluated and
     forward-transformed once per extractor however many paraproducts take it.
     """
 
@@ -192,6 +193,7 @@ class BracketExtractor:
         self._g_memo: dict[PlusMonomial, Field] = {}
         self._pi_memo: dict[BaseSymbol, Field] = {}
         self._vector_memo: dict[FreeVector, Field] = {}
+        self._coef_memo: dict[tuple[Fraction, PlusMonomial], Field] = {}
 
     def step(self, start, terms, sign: int = -1) -> np.ndarray:
         """start + sign * sum_{(c, u) in terms} P^m_c u, the terms added in
@@ -215,13 +217,23 @@ class BracketExtractor:
                 acc += p
         return acc
 
+    def coefficient(self, c, quot: PlusMonomial) -> Field:
+        """c g(quot) as a read-only Field, one per (c, quot) and extractor;
+        g is set once, so a kept coefficient never goes stale."""
+        hit = self._coef_memo.get((c, quot))
+        if hit is None:
+            hit = self._coef_memo[(c, quot)] = Field.adopt(
+                self.model.grid, float(c) * self.model.g_field(quot))
+        return hit
+
     def coproduct_terms(self, tau, coproduct: FreeVector, bracket):
-        """(g(tau/sigma), <sigma>) for each term sigma (x) tau/sigma of the
-        coproduct of tau with sigma != tau not polynomial; <sigma> = bracket(sigma)."""
+        """(c g(tau/sigma), <sigma>) for each term c sigma (x) tau/sigma of
+        the coproduct of tau with sigma != tau not polynomial; <sigma> =
+        bracket(sigma), and the coefficient comes from `coefficient`."""
         for (left, right), c in coproduct.sorted_items():
             if left == tau or left.is_poly:
                 continue
-            yield float(c) * self.model.g_field(right), bracket(left)
+            yield self.coefficient(c, right), bracket(left)
 
     def g_bracket(self, mono: PlusMonomial) -> Field:
         if mono.is_poly:
@@ -260,23 +272,20 @@ def extract_brackets(model: Model, m: int | None = None,
     if m is None:
         m = default_m(S)
     ex = BracketExtractor(model, m)
+    g_side = {mono: ex.g_bracket(mono) for mono in S.plus_monomials(plus_bound(S))
+              if not mono.is_poly and all(n in model.g.values for n, _ in mono.gens)}
+    pi_side = {sym: ex.pi_bracket(sym) for sym in S.base_symbols()
+               if not sym.is_poly and sym.core in model.pi}
+    del ex   # its coefficient Fields are not held while the reports run
     out = BracketData(m=m)
-    for mono in S.plus_monomials(plus_bound(S)):
-        if mono.is_poly or not all(n in model.g.values for n, _ in mono.gens):
-            continue
-        bracket = ex.g_bracket(mono)
+    for mono, bracket in g_side.items():
         out.g_side[mono] = bracket.values
         if with_reports:
-            h = float(S.homog_plus(mono))
-            out.reports[f"g:{mono}"] = holder_norm(bracket, h)
-    for sym in S.base_symbols():
-        if sym.is_poly or sym.core not in model.pi:
-            continue
-        bracket = ex.pi_bracket(sym)
+            out.reports[f"g:{mono}"] = holder_norm(bracket, float(S.homog_plus(mono)))
+    for sym, bracket in pi_side.items():
         out.pi_side[sym] = bracket.values
         if with_reports:
-            h = float(S.homog_base(sym))
-            out.reports[f"pi:{sym}"] = holder_norm(bracket, h)
+            out.reports[f"pi:{sym}"] = holder_norm(bracket, float(S.homog_base(sym)))
     return out
 
 

@@ -54,18 +54,15 @@ def log_scale_fit(xs, series, window: tuple[float, float] | None = None):
     return float(coeffs[0]), float(coeffs[1]), fit_xs
 
 
-def scale_stats(samples: np.ndarray, weight: np.ndarray | None = None,
-                mask: np.ndarray | None = None, sup: bool = True, median: bool = True):
-    """(sup, median) of |weight * samples| over the mask: what one scale
-    contributes to a per-scale series, each None unless asked for.  samples
-    is overwritten."""
-    if weight is not None:
-        samples *= weight
+def scale_stats(samples: np.ndarray, mask: np.ndarray | None = None, sup: bool = True):
+    """(sup, median) of |samples| over the mask: what one scale contributes
+    to a per-scale series, the sup None unless asked for.  samples is
+    overwritten.  holder_norm's sups come from block_sup."""
     if mask is not None:
         samples = samples[mask]
     np.abs(samples, out=samples)
     return (np.max(samples) if sup else None,
-            np.quantile(samples, MEDIAN, overwrite_input=True) if median else None)
+            np.quantile(samples, MEDIAN, overwrite_input=True))
 
 
 @dataclass
@@ -135,14 +132,22 @@ def interior_mask(grid: Grid) -> np.ndarray:
     return out
 
 
-def holder_norm(f: Field, alpha: float, a: float = 0.0,
-                mask: np.ndarray | None = None) -> NormReport:
+def block_sup(vals: np.ndarray, mask=None):
+    """max |vals[mask]| (over all of vals if mask is None) bit for bit,
+    without an abs pass; a box mask, a tuple of slices, is read as a view.
+    A zero sup is +0.0, also of -0.0 values."""
+    sel = vals if mask is None else vals[mask]
+    return max(sel.max(), -sel.min()) + 0.0
+
+
+def holder_norm(f: Field, alpha: float, a: float = 0.0, mask=None) -> NormReport:
     """Weighted Hölder norm data: sup_j 2^{j alpha} ||Delta_j f||_{L^inf_a}.
 
-    An optional boolean mask restricts the sups (used by model validators to
-    exclude the periodic-wrap collar).  The slope is fitted on the sups
-    themselves, over j in [2, J-2].  Blocks whose symbol vanishes on the
-    lattice are not transformed; their sup is 0."""
+    An optional mask restricts the sups (used by model validators to
+    exclude the periodic-wrap collar): a boolean array, or a box as a tuple
+    of slices, which `block_sup` reads without a copy.  The slope is fitted
+    on the sups themselves, over j in [2, J-2].  Blocks whose symbol
+    vanishes on the lattice are not transformed; their sup is 0."""
     decomp = make_partition(f.grid)
     w = f.grid.weight(a) if a else None
     norms = np.zeros(decomp.j_max + 2)
@@ -153,7 +158,9 @@ def holder_norm(f: Field, alpha: float, a: float = 0.0,
         js = live[start : start + lanes]
         out = decomp.blocks(((decomp.half_band(j, j, out=band), f.spectrum) for j in js), rows)
         for j, vals in zip(js, out):
-            norms[j + 1] = scale_stats(vals, w, mask, median=False)[0]
+            if w is not None:
+                vals *= w
+            norms[j + 1] = block_sup(vals, mask)
     return NormReport.from_blocks(norms, norms, alpha, a)
 
 

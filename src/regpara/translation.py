@@ -45,6 +45,7 @@ from .norms import (
 from .models import (
     BracketExtractor,
     Model,
+    _same_bits,
     diag_derivative,
     diag_two_point,
     reconstruct,
@@ -484,15 +485,25 @@ def md_to_paracontrolled(model: Model, md: ModelledDistribution,
     for sigma in order:
         out[sigma] = _sigma_step(model, ex, symbols, sigma, md.coeff(sigma), md.operand, sign=-1)
     rf = reconstruct(model, md.coeffs, gamma)
-    rec = ex.step(rf, ((md.operand(s), ex.pi_bracket(s)) for s in symbols if not s.is_poly))
-    md.coeff_fields.clear()   # their spectra are used; the md holds its values only
+    # the Pi-brackets come from an extractor of their own, let go with its
+    # coefficients before the products are formed
+    pi = BracketExtractor(model, 0)
+    brackets = [(s, pi.pi_bracket(s)) for s in symbols if not s.is_poly]
+    del pi
+    rec = ex.step(rf, ((md.operand(s), b) for s, b in brackets))
     system = ParacontrolledSystem(S, grid, gamma, out, rec)
     if with_reports:
-        mask = interior_mask(grid)
+        box = (interior_box(grid),) * grid.dim   # the interior, read as views
         for sigma, vals in out.items():
             target = float(gamma - S.homog_base(sigma))
-            system.reports[f"f:{sigma}"] = holder_norm(Field(grid, vals), target, mask=mask)
-        system.reports["reconstruction"] = holder_norm(Field(grid, rec), float(gamma), mask=mask)
+            # a bracket with its coefficient's bits (no mu above sigma) is
+            # reported on the coefficient's Field, whose spectrum is taken
+            f = md.operand(sigma)
+            if not (isinstance(f, Field) and _same_bits(f.values, vals)):
+                f = Field(grid, vals)
+            system.reports[f"f:{sigma}"] = holder_norm(f, target, mask=box)
+        system.reports["reconstruction"] = holder_norm(Field(grid, rec), float(gamma), mask=box)
+    md.coeff_fields.clear()   # their spectra are used; the md holds its values only
     return system
 
 
@@ -533,7 +544,8 @@ def md_from_paracontrolled(model: Model, brackets: dict[BaseSymbol, np.ndarray],
         # EqSimpleStructureCondition with the 1/k! normalisation
         core = BaseSymbol(sigma.core, mi_zero(S.dim))
         k = sigma.poly
-        vals = _md_diagonal_derivative(model, S, symbols, lambda s: compute(s).values, core, k, gamma)
+        vals = _md_diagonal_derivative(model, S, symbols, compute(core),
+                                       lambda s: compute(s).values, core, k, gamma)
         return vals / mi_factorial(k)
 
     computing: set[BaseSymbol] = set()
@@ -569,10 +581,12 @@ def md_from_paracontrolled(model: Model, brackets: dict[BaseSymbol, np.ndarray],
     return md
 
 
-def _md_diagonal_derivative(model, S, symbols, coeff_of, tau: BaseSymbol, k, gamma) -> np.ndarray:
+def _md_diagonal_derivative(model, S, symbols, f_tau: Field, coeff_of, tau: BaseSymbol, k,
+                            gamma) -> np.ndarray:
     """d_y^k { f_tau(y) - sum_{tau<mu, mu/tau not in T_X, |mu/tau|<=|k|}
-    g_{yx}(mu/tau) f_mu(x) } |_{y=x}, all derivatives spectral."""
-    vals = derivative(Field(model.grid, coeff_of(tau)), k).values.copy()
+    g_{yx}(mu/tau) f_mu(x) } |_{y=x}, all derivatives spectral; f_tau is a
+    Field, so its spectrum is taken once for every k, and f_mu = coeff_of(mu)."""
+    vals = derivative(f_tau, k).values.copy()
     for mu, quot in _plus_quotients(S, symbols, tau):
         if S.homog_base(mu) - S.homog_base(tau) <= mi_abs(k):
             vals -= diag_two_point(model, quot, k) * coeff_of(mu)
@@ -589,10 +603,12 @@ def _check_structure_condition(model: Model, md: ModelledDistribution) -> None:
         h = S.homog_base(tau)
         max_k = gamma - h
         kmax = int(max_k) if max_k != int(max_k) else int(max_k) - 1
+        # a copy, let go with tau, so the md does not keep its spectrum
+        f_tau = Field(grid, md.coeff(tau))
         for k in mi_range(S.dim, max(kmax, 0)):
             if not any(k) or h + mi_abs(k) >= gamma:
                 continue
-            lhs = _md_diagonal_derivative(model, S, symbols, md.coeff, tau, k, gamma)
+            lhs = _md_diagonal_derivative(model, S, symbols, f_tau, md.coeff, tau, k, gamma)
             rhs = np.zeros(grid.shape)
             for mu in symbols:
                 quot = S.quotient_base(mu, tau)

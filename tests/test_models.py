@@ -1,14 +1,17 @@
 """Model construction, bracket extraction, and the defining round trips."""
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from regpara import models
 from regpara.algebra import BaseSymbol, PlusMonomial, mi_zero
 from regpara.grid import Field, Grid
 from regpara.library import structure
 from regpara.models import (
+    BracketExtractor,
     Model,
     build_g,
     build_pi,
@@ -366,3 +369,87 @@ class TestPolynomialOnlyModel:
         rep = validate_model(model, samples=10)
         assert rep.ok
 
+
+
+# -- the extractor's coefficients c g(tau/sigma) ------------------------------------
+
+COEF_CASES = [("toy", Grid(1, 1024, np.pi)), ("bhz", Grid(1, 1024, np.pi)),
+              ("toy2d", Grid(2, 64, np.pi))]
+COEF_IDS = ["toy-1024", "bhz-noncanonical-1024", "toy2d-64"]
+
+
+class _FreshCoefficients(BracketExtractor):
+    """An extractor that evaluates every coefficient c g(tau/sigma) anew,
+    as a bare array, for every term that takes it."""
+
+    def coproduct_terms(self, tau, coproduct, bracket):
+        for (left, right), c in coproduct.sorted_items():
+            if left == tau or left.is_poly:
+                continue
+            yield float(c) * self.model.g_field(right), bracket(left)
+
+
+def _coef_model(name, grid):
+    return build_random_model(structure(name, noncanonical=name == "bhz"), grid)
+
+
+class TestCoefficientMemo:
+    @pytest.mark.parametrize("name, grid", COEF_CASES, ids=COEF_IDS)
+    def test_outputs_equal_those_from_fresh_coefficients(self, name, grid, monkeypatch):
+        model, gb, pib = _coef_model(name, grid)
+        S = model.structure
+        ex = BracketExtractor(model, default_m(S))
+        got = extract_brackets(model)
+        built_g = build_g(S, grid, gb)
+        built = build_pi(S, grid, built_g, pib)
+        monkeypatch.setattr(models, "BracketExtractor", _FreshCoefficients)
+        want = extract_brackets(model)
+        want_g = build_g(S, grid, gb)
+        want_pi = build_pi(S, grid, want_g, pib)
+        for side in ("g_side", "pi_side"):
+            have, need = getattr(got, side), getattr(want, side)
+            assert have.keys() == need.keys() and have
+            for key, vals in need.items():
+                assert np.array_equal(have[key].view(np.int64), vals.view(np.int64)), key
+        for key, rep in want.reports.items():
+            assert got.reports[key].lines() == rep.lines(), key
+        for gen, vals in want_g.values.items():
+            assert np.array_equal(built_g.values[gen], vals), gen
+        for gen, vals in want_pi.pi.items():
+            assert np.array_equal(built.pi[gen].view(np.int64), vals.view(np.int64)), gen
+        # and term by term: a product from a kept coefficient is that from a fresh array
+        for mono in got.g_side:
+            for (left, right), c in S.delta_plus(mono).sorted_items():
+                if left == mono or left.is_poly:
+                    continue
+                u = ex.g_bracket(left)
+                kept = ex.product(ex.coefficient(c, right), u)
+                fresh = ex.product(float(c) * model.g_field(right), u.values.copy())
+                assert np.array_equal(kept.view(np.int64), fresh.view(np.int64)), (mono, left)
+
+    def test_one_field_per_key_and_none_held_after_extraction(self, monkeypatch):
+        """Each (c, tau/sigma) is one read-only Field for the extractor's
+        life; extraction lets them go before its reports run."""
+        model, _gb, _pib = _coef_model("toy", Grid(1, 1024, np.pi))
+        fields, refs, live_at_reports = {}, [], []
+        coefficient = BracketExtractor.coefficient
+
+        def spy(self, c, quot):
+            f = coefficient(self, c, quot)
+            fields.setdefault((c, quot), set()).add(id(f))
+            refs.append(weakref.ref(f.values))
+            assert not f.values.flags.writeable
+            return f
+
+        def reporting(f, alpha, *args, **kwargs):
+            live_at_reports.append(sum(r() is not None for r in refs))
+            return holder_norm(f, alpha, *args, **kwargs)
+
+        monkeypatch.setattr(BracketExtractor, "coefficient", spy)
+        monkeypatch.setattr(models, "holder_norm", reporting)
+        data = extract_brackets(model)
+        assert fields and all(len(ids) == 1 for ids in fields.values())
+        assert len(refs) > len(fields)   # some coefficient serves several terms
+        assert len(live_at_reports) == len(data.reports)
+        assert max(live_at_reports) == 0
+        assert all(r() is None for r in refs)

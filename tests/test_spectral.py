@@ -5,7 +5,13 @@ np.fft.fftn / ifftn(...).real with symbols built here from `chi` and the
 lattice radius, independently of the plan.  Inputs are white noise, so every
 lattice frequency, the Nyquist modes included, carries mass.
 """
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +19,13 @@ import pytest
 from regpara import blocks, norms, paraproducts
 from regpara.blocks import chi, derivative, fourier_multiplier, make_partition
 from regpara.grid import Field, Grid
-from regpara.norms import SeparableFamily, d_family_report, holder_norm, interior_mask
+from regpara.norms import (
+    SeparableFamily,
+    d_family_report,
+    holder_norm,
+    interior_box,
+    interior_mask,
+)
 from regpara.paraproducts import modified_paraproduct, paraproduct, resonant
 
 REL = 1e-12
@@ -199,6 +211,36 @@ def test_holder_norm_series_are_bit_identical(case, monkeypatch):
     got = holder_norm(f, 0.5, a=1.0, mask=mask)
     assert np.array_equal(got.block_norms, want_norms)
     assert np.array_equal(seen["series"], want_norms)
+
+
+def _abs_max(vals, mask):
+    """The sup as an abs pass, a masked copy and a max take it."""
+    return np.max(np.abs(vals if mask is None else vals[mask]))
+
+
+@pytest.mark.parametrize("a", [0.0, 1.0])
+def test_block_sups_are_those_of_an_abs_pass(case, a):
+    """holder_norm takes its sups without an abs pass (block_sup): bit for
+    bit those of max |.|, unmasked, under a boolean mask and under a box;
+    a zero sup is +0.0, also that of -0.0 values."""
+    grid, _, (f, _, _) = case
+    decomp = make_partition(grid)
+    w = grid.weight(a)
+    rng = np.random.default_rng(23)
+    masks = [None, interior_mask(grid), (interior_box(grid),) * grid.dim,
+             rng.random(grid.shape) < 0.5]
+    for mask in masks:
+        want = np.zeros(decomp.j_max + 2)
+        for j in decomp.live_js:
+            want[j + 1] = _abs_max(w * decomp.irfft(decomp.half_rho(j) * f.spectrum), mask)
+        got = holder_norm(f, 0.5, a=a, mask=mask).block_norms
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        mixed = rng.standard_normal(grid.shape)
+        mixed[::3] = -0.0
+        sup = norms.block_sup(mixed, mask)
+        assert np.float64(sup).view(np.int64) == _abs_max(mixed, mask).view(np.int64)
+        sup = norms.block_sup(np.full(grid.shape, -0.0), mask)
+        assert not np.signbit(sup) and f"{sup:.12e}" == "0.000000000000e+00"
 
 
 # -- sub-grid block products -------------------------------------------------
@@ -504,3 +546,67 @@ def test_workspace_budget():
         decomp = make_partition(Grid(2, n, np.pi))
         half = n * (n // 2 + 1)
         assert _workspace_bytes(decomp) == 8 * (3 * n * n + half) + 16 * 3 * half
+
+
+# -- the heap policy -----------------------------------------------------------
+
+def test_plans_of_large_grids_pin_the_heap_policy(monkeypatch):
+    """A plan whose N-point array reaches glibc's default mmap threshold
+    (128 KiB) pins the heap policy; smaller plans leave it alone."""
+    calls = []
+    monkeypatch.setattr(blocks, "pin_heap", lambda: calls.append(1))
+    blocks.spectral_plan(Grid(1, 8192, 1.25))     # 64 KiB
+    assert calls == []
+    blocks.spectral_plan(Grid(1, 16384, 1.25))    # 128 KiB
+    blocks.spectral_plan(Grid(2, 128, 1.25))      # 128 KiB
+    assert calls == [1, 1]
+
+
+# Three rounds of kernel calls at n = 32768, each holding its operands and
+# results until the round ends, as a pipeline pass does.  Under glibc's
+# dynamic thresholds every round faults in about 3.7K pages (15 MB) anew;
+# under the pinned policy the rounds after a warm-up fault in at most a few
+# dozen.
+FAULT_ROUNDS = 3
+FAULT_BUDGET = 512
+FAULT_PROBE = """
+    import resource
+    import numpy as np
+    from regpara.blocks import make_partition
+    from regpara.grid import Field, Grid
+    from regpara.norms import SeparableFamily, d_family_report, holder_norm, interior_mask
+    from regpara.paraproducts import modified_paraproduct, resonant
+
+    grid = Grid(1, 32768, np.pi)
+    decomp = make_partition(grid)
+    rng = np.random.default_rng(3)
+    vals = [rng.standard_normal(grid.shape) for _ in range(3)]
+    fam = SeparableFamily(grid, [(vals[0], vals[1]), (vals[2], vals[0]), (vals[1], vals[1])])
+    mask = interior_mask(grid)
+
+    def round_of_calls():
+        out = []
+        for a in range(3):
+            f, g = Field(grid, vals[a]), Field(grid, vals[a - 1])
+            out += [f, g, modified_paraproduct(decomp, 2, f, g), resonant(decomp, f, g),
+                    holder_norm(f, 0.5, mask=mask), d_family_report(fam, 0.5, mask=mask)]
+        return out
+
+    round_of_calls()
+    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range({rounds}):
+        round_of_calls()
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's")
+def test_warm_kernels_fault_in_no_new_memory():
+    """Run in a fresh interpreter, so the heap's state is the probe's own."""
+    src = str(Path(blocks.__file__).resolve().parents[1])
+    code = textwrap.dedent(FAULT_PROBE.format(rounds=FAULT_ROUNDS))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    faults = int(proc.stdout.split()[-1])
+    assert faults <= FAULT_BUDGET, faults

@@ -368,6 +368,47 @@ class TestMdProductMemo:
             assert _same_bits(system.brackets[s], v), s
         assert _same_bits(system.reconstruction_bracket, want.reconstruction_bracket)
 
+    @pytest.mark.parametrize("name, grid", MEMO_CASES, ids=MEMO_IDS)
+    def test_each_coefficient_is_transformed_once(self, name, grid, monkeypatch):
+        """md_from (D mode) and then md_to with its reports forward-transform
+        the bits of each coefficient once: the diagonal-derivative formula
+        takes the coefficient's Field, and a bracket with its coefficient's
+        bits is reported on that Field.  The general-mode rebuild and its
+        structure-condition check transform each of its coefficients at most
+        once."""
+        S = _memo_structure(name)
+        model = _fresh_model(S, grid)
+        rfftn, seen = np.fft.rfftn, Counter()
+
+        def recording(a, *args, **kwargs):
+            seen[np.asarray(a).tobytes()] += 1
+            return rfftn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfftn", recording)
+        md = md_from_paracontrolled(model, _core_brackets(S, grid), GAMMA, mode="d")
+        system = md_to_paracontrolled(model, md)
+        counts = [seen[v.tobytes()] for v in md.coeffs.values()]
+        assert max(counts) == 1 and sum(counts) > 1
+        seen.clear()
+        md2 = md_from_paracontrolled(model, dict(system.brackets), GAMMA, mode="general")
+        assert max(seen[v.tobytes()] for v in md2.coeffs.values()) <= 1
+
+    @pytest.mark.parametrize("name, grid", MEMO_CASES, ids=MEMO_IDS)
+    def test_md_to_reports_equal_those_of_fresh_fields(self, name, grid):
+        """md_to's reports, some taken on coefficient Fields and all on the
+        interior box, equal, bit for bit, holder_norm of a fresh Field of
+        each bracket under the boolean interior mask."""
+        S = _memo_structure(name)
+        model = _fresh_model(S, grid)
+        md = md_from_paracontrolled(model, _core_brackets(S, grid), GAMMA, mode="d")
+        system = md_to_paracontrolled(model, md)
+        mask = interior_mask(grid)
+        for s, vals in system.brackets.items():
+            want = holder_norm(Field(grid, vals), float(GAMMA - S.homog_base(s)), mask=mask)
+            assert _same_bits(system.reports[f"f:{s}"].block_norms, want.block_norms), s
+        want = holder_norm(Field(grid, system.reconstruction_bracket), float(GAMMA), mask=mask)
+        assert _same_bits(system.reports["reconstruction"].block_norms, want.block_norms)
+
     def test_memo_is_bounded_by_the_sigma_mu_pairs(self):
         S, grid = _memo_structure("toy"), Grid(1, 1024, np.pi)
         model = _fresh_model(S, grid)
