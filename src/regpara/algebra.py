@@ -107,9 +107,6 @@ class PlusMonomial:
             tuple(sorted(counts.items())), mi_add(self.poly, other.poly)
         )
 
-    def degree(self) -> int:
-        return sum(m for _, m in self.gens) + mi_abs(self.poly)
-
     def __str__(self):
         bits = []
         if any(self.poly):
@@ -734,43 +731,6 @@ class ConcreteRegularityStructure:
             for (a, b), c2 in self.delta_plus(right).items():
                 rhs.append(((left, a, b), c * c2))
         return FreeVector(lhs) - FreeVector(rhs)
-
-    # -- F-extension ---------------------------------------------------------------
-
-    def extend_with_F(self, gamma: Fraction) -> "ConcreteRegularityStructure":
-        """Adjoin symbols F_tau (|F_tau| = gamma - |tau|) for tau in B, |tau| < gamma,
-        with coproduct Delta+ F_tau = F_tau (x) 1 + sum_{tau <= mu} (mu/tau) (x) F_mu."""
-        gamma = Fraction(gamma)
-        if gamma <= self.beta0:
-            raise ValueError(
-                f"F-extension needs gamma > min homogeneity {self.beta0}, got {gamma}"
-            )
-        taus = [s for s in self.base_symbols(gamma)]
-        fname = {tau: f"F[{tau}]" for tau in taus}
-        plus_gens = dict(self.plus_gens)
-        dplus = dict(self.dplus_table)
-        unit = PlusMonomial.unit(self.dim)
-        # quotients mu/tau for all pairs below gamma
-        for tau in taus:
-            terms: list = [((PlusMonomial.of_gen(fname[tau], self.dim), unit), Fraction(1))]
-            for mu in taus:
-                quot = self.quotient_base(mu, tau)
-                if not quot:
-                    continue
-                fmu = PlusMonomial.of_gen(fname[mu], self.dim)
-                for mono, c in quot.items():
-                    terms.append(((mono, fmu), c))
-            plus_gens[fname[tau]] = gamma - self.homog_base(tau)
-            dplus[fname[tau]] = FreeVector(terms)
-        return ConcreteRegularityStructure(
-            dim=self.dim,
-            cutoff=max(self.cutoff, gamma),
-            plus_gens=plus_gens,
-            base_gens=dict(self.base_gens),
-            dplus_table=dplus,
-            delta_table=dict(self.delta_table),
-            name=f"{self.name}+F",
-        )
 
 
 def polynomial_structure(dim: int, cutoff) -> ConcreteRegularityStructure:

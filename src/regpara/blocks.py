@@ -36,10 +36,11 @@ FFT: a stack of spectra along a leading axis, which numpy's pocketfft runs
 several at a time in SIMD lanes, each lane bit for bit the one-at-a-time
 transform.  `lanes` is 4 in d = 1 and 1 in d = 2.  With numpy 2.4 on a
 2-core Xeon, 16 inverse transforms of 32768 points took about 7 ms one at
-a time and 5 ms in fours (deeper stacks gained little more and would
-double the workspace); in d = 2 a transform already vectorises across its
-rows, and a stack of 16 took 18 ms against 14 ms looped at 256^2 (73
-against 52 ms at 512^2).
+a time and 5 ms in fours (deeper stacks gained little more); in d = 2 a
+transform already vectorises across its rows, and a stack of 16 took 18 ms
+against 14 ms looped at 256^2 (73 against 52 ms at 512^2).  A block loop
+allocates its stacks per call; the heap policy below serves them again
+from the heap.
 
 Heap policy.  A grid array of n = 32768 points is 256 KiB, above glibc's
 default mmap threshold of 128 KiB.  glibc then serves such arrays by mmap
@@ -80,19 +81,6 @@ MMAP_THRESHOLD_DEFAULT = 128 * 1024
 HEAP_MMAP_THRESHOLD = 32 * 1024 * 1024
 HEAP_TRIM_THRESHOLD = 2 * HEAP_MMAP_THRESHOLD
 
-# The scratch arrays of a plan: name -> (on the half spectrum, dtype, rows):
-# rows None for one array, else a stack of max(lanes, rows) rows.  On the
-# grid: a running real-space sum, and `lanes` blocks (at least the two
-# factors of a product); on the half spectrum: a real symbol, `lanes`
-# symbols times spectra, a summed spectrum, and an operand's spectrum times a
-# symbol.
-WORKSPACE = {
-    "acc": (False, float, None), "blocks": (False, float, 2),
-    "symbol": (True, float, None), "stack": (True, complex, 1), "sum": (True, complex, None),
-    "operand": (True, complex, None),
-}
-
-
 def chi(r: np.ndarray) -> np.ndarray:
     """Smooth radial step: exactly 1 on r <= 4/3, exactly 0 on r >= 3/2."""
     r = np.asarray(r, dtype=float)
@@ -109,12 +97,10 @@ class BlockDecomposition:
     when cached); `rho`, `low_symbol` and `multipliers` return full-lattice
     arrays for callers that inspect symbols directly.
 
-    The plan also owns a workspace: named scratch arrays on the grid or on
-    the half spectrum (`work`), made on first use and reused by every block
-    loop for its N-point temporaries.  A plan is shared by every caller on
-    its grid, so it serves one thread at a time, and no result handed out
-    may be a view of its workspace.  `lanes` is the depth of a stacked block
-    transform (`blocks`), fixed by the dimension (module docstring).
+    A plan holds read-only symbols only, so every caller on its grid, in
+    any thread, shares it; each call allocates its own temporaries.
+    `lanes` is the depth of a stacked block transform (`blocks`), fixed by
+    the dimension (module docstring).
     """
 
     def __init__(self, grid: Grid, j_max: int):
@@ -136,7 +122,6 @@ class BlockDecomposition:
         self.ladder = np.stack([chi(self.radius / 2.0**k) for k in range(j_max + 2)])
         self.ladder.setflags(write=False)
         self._powers: dict[int, np.ndarray] = {}
-        self._work: dict[str, np.ndarray] = {}
         # full-lattice index -> half-spectrum index along the last axis
         self._mirror = np.minimum(np.arange(n), n - np.arange(n))
 
@@ -150,24 +135,10 @@ class BlockDecomposition:
         others (rho_J when the lattice ends below its annulus) are empty."""
         return tuple(j for j in self.js if self.half_rho(j).any())
 
-    # -- workspace -------------------------------------------------------------
-
-    def work(self, name: str) -> np.ndarray:
-        """The scratch array `name` of WORKSPACE; its contents are whatever
-        the last user left."""
-        buf = self._work.get(name)
-        if buf is None:
-            half, dtype, rows = WORKSPACE[name]
-            shape = self.radius.shape if half else self.grid.shape
-            if rows is not None:
-                shape = (max(self.lanes, rows), *shape)
-            buf = self._work[name] = np.empty(shape, dtype)
-        return buf
-
     # -- transforms ----------------------------------------------------------
 
-    def rfft(self, values: np.ndarray, out=None) -> np.ndarray:
-        return np.fft.rfftn(values, out=out)
+    def rfft(self, values: np.ndarray) -> np.ndarray:
+        return np.fft.rfftn(values)
 
     def irfft(self, spec: np.ndarray, size: int | None = None, out=None) -> np.ndarray:
         """Inverse real FFT onto the grid, or onto its sub-grid of `size`
@@ -217,10 +188,9 @@ class BlockDecomposition:
         """out[i] = irfft(sym_i * spec_i) for the (sym, spec) pairs in order,
         at most len(out) of them; returns out[:k] for k pairs.
 
-        Each product is formed in a row of the workspace stack before the
-        next pair is drawn, so the symbols of successive pairs may share one
-        buffer; every `lanes` rows go through one stacked inverse FFT."""
-        stack = self.work("stack")
+        Each product is formed in a row of a stack of `lanes` spectra before
+        the next pair is drawn; every full stack goes through one inverse FFT."""
+        stack = np.empty((min(self.lanes, len(out)), *self.radius.shape), complex)
         k = 0
         for sym, spec in pairs:
             np.multiply(sym, spec, out=stack[k % self.lanes])
@@ -233,14 +203,13 @@ class BlockDecomposition:
 
     # -- half-spectrum symbols -----------------------------------------------
 
-    def half_band(self, lo: int, hi: int, out=None) -> np.ndarray:
-        """Symbol of sum_{lo <= j <= hi} Delta_j; blocks outside -1..J are empty.
-        A difference of ladder rows is written into `out` when given."""
+    def half_band(self, lo: int, hi: int) -> np.ndarray:
+        """Symbol of sum_{lo <= j <= hi} Delta_j; blocks outside -1..J are empty."""
         lo, hi = max(lo, -1), min(hi, self.j_max)
         if hi < lo:
             return np.zeros(self.radius.shape)
         top = self.ladder[hi + 1]
-        return top if lo == -1 else np.subtract(top, self.ladder[lo], out=out)
+        return top if lo == -1 else top - self.ladder[lo]
 
     def half_rho(self, j: int) -> np.ndarray:
         if j < -1 or j > self.j_max:
@@ -261,16 +230,15 @@ class BlockDecomposition:
             self._powers[m] = sym
         return sym
 
-    def half_gauss(self, j: int, out=None) -> np.ndarray:
+    def half_gauss(self, j: int) -> np.ndarray:
         """Gaussian low-pass window at scale 2^j, used by slope estimators.
 
         On the integer frequency lattice forced by the box size, compactly
         supported profiles are under-sampled at small j and their real-space
         kernels have fat tails; the Gaussian's periodization stays thin at
         every lattice granularity, so pairings against it scale cleanly.
-        Written into `out` when given.
         """
-        t = np.divide(self.radius, 2.0**j, out=out)
+        t = self.radius / 2.0**j
         np.square(t, out=t)
         np.negative(t, out=t)
         return np.exp(t, out=t)

@@ -111,13 +111,6 @@ class Model:
             terms.append((coef, self.pi_symbol(left)))
         return SeparableFamily(self.grid, terms)
 
-    def pi_recentered(self, idx, t: BaseSymbol) -> Field:
-        """Pi^g_x t at a fixed grid point x (idx indexes the grid arrays)."""
-        acc = np.zeros(self.grid.shape)
-        for (left, right), c in self.structure.delta(t).sorted_items():
-            acc += float(c) * float(self.g_inv_field(right)[idx]) * self.pi_symbol(left)
-        return Field(self.grid, acc)
-
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """a is b, or two float arrays of one shape with equal bit patterns (so

@@ -151,12 +151,11 @@ def holder_norm(f: Field, alpha: float, a: float = 0.0, mask=None) -> NormReport
     decomp = make_partition(f.grid)
     w = f.grid.weight(a) if a else None
     norms = np.zeros(decomp.j_max + 2)
-    lanes, band = decomp.lanes, decomp.work("symbol")
-    rows = decomp.work("blocks")[:lanes]
-    live = decomp.live_js
+    lanes, live = decomp.lanes, decomp.live_js
+    rows = np.empty((lanes, *f.grid.shape))
     for start in range(0, len(live), lanes):
         js = live[start : start + lanes]
-        out = decomp.blocks(((decomp.half_band(j, j, out=band), f.spectrum) for j in js), rows)
+        out = decomp.blocks(((decomp.half_rho(j), f.spectrum) for j in js), rows)
         for j, vals in zip(js, out):
             if w is not None:
                 vals *= w
@@ -172,27 +171,6 @@ def two_param_norm(lam: TwoParamField, alpha: float) -> float:
     dist = np.abs(x[:, None] - x[None, :])
     off = dist > 0
     return float(np.max(np.abs(lam.values[off]) / dist[off] ** alpha))
-
-
-def sampled_two_param_norm(values_of_pair, grid: Grid, alpha: float, pairs: int = 4096) -> float:
-    """Two-parameter norm evaluated on a random pair sample (seed 0); the
-    dense array is never materialised, so this is the d=2 evaluation path.
-
-    values_of_pair(idx_x, idx_y) takes tuples of index arrays (one per axis)
-    and returns |pairs| values F(x, y).
-    """
-    if alpha <= 0:
-        raise ValueError("two-parameter norm needs alpha > 0")
-    rng = np.random.default_rng(0)
-    ix = tuple(rng.integers(0, grid.n, size=pairs) for _ in range(grid.dim))
-    iy = tuple(rng.integers(0, grid.n, size=pairs) for _ in range(grid.dim))
-    coords = grid.coords()
-    dx = np.stack([coords[d][ix] - coords[d][iy] for d in range(grid.dim)])
-    dist = np.sqrt((dx**2).sum(axis=0))
-    keep = dist > 0
-    vals = np.abs(np.asarray(values_of_pair(ix, iy), dtype=float))
-    out = vals[keep] / dist[keep] ** alpha
-    return float(np.max(out)) if out.size else 0.0
 
 
 class SeparableFamily:
@@ -252,11 +230,11 @@ def d_family_report(family, alpha, mask: np.ndarray | None = None):
     kept_rows = np.empty((len(shared), *decomp.grid.shape))
     kept = dict(zip(shared, kept_rows))
     term = np.empty(decomp.grid.shape) if shared else None   # c times a kept pairing
+    vals = np.empty(decomp.grid.shape)
+    once = np.empty((decomp.lanes, *decomp.grid.shape))
     series = [(np.zeros(decomp.j_max + 2), np.zeros(decomp.j_max + 2)) for _ in family]
-    sym, vals = decomp.work("symbol"), decomp.work("acc")
-    once = decomp.work("blocks")[: decomp.lanes]
     for j in range(1, decomp.j_max + 1):
-        decomp.half_gauss(j, out=sym)
+        sym = decomp.half_gauss(j)
         decomp.blocks(((sym, spectra[key]) for key in shared), kept_rows)
         for fam, (norms, medians) in zip(family, series):
             vals.fill(0.0)

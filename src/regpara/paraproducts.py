@@ -81,22 +81,20 @@ def _block_sum(decomp: BlockDecomposition, resonant: bool, fspec, gspec, m: int 
     one stack and the products summed there, then added into the half
     spectrum; the factors of those on the grid itself go through the plan's
     stacked block transforms, F and G of a product side by side, and the
-    products are summed in real space in the workspace.  One inverse FFT of
-    the summed spectrum ends it, into the one array returned."""
+    products are summed in real space.  One inverse FFT of the summed
+    spectrum ends it, into the one array returned."""
     grid = decomp.grid
     groups, full = _schedule(decomp, resonant)
-    acc = decomp.work("acc")
-    acc.fill(0.0)
-    rows, band = decomp.work("blocks"), decomp.work("symbol")
+    acc = np.zeros(grid.shape)
+    rows = np.empty((max(decomp.lanes, 2), *grid.shape))
     factors = [pair for fband, gband in full for pair in ((fband, fspec), (gband, gspec))]
     for start in range(0, len(factors), len(rows)):
         chunk = factors[start : start + len(rows)]
-        out = decomp.blocks(((decomp.half_band(*b, out=band), s) for b, s in chunk), rows)
+        out = decomp.blocks(((decomp.half_band(*b), s) for b, s in chunk), rows)
         for fb, gb in zip(out[0::2], out[1::2]):
             fb *= gb
             acc += fb
-    spec = decomp.work("sum")
-    spec.fill(0.0)
+    spec = np.zeros(decomp.radius.shape, complex)
     for size, syms in groups:
         k = len(syms) // 2
         stack = np.empty(syms.shape, complex)
@@ -108,7 +106,7 @@ def _block_sum(decomp: BlockDecomposition, resonant: bool, fspec, gspec, m: int 
         prod *= (size / grid.n) ** grid.dim
         decomp.scatter_add(spec, decomp.rfft(prod), size)
     if m:
-        spec += decomp.rfft(acc, out=decomp.work("stack")[0])
+        spec += decomp.rfft(acc)
         spec *= decomp.half_power(m)
         return decomp.irfft(spec)
     out = decomp.irfft(spec)
@@ -133,7 +131,7 @@ def modified_paraproduct(decomp: BlockDecomposition, m: int, f: Field, g: Field)
         raise ValueError("modified paraproduct requires m in N")
     gspec = g.spectrum
     if m:
-        gspec = np.multiply(decomp.half_power(-m), gspec, out=decomp.work("operand"))
+        gspec = decomp.half_power(-m) * gspec
     return Field.adopt(decomp.grid, _block_sum(decomp, False, f.spectrum, gspec, m))
 
 

@@ -1,5 +1,5 @@
-"""Rule-driven enumeration of tree bases, the canonical/non-canonical basis
-change, assumption-(D) scans, and export to concrete regularity structures.
+"""Rule-driven enumeration of tree bases and their non-canonical companions,
+assumption-(D) scans, and export to concrete regularity structures.
 
 The rule object is a simplified stand-in for BHZ conformity: a node's child
 edge-type multiset must be contained in one of the allowed products, kernel
@@ -9,7 +9,7 @@ o-decorations identically zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -20,6 +20,7 @@ from .algebra import (
     Multi,
     mi_abs,
     mi_range,
+    mi_str,
     mi_zero,
 )
 from .trees import (
@@ -92,15 +93,6 @@ def _conforms(rule: Rule, t: DecoratedTree) -> bool:
 
 
 @dataclass
-class BasisChange:
-    """Exact rational change of basis between canonical and f-decorated trees."""
-
-    algebra: TreeAlgebra
-    to_noncan: dict[DecoratedTree, FreeVector]
-    to_can: dict[DecoratedTree, FreeVector]
-
-
-@dataclass
 class TreeBasis:
     """Enumerated bases of one rule."""
 
@@ -110,7 +102,6 @@ class TreeBasis:
     b_dot: list[DecoratedTree]        # canonical B.: closure trees with root n = 0
     b_dot_tilde: list[DecoratedTree]  # non-canonical B~. (f-decorated, n = 0)
     plus_trees: list[DecoratedTree]   # B_o^+: positive integrated trees
-    change: BasisChange
 
     def homog(self, t: DecoratedTree) -> Fraction:
         return self.algebra.homogeneity(t)
@@ -219,7 +210,7 @@ def enumerate_basis(rule: Rule) -> TreeBasis:
                 add_family(tr)
     plus_trees = sorted(plus, key=lambda t: (algebra.homogeneity(t), serialize(t)))
 
-    # non-canonical companions and the exact change of basis
+    # non-canonical companions
     b_dot_tilde = []
     seen = set()
     for t in b_dot:
@@ -227,9 +218,6 @@ def enumerate_basis(rule: Rule) -> TreeBasis:
         if ft not in seen:
             seen.add(ft)
             b_dot_tilde.append(ft)
-    to_noncan = {t: algebra.to_noncanonical(t) for t in b_dot}
-    to_can = {t: algebra.to_canonical(t) for t in b_dot_tilde}
-    change = BasisChange(algebra=algebra, to_noncan=to_noncan, to_can=to_can)
 
     return TreeBasis(
         rule=rule,
@@ -238,7 +226,6 @@ def enumerate_basis(rule: Rule) -> TreeBasis:
         b_dot=b_dot,
         b_dot_tilde=b_dot_tilde,
         plus_trees=plus_trees,
-        change=change,
     )
 
 
@@ -252,12 +239,8 @@ def check_d_canonical(basis: TreeBasis) -> tuple[bool, str | None]:
             continue
         for (left, right), _c in algebra.delta(t).sorted_items():
             if right.is_poly and any(right.poly):
-                return False, f"{left} (x) X{mi_str_of(right.poly)} in Delta({serialize(t)})"
+                return False, f"{left} (x) X{mi_str(right.poly)} in Delta({serialize(t)})"
     return True, None
-
-
-def mi_str_of(k: Multi) -> str:
-    return "(" + ",".join(str(a) for a in k) + ")"
 
 
 def check_stronger_claim(basis: TreeBasis) -> tuple[bool, str | None]:
@@ -271,7 +254,7 @@ def check_stronger_claim(basis: TreeBasis) -> tuple[bool, str | None]:
             if right.is_poly:
                 if any(right.poly):
                     return False, (
-                        f"{serialize(left)} (x) X{mi_str_of(right.poly)} "
+                        f"{serialize(left)} (x) X{mi_str(right.poly)} "
                         f"in Delta({serialize(t)})"
                     )
                 if left != t or c != 1:

@@ -234,12 +234,6 @@ class TreeAlgebra:
             h += self.homogeneity(b.child, with_f)
         return h
 
-    def homog_monomial(self, m: TreeMonomial) -> Fraction:
-        h = Fraction(mi_abs(m.poly))
-        for t, mult in m.trees:
-            h += self.homogeneity(t) * mult
-        return h
-
     # -- structural coproduct (canonical representation) -----------------------
 
     def delta(self, t: DecoratedTree) -> FreeVector:

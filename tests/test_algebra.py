@@ -198,43 +198,3 @@ class TestAssumptions:
         roots = set(rep.c_generators)
         for name, (root, _k) in rep.c_orbit.items():
             assert root in roots
-
-
-class TestFExtension:
-    def test_single_unit_extension_is_primitive(self, poly1):
-        S = polynomial_structure(1, Fraction(1))
-        ext = S.extend_with_F(Fraction(1, 2))
-        fname = "F[1]"
-        assert ext.plus_gens[fname] == Fraction(1, 2)
-        gen = PlusMonomial.of_gen(fname, 1)
-        got = ext.dplus_table[fname]
-        want = FreeVector(
-            [((gen, PlusMonomial.unit(1)), 1), ((PlusMonomial.unit(1), gen), 1)]
-        )
-        assert got == want
-
-    def test_extended_coproduct_is_coassociative(self, toy_structure):
-        ext = toy_structure.extend_with_F(Fraction(9, 8))
-        for name in ext.plus_gens:
-            if name.startswith("F["):
-                assert not ext.coassociativity_defect(PlusMonomial.of_gen(name, 1))
-
-    def test_antiderivative_relation_under_d(self, toy_structure):
-        # with no sigma (x) X^k terms in any Delta tau, the only polynomial
-        # quotient is (X^k tau)/tau = X^k, so D^k F_tau = k! F_{X^k tau}
-        gamma = Fraction(9, 8)
-        ext = toy_structure.extend_with_F(gamma)
-        assert toy_structure.check_assumptions().d_ok
-        for sym in toy_structure.base_symbols(gamma):
-            fname = f"F[{sym}]"
-            for k in ((1,), (2,)):
-                target = BaseSymbol(sym.core, (sym.poly[0] + k[0],))
-                dk = ext.d_op(k, PlusMonomial.of_gen(fname, 1))
-                tname = f"F[{target}]"
-                if tname in ext.plus_gens:
-                    want = FreeVector.single(
-                        PlusMonomial.of_gen(tname, 1), mi_factorial(k)
-                    )
-                    assert dk == want
-                else:
-                    assert not dk

@@ -93,31 +93,6 @@ class TestTwoParamNorm:
         with pytest.raises(ValueError):
             two_param_norm(lam, -0.5)
 
-    def test_pair_sampled_path_matches_dense_on_shared_pairs(self, grid256):
-        from regpara.norms import sampled_two_param_norm
-
-        u = synthesize(0.5, 8, grid256)
-
-        def pair_values(ix, iy):
-            return u.values[ix] - u.values[iy]
-
-        sampled = sampled_two_param_norm(pair_values, grid256, 0.5, pairs=4096)
-        lam = TwoParamField(grid256, u.values[:, None] - u.values[None, :])
-        dense = two_param_norm(lam, 0.5)
-        assert 0 < sampled <= dense * (1 + 1e-12)
-
-    def test_pair_sampled_path_in_two_dimensions(self):
-        from regpara.norms import sampled_two_param_norm
-
-        grid = Grid(2, 32, np.pi)
-        u = synthesize(0.5, 8, grid)
-
-        def pair_values(ix, iy):
-            return u.values[ix] - u.values[iy]
-
-        val = sampled_two_param_norm(pair_values, grid, 0.5, pairs=2048)
-        assert np.isfinite(val) and val > 0
-
 
 class TestDFamily:
     def test_exact_power_profile_oracle(self, grid256):

@@ -10,7 +10,8 @@ import platform
 import subprocess
 import sys
 import textwrap
-import tracemalloc
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -318,7 +319,7 @@ def test_subgrid_products_in_2d(monkeypatch, n, subgrids):
     )
 
 
-# -- the plan's workspace and carried spectra --------------------------------
+# -- results, threads and carried spectra -------------------------------------
 
 
 def _spectral_results(decomp, f, g, h):
@@ -332,8 +333,7 @@ def _spectral_results(decomp, f, g, h):
 
 
 def test_results_never_alias_the_workspace(case):
-    """Every block loop writes its temporaries into the plan's workspace; a
-    result is its own array, unchanged by later calls on the same plan."""
+    """A result is its own array, unchanged by later calls on the same plan."""
     grid, _, (f, g, h) = case
     decomp = make_partition(grid)
     first = _spectral_results(decomp, f, g, h)
@@ -341,7 +341,39 @@ def test_results_never_alias_the_workspace(case):
     _spectral_results(decomp, h, f, g)
     for name, vals in first.items():
         assert np.array_equal(vals, kept[name]), name
-        assert not any(np.shares_memory(vals, decomp.work(w)) for w in blocks.WORKSPACE), name
+
+
+THREAD_ROUNDS = 30
+THREAD_TIMEOUT_S = 120
+
+
+def test_threads_share_a_plan():
+    """Two threads running the block loops at once on one plan get what the
+    same calls return one after the other, bit for bit."""
+    grid = Grid(1, 4096, np.pi)
+    decomp = make_partition(grid)
+    rng = np.random.default_rng(43)
+    inputs = [[Field(grid, rng.standard_normal(grid.shape)) for _ in range(3)] for _ in range(2)]
+    want = [_spectral_results(decomp, *fields) for fields in inputs]
+    start = threading.Barrier(len(inputs), timeout=THREAD_TIMEOUT_S)
+
+    def rounds(fields, expected):
+        start.wait()
+        wrong = []
+        for _ in range(THREAD_ROUNDS):
+            got = _spectral_results(decomp, *fields)
+            wrong += [name for name in got if not np.array_equal(got[name], expected[name])]
+        return wrong
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(inputs)) as pool:
+            runs = [pool.submit(rounds, fields, expected) for fields, expected in zip(inputs, want)]
+            wrong = [run.result(timeout=THREAD_TIMEOUT_S) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == [[], []]
 
 
 def test_field_spectrum_is_taken_once(case, monkeypatch):
@@ -366,38 +398,6 @@ def test_field_spectrum_is_taken_once(case, monkeypatch):
     derivative(u, (1,) * grid.dim)
     assert u.spectrum is spec
     assert len(full) == 2  # u once, v once
-
-
-# Traced peak of one call on a warm plan, in N-point float arrays, operand
-# spectra included.  Before the workspace these read 4.5, 6.6, 7.5 and 6.6.
-PEAK_ARRAYS = {"holder_norm": 2.5, "P^2": 5.0, "Pi": 5.0, "d-family": 5.0}
-
-
-def test_block_loops_stay_within_a_few_arrays():
-    grid = Grid(1, 4096, np.pi)
-    rng = np.random.default_rng(5)
-    values = [rng.standard_normal(grid.shape) for _ in range(3)]
-    decomp = make_partition(grid)
-    fam = SeparableFamily(grid, [(values[0], values[1]), (np.ones(grid.shape), values[2]),
-                                 (-values[1], values[0])])
-    ops = {
-        "holder_norm": lambda f, g: holder_norm(f, 0.5),
-        "P^2": lambda f, g: modified_paraproduct(decomp, 2, f, g),
-        "Pi": lambda f, g: resonant(decomp, f, g),
-        "d-family": lambda f, g: d_family_report(fam, 0.5),
-    }
-    peaks = {}
-    for name, op in ops.items():
-        op(Field(grid, values[0]), Field(grid, values[1]))  # warm the plan
-        f, g = Field(grid, values[0]), Field(grid, values[1])
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            op(f, g)
-            peaks[name] = (tracemalloc.get_traced_memory()[1] - base) / (8 * grid.size)
-        finally:
-            tracemalloc.stop()
-    assert all(peaks[name] <= bound for name, bound in PEAK_ARRAYS.items()), peaks
 
 
 # -- stacked block transforms --------------------------------------------------
@@ -526,26 +526,6 @@ def test_stack_depth_follows_the_dimension(monkeypatch, grid):
         del sub[:]
         paraproducts._block_sum(decomp, is_resonant, f.spectrum, f.spectrum)
         assert len(sub) == len(paraproducts._schedule(decomp, is_resonant)[0])
-
-
-def _workspace_bytes(decomp):
-    return sum(decomp.work(name).nbytes for name in blocks.WORKSPACE)
-
-
-def test_workspace_budget():
-    """A warm d = 1 plan at n = 32768 holds at most 4 MB of workspace; a
-    d = 2 plan holds what a one-block-at-a-time workspace does: three grid
-    arrays, one real and three complex half spectra."""
-    grid = Grid(1, 32768, np.pi)
-    decomp = make_partition(grid)
-    rng = np.random.default_rng(37)
-    f, g = (Field(grid, rng.standard_normal(grid.shape)) for _ in range(2))
-    _spectral_results(decomp, f, g, f)
-    assert _workspace_bytes(decomp) <= 4e6
-    for n in (64, 128):
-        decomp = make_partition(Grid(2, n, np.pi))
-        half = n * (n // 2 + 1)
-        assert _workspace_bytes(decomp) == 8 * (3 * n * n + half) + 16 * 3 * half
 
 
 # -- the heap policy -----------------------------------------------------------

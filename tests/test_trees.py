@@ -168,7 +168,8 @@ class TestStructuralCoproduct:
             t = random_tree(rng)
             h = algebra.homogeneity(t)
             for (left, right), _c in algebra.delta(t).items():
-                assert algebra.homogeneity(left) + algebra.homog_monomial(right) == h
+                right_h = sum(algebra.homogeneity(tr) * m for tr, m in right.trees)
+                assert algebra.homogeneity(left) + sum(right.poly) + right_h == h
 
     def test_multiplicativity(self, algebra):
         rng = random.Random(13)
