@@ -60,6 +60,11 @@ def mi_range(d: int, max_abs: int) -> list[Multi]:
     return out
 
 
+def mi_below_abs(d: int, bound) -> list[Multi]:
+    """All multi-indices k in N^d with |k| < bound (strictly), sorted."""
+    return mi_range(d, math.ceil(bound) - 1)
+
+
 def mi_below(k: Multi) -> list[Multi]:
     """All l with l <= k componentwise."""
     return [l for l in itertools.product(*(range(a + 1) for a in k))]
@@ -137,6 +142,11 @@ class BaseSymbol:
             return self.core
         x = "X_" + mi_str(self.poly)
         return x if self.core == "1" else f"{x}.{self.core}"
+
+
+def poly_split(k: Multi, left, right) -> "FreeVector":
+    """Delta X^k = sum_{l <= k} binom(k, l) left(l) (x) right(k - l)."""
+    return FreeVector([((left(l), right(mi_sub(k, l))), mi_binom(k, l)) for l in mi_below(k)])
 
 
 def term_key(key) -> str:
@@ -361,15 +371,6 @@ class ConcreteRegularityStructure:
 
     # -- coproducts ----------------------------------------------------------
 
-    def _dplus_poly(self, k: Multi) -> FreeVector:
-        terms = []
-        for l in mi_below(k):
-            rest = mi_sub(k, l)
-            terms.append(
-                ((PlusMonomial.of_poly(l), PlusMonomial.of_poly(rest)), mi_binom(k, l))
-            )
-        return FreeVector(terms)
-
     def delta_plus(self, m: PlusMonomial) -> FreeVector:
         """Full coproduct of a monomial, multiplicative extension of the tables."""
         with self._lock:
@@ -378,14 +379,11 @@ class ConcreteRegularityStructure:
             return hit
         if m.is_unit:
             out = FreeVector.single((m, m))
-        elif any(m.poly) and m.gens:
-            out = self._dplus_poly(m.poly).tensor_mul(
-                self.delta_plus(PlusMonomial(m.gens, mi_zero(self.dim))),
-                PlusMonomial.mul,
-                PlusMonomial.mul,
-            )
         elif any(m.poly):
-            out = self._dplus_poly(m.poly)
+            out = poly_split(m.poly, PlusMonomial.of_poly, PlusMonomial.of_poly)
+            if m.gens:
+                out = out.tensor_mul(self.delta_plus(PlusMonomial(m.gens, mi_zero(self.dim))),
+                                     PlusMonomial.mul, PlusMonomial.mul)
         else:
             name, mult = m.gens[0]
             if name not in self.plus_gens:
@@ -403,15 +401,6 @@ class ConcreteRegularityStructure:
             self._dplus_memo[m] = out
         return out
 
-    def _delta_poly(self, k: Multi) -> FreeVector:
-        terms = []
-        for l in mi_below(k):
-            rest = mi_sub(k, l)
-            terms.append(
-                ((BaseSymbol("1", l), PlusMonomial.of_poly(rest)), mi_binom(k, l))
-            )
-        return FreeVector(terms)
-
     def delta(self, s: BaseSymbol) -> FreeVector:
         """Delta(X_^k sigma) = (Delta X_^k)(Delta sigma), values in T (x) T+."""
         with self._lock:
@@ -420,16 +409,12 @@ class ConcreteRegularityStructure:
             return hit
         if s.core not in self.base_gens:
             raise KeyError(f"unknown base generator {s.core}")
-        if s.core == "1":
-            out = self._delta_poly(s.poly)
+        if s.core != "1" and not any(s.poly):
+            out = self.delta_table[s.core]
         else:
-            core = self.delta_table[s.core]
-            if any(s.poly):
-                out = self._delta_poly(s.poly).tensor_mul(
-                    core, _mul_base_symbols, PlusMonomial.mul
-                )
-            else:
-                out = core
+            out = poly_split(s.poly, lambda l: BaseSymbol("1", l), PlusMonomial.of_poly)
+            if s.core != "1":
+                out = out.tensor_mul(self.delta_table[s.core], _mul_base_symbols, PlusMonomial.mul)
         with self._lock:
             self._delta_memo[s] = out
         return out
@@ -450,6 +435,18 @@ class ConcreteRegularityStructure:
             if left == sigma:
                 out.append((right, c))
         return FreeVector(out)
+
+    def delta_plus_terms(self, v, left_poly: bool | None = None):
+        """(c, left, right) for every term of Delta+ v, v a monomial or a
+        FreeVector: v's monomials in sorted order, each coproduct sorted, c
+        the exact product of the two coefficients.  left_poly=True keeps the
+        terms with left in B_X^+, False those outside it, None all."""
+        if isinstance(v, PlusMonomial):
+            v = FreeVector.single(v)
+        for mono, c in v.sorted_items():
+            for (left, right), c2 in self.delta_plus(mono).sorted_items():
+                if left_poly is None or left.is_poly == left_poly:
+                    yield c * c2, left, right
 
     def d_op(self, k: Multi, v) -> FreeVector:
         """D^k: k! times the right factor over left slot X^k; linear in v."""
@@ -484,15 +481,8 @@ class ConcreteRegularityStructure:
             partial = [
                 (tuple((n, m) for n, m in combo if m > 0), tot) for combo, tot in new
             ]
-        out = []
-        for combo, tot in partial:
-            room = bound - tot
-            max_k = int(room) if room == int(room) else int(math.floor(room))
-            if Fraction(max_k) >= room:
-                max_k -= 1
-            for k in mi_range(self.dim, max(max_k, 0)):
-                if tot + mi_abs(k) < bound:
-                    out.append(PlusMonomial(tuple(sorted(combo)), k))
+        out = [PlusMonomial(tuple(sorted(combo)), k)
+               for combo, tot in partial for k in mi_below_abs(self.dim, bound - tot)]
         out.sort(key=lambda m: (self.homog_plus(m), term_key(m)))
         return out
 
@@ -501,15 +491,8 @@ class ConcreteRegularityStructure:
         if bound is None:
             bound = self.cutoff
         bound = Fraction(bound)
-        out = []
-        for core, h in sorted(self.base_gens.items()):
-            room = bound - h
-            if room <= 0:
-                continue
-            max_k = int(math.ceil(room)) - 1 if room == int(room) else int(math.floor(room))
-            for k in mi_range(self.dim, max(max_k, 0)):
-                if h + mi_abs(k) < bound:
-                    out.append(BaseSymbol(core, k))
+        out = [BaseSymbol(core, k) for core, h in sorted(self.base_gens.items())
+               for k in mi_below_abs(self.dim, bound - h)]
         out.sort(key=lambda s: (self.homog_base(s), term_key(s)))
         return out
 
@@ -657,9 +640,8 @@ class ConcreteRegularityStructure:
         for root in roots:
             h = self.plus_gens[root]
             mono = PlusMonomial.of_gen(root, self.dim)
-            max_k = int(math.ceil(h)) - 1 if h == int(h) else int(math.floor(h))
-            for k in mi_range(self.dim, max(max_k, 0)):
-                if mi_abs(k) >= h or not any(k):
+            for k in mi_below_abs(self.dim, h):
+                if not any(k):
                     continue
                 if _as_gen(self.d_op(k, mono)) is None:
                     c_fail.append(
@@ -710,27 +692,25 @@ class ConcreteRegularityStructure:
 
     # -- coassociativity / comodule (exact) ---------------------------------------
 
-    def coassociativity_defect(self, m: PlusMonomial) -> FreeVector:
-        """(Delta+ (x) Id)Delta+ - (Id (x) Delta+)Delta+ on m; zero iff exact."""
+    def coaction_defect(self, coaction, x) -> FreeVector:
+        """(coaction (x) Id) coaction x - (Id (x) Delta+) coaction x, keyed by
+        triples; zero iff the coaction is coassociative against Delta+ at x."""
         lhs: list = []
         rhs: list = []
-        for (left, right), c in self.delta_plus(m).items():
-            for (a, b), c2 in self.delta_plus(left).items():
+        for (left, right), c in coaction(x).items():
+            for (a, b), c2 in coaction(left).items():
                 lhs.append(((a, b, right), c * c2))
             for (a, b), c2 in self.delta_plus(right).items():
                 rhs.append(((left, a, b), c * c2))
         return FreeVector(lhs) - FreeVector(rhs)
 
+    def coassociativity_defect(self, m: PlusMonomial) -> FreeVector:
+        """(Delta+ (x) Id)Delta+ - (Id (x) Delta+)Delta+ on m; zero iff exact."""
+        return self.coaction_defect(self.delta_plus, m)
+
     def comodule_defect(self, s: BaseSymbol) -> FreeVector:
         """(Delta (x) Id)Delta - (Id (x) Delta+)Delta on s; zero iff exact."""
-        lhs: list = []
-        rhs: list = []
-        for (left, right), c in self.delta(s).items():
-            for (a, b), c2 in self.delta(left).items():
-                lhs.append(((a, b, right), c * c2))
-            for (a, b), c2 in self.delta_plus(right).items():
-                rhs.append(((left, a, b), c * c2))
-        return FreeVector(lhs) - FreeVector(rhs)
+        return self.coaction_defect(self.delta, s)
 
 
 def polynomial_structure(dim: int, cutoff) -> ConcreteRegularityStructure:

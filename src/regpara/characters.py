@@ -156,31 +156,22 @@ def two_point(g: Character, idx_y, idx_x, v) -> float:
     return acc
 
 
+def _contract(g: Character, g_inv: Character, v, left_poly: bool):
+    """sum c g(left) g^{-1}(right) over the terms of Delta+ v with left in
+    B_X^+ (left_poly) or outside it, pointwise for field characters."""
+    acc = 0
+    for c, left, right in g.structure.delta_plus_terms(v, left_poly):
+        acc = acc + _cmul(c, g.of_monomial(left) * g_inv.of_monomial(right))
+    return acc
+
+
 def f_character_values(g: Character, g_inv: Character, v):
     """f(v) = -(g (x) g^{-1})(P_X Delta+ v), the paracontrolled projection
     functional, evaluated pointwise (array-valued for field characters)."""
-    S = g.structure
-    if isinstance(v, PlusMonomial):
-        v = FreeVector.single(v)
-    acc = 0
-    for mono, c in v.sorted_items():
-        for (left, right), c2 in S.delta_plus(mono).sorted_items():
-            if not left.is_poly:
-                continue
-            acc = acc + _cmul(c * c2, g.of_monomial(left) * g_inv.of_monomial(right))
-    return -1 * acc
+    return -1 * _contract(g, g_inv, v, left_poly=True)
 
 
 def f_character_complement(g: Character, g_inv: Character, v):
     """The complement form f(v) = sum_{sigma <= tau, sigma not in B_X}
     g(sigma) g^{-1}(tau/sigma); agrees with the projection form off B_X."""
-    S = g.structure
-    if isinstance(v, PlusMonomial):
-        v = FreeVector.single(v)
-    acc = 0
-    for mono, c in v.sorted_items():
-        for (left, right), c2 in S.delta_plus(mono).sorted_items():
-            if left.is_poly:
-                continue
-            acc = acc + _cmul(c * c2, g.of_monomial(left) * g_inv.of_monomial(right))
-    return acc
+    return _contract(g, g_inv, v, left_poly=False)

@@ -307,23 +307,22 @@ def cmd_roundtrip(args) -> int:
     model, gb, pib, m = _random_model(S, cfg)
     lines = [f"structure={S.name}", f"side={args.side}", f"seed={cfg.seed}", f"m={m}"]
     worst = 0.0
+
+    def compare(side, name, got, f):
+        nonlocal worst
+        err = float(np.max(np.abs(got - f.values)))
+        err /= max(float(np.max(np.abs(f.values))), 1e-30)
+        worst = max(worst, err)
+        lines.append(f"{side} {name} rel_err={err:.3e}")
+
     if args.side in ("g", "both"):
-        Mg = g_as_model(S, grid, model.g)
-        data = extract_brackets(Mg, m=0, with_reports=False)
+        data = extract_brackets(g_as_model(S, grid, model.g), m=0, with_reports=False)
         for name, f in gb.items():
-            mono = PlusMonomial.of_gen(name, S.dim)
-            err = float(np.max(np.abs(data.g_side[mono] - f.values)))
-            err /= max(float(np.max(np.abs(f.values))), 1e-30)
-            worst = max(worst, err)
-            lines.append(f"g {name} rel_err={err:.3e}")
+            compare("g", name, data.g_side[PlusMonomial.of_gen(name, S.dim)], f)
     if args.side in ("pi", "both"):
         data = extract_brackets(model, m=m, with_reports=False)
         for name, f in pib.items():
-            sym = BaseSymbol(name, (0,) * S.dim)
-            err = float(np.max(np.abs(data.pi_side[sym] - f.values)))
-            err /= max(float(np.max(np.abs(f.values))), 1e-30)
-            worst = max(worst, err)
-            lines.append(f"pi {name} rel_err={err:.3e}")
+            compare("pi", name, data.pi_side[BaseSymbol(name, (0,) * S.dim)], f)
     ok = worst <= cfg.tol_rel
     lines.append(f"max_rel_err={worst:.3e}")
     lines.append(f"status={'pass' if ok else 'FAIL'}")

@@ -142,12 +142,9 @@ def diag_derivative(model: Model, mono: PlusMonomial, k) -> np.ndarray:
 def diag_two_point(model: Model, v, k) -> np.ndarray:
     """The field x -> d^k_y g_{yx}(v) |_{y=x} for a monomial or FreeVector v,
     expanded over Delta+ as sum d^k g(a) * g^{-1}(b)."""
-    if isinstance(v, PlusMonomial):
-        v = FreeVector.single(v)
     acc = np.zeros(model.grid.shape)
-    for mono, c in v.sorted_items():
-        for (a, b), c2 in model.structure.delta_plus(mono).sorted_items():
-            acc += float(c * c2) * diag_derivative(model, a, k) * model.g_inv_field(b)
+    for c, a, b in model.structure.delta_plus_terms(v):
+        acc += float(c) * diag_derivative(model, a, k) * model.g_inv_field(b)
     return acc
 
 

@@ -19,6 +19,7 @@ from .algebra import (
     PlusMonomial,
     Multi,
     mi_abs,
+    mi_below_abs,
     mi_range,
     mi_str,
     mi_zero,
@@ -174,16 +175,8 @@ def enumerate_basis(rule: Rule) -> TreeBasis:
     def family(t: DecoratedTree) -> list[DecoratedTree]:
         """All positive e-decorated variants of one integrated tree."""
         (b,) = t.branches
-        base = graft(b.edge_type, mi_zero(d), b.child)
-        h0 = algebra.homogeneity(base)
-        out = []
-        if h0 <= 0:
-            return out
-        max_k = int(h0) if h0 != int(h0) else int(h0) - 1
-        for k in mi_range(d, max(max_k, 0)):
-            if mi_abs(k) < h0:
-                out.append(graft(b.edge_type, k, b.child))
-        return out
+        h0 = algebra.homogeneity(graft(b.edge_type, mi_zero(d), b.child))
+        return [graft(b.edge_type, k, b.child) for k in mi_below_abs(d, h0)]
 
     pending: list[DecoratedTree] = []
 

@@ -6,6 +6,10 @@ mu/sigma in span(B+ \\ B_X^+): md_to_paracontrolled takes sign -1,
 <f_sigma>^g = f_sigma - sum_{sigma < mu} P_{f_mu} <mu/sigma>^g and
 <f>^M = Rf - sum_sigma P_{f_sigma} <sigma>^M; md_from_paracontrolled takes
 sign +1, f_sigma = <f_sigma>^g + the same sum.
+
+Every sum of g (x) g^{-1} over Delta+ here goes through
+`ConcreteRegularityStructure.delta_plus_terms`, in one order, which the
+bit-identity tests of the sampled and two-point checks pin.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ from .algebra import (
     FreeVector,
     PlusMonomial,
     mi_abs,
+    mi_below_abs,
     mi_factorial,
     mi_range,
     mi_zero,
@@ -159,23 +164,13 @@ def _two_point_fit(grid: Grid, diff) -> tuple[float | None, list, int]:
 def two_point_g_report(model: Model, v) -> tuple[float | None, list, int]:
     """Fitted slope of |g_{yx}(v)| against dyadic separations y - x = h
     along each axis; the worst axis decides (see _two_point_fit)."""
-    terms = [
-        (float(c), model.g_field(left), model.g_inv_field(right))
-        for (left, right), c in model.structure.delta_plus(v).sorted_items()
-    ]
-
-    def diff(ys, xs):
-        acc = 0.0
-        for c, gy, gxi in terms:
-            acc = acc + c * gy[ys] * gxi[xs]
-        return acc
-
-    return _two_point_fit(model.grid, diff)
+    fields = _SampledFields(model)
+    return _two_point_fit(model.grid, lambda ys, xs: fields.two_point(v, ys, xs))
 
 
 class _SampledFields:
     """g and g^{-1} fields of a model, each evaluated once and then read at
-    index arrays, one entry per sampled point."""
+    index arrays (one entry per sampled point) or at index boxes."""
 
     def __init__(self, model: Model):
         self.model = model
@@ -193,14 +188,11 @@ class _SampledFields:
         return self._g_inv[mono]
 
     def two_point(self, v, ia, ib):
-        """g_{yx}(v) at index arrays (ia, ib); v a monomial or FreeVector.
-        Each sample is summed in the same order as a scalar loop would."""
-        if isinstance(v, PlusMonomial):
-            v = FreeVector.single(v)
+        """g_{yx}(v) at indices (ia, ib); v a monomial or FreeVector.  Each
+        sample is summed in the same order as a scalar loop would."""
         acc = 0.0
-        for mono, c0 in v.sorted_items():
-            for (left, right), c in self.model.structure.delta_plus(mono).sorted_items():
-                acc = acc + float(c0 * c) * self.g(left)[ia] * self.g_inv(right)[ib]
+        for c, left, right in self.model.structure.delta_plus_terms(v):
+            acc = acc + float(c) * self.g(left)[ia] * self.g_inv(right)[ib]
         return acc
 
 
@@ -224,7 +216,7 @@ def chen_residual(model: Model, rng: np.random.Generator, samples: int = 100) ->
         scale = max(np.max(np.abs(fields.g(mono))), 1.0)
         # chen: g_{zx} = sum over Delta+ of g_{zy}(left) g_{yx}(right)
         acc = 0.0
-        for (left, right), c in S.delta_plus(mono).sorted_items():
+        for c, left, right in S.delta_plus_terms(mono):
             gzy = fields.two_point(left, iz, iy)
             gyx = fields.two_point(right, iy, ix)
             acc = acc + float(c) * gzy * gyx
@@ -290,14 +282,7 @@ def validate_model(model: Model, tol_slope: float = SLOPE_TOL,
 
 def _d_symbol_vectors(S: ConcreteRegularityStructure, mono: PlusMonomial):
     """Nonzero D^k mono for all admissible k, as (k, FreeVector) pairs."""
-    h = S.homog_plus(mono)
-    max_k = int(h) if h != int(h) else int(h) - 1
-    out = []
-    for k in mi_range(S.dim, max(max_k, 0)):
-        dk = S.d_op(k, mono)
-        if dk:
-            out.append((k, dk))
-    return out
+    return [(k, dk) for k in mi_below_abs(S.dim, S.homog_plus(mono)) if (dk := S.d_op(k, mono))]
 
 
 def lemma_gx_fx_residual(model: Model) -> float:
@@ -311,9 +296,7 @@ def lemma_gx_fx_residual(model: Model) -> float:
         for k, dk in _d_symbol_vectors(S, mono):
             lhs = np.asarray(g(dk), dtype=float)
             rhs = np.zeros(model.grid.shape)
-            for (left, right), c in S.delta_plus(mono).sorted_items():
-                if left.is_poly:
-                    continue
+            for c, left, right in S.delta_plus_terms(mono, left_poly=False):
                 dk_left = S.d_op(k, left)
                 if not dk_left:
                     continue
@@ -341,16 +324,14 @@ def lemma_gyx_f_residual(model: Model, rng: np.random.Generator, samples: int = 
         fields = _SampledFields(model)
         for k, dk in _d_symbol_vectors(S, mono):
             f_fields = {}
-            max_l = int(h) - mi_abs(k) if h == int(h) else int(math.floor(h - mi_abs(k)))
-            for l in mi_range(S.dim, max(max_l, 0)):
+            # |l| <= h - |k|, inclusive at integer h
+            for l in mi_range(S.dim, math.floor(h - mi_abs(k))):
                 dkl = S.d_op(tuple(a + b for a, b in zip(k, l)), mono)
                 f_fields[l] = np.asarray(
                     f_character_values(g, g_inv, dkl), dtype=float
                 ) if dkl else np.zeros(grid.shape)
             sigma_data = []
-            for (left, right), c in S.delta_plus(mono).sorted_items():
-                if left.is_poly:
-                    continue
+            for c, left, right in S.delta_plus_terms(mono, left_poly=False):
                 dk_left = S.d_op(k, left)
                 if not dk_left:
                     continue
@@ -386,9 +367,7 @@ def third_formula_residual(model: Model) -> float:
             lhs = np.asarray(f_character_values(g, g_inv, dk), dtype=float)
             lhs = np.broadcast_to(lhs, grid.shape)
             rhs = np.zeros(grid.shape)
-            for (left, right), c in S.delta_plus(mono).sorted_items():
-                if left.is_poly:
-                    continue
+            for c, left, right in S.delta_plus_terms(mono, left_poly=False):
                 rhs += float(c) * model.g_inv_field(right) * diag_derivative(model, left, k)
             scale = max(float(np.max(np.abs(lhs[mask]))), 1.0)
             worst = max(worst, float(np.max(np.abs((lhs - rhs)[mask]))) / scale)
@@ -600,13 +579,10 @@ def _check_structure_condition(model: Model, md: ModelledDistribution) -> None:
     mask = interior_mask(grid)
     worst = None
     for tau in symbols:
-        h = S.homog_base(tau)
-        max_k = gamma - h
-        kmax = int(max_k) if max_k != int(max_k) else int(max_k) - 1
         # a copy, let go with tau, so the md does not keep its spectrum
         f_tau = Field(grid, md.coeff(tau))
-        for k in mi_range(S.dim, max(kmax, 0)):
-            if not any(k) or h + mi_abs(k) >= gamma:
+        for k in mi_below_abs(S.dim, gamma - S.homog_base(tau)):
+            if not any(k):
                 continue
             lhs = _md_diagonal_derivative(model, S, symbols, f_tau, md.coeff, tau, k, gamma)
             rhs = np.zeros(grid.shape)
@@ -633,16 +609,8 @@ def validate_md(model: Model, md: ModelledDistribution,
     symbols = S.base_symbols(md.gamma)
     for tau in symbols:
         target = float(md.gamma - S.homog_base(tau))
-        terms = []
-        for mu in symbols:
-            quot = S.quotient_base(mu, tau)
-            if not quot:
-                continue
-            for mono, c in quot.sorted_items():
-                for (a, b), c2 in S.delta_plus(mono).sorted_items():
-                    terms.append(
-                        (float(c * c2), model.g_field(a), model.g_inv_field(b), md.coeff(mu))
-                    )
+        terms = [(float(c), model.g_field(a), model.g_inv_field(b), md.coeff(mu))
+                 for mu in symbols for c, a, b in S.delta_plus_terms(S.quotient_base(mu, tau))]
 
         def diff(ys, xs):
             acc = md.coeff(tau)[ys].copy()
@@ -701,8 +669,7 @@ def lambda_cross_check(model: Model, root: str, m: int | None = None,
 
     for mo in monos:
         h_sigma = S.homog_plus(mo)
-        max_k = int(h_sigma) if h_sigma != int(h_sigma) else int(h_sigma) - 1
-        for k in mi_range(S.dim, max(max_k, 0)):
+        for k in mi_below_abs(S.dim, h_sigma):
             dk = S.d_op(k, mo)
             if not dk and any(k):
                 continue
@@ -711,11 +678,9 @@ def lambda_cross_check(model: Model, root: str, m: int | None = None,
                 f_character_values(model.g, model.g_inv, dk), dtype=float
             ), grid.shape)
             # (ii) sum of J-operators on the recentered family
-            terms = []
-            for (left, right), c in S.delta_plus(mo).sorted_items():
-                if left.is_poly or left not in lam_fields:
-                    continue
-                terms.append((float(c), left, right))
+            terms = [(float(c), left, right)
+                     for c, left, right in S.delta_plus_terms(mo, left_poly=False)
+                     if left in lam_fields]
             acc = np.zeros(grid.shape)
             medians = np.zeros(decomp.j_max + 2)
             for j in decomp.js:
@@ -738,19 +703,14 @@ def lambda_cross_check(model: Model, root: str, m: int | None = None,
 
 
 def _delta_aux_coassoc_defect(S: ConcreteRegularityStructure, monos) -> FreeVector:
-    """(delta (x) Id) delta - (Id (x) Delta+) delta on the auxiliary symbols:
-    delta(sigma^{(m)}) = sum_{mu <= sigma, mu not poly} mu^{(m)} (x) sigma/mu."""
-    lhs: list = []
-    rhs: list = []
+    """(delta (x) Id) delta - (Id (x) Delta+) delta on the auxiliary symbols,
+    keyed (sigma,) + the coaction_defect key: delta(sigma^{(m)}) =
+    sum_{mu <= sigma, mu not poly} mu^{(m)} (x) sigma/mu."""
     allowed = set(monos)
-    for mo in monos:
-        for (mu, quot1), c in S.delta_plus(mo).items():
-            if mu.is_poly or mu not in allowed:
-                continue
-            for (nu, quot2), c2 in S.delta_plus(mu).items():
-                if nu.is_poly or nu not in allowed:
-                    continue
-                lhs.append(((mo, nu, quot2, quot1), c * c2))
-            for (a, b), c2 in S.delta_plus(quot1).items():
-                rhs.append(((mo, mu, a, b), c * c2))
-    return FreeVector(lhs) - FreeVector(rhs)
+
+    def delta(mo):
+        return FreeVector([((mu, quot), c) for (mu, quot), c in S.delta_plus(mo).items()
+                           if not mu.is_poly and mu in allowed])
+
+    return FreeVector([((mo,) + key, c) for mo in monos
+                       for key, c in S.coaction_defect(delta, mo).items()])

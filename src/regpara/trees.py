@@ -20,12 +20,13 @@ from .algebra import (
     mi_abs,
     mi_add,
     mi_below,
+    mi_below_abs,
     mi_binom,
     mi_factorial,
-    mi_range,
     mi_str,
     mi_sub,
     mi_zero,
+    poly_split,
 )
 
 
@@ -254,13 +255,7 @@ class TreeAlgebra:
             )
         elif t.is_leaf:
             # single node X^k
-            terms = []
-            for l in mi_below(t.n_dec):
-                rest = mi_sub(t.n_dec, l)
-                terms.append(
-                    ((x_power(d, l), TreeMonomial.of_poly(rest)), mi_binom(t.n_dec, l))
-                )
-            out = FreeVector(terms)
+            out = poly_split(t.n_dec, lambda l: x_power(d, l), TreeMonomial.of_poly)
         elif any(t.n_dec) or len(t.branches) > 1:
             # factorise: X^n * product of single branches
             out = self.delta(x_power(d, t.n_dec))
@@ -281,10 +276,7 @@ class TreeAlgebra:
                 terms.append(((graft(tname, k, left), right), c))
             # strict truncation |l| + |k| < |tau| + |t| (ties excluded)
             room = self.homogeneity(tau) + self.types[tname] - mi_abs(k)
-            max_l = int(room) if room != int(room) else int(room) - 1
-            for l in mi_range(d, max(max_l, 0)):
-                if mi_abs(l) + mi_abs(k) >= self.homogeneity(tau) + self.types[tname]:
-                    continue
+            for l in mi_below_abs(d, room):
                 inner = graft(tname, mi_add(k, l), tau)
                 terms.append(
                     (
@@ -331,30 +323,12 @@ class TreeAlgebra:
     def ell_graft(self, l: Multi, k: Multi, tname: str, v) -> FreeVector:
         """lI_k^t(tau) = sum_m binom(l, m) X^m (-1)^{l-m} I_k^t(X^{l-m} tau),
         linear over FreeVectors of canonical trees."""
-        if isinstance(v, DecoratedTree):
-            v = FreeVector.single(v)
-        out = []
-        for tau, c in v.items():
-            for m in mi_below(l):
-                rest = mi_sub(l, m)
-                sign = (-1) ** mi_abs(rest)
-                tree = x_mul(m, graft(tname, k, x_mul(rest, tau)))
-                out.append((tree, c * mi_binom(l, m) * sign))
-        return FreeVector(out)
+        return _shifted_grafts(l, v, lambda rest, tau: graft(tname, k, x_mul(rest, tau)))
 
     def inverse_graft(self, l: Multi, k: Multi, tname: str, v) -> FreeVector:
         """I_k^t(X^l tau) = sum_m binom(l,m) X^m (-1)^{l-m} {l-m}I_k^t(tau):
         the inversion formula, producing f-decorated trees."""
-        if isinstance(v, DecoratedTree):
-            v = FreeVector.single(v)
-        out = []
-        for tau, c in v.items():
-            for m in mi_below(l):
-                rest = mi_sub(l, m)
-                sign = (-1) ** mi_abs(rest)
-                tree = x_mul(m, graft_f(tname, k, rest, tau))
-                out.append((tree, c * mi_binom(l, m) * sign))
-        return FreeVector(out)
+        return _shifted_grafts(l, v, lambda rest, tau: graft_f(tname, k, rest, tau))
 
     # -- canonical <-> non-canonical -------------------------------------------
 
@@ -433,6 +407,19 @@ class TreeAlgebra:
                 for ftree, c3 in self.to_noncanonical(left).items():
                     acc_terms.append(((ftree, right), c * c2 * c3))
         return FreeVector(acc_terms)
+
+
+def _shifted_grafts(l: Multi, v, grafted) -> FreeVector:
+    """sum_m binom(l, m) X^m (-1)^{l-m} grafted(l - m, tau), linear over a
+    FreeVector (or a single tree) v: the sum of ell_graft and inverse_graft."""
+    if isinstance(v, DecoratedTree):
+        v = FreeVector.single(v)
+    out = []
+    for tau, c in v.items():
+        for m in mi_below(l):
+            rest = mi_sub(l, m)
+            out.append((x_mul(m, grafted(rest, tau)), c * mi_binom(l, m) * (-1) ** mi_abs(rest)))
+    return FreeVector(out)
 
 
 def _fv_tree_mul(a: FreeVector, b: FreeVector) -> FreeVector:

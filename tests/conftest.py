@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from regpara.algebra import ConcreteRegularityStructure, FreeVector
 from regpara.grid import Grid
 from regpara.library import structure
 from regpara.models import build_g, build_pi, g_as_model
@@ -42,6 +43,16 @@ def build_random_model(S, grid, seed=20):
            for i, n in enumerate(negs)}
     model = build_pi(S, grid, g, pib)
     return model, gb, pib
+
+
+def perturbed_structure(S, table, name, key, coeff):
+    """A copy of S whose `table` ("dplus_table" or "delta_table") entry for
+    generator `name` has coefficient `coeff` on `key`; all else unchanged."""
+    tables = {"dplus_table": dict(S.dplus_table), "delta_table": dict(S.delta_table)}
+    vec = tables[table][name]
+    tables[table][name] = vec + FreeVector.single(key, coeff - vec.coeff(key))
+    return ConcreteRegularityStructure(S.dim, S.cutoff, S.plus_gens, S.base_gens,
+                                       name=S.name + "-perturbed", **tables)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 """Exact symbolic layer: monomials, free vectors, coproducts, D^k, assumptions."""
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,16 @@ from regpara.algebra import (
     BaseSymbol,
     FreeVector,
     PlusMonomial,
+    mi_below_abs,
     mi_binom,
     mi_factorial,
     mi_range,
     polynomial_structure,
 )
 from regpara.library import structure
+from regpara.models import plus_bound
+
+from conftest import perturbed_structure
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +173,74 @@ class TestHopfExactness:
             for (left, right), _c in S.delta(sym).items():
                 assert S.homog_base(left) + S.homog_plus(right) == h
                 assert left == sym or S.homog_base(left) < h
+
+
+class TestCoactionDefects:
+    """The defects vanish on the shipped tables (TestHopfExactness); here a
+    table with one wrong coefficient must show up in them."""
+
+    def test_perturbed_delta_plus_breaks_coassociativity(self):
+        S = structure("toy")
+        mono = max((PlusMonomial.of_gen(n, 1) for n in S.plus_gens), key=S.homog_plus)
+        unit = PlusMonomial.unit(1)
+        assert not S.coassociativity_defect(mono)
+        broken = perturbed_structure(S, "dplus_table", mono.gens[0][0], (mono, unit), 2)
+        assert broken.coassociativity_defect(mono)
+
+    def test_perturbed_delta_breaks_the_comodule_identity(self):
+        S = structure("toy")
+        name = max((n for n in S.base_gens if n != "1"), key=lambda n: S.base_gens[n])
+        sym = BaseSymbol(name, (0,))
+        assert not S.comodule_defect(sym)
+        broken = perturbed_structure(S, "delta_table", name, (sym, PlusMonomial.unit(1)), 2)
+        assert broken.comodule_defect(sym)
+
+
+def _nested_delta_plus_terms(S, v, left_poly):
+    """The nested loop delta_plus_terms replaces, spelled with its own sort
+    keys: v's monomials by name, each coproduct by its left (x) right name."""
+    if isinstance(v, PlusMonomial):
+        v = FreeVector.single(v)
+    out = []
+    for mono, c in sorted(v.terms.items(), key=lambda kv: str(kv[0])):
+        terms = S.delta_plus(mono).terms.items()
+        for (left, right), c2 in sorted(terms, key=lambda kv: f"{kv[0][0]} (x) {kv[0][1]}"):
+            if left_poly is None or left.is_poly == left_poly:
+                out.append((c * c2, left, right))
+    return out
+
+
+@pytest.mark.parametrize("name, noncanonical", [
+    ("toy", False), ("bhz", True), ("twonoise", False), ("toy2d", False)])
+def test_delta_plus_terms_is_the_nested_sorted_loop(name, noncanonical):
+    S = structure(name, noncanonical=noncanonical)
+    monos = S.plus_monomials(plus_bound(S))
+    symbols = S.base_symbols()
+    vectors = [S.quotient_base(mu, tau) for mu in symbols for tau in symbols]
+    vectors += [S.d_op(k, mono) for k in mi_range(S.dim, 2) for mono in monos]
+    # and one combination of every monomial, coefficients not 1
+    vectors.append(FreeVector([(m, Fraction(i + 1, 3)) for i, m in enumerate(reversed(monos))]))
+    vectors = [v for v in vectors if v]
+    for v in monos + vectors:
+        split = {}
+        for left_poly in (None, True, False):
+            got = list(S.delta_plus_terms(v, left_poly))
+            assert got == _nested_delta_plus_terms(S, v, left_poly)
+            assert all(type(c) is Fraction for c, _, _ in got)
+            split[left_poly] = got
+        # each filter keeps its share of the unfiltered terms, in their order
+        for left_poly in (True, False):
+            assert split[left_poly] == [t for t in split[None] if t[1].is_poly == left_poly]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("bound", [Fraction(-1, 2), 0, Fraction(3, 8), 1, Fraction(3, 2), 2,
+                                   Fraction(9, 4)])
+def test_mi_below_abs_is_the_strict_ball(d, bound):
+    got = mi_below_abs(d, bound)
+    brute = {k for k in itertools.product(range(4), repeat=d) if sum(k) < bound}
+    assert set(got) == brute and len(got) == len(brute)
+    assert got == [k for k in mi_range(d, 3) if sum(k) < bound]   # mi_range's order
 
 
 class TestAssumptions:

@@ -1,8 +1,10 @@
-"""Repository hygiene: no library definition without a user, and every flag
-a verb accepts is one it reads and the README documents."""
+"""Repository hygiene: no library definition without a user, every flag
+a verb accepts is one it reads and the README documents, and every name the
+benchmark's tracer wraps exists."""
 import argparse
 import ast
 import contextlib
+import importlib
 import io
 import re
 from collections import Counter
@@ -179,3 +181,22 @@ def test_one_slope_estimator():
         ("norms.py", "log_scale_fit", "polyfit"),
         ("norms.py", "scale_stats", "quantile"),
     ]
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    """Each (module, attribute) in perfbench/tracer.GROUPS names a module
+    attribute or an entry of a class __dict__, as `Tracer.install` reads
+    them: a rename in the package fails here, not in `run.py --trace 1`.
+    The tracer module is imported, never installed."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    entries = [entry for group in tracer.GROUPS.values() for entry in group]
+    assert len(entries) > 40
+    missing = []
+    for modname, attr in entries:
+        mod = importlib.import_module(modname)
+        owner, _, name = attr.rpartition(".")
+        holder = getattr(mod, owner, None) if owner else mod
+        if holder is None or name not in vars(holder):
+            missing.append(f"{modname}:{attr}")
+    assert missing == []

@@ -34,6 +34,7 @@ from regpara.translation import (
     SLOPE_TOL,
     StructureConditionError,
     _d_symbol_vectors,
+    _delta_aux_coassoc_defect,
     chen_residual,
     lambda_cross_check,
     lemma_gyx_f_residual,
@@ -44,7 +45,7 @@ from regpara.translation import (
     validate_md,
 )
 
-from conftest import build_random_model
+from conftest import build_random_model, perturbed_structure
 
 GAMMA = Fraction(9, 8)
 
@@ -516,6 +517,24 @@ class TestAuxiliaryStructure:
         for root in roots:
             crep = lambda_cross_check(bhz_g_model, root)
             assert crep.ok, "\n".join(c.line() for c in crep.checks if not c.passed)
+
+    @staticmethod
+    def _symbols(S, built, root):
+        """The auxiliary symbols of lambda_cross_check at root."""
+        return [mo for mo in S.plus_monomials(S.plus_gens[root])
+                if not mo.is_poly and all(n in built for n, _ in mo.gens)
+                ] + [PlusMonomial.of_gen(root, S.dim)]
+
+    def test_coassociativity_defect_detects_a_broken_table(self, bhz_g_model):
+        S, built = bhz_g_model.structure, bhz_g_model.g.values
+        for root in sorted(built):
+            assert not _delta_aux_coassoc_defect(S, self._symbols(S, built, root))
+        # a wrong diagonal coefficient on the generator with middle terms
+        top = max(built, key=lambda n: (len(S.dplus_table[n]), S.plus_gens[n]))
+        assert len(S.dplus_table[top]) > 2
+        gen = PlusMonomial.of_gen(top, S.dim)
+        broken = perturbed_structure(S, "dplus_table", top, (gen, PlusMonomial.unit(S.dim)), 2)
+        assert _delta_aux_coassoc_defect(broken, self._symbols(broken, built, top))
 
     def test_requires_m_above_homogeneity(self, bhz_g_model, bhz_structure):
         rep = bhz_structure.check_assumptions()
