@@ -7,6 +7,7 @@ with no floating error.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
@@ -78,9 +79,12 @@ def mi_str(k: Multi) -> str:
 
 @dataclass(frozen=True)
 class PlusMonomial:
-    """Element of the free commutative monoid B+: prod of generators times X^k."""
+    """Element of the free commutative monoid B+: prod of generators times X^k.
 
-    gens: tuple[tuple[str, int], ...]  # sorted (name, multiplicity), mult > 0
+    A generator key is a name, or an integrated tree before export; keys are
+    ordered and printed by `str` (for a tree, its serialization)."""
+
+    gens: tuple[tuple[object, int], ...]  # sorted by str(key), mult > 0
     poly: Multi
 
     @staticmethod
@@ -88,8 +92,8 @@ class PlusMonomial:
         return PlusMonomial((), mi_zero(d))
 
     @staticmethod
-    def of_gen(name: str, d: int) -> "PlusMonomial":
-        return PlusMonomial(((name, 1),), mi_zero(d))
+    def of_gen(key, d: int) -> "PlusMonomial":
+        return PlusMonomial(((key, 1),), mi_zero(d))
 
     @staticmethod
     def of_poly(k: Multi) -> "PlusMonomial":
@@ -105,19 +109,20 @@ class PlusMonomial:
         return not self.gens
 
     def mul(self, other: "PlusMonomial") -> "PlusMonomial":
-        counts: dict[str, int] = dict(self.gens)
-        for name, m in other.gens:
-            counts[name] = counts.get(name, 0) + m
+        counts = dict(self.gens)
+        for key, m in other.gens:
+            counts[key] = counts.get(key, 0) + m
         return PlusMonomial(
-            tuple(sorted(counts.items())), mi_add(self.poly, other.poly)
+            tuple(sorted(counts.items(), key=lambda km: str(km[0]))),
+            mi_add(self.poly, other.poly),
         )
 
     def __str__(self):
         bits = []
         if any(self.poly):
             bits.append("X" + mi_str(self.poly))
-        for name, m in self.gens:
-            bits.append(name if m == 1 else f"{name}^{m}")
+        for key, m in self.gens:
+            bits.append(str(key) if m == 1 else f"{key}^{m}")
         return ".".join(bits) if bits else "1"
 
 
@@ -232,20 +237,15 @@ class FreeVector:
     def map_keys(self, fn) -> "FreeVector":
         return FreeVector([(fn(k), c) for k, c in self.terms.items()])
 
+    def mul(self, other: "FreeVector", key_mul) -> "FreeVector":
+        """Bilinear product: the sum of c1 c2 key_mul(a, b) over the terms
+        c1 a of self and c2 b of other, in that order."""
+        return FreeVector([(key_mul(k1, k2), c1 * c2)
+                           for k1, c1 in self.terms.items() for k2, c2 in other.terms.items()])
+
     def tensor_mul(self, other: "FreeVector", mul_left, mul_right) -> "FreeVector":
         """Componentwise product of tensors: (a (x) b)(c (x) d) = ac (x) bd."""
-        out: dict = {}
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                key = (mul_left(l1, l2), mul_right(r1, r2))
-                new = out.get(key, Fraction(0)) + c1 * c2
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
-        fv = FreeVector.__new__(FreeVector)
-        fv.terms = out
-        return fv
+        return self.mul(other, lambda x, y: (mul_left(x[0], y[0]), mul_right(x[1], y[1])))
 
     def serialize(self) -> str:
         if not self.terms:
@@ -260,6 +260,27 @@ class FreeVector:
 
     def __repr__(self):
         return f"FreeVector({self.serialize()})"
+
+
+def memoised(table: str):
+    """Method decorator: memoise a one-argument method in the dict
+    self.<table>.  The lookup and the store each hold self._lock; the value
+    is computed outside it, so recursive calls do not deadlock and worker
+    threads may read the tables."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def method(self, key):
+            memo = getattr(self, table)
+            with self._lock:
+                hit = memo.get(key)
+            if hit is not None:
+                return hit
+            out = fn(self, key)
+            with self._lock:
+                memo[key] = out
+            return out
+        return method
+    return wrap
 
 
 def _mul_base_symbols(a: BaseSymbol, b: BaseSymbol) -> BaseSymbol:
@@ -371,12 +392,9 @@ class ConcreteRegularityStructure:
 
     # -- coproducts ----------------------------------------------------------
 
+    @memoised("_dplus_memo")
     def delta_plus(self, m: PlusMonomial) -> FreeVector:
         """Full coproduct of a monomial, multiplicative extension of the tables."""
-        with self._lock:
-            hit = self._dplus_memo.get(m)
-        if hit is not None:
-            return hit
         if m.is_unit:
             out = FreeVector.single((m, m))
         elif any(m.poly):
@@ -397,16 +415,11 @@ class ConcreteRegularityStructure:
                 out = head.tensor_mul(
                     self.delta_plus(rest), PlusMonomial.mul, PlusMonomial.mul
                 )
-        with self._lock:
-            self._dplus_memo[m] = out
         return out
 
+    @memoised("_delta_memo")
     def delta(self, s: BaseSymbol) -> FreeVector:
         """Delta(X_^k sigma) = (Delta X_^k)(Delta sigma), values in T (x) T+."""
-        with self._lock:
-            hit = self._delta_memo.get(s)
-        if hit is not None:
-            return hit
         if s.core not in self.base_gens:
             raise KeyError(f"unknown base generator {s.core}")
         if s.core != "1" and not any(s.poly):
@@ -415,26 +428,16 @@ class ConcreteRegularityStructure:
             out = poly_split(s.poly, lambda l: BaseSymbol("1", l), PlusMonomial.of_poly)
             if s.core != "1":
                 out = out.tensor_mul(self.delta_table[s.core], _mul_base_symbols, PlusMonomial.mul)
-        with self._lock:
-            self._delta_memo[s] = out
         return out
 
     # -- derived operations ----------------------------------------------------
 
-    def quotient_plus(self, tau: PlusMonomial, sigma: PlusMonomial) -> FreeVector:
-        """tau /+ sigma, the right factor over left slot sigma (zero if absent)."""
-        out = []
-        for (left, right), c in self.delta_plus(tau).items():
-            if left == sigma:
-                out.append((right, c))
-        return FreeVector(out)
-
-    def quotient_base(self, tau: BaseSymbol, sigma: BaseSymbol) -> FreeVector:
-        out = []
-        for (left, right), c in self.delta(tau).items():
-            if left == sigma:
-                out.append((right, c))
-        return FreeVector(out)
+    def quotient(self, tau, sigma) -> FreeVector:
+        """tau / sigma, the right factor over left slot sigma (zero if absent),
+        read off Delta+ for a PlusMonomial tau and off Delta otherwise."""
+        coproduct = self.delta_plus if isinstance(tau, PlusMonomial) else self.delta
+        return FreeVector([(right, c) for (left, right), c in coproduct(tau).items()
+                           if left == sigma])
 
     def delta_plus_terms(self, v, left_poly: bool | None = None):
         """(c, left, right) for every term of Delta+ v, v a monomial or a
@@ -452,13 +455,11 @@ class ConcreteRegularityStructure:
         """D^k: k! times the right factor over left slot X^k; linear in v."""
         if isinstance(v, PlusMonomial):
             v = FreeVector.single(v)
-        out = FreeVector.zero()
         fact = mi_factorial(k)
-        for mono, c in v.items():
-            if self.homog_plus(mono) < mi_abs(k):
-                continue
-            out = out + self.quotient_plus(mono, PlusMonomial.of_poly(k)).scale(c * fact)
-        return out
+        x_k = PlusMonomial.of_poly(k)
+        return FreeVector([(right, c * fact * c2) for mono, c in v.items()
+                           if self.homog_plus(mono) >= mi_abs(k)
+                           for right, c2 in self.quotient(mono, x_k).items()])
 
     # -- enumeration -----------------------------------------------------------
 

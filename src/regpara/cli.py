@@ -67,6 +67,10 @@ def _load_structure(args):
     return read_structure(path)
 
 
+def _load_rule(args):
+    return library.RULES[args.rule] if args.rule in library.RULES else read_rule(args.rule)
+
+
 def _config(args, S, tol_slope: float = Config.tol_slope,
             tol_rel: float = Config.tol_rel) -> Config:
     """The run configuration of a verb that builds a model; the grid
@@ -130,7 +134,7 @@ def cmd_coproduct(args) -> int:
 
 
 def cmd_bhz_enumerate(args) -> int:
-    rule = library.RULES[args.rule] if args.rule in library.RULES else read_rule(args.rule)
+    rule = _load_rule(args)
     basis = enumerate_basis(rule)
     lines = [f"rule={rule.name}", f"closure={len(basis.trees)}",
              f"b_dot={len(basis.b_dot)}", f"b_dot_tilde={len(basis.b_dot_tilde)}",
@@ -146,7 +150,7 @@ def cmd_bhz_enumerate(args) -> int:
 
 
 def cmd_bhz_transform(args) -> int:
-    rule = library.RULES[args.rule] if args.rule in library.RULES else read_rule(args.rule)
+    rule = _load_rule(args)
     basis = enumerate_basis(rule)
     ok_d, witness = check_d_canonical(basis)
     ok_s, witness_s = check_stronger_claim(basis)
@@ -158,11 +162,11 @@ def cmd_bhz_transform(args) -> int:
     if witness_s:
         lines.append(f"noncanonical_witness={witness_s}")
     # round trip of the change of basis
+    algebra = basis.algebra
     errs = 0
     for t in basis.b_dot:
-        back = FreeVector.zero()
-        for ft, c in basis.algebra.to_noncanonical(t).items():
-            back = back + basis.algebra.to_canonical(ft).scale(c)
+        back = FreeVector([(t2, c * c2) for ft, c in algebra.to_noncanonical(t).items()
+                           for t2, c2 in algebra.to_canonical(ft).items()])
         if back != FreeVector.single(t):
             errs += 1
     lines.append(f"change_of_basis_roundtrip_failures={errs}")

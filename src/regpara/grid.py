@@ -94,16 +94,6 @@ class Grid:
             x.setflags(write=False)
         return out
 
-    def freq_axes(self) -> tuple[np.ndarray, ...]:
-        f = np.fft.fftfreq(self.n, d=1.0 / self.n) * self.freq_step
-        if self.dim == 1:
-            return (f,)
-        return tuple(np.meshgrid(f, f, indexing="ij"))
-
-    def freq_radius(self) -> np.ndarray:
-        fs = self.freq_axes()
-        return np.sqrt(sum(f**2 for f in fs))
-
     def max_freq_radius(self) -> float:
         return float(self.freq_step * (self.n // 2) * np.sqrt(self.dim))
 

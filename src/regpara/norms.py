@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import CHI_HI, CHI_LO, make_partition, smooth_step
+from .blocks import CHI_HI, CHI_LO, make_partition
 from .grid import COORD_MARGIN, Field, Grid, TwoParamField
 
 # Per-scale statistics at or below this floor are treated as exactly zero
@@ -277,18 +277,7 @@ def dyadic_separations(grid: Grid) -> list[int]:
     return out
 
 
-def boundary_window(grid: Grid, margin: float = 0.15) -> np.ndarray:
-    """Smooth window == 1 in the interior, vanishing near the box boundary.
-
-    Used so that x^k * field stays continuous across the periodic wrap.
-    """
-    out = np.ones(grid.shape)
-    for x in grid.coords():
-        out = out * smooth_step((grid.box - np.abs(x)) / (margin * grid.box))
-    return out
-
-
-def synthesize(alpha: float, seed: int, grid: Grid, window: float = 0.0) -> Field:
+def synthesize(alpha: float, seed: int, grid: Grid) -> Field:
     """Random-phase field with per-block sup norms 2^{-j alpha}.
 
     Each block is drawn on the exclusive zone of its annulus (where only
@@ -297,12 +286,11 @@ def synthesize(alpha: float, seed: int, grid: Grid, window: float = 0.0) -> Fiel
 
     Content is capped at SYNTHESIS_CAP of the lattice Nyquist radius so
     that pointwise products of a few synthesized fields do not alias around
-    the Nyquist frequency.  window > 0 multiplies by a smooth collar
-    vanishing near the box boundary (relative width `window`).
+    the Nyquist frequency.
     """
     decomp = make_partition(grid)
     rng = np.random.default_rng(seed)
-    r = grid.freq_radius()
+    r = decomp.full(decomp.radius)
     cap = SYNTHESIS_CAP * grid.max_freq_radius()
     acc = np.zeros(grid.shape)
     for j in range(0, decomp.j_max + 1):
@@ -316,6 +304,4 @@ def synthesize(alpha: float, seed: int, grid: Grid, window: float = 0.0) -> Fiel
         if sup == 0.0:
             continue
         acc += (2.0 ** (-j * alpha) / sup) * u
-    if window > 0.0:
-        acc = acc * boundary_window(grid, window)
     return Field(grid, acc)

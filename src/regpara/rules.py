@@ -27,7 +27,6 @@ from .algebra import (
 from .trees import (
     DecoratedTree,
     TreeAlgebra,
-    TreeMonomial,
     graft,
     o_is_zero,
     serialize,
@@ -188,7 +187,7 @@ def enumerate_basis(rule: Rule) -> TreeBasis:
 
     for t in trees:
         for (_left, right), _c in algebra.delta(t).items():
-            for tr, _m in right.trees:
+            for tr, _m in right.gens:
                 add_family(tr)
     while pending:
         if len(plus) > GENERATION_LIMIT:
@@ -197,9 +196,7 @@ def enumerate_basis(rule: Rule) -> TreeBasis:
             )
         t = pending.pop()
         for (left, right), _c in algebra.delta_plus_tree(t).items():
-            for tr, _m in left.trees:
-                add_family(tr)
-            for tr, _m in right.trees:
+            for tr, _m in left.gens + right.gens:
                 add_family(tr)
     plus_trees = sorted(plus, key=lambda t: (algebra.homogeneity(t), serialize(t)))
 
@@ -293,24 +290,22 @@ def export_structure(basis: TreeBasis, noncanonical: bool = False) -> ConcreteRe
     algebra = basis.algebra
     d = basis.rule.dim
 
-    plus_names = {t: serialize(t) for t in basis.plus_trees}
-    plus_gens = {plus_names[t]: algebra.homogeneity(t) for t in basis.plus_trees}
+    plus_gens = {serialize(t): algebra.homogeneity(t) for t in basis.plus_trees}
 
-    def plus_monomial(m: TreeMonomial) -> PlusMonomial:
-        gens: dict[str, int] = {}
-        for tr, mult in m.trees:
-            nm = plus_names.get(tr)
-            if nm is None:
+    def plus_monomial(m: PlusMonomial) -> PlusMonomial:
+        """Rename tree keys to their names; a name is the tree's str, by which
+        keys are ordered, so the order holds."""
+        for tr, _mult in m.gens:
+            if serialize(tr) not in plus_gens:
                 raise KeyError(f"integrated tree {serialize(tr)} missing from B_o^+")
-            gens[nm] = gens.get(nm, 0) + mult
-        return PlusMonomial(tuple(sorted(gens.items())), m.poly)
+        return PlusMonomial(tuple((serialize(tr), mult) for tr, mult in m.gens), m.poly)
 
     dplus_table = {}
     for t in basis.plus_trees:
         terms = []
         for (left, right), c in algebra.delta_plus_tree(t).items():
             terms.append(((plus_monomial(left), plus_monomial(right)), c))
-        dplus_table[plus_names[t]] = FreeVector(terms)
+        dplus_table[serialize(t)] = FreeVector(terms)
 
     if noncanonical:
         cores, delta, label = basis.b_dot_tilde, algebra.delta_noncanonical, "f-tree {} missing from B~."

@@ -296,27 +296,22 @@ def read_structure(path) -> ConcreteRegularityStructure:
             base_gens[name] = h
     dplus_table: dict[str, FreeVector] = {}
     delta_table: dict[str, FreeVector] = {}
+    # kind -> (its generators, its table, the parser of its left factors)
+    kinds = {"dplus": (plus_gens, dplus_table, parse_plus_monomial),
+             "delta": (base_gens, delta_table, parse_base_symbol)}
     for line_no, kind, body in table_lines:
         if "=" not in body:
             raise FileFormatError(path, line_no, f"expected 'NAME = terms' in {body!r}")
         name, terms_text = body.split("=", 1)
         name = name.strip()
+        gens, table, parse_left = kinds[kind]
         terms = []
         for coeff, left, right in _parse_terms(path, line_no, terms_text.strip()):
             right_mono = parse_plus_monomial(path, line_no, right, dim, plus_gens)
-            if kind == "dplus":
-                left_key = parse_plus_monomial(path, line_no, left, dim, plus_gens)
-            else:
-                left_key = parse_base_symbol(path, line_no, left, dim, base_gens)
-            terms.append(((left_key, right_mono), coeff))
-        if kind == "dplus":
-            if name not in plus_gens:
-                raise FileFormatError(path, line_no, f"dplus for unknown generator {name!r}")
-            dplus_table[name] = FreeVector(terms)
-        else:
-            if name not in base_gens:
-                raise FileFormatError(path, line_no, f"delta for unknown generator {name!r}")
-            delta_table[name] = FreeVector(terms)
+            terms.append(((parse_left(path, line_no, left, dim, gens), right_mono), coeff))
+        if name not in gens:
+            raise FileFormatError(path, line_no, f"{kind} for unknown generator {name!r}")
+        table[name] = FreeVector(terms)
     return ConcreteRegularityStructure(
         dim=dim,
         cutoff=cutoff,
@@ -336,17 +331,11 @@ def write_structure(path, S: ConcreteRegularityStructure) -> None:
     for name in sorted(S.base_gens):
         if name != "1":
             lines.append(f"gen {name} base {S.base_gens[name]}")
-    for name in sorted(S.dplus_table):
-        terms = " + ".join(
-            f"{c} * {left} (x) {right}"
-            for (left, right), c in S.dplus_table[name].sorted_items()
-        )
-        lines.append(f"dplus {name} = {terms}")
-    for name in sorted(S.delta_table):
-        terms = " + ".join(
-            f"{c} * {left} (x) {right}"
-            for (left, right), c in S.delta_table[name].sorted_items()
-        )
-        lines.append(f"delta {name} = {terms}")
+    for kind, table in (("dplus", S.dplus_table), ("delta", S.delta_table)):
+        for name in sorted(table):
+            terms = " + ".join(
+                f"{c} * {left} (x) {right}" for (left, right), c in table[name].sorted_items()
+            )
+            lines.append(f"{kind} {name} = {terms}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

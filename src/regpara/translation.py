@@ -428,7 +428,7 @@ def _plus_quotients(S: ConcreteRegularityStructure, symbols, sigma: BaseSymbol):
     for mu in symbols:
         if mu == sigma:
             continue
-        quot = S.quotient_base(mu, sigma)
+        quot = S.quotient(mu, sigma)
         if quot and _quotient_in_plus_span(S, quot):
             yield mu, quot
 
@@ -587,7 +587,7 @@ def _check_structure_condition(model: Model, md: ModelledDistribution) -> None:
             lhs = _md_diagonal_derivative(model, S, symbols, f_tau, md.coeff, tau, k, gamma)
             rhs = np.zeros(grid.shape)
             for mu in symbols:
-                quot = S.quotient_base(mu, tau)
+                quot = S.quotient(mu, tau)
                 if not quot or _quotient_in_plus_span(S, quot):
                     continue
                 c = quot.coeff(PlusMonomial.of_poly(k)) * mi_factorial(k)
@@ -610,7 +610,7 @@ def validate_md(model: Model, md: ModelledDistribution,
     for tau in symbols:
         target = float(md.gamma - S.homog_base(tau))
         terms = [(float(c), model.g_field(a), model.g_inv_field(b), md.coeff(mu))
-                 for mu in symbols for c, a, b in S.delta_plus_terms(S.quotient_base(mu, tau))]
+                 for mu in symbols for c, a, b in S.delta_plus_terms(S.quotient(mu, tau))]
 
         def diff(ys, xs):
             acc = md.coeff(tau)[ys].copy()

@@ -6,6 +6,9 @@ A tree is stored as a root with decorations and a canonically sorted tuple of
 branches, so isomorphic decorated trees (any child order) compare and hash
 equal.  Edge decorations: type name, e (derivative), f (polynomial shift,
 zero in the canonical representation).
+
+T+ has one monomial type, `algebra.PlusMonomial`: on this side its
+generators are integrated trees, and export renames them to their names.
 """
 from __future__ import annotations
 
@@ -17,6 +20,8 @@ from fractions import Fraction
 from .algebra import (
     FreeVector,
     Multi,
+    PlusMonomial,
+    memoised,
     mi_abs,
     mi_add,
     mi_below,
@@ -155,55 +160,6 @@ def x_mul(k: Multi, tau: DecoratedTree) -> DecoratedTree:
     return tau.with_root_n(mi_add(tau.n_dec, k))
 
 
-# -- tree monomials (the plus side) -------------------------------------------
-
-@dataclass(frozen=True)
-class TreeMonomial:
-    """Commutative monomial over integrated trees times X^k (element of T+)."""
-
-    poly: Multi
-    trees: tuple[tuple[DecoratedTree, int], ...]  # sorted by serialization
-
-    def __post_init__(self):
-        ordered = tuple(sorted(self.trees, key=lambda tm: serialize(tm[0])))
-        object.__setattr__(self, "trees", ordered)
-
-    @staticmethod
-    def unit(dim: int) -> "TreeMonomial":
-        return TreeMonomial(mi_zero(dim), ())
-
-    @staticmethod
-    def of_tree(t: DecoratedTree) -> "TreeMonomial":
-        return TreeMonomial(mi_zero(t.dim), ((t, 1),))
-
-    @staticmethod
-    def of_poly(k: Multi) -> "TreeMonomial":
-        return TreeMonomial(k, ())
-
-    @property
-    def is_poly(self) -> bool:
-        return not self.trees
-
-    @property
-    def is_unit(self) -> bool:
-        return not self.trees and not any(self.poly)
-
-    def mul(self, other: "TreeMonomial") -> "TreeMonomial":
-        counts: dict[DecoratedTree, int] = dict(self.trees)
-        for t, m in other.trees:
-            counts[t] = counts.get(t, 0) + m
-        return TreeMonomial(mi_add(self.poly, other.poly), tuple(counts.items()))
-
-    def __str__(self):
-        bits = []
-        if any(self.poly):
-            bits.append("X" + mi_str(self.poly))
-        for t, m in self.trees:
-            s = serialize(t)
-            bits.append(s if m == 1 else f"{s}^{m}")
-        return ".".join(bits) if bits else "1"
-
-
 class TreeAlgebra:
     """Coproduct and basis-change machinery for one family of edge types."""
 
@@ -237,16 +193,13 @@ class TreeAlgebra:
 
     # -- structural coproduct (canonical representation) -----------------------
 
+    @memoised("_delta_memo")
     def delta(self, t: DecoratedTree) -> FreeVector:
         """Delta tau in T (x) T+, by the structural identities:
         Delta 1 = 1 (x) 1, Delta X_i primitive, multiplicativity,
         Delta I_k^t via (I_k^t (x) Id)Delta + truncated polynomial sum,
         Delta R_alpha = (R_alpha (x) Id)Delta.
-        Keys are (DecoratedTree, TreeMonomial)."""
-        with self._lock:
-            hit = self._delta_memo.get(t)
-        if hit is not None:
-            return hit
+        Keys are (DecoratedTree, PlusMonomial over trees)."""
         d = self.dim
         if not o_is_zero(t.o_dec):
             bare = DecoratedTree(d, t.n_dec, o_zero(d), t.branches)
@@ -255,13 +208,13 @@ class TreeAlgebra:
             )
         elif t.is_leaf:
             # single node X^k
-            out = poly_split(t.n_dec, lambda l: x_power(d, l), TreeMonomial.of_poly)
+            out = poly_split(t.n_dec, lambda l: x_power(d, l), PlusMonomial.of_poly)
         elif any(t.n_dec) or len(t.branches) > 1:
             # factorise: X^n * product of single branches
             out = self.delta(x_power(d, t.n_dec))
             for b in t.branches:
                 single = DecoratedTree(d, mi_zero(d), o_zero(d), (b,))
-                out = out.tensor_mul(self.delta(single), tree_product, TreeMonomial.mul)
+                out = out.tensor_mul(self.delta(single), tree_product, PlusMonomial.mul)
         else:
             (b,) = t.branches
             if any(b.f_dec):
@@ -280,19 +233,17 @@ class TreeAlgebra:
                 inner = graft(tname, mi_add(k, l), tau)
                 terms.append(
                     (
-                        (x_power(d, l), TreeMonomial.of_tree(inner)),
+                        (x_power(d, l), PlusMonomial.of_gen(inner, d)),
                         Fraction(1, mi_factorial(l)),
                     )
                 )
             out = FreeVector(terms)
-        with self._lock:
-            self._delta_memo[t] = out
         return out
 
     def delta_plus_tree(self, t: DecoratedTree) -> FreeVector:
         """Delta+ of a positive integrated tree: same recursion with left
         factors reinterpreted in T+ and non-positive left trees projected out.
-        Keys are (TreeMonomial, TreeMonomial)."""
+        Keys are (PlusMonomial, PlusMonomial) over trees."""
         if len(t.branches) != 1 or any(t.n_dec) or not o_is_zero(t.o_dec):
             raise ValueError(f"plus-generators are single integrated trees, got {t}")
         if self.homogeneity(t) <= 0:
@@ -305,17 +256,17 @@ class TreeAlgebra:
             out.append(((mono, right), c))
         return FreeVector(out)
 
-    def tree_to_plus_monomial(self, t: DecoratedTree) -> TreeMonomial | None:
+    def tree_to_plus_monomial(self, t: DecoratedTree) -> PlusMonomial | None:
         """Reinterpret a tree X^a * prod branches as an element of T+;
         None if some integrated factor has non-positive homogeneity."""
         if not o_is_zero(t.o_dec):
             return None
-        mono = TreeMonomial.of_poly(t.n_dec)
+        mono = PlusMonomial.of_poly(t.n_dec)
         for b in t.branches:
             single = DecoratedTree(t.dim, mi_zero(t.dim), o_zero(t.dim), (b,))
             if self.homogeneity(single) <= 0:
                 return None
-            mono = mono.mul(TreeMonomial.of_tree(single))
+            mono = mono.mul(PlusMonomial.of_gen(single, t.dim))
         return mono
 
     # -- grafting with polynomial shifts ----------------------------------------
@@ -332,58 +283,40 @@ class TreeAlgebra:
 
     # -- canonical <-> non-canonical -------------------------------------------
 
+    @memoised("_to_can_memo")
     def to_canonical(self, t: DecoratedTree) -> FreeVector:
         """Expand every f-decorated edge by the definition of lI_k^t."""
-        with self._lock:
-            hit = self._to_can_memo.get(t)
-        if hit is not None:
-            return hit
-        d = self.dim
-        out = FreeVector.single(x_power(d, t.n_dec))
+        out = FreeVector.single(x_power(self.dim, t.n_dec))
         for b in t.branches:
             child = self.to_canonical(b.child)
             if any(b.f_dec):
-                branch_vec = FreeVector.zero()
-                for tau, c in child.items():
-                    branch_vec = branch_vec + self.ell_graft(
-                        b.f_dec, b.e_dec, b.edge_type, tau
-                    ).scale(c)
+                branch_vec = self.ell_graft(b.f_dec, b.e_dec, b.edge_type, child)
             else:
                 branch_vec = FreeVector(
                     [(graft(b.edge_type, b.e_dec, tau), c) for tau, c in child.items()]
                 )
-            out = _fv_tree_mul(out, branch_vec)
+            out = out.mul(branch_vec, tree_product)
         if not o_is_zero(t.o_dec):
             out = out.map_keys(lambda tr: r_alpha(t.o_dec, tr))
-        with self._lock:
-            self._to_can_memo[t] = out
         return out
 
+    @memoised("_to_noncan_memo")
     def to_noncanonical(self, t: DecoratedTree) -> FreeVector:
         """Expand a canonical tree over the f-decorated basis via the
         inversion formula; exact unitriangular change of basis."""
-        with self._lock:
-            hit = self._to_noncan_memo.get(t)
-        if hit is not None:
-            return hit
         d = self.dim
         out = FreeVector.single(x_power(d, t.n_dec))
         for b in t.branches:
             if any(b.f_dec):
                 raise ValueError(f"{t} is not canonical (f-decorated edge)")
-            child = self.to_noncanonical(b.child)
-            branch_vec = FreeVector.zero()
-            for tau, c in child.items():
-                shift = tau.n_dec
-                core = tau.with_root_n(mi_zero(d))
-                branch_vec = branch_vec + self.inverse_graft(
-                    shift, b.e_dec, b.edge_type, core
-                ).scale(c)
-            out = _fv_tree_mul(out, branch_vec)
+            branch_vec = FreeVector(
+                [(ft, c * c2) for tau, c in self.to_noncanonical(b.child).items()
+                 for ft, c2 in self.inverse_graft(
+                     tau.n_dec, b.e_dec, b.edge_type, tau.with_root_n(mi_zero(d))).items()]
+            )
+            out = out.mul(branch_vec, tree_product)
         if not o_is_zero(t.o_dec):
             out = out.map_keys(lambda tr: r_alpha(t.o_dec, tr))
-        with self._lock:
-            self._to_noncan_memo[t] = out
         return out
 
     def leading_ftree(self, t: DecoratedTree) -> DecoratedTree:
@@ -400,7 +333,7 @@ class TreeAlgebra:
 
     def delta_noncanonical(self, t: DecoratedTree) -> FreeVector:
         """Delta of an f-tree with left factors re-expanded over the
-        non-canonical basis.  Keys are (DecoratedTree[f], TreeMonomial)."""
+        non-canonical basis.  Keys are (DecoratedTree[f], PlusMonomial)."""
         acc_terms: list = []
         for can, c in self.to_canonical(t).items():
             for (left, right), c2 in self.delta(can).items():
@@ -419,14 +352,6 @@ def _shifted_grafts(l: Multi, v, grafted) -> FreeVector:
         for m in mi_below(l):
             rest = mi_sub(l, m)
             out.append((x_mul(m, grafted(rest, tau)), c * mi_binom(l, m) * (-1) ** mi_abs(rest)))
-    return FreeVector(out)
-
-
-def _fv_tree_mul(a: FreeVector, b: FreeVector) -> FreeVector:
-    out = []
-    for t1, c1 in a.items():
-        for t2, c2 in b.items():
-            out.append((tree_product(t1, t2), c1 * c2))
     return FreeVector(out)
 
 

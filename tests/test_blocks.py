@@ -37,7 +37,7 @@ class TestPartition:
 
     def test_scaling_between_annuli(self, grid256, decomp):
         # rho_j(xi) = rho_1(2^{-(j-1)} xi) on shared lattice points
-        r = grid256.freq_radius()
+        r = decomp.full(decomp.radius)
         for j in range(2, decomp.j_max - 1):
             idx = np.argmin(np.abs(r - 2.0 ** (j - 1) * 3.0))
             lo = decomp.rho(1)
@@ -48,6 +48,20 @@ class TestPartition:
             i_lo = int(round(3.0))
             if i_hi <= grid256.n // 2:
                 assert hi[i_hi] == pytest.approx(lo[i_lo], abs=1e-12)
+
+    @pytest.mark.parametrize("dim, n, box", [(1, 512, np.pi), (1, 64, 2.0), (2, 64, np.pi),
+                                             (2, 128, 5.0)])
+    def test_full_radius_is_the_lattice_radius(self, dim, n, box):
+        """The plan's radius on the full lattice is |xi| over numpy's FFT
+        frequencies, bit for bit."""
+        grid = Grid(dim, n, box)
+        plan = make_partition(grid)
+        f = np.fft.fftfreq(n, d=1.0 / n) * grid.freq_step
+        axes = np.meshgrid(*([f] * dim), indexing="ij")
+        want = np.sqrt(sum(a**2 for a in axes))
+        got = plan.full(plan.radius)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
     def test_expected_depth_for_default_grid(self, decomp):
         assert decomp.j_max == 7

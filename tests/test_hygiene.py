@@ -200,3 +200,34 @@ def test_every_traced_name_resolves(monkeypatch):
         if holder is None or name not in vars(holder):
             missing.append(f"{modname}:{attr}")
     assert missing == []
+
+
+def _unused_imports(tree: ast.Module, reexports: bool) -> list[str]:
+    """Names a module binds by import and never reads.  `from __future__`
+    is exempt, and so are a package's relative re-exports when
+    `reexports` is set."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module == "__future__" or (reexports and node.level):
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_imports():
+    """An AST scan of every package module: names imported against names
+    read."""
+    unused = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")),
+                                    reexports=path.name == "__init__.py")
+    ]
+    assert unused == []

@@ -8,7 +8,6 @@ from regpara.norms import (
     ZERO_FLOOR,
     NormReport,
     SeparableFamily,
-    boundary_window,
     d_family_report,
     dyadic_separations,
     holder_norm,
@@ -39,14 +38,6 @@ class TestSynthesize:
         rep = holder_norm(u, 0.75)
         for j in rep.fit_js:
             assert rep.block_norms[j + 1] == pytest.approx(2.0 ** (-j * 0.75), rel=1e-9)
-
-    def test_window_vanishes_at_boundary(self, grid256):
-        u = synthesize(0.5, 3, grid256, window=0.15)
-        x = grid256.axis()
-        at_wrap = np.argmin(np.abs(x + grid256.box))
-        assert u.values[at_wrap] == 0.0
-        edge = np.abs(x) > 0.98 * grid256.box
-        assert np.max(np.abs(u.values[edge])) < 1e-2 * u.sup()
 
 
 class TestHolderNorm:
@@ -197,13 +188,3 @@ class TestWeightedScaling:
         ratios = np.array(ratios)
         assert np.all(ratios < 10.0 * np.median(ratios))
         assert np.all(ratios > 0)
-
-
-class TestBoundaryWindow:
-    def test_interior_plateau_and_edge_decay(self, grid256):
-        w = boundary_window(grid256, 0.2)
-        x = grid256.axis()
-        inner = np.abs(x) <= 0.79 * grid256.box
-        assert np.all(w[inner] == 1.0)
-        edge = np.abs(x) >= 0.999 * grid256.box
-        assert np.all(w[edge] < 1e-12)

@@ -497,7 +497,7 @@ def test_two_point_boxes_give_the_rolled_medians(name, grid):
     want = []
     for tau in symbols:
         terms = [(float(c * c2), model.g_field(a), model.g_inv_field(b), md.coeff(mu))
-                 for mu in symbols for mono, c in S.quotient_base(mu, tau).sorted_items()
+                 for mu in symbols for mono, c in S.quotient(mu, tau).sorted_items()
                  for (a, b), c2 in S.delta_plus(mono).sorted_items()]
 
         def md_diff(steps, axis):

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regpara.algebra import FreeVector
+from regpara.algebra import FreeVector, PlusMonomial
 from regpara.library import basis
 from regpara.trees import (
     DecoratedTree,
     TreeAlgebra,
-    TreeMonomial,
     graft,
     parse_tree,
     serialize,
@@ -117,20 +116,20 @@ class TestHomogeneity:
 class TestStructuralCoproduct:
     def test_unit_and_primitive_node(self, algebra):
         u = unit_tree(1)
-        assert algebra.delta(u) == FreeVector.single((u, TreeMonomial.unit(1)))
+        assert algebra.delta(u) == FreeVector.single((u, PlusMonomial.unit(1)))
         x = x_power(1, (1,))
         got = algebra.delta(x)
         want = FreeVector(
             [
-                ((x, TreeMonomial.unit(1)), 1),
-                ((u, TreeMonomial.of_poly((1,))), 1),
+                ((x, PlusMonomial.unit(1)), 1),
+                ((u, PlusMonomial.of_poly((1,))), 1),
             ]
         )
         assert got == want
 
     def test_noise_is_primitive(self, algebra):
         xi = graft("xi", (0,), unit_tree(1))
-        assert algebra.delta(xi) == FreeVector.single((xi, TreeMonomial.unit(1)))
+        assert algebra.delta(xi) == FreeVector.single((xi, PlusMonomial.unit(1)))
 
     def test_integrated_polynomial_noise_expansion(self, algebra):
         # Delta I_0^t(X Theta) = I_0^t(X Theta) (x) 1 + I_0^t(Theta) (x) X
@@ -142,10 +141,10 @@ class TestStructuralCoproduct:
         u = unit_tree(1)
         want = FreeVector(
             [
-                ((tau, TreeMonomial.unit(1)), 1),
-                ((graft("t", (0,), th), TreeMonomial.of_poly((1,))), 1),
-                ((u, TreeMonomial.of_tree(tau)), 1),
-                ((x_power(1, (1,)), TreeMonomial.of_tree(graft("t", (1,), x_mul((1,), th)))), 1),
+                ((tau, PlusMonomial.unit(1)), 1),
+                ((graft("t", (0,), th), PlusMonomial.of_poly((1,))), 1),
+                ((u, PlusMonomial.of_gen(tau, 1)), 1),
+                ((x_power(1, (1,)), PlusMonomial.of_gen(graft("t", (1,), x_mul((1,), th)), 1)), 1),
             ]
         )
         assert got == want
@@ -168,7 +167,7 @@ class TestStructuralCoproduct:
             t = random_tree(rng)
             h = algebra.homogeneity(t)
             for (left, right), _c in algebra.delta(t).items():
-                right_h = sum(algebra.homogeneity(tr) * m for tr, m in right.trees)
+                right_h = sum(algebra.homogeneity(tr) * m for tr, m in right.gens)
                 assert algebra.homogeneity(left) + sum(right.poly) + right_h == h
 
     def test_multiplicativity(self, algebra):
@@ -177,7 +176,7 @@ class TestStructuralCoproduct:
             a, b = random_tree(rng, 2), random_tree(rng, 2)
             lhs = algebra.delta(tree_product(a, b))
             rhs = algebra.delta(a).tensor_mul(
-                algebra.delta(b), tree_product, TreeMonomial.mul
+                algebra.delta(b), tree_product, PlusMonomial.mul
             )
             assert lhs == rhs
 
@@ -188,7 +187,7 @@ class TestStructuralCoproduct:
         alpha = ((1,), (("t", 1),))
         lhs = algebra.delta(r_alpha(alpha, xi))
         want = FreeVector(
-            [((r_alpha(alpha, xi), TreeMonomial.unit(1)), 1)]
+            [((r_alpha(alpha, xi), PlusMonomial.unit(1)), 1)]
         )
         assert lhs == want
 
