@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import library
-from .algebra import BaseSymbol, FreeVector, PlusMonomial, term_key
+from .algebra import BaseSymbol, FreeVector, PlusMonomial
 from .bundles import (
     Config,
     read_bracket_bundle,
@@ -31,7 +31,7 @@ from .models import (
     extract_brackets,
     g_as_model,
 )
-from .norms import holder_norm, synthesize
+from .norms import Report, holder_norm, synthesize
 from .rules import (
     check_d_canonical,
     check_stronger_claim,
@@ -45,13 +45,11 @@ from .structure_io import (
     read_structure,
 )
 from .translation import (
-    INSUFFICIENT,
     ModelledDistribution,
     lambda_cross_check,
     md_from_paracontrolled,
     md_to_paracontrolled,
     reconstruction_report,
-    slope_verdict,
     validate_md,
     validate_model,
 )
@@ -79,29 +77,24 @@ def _config(args, S, tol_slope: float = Config.tol_slope,
                   tol_slope=tol_slope, tol_rel=tol_rel)
 
 
-def _emit(lines, out_dir=None, name="report.txt"):
+def _emit(lines, out_dir=None, name="report.txt", report: Report | None = None) -> int:
+    """Writes the lines to stdout and to out_dir/name; the exit status is 1
+    when a check of `report` FAILs, else 0."""
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
             fh.write(text)
+    return 0 if report is None or report.ok else 1
 
 
-def _report_exit(report) -> int:
-    return 0 if report.ok else 1
-
-
-def _slope_check(report, target: float, tol: float, lines: list, label: str) -> bool:
-    """Whether the slope verdict on a NormReport is not FAIL, and
-    `label slope=S target=T pass|FAIL` appended to lines.  Without a slope
-    the line reads `label insufficient-scales scales=N target=T`."""
-    verdict = slope_verdict(report.slope, target, tol)
-    if verdict == INSUFFICIENT:
-        lines.append(f"{label} {INSUFFICIENT} scales={len(report.fit_js)} target={target:.4f}")
-    else:
-        lines.append(f"{label} slope={report.slope:.4f} target={target:.4f} {verdict}")
-    return verdict != "FAIL"
+def _slope_line(check) -> str:
+    """`name slope=S target=T verdict` of a slope check, or `name
+    insufficient-scales scales=N target=T` without a slope."""
+    if check.scales is not None:
+        return f"{check.name} {check.verdict} scales={check.scales} target={check.target:.4f}"
+    return f"{check.name} slope={check.value:.4f} target={check.target:.4f} {check.verdict}"
 
 
 def cmd_structure_validate(args) -> int:
@@ -203,31 +196,19 @@ def cmd_model_build(args) -> int:
 
 def cmd_model_extract(args) -> int:
     model, cfg = read_model_bundle(args.model)
-    m = cfg.m if cfg.m >= 0 else default_m(model.structure)
-    data = extract_brackets(model, m=m)
-    S, grid = model.structure, model.grid
-    lines = [f"m={m}"]
-    ok = True
-    named = {}
-    for mono, vals in data.g_side.items():
-        named[f"g:{mono}"] = Field(grid, vals)
-        ok &= _slope_check(data.reports[f"g:{mono}"], float(S.homog_plus(mono)),
-                           cfg.tol_slope, lines, f"g_bracket {term_key(mono)}")
-    for sym, vals in data.pi_side.items():
-        named[f"pi:{sym}"] = Field(grid, vals)
-        ok &= _slope_check(data.reports[f"pi:{sym}"], float(S.homog_base(sym)),
-                           cfg.tol_slope, lines, f"pi_bracket {term_key(sym)}")
+    data = extract_brackets(model, m=cfg.m if cfg.m >= 0 else None, tol_slope=cfg.tol_slope)
     if args.out:
+        named = {f"g:{mono}": Field(model.grid, v) for mono, v in data.g_side.items()}
+        named.update((f"pi:{sym}", Field(model.grid, v)) for sym, v in data.pi_side.items())
         write_bracket_bundle(args.out, model.structure, named, cfg)
-    _emit(lines, args.out)
-    return 0 if ok else 1
+    lines = [f"m={data.m}"] + [_slope_line(c) for c in data.report.checks]
+    return _emit(lines, args.out, report=data.report)
 
 
 def cmd_model_check(args) -> int:
     model, cfg = read_model_bundle(args.model)
     rep = validate_model(model, tol_slope=cfg.tol_slope, seed=cfg.seed)
-    _emit(rep.lines(), args.out)
-    return _report_exit(rep)
+    return _emit(rep.lines(), args.out, report=rep)
 
 
 def cmd_md_build(args) -> int:
@@ -252,8 +233,7 @@ def cmd_md_build(args) -> int:
         named = {f"f:{s}": Field(grid, v) for s, v in md.coeffs.items()}
         write_bracket_bundle(args.out, S, named, cfg, kind="md",
                              extra={"gamma.txt": str(gamma)})
-    _emit(lines, args.out)
-    return _report_exit(rep)
+    return _emit(lines, args.out, report=rep)
 
 
 def _read_md(model, path):
@@ -276,32 +256,25 @@ def _read_md(model, path):
 def cmd_md_extract(args) -> int:
     model, cfg = read_model_bundle(args.model)
     md = _read_md(model, args.md)
-    system = md_to_paracontrolled(model, md)
-    lines = [f"gamma={md.gamma}"]
-    ok = True
-    for sym in system.brackets:
-        target = float(md.gamma - model.structure.homog_base(sym))
-        ok &= _slope_check(system.reports[f"f:{sym}"], target, cfg.tol_slope,
-                           lines, f"md_bracket {term_key(sym)}")
+    system = md_to_paracontrolled(model, md, tol_slope=cfg.tol_slope)
     if args.out:
         named = {f"b:{s}": Field(model.grid, v) for s, v in system.brackets.items()}
         named["reconstruction"] = Field(model.grid, system.reconstruction_bracket)
         write_bracket_bundle(args.out, model.structure, named, cfg, kind="pd")
-    _emit(lines, args.out)
-    return 0 if ok else 1
+    lines = [f"gamma={md.gamma}"] + [_slope_line(c) for c in system.report.checks]
+    return _emit(lines, args.out, report=system.report)
 
 
 def cmd_reconstruct(args) -> int:
     model, cfg = read_model_bundle(args.model)
     md = _read_md(model, args.md)
-    rep = reconstruction_report(model, md)
-    target = float(md.gamma)
-    status = slope_verdict(rep.slope, target, cfg.tol_slope)
+    rep = Report(f"reconstruction gamma={md.gamma}")
+    check = rep.add_norm("reconstruction", reconstruction_report(model, md),
+                         float(md.gamma), cfg.tol_slope)
     lines = [f"gamma={md.gamma}",
-             f"d_slope={'none' if rep.slope is None else f'{rep.slope:.4f}'}",
-             f"target={target:.4f}", f"status={status}"]
-    _emit(lines, args.out)
-    return 1 if status == "FAIL" else 0
+             f"d_slope={'none' if check.value is None else f'{check.value:.4f}'}",
+             f"target={check.target:.4f}", f"status={check.verdict}"]
+    return _emit(lines, args.out, report=rep)
 
 
 def cmd_roundtrip(args) -> int:
@@ -327,11 +300,11 @@ def cmd_roundtrip(args) -> int:
         data = extract_brackets(model, m=m, with_reports=False)
         for name, f in pib.items():
             compare("pi", name, data.pi_side[BaseSymbol(name, (0,) * S.dim)], f)
-    ok = worst <= cfg.tol_rel
+    rep = Report(f"bracket round trip: {S.name}")
+    check = rep.add("roundtrip", worst <= cfg.tol_rel, worst, 0.0, cfg.tol_rel)
     lines.append(f"max_rel_err={worst:.3e}")
-    lines.append(f"status={'pass' if ok else 'FAIL'}")
-    _emit(lines, args.out)
-    return 0 if ok else 1
+    lines.append(f"status={check.verdict}")
+    return _emit(lines, args.out, report=rep)
 
 
 def cmd_norm_report(args) -> int:
@@ -345,8 +318,7 @@ def cmd_lambda_check(args) -> int:
     model, cfg = read_model_bundle(args.model)
     rep = lambda_cross_check(model, args.generator,
                              m=None if args.m < 0 else args.m)
-    _emit(rep.lines(), args.out)
-    return _report_exit(rep)
+    return _emit(rep.lines(), args.out, report=rep)
 
 
 def _structure_flags(p):

@@ -9,7 +9,7 @@ reconstruction Pi tau = <tau> + the same sum (sign +1); likewise for g(tau).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +26,7 @@ from .algebra import (
 from .blocks import derivative, make_partition
 from .characters import Character, field_character
 from .grid import Field, Grid
-from .norms import NormReport, SeparableFamily, holder_norm
+from .norms import SLOPE_TOL, Report, SeparableFamily, holder_norm
 from .paraproducts import modified_paraproduct, paraproduct
 
 
@@ -155,9 +155,10 @@ class BracketData:
     """Extracted paracontrolled coordinates of a model."""
 
     m: int
-    g_side: dict[PlusMonomial, np.ndarray] = field(default_factory=dict)
-    pi_side: dict[BaseSymbol, np.ndarray] = field(default_factory=dict)
-    reports: dict[str, NormReport] = field(default_factory=dict)
+    g_side: dict[PlusMonomial, np.ndarray]
+    pi_side: dict[BaseSymbol, np.ndarray]
+    # one check per bracket, `g_bracket <mono>` then `pi_bracket <sym>`
+    report: Report | None = None
 
 
 class BracketExtractor:
@@ -256,8 +257,10 @@ class BracketExtractor:
 
 
 def extract_brackets(model: Model, m: int | None = None,
-                     with_reports: bool = True) -> BracketData:
-    """All bracket data of a model below the cutoff, with regularity reports."""
+                     with_reports: bool = True, tol_slope: float = SLOPE_TOL) -> BracketData:
+    """All bracket data of a model below the cutoff.  With reports, `report`
+    checks each bracket's Hölder slope against its homogeneity within
+    tol_slope, the NormReport kept on the check."""
     S = model.structure
     if m is None:
         m = default_m(S)
@@ -267,15 +270,14 @@ def extract_brackets(model: Model, m: int | None = None,
     pi_side = {sym: ex.pi_bracket(sym) for sym in S.base_symbols()
                if not sym.is_poly and sym.core in model.pi}
     del ex   # its coefficient Fields are not held while the reports run
-    out = BracketData(m=m)
-    for mono, bracket in g_side.items():
-        out.g_side[mono] = bracket.values
-        if with_reports:
-            out.reports[f"g:{mono}"] = holder_norm(bracket, float(S.homog_plus(mono)))
-    for sym, bracket in pi_side.items():
-        out.pi_side[sym] = bracket.values
-        if with_reports:
-            out.reports[f"pi:{sym}"] = holder_norm(bracket, float(S.homog_base(sym)))
+    out = BracketData(m, {mono: f.values for mono, f in g_side.items()},
+                      {sym: f.values for sym, f in pi_side.items()})
+    if with_reports:
+        out.report = Report(f"brackets: {S.name}")
+        for side, brackets, homog in (("g", g_side, S.homog_plus), ("pi", pi_side, S.homog_base)):
+            for key, bracket in brackets.items():
+                h = float(homog(key))
+                out.report.add_norm(f"{side}_bracket {key}", holder_norm(bracket, h), h, tol_slope)
     return out
 
 

@@ -3,7 +3,7 @@ synthetic test fields with prescribed regularity."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,6 +19,9 @@ DEFAULT_R = 2.0
 # Quantile taken per scale by the checks that fit medians: D-family,
 # two-point and J-decay.
 MEDIAN = 0.5
+
+# Default one-sided tolerance of a slope check.
+SLOPE_TOL = 0.2
 
 # Synthesized content stays below this fraction of the lattice Nyquist
 # radius, so pointwise products of a few synthesized fields do not alias.
@@ -77,6 +80,7 @@ class NormReport:
     slope: float | None              # fitted regularity (None if all-zero)
     intercept: float | None
     fit_js: list[int]                # blocks the fit used
+    series: np.ndarray               # the per-block series fitted, indexed j + 1
 
     @classmethod
     def from_blocks(cls, block_norms: np.ndarray, fit_series: np.ndarray,
@@ -97,6 +101,7 @@ class NormReport:
             slope=None if slope is None else -slope,
             intercept=intercept,
             fit_js=fit_js,
+            series=fit_series,
         )
 
     def lines(self) -> list[str]:
@@ -114,6 +119,87 @@ class NormReport:
 
     def __str__(self):
         return "\n".join(self.lines())
+
+
+INSUFFICIENT = "insufficient-scales"
+
+
+def slope_verdict(slope: float | None, target: float, tol: float) -> str:
+    """pass, FAIL or insufficient-scales: the one verdict on a fitted
+    regularity.  Norm-membership checks are one-sided: decaying faster than
+    the target exponent never violates a C^alpha / D^alpha bound.  Without a
+    slope (fewer than two usable scales) the verdict is insufficient-scales:
+    not a failure, but never a pass."""
+    if slope is None:
+        return INSUFFICIENT
+    return "pass" if slope >= target - tol else "FAIL"
+
+
+@dataclass
+class Check:
+    name: str
+    passed: bool
+    value: float | None
+    target: float | None
+    tol: float | None
+    # a slope check whose series had too few usable scales to fit: how many
+    scales: int | None = None
+    # the per-block data of a check made on a NormReport
+    norm: NormReport | None = None
+
+    @property
+    def verdict(self) -> str:
+        """pass, FAIL or insufficient-scales."""
+        if self.scales is not None:
+            return INSUFFICIENT
+        return "pass" if self.passed else "FAIL"
+
+    def line(self) -> str:
+        bits = [f"{self.name} {self.verdict}"]
+        if self.scales is not None:
+            bits.append(f"scales={self.scales}")
+        if self.value is not None:
+            bits.append(f"value={self.value:.6g}")
+        if self.target is not None:
+            bits.append(f"target={self.target:.6g}")
+        if self.tol is not None:
+            bits.append(f"tol={self.tol:.3g}")
+        return " ".join(bits)
+
+
+@dataclass
+class Report:
+    """Named checks: every pass/FAIL of the library and the command line."""
+
+    title: str
+    checks: list[Check] = field(default_factory=list)
+
+    def add(self, name, passed, value=None, target=None, tol=None) -> Check:
+        self.checks.append(Check(name, bool(passed), value, target, tol))
+        return self.checks[-1]
+
+    def add_slope(self, name, slope, target, tol=SLOPE_TOL, *, scales: int,
+                  norm: NormReport | None = None) -> Check:
+        """A slope check under slope_verdict; `scales` usable scales are
+        named when there are too few to fit."""
+        verdict = slope_verdict(slope, target, tol)
+        self.checks.append(Check(name, verdict != "FAIL", slope, target, tol,
+                                 scales if verdict == INSUFFICIENT else None, norm))
+        return self.checks[-1]
+
+    def add_norm(self, name, norm: NormReport, target, tol=SLOPE_TOL) -> Check:
+        """A slope check on a NormReport's fitted regularity, which it keeps."""
+        return self.add_slope(name, norm.slope, target, tol, scales=len(norm.fit_js), norm=norm)
+
+    @property
+    def ok(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def lines(self) -> list[str]:
+        out = [f"# {self.title}"]
+        out.extend(c.line() for c in self.checks)
+        out.append(f"overall {'pass' if self.ok else 'FAIL'}")
+        return out
 
 
 def interior_box(grid: Grid) -> slice:

@@ -37,7 +37,9 @@ from .characters import (
 )
 from .grid import Field, Grid
 from .norms import (
+    SLOPE_TOL,
     NormReport,
+    Report,
     SeparableFamily,
     d_family_report,
     dyadic_separations,
@@ -58,80 +60,10 @@ from .models import (
     reconstruction_family,
 )
 
-SLOPE_TOL = 0.2
 REL_TOL = 1e-8
 # Relative residual above which general-mode md_from_paracontrolled rejects
 # brackets for violating the structure condition.
 STRUCTURE_TOL = 1e-6
-
-
-# -- check bookkeeping ---------------------------------------------------------
-
-INSUFFICIENT = "insufficient-scales"
-
-
-def slope_verdict(slope: float | None, target: float, tol: float) -> str:
-    """pass, FAIL or insufficient-scales: the one verdict on a fitted
-    regularity.  Norm-membership checks are one-sided: decaying faster than
-    the target exponent never violates a C^alpha / D^alpha bound.  Without a
-    slope (fewer than two usable scales) the verdict is insufficient-scales:
-    not a failure, but never a pass."""
-    if slope is None:
-        return INSUFFICIENT
-    return "pass" if slope >= target - tol else "FAIL"
-
-
-@dataclass
-class Check:
-    name: str
-    passed: bool
-    value: float | None
-    target: float | None
-    tol: float | None
-    # a slope check whose series had too few usable scales to fit: how many
-    scales: int | None = None
-
-    def line(self) -> str:
-        if self.scales is not None:
-            bits = [f"{self.name} {INSUFFICIENT} scales={self.scales}"]
-        else:
-            bits = [f"{self.name} {'pass' if self.passed else 'FAIL'}"]
-        if self.value is not None:
-            bits.append(f"value={self.value:.6g}")
-        if self.target is not None:
-            bits.append(f"target={self.target:.6g}")
-        if self.tol is not None:
-            bits.append(f"tol={self.tol:.3g}")
-        return " ".join(bits)
-
-
-@dataclass
-class Report:
-    title: str
-    checks: list[Check] = field(default_factory=list)
-
-    def add(self, name, passed, value=None, target=None, tol=None):
-        self.checks.append(Check(name, bool(passed), value, target, tol))
-
-    def add_slope(self, name, slope, target, tol=SLOPE_TOL, *, scales: int):
-        """A slope check under slope_verdict; `scales` usable scales are
-        named when there are too few to fit."""
-        verdict = slope_verdict(slope, target, tol)
-        self.checks.append(Check(name, verdict != "FAIL", slope, target, tol,
-                                 scales if verdict == INSUFFICIENT else None))
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def lines(self) -> list[str]:
-        out = [f"# {self.title}"]
-        out.extend(c.line() for c in self.checks)
-        out.append(f"overall {'pass' if self.ok else 'FAIL'}")
-        return out
-
-    def __str__(self):
-        return "\n".join(self.lines())
 
 
 # -- two-point slope estimation -------------------------------------------------
@@ -264,7 +196,7 @@ def validate_model(model: Model, tol_slope: float = SLOPE_TOL,
     hs = [float(S.base_gens[name]) for name in names]
     fams = [model.pi_recentered_family(BaseSymbol(name, mi_zero(S.dim))) for name in names]
     for name, h, d_rep in zip(names, hs, d_family_report(fams, hs, mask=interior_mask(grid))):
-        rep.add_slope("d:family:" + name, d_rep.slope, h, tol_slope, scales=len(d_rep.fit_js))
+        rep.add_norm("d:family:" + name, d_rep, h, tol_slope)
 
     # Chen relation on random triples
     res = chen_residual(model, rng, samples=min(samples, 100))
@@ -410,7 +342,8 @@ class ParacontrolledSystem:
     gamma: Fraction
     brackets: dict[BaseSymbol, np.ndarray]
     reconstruction_bracket: np.ndarray | None = None
-    reports: dict[str, NormReport] = field(default_factory=dict)
+    report: Report | None = None                    # `md_bracket <sigma>` checks
+    reconstruction_norm: NormReport | None = None   # of <f>^M at gamma; not checked
 
 
 def _quotient_in_plus_span(S: ConcreteRegularityStructure, quot: FreeVector) -> bool:
@@ -451,10 +384,14 @@ def _sigma_step(model: Model, ex: BracketExtractor, symbols, sigma: BaseSymbol,
 
 
 def md_to_paracontrolled(model: Model, md: ModelledDistribution,
-                         with_reports: bool = True) -> ParacontrolledSystem:
+                         with_reports: bool = True,
+                         tol_slope: float = SLOPE_TOL) -> ParacontrolledSystem:
     """Paracontrolled representation of a modelled distribution:
     <f_sigma>^g = f_sigma - sum_{sigma < mu} P_{f_mu} <mu/sigma>^g
-    (descending homogeneity), and <f>^M = Rf - sum_sigma P_{f_sigma} <sigma>^M."""
+    (descending homogeneity), and <f>^M = Rf - sum_sigma P_{f_sigma} <sigma>^M.
+    With reports, `report` checks the Hölder slope of each <f_sigma>^g on the
+    interior box against gamma - |sigma| within tol_slope, the NormReport
+    kept on the check, and `reconstruction_norm` is that of <f>^M."""
     S, grid = model.structure, model.grid
     gamma = md.gamma
     ex = BracketExtractor(model, 0)
@@ -473,6 +410,7 @@ def md_to_paracontrolled(model: Model, md: ModelledDistribution,
     system = ParacontrolledSystem(S, grid, gamma, out, rec)
     if with_reports:
         box = (interior_box(grid),) * grid.dim   # the interior, read as views
+        system.report = Report(f"paracontrolled brackets gamma={gamma}")
         for sigma, vals in out.items():
             target = float(gamma - S.homog_base(sigma))
             # a bracket with its coefficient's bits (no mu above sigma) is
@@ -480,8 +418,9 @@ def md_to_paracontrolled(model: Model, md: ModelledDistribution,
             f = md.operand(sigma)
             if not (isinstance(f, Field) and _same_bits(f.values, vals)):
                 f = Field(grid, vals)
-            system.reports[f"f:{sigma}"] = holder_norm(f, target, mask=box)
-        system.reports["reconstruction"] = holder_norm(Field(grid, rec), float(gamma), mask=box)
+            system.report.add_norm(f"md_bracket {sigma}",
+                                   holder_norm(f, target, mask=box), target, tol_slope)
+        system.reconstruction_norm = holder_norm(Field(grid, rec), float(gamma), mask=box)
     md.coeff_fields.clear()   # their spectra are used; the md holds its values only
     return system
 
@@ -697,8 +636,7 @@ def lambda_cross_check(model: Model, root: str, m: int | None = None,
             # first decay bound: |J_j(Lambda_x sigma^{(m)})(x)| <~ 2^{-j(|sigma|-|k|)}
             target = float(h_sigma - mi_abs(k))
             decay = NormReport.from_blocks(medians, medians, target)
-            rep.add_slope(f"decay:{mo}:k={k}", decay.slope, target, tol_slope,
-                          scales=len(decay.fit_js))
+            rep.add_norm(f"decay:{mo}:k={k}", decay, target, tol_slope)
     return rep
 
 

@@ -131,12 +131,13 @@ class TestVerbs:
         import numpy as np
 
         from regpara.grid import Field, Grid
-        from regpara.norms import holder_norm
+        from regpara.norms import Report, holder_norm
 
-        rep = holder_norm(Field.zero(Grid(1, 256, np.pi)), 0.5)
-        lines = []
-        assert cli._slope_check(rep, 0.5, 0.2, lines, "g_bracket u")
-        assert lines == ["g_bracket u insufficient-scales scales=0 target=0.5000"]
+        rep = Report("brackets")
+        check = rep.add_norm("g_bracket u", holder_norm(Field.zero(Grid(1, 256, np.pi)), 0.5),
+                             0.5, 0.2)
+        assert rep.ok and check.verdict == "insufficient-scales"
+        assert cli._slope_line(check) == "g_bracket u insufficient-scales scales=0 target=0.5000"
 
 
 @pytest.fixture(scope="module")
@@ -248,3 +249,72 @@ class TestPipelines:
         b = subprocess.run(cmd, capture_output=True, text=True)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+
+# The library call behind each verb that reports checks, and how its
+# result gives the Report the verb prints; None where the verb forms the
+# Report itself.
+REPORTS = {
+    "model-extract": ("extract_brackets", lambda data: data.report),
+    "model-check": ("validate_model", lambda rep: rep),
+    "md-build": ("validate_md", lambda rep: rep),
+    "md-extract": ("md_to_paracontrolled", lambda system: system.report),
+    "reconstruct": ("reconstruction_report", None),
+    "roundtrip": (None, None),
+    "lambda-check": ("lambda_cross_check", lambda rep: rep),
+}
+
+
+def test_each_verb_exits_on_its_library_report(tmp_path, monkeypatch, capsys):
+    """Every verb that reports checks prints them from one Report, the
+    library's where the library forms it, and exits 1 exactly when that
+    Report is not ok."""
+    M, D = str(tmp_path / "M"), str(tmp_path / "D")
+    assert main(["model-build", "--structure", "toy", "--out", M]) == 0
+    emitted, returned = [], []
+    emit = cli._emit
+
+    def spy_emit(lines, out_dir=None, name="report.txt", report=None):
+        emitted.append(report)
+        return emit(lines, out_dir, name, report)
+
+    def spy(fn):
+        def call(*args, **kwargs):
+            returned.append(fn(*args, **kwargs))
+            return returned[-1]
+        return call
+
+    monkeypatch.setattr(cli, "_emit", spy_emit)
+    for name, _ in REPORTS.values():
+        if name:
+            monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+    runs = [
+        ["model-extract", "--model", M],
+        ["model-check", "--model", M],
+        ["md-build", "--model", M, "--gamma", "9/8", "--out", D],
+        ["md-extract", "--model", M, "--md", D],
+        ["reconstruct", "--model", M, "--md", D],
+        ["roundtrip", "--structure", "toy", "--grid", "128"],
+        ["roundtrip", "--structure", "toy", "--grid", "128", "--tol-rel", "0"],
+        ["lambda-check", "--model", M, "--generator", "I[t;(0)](I[xi;(0)](1))"],
+    ]
+    codes = set()
+    for argv in runs:
+        emitted.clear()
+        returned.clear()
+        code = main(argv)
+        out = capsys.readouterr().out
+        (report,) = emitted
+        assert report.checks and code == (0 if report.ok else 1), argv
+        codes.add(code)
+        name, of = REPORTS[argv[0]]
+        if of:
+            (result,) = returned
+            assert report is of(result), argv
+        elif name:
+            (check,) = report.checks
+            assert check.norm is returned[0] and f"status={check.verdict}" in out
+        else:
+            (check,) = report.checks
+            assert f"max_rel_err={check.value:.3e}\nstatus={check.verdict}\n" in out
+    assert codes == {0, 1}

@@ -183,6 +183,38 @@ def test_one_slope_estimator():
     ]
 
 
+def _references(tree: ast.Module, name: str):
+    """The module-level definition enclosing each read or import of name."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Name) and node.id == name
+                    or isinstance(node, ast.Attribute) and node.attr == name
+                    or isinstance(node, ast.alias) and name in (node.name, node.asname)):
+                yield getattr(top, "name", None)
+
+
+def _string_literals(tree: ast.Module):
+    """Every str constant but the docstrings."""
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)}
+    return [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and isinstance(node.value, str) and id(node) not in docs]
+
+
+def test_one_verdict_path():
+    """Every pass/FAIL comes from a norms.Report: slope_verdict is read only
+    by Report and Check, and the command line spells no FAIL of its own."""
+    refs = [
+        (path.name, owner)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for owner in _references(ast.parse(path.read_text(encoding="utf-8")), "slope_verdict")
+    ]
+    assert refs and set(refs) <= {("norms.py", "Report"), ("norms.py", "Check")}, refs
+    cli_tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert [s for s in _string_literals(cli_tree) if "FAIL" in s] == []
+
+
 def test_every_traced_name_resolves(monkeypatch):
     """Each (module, attribute) in perfbench/tracer.GROUPS names a module
     attribute or an entry of a class __dict__, as `Tracer.install` reads

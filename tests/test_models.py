@@ -21,7 +21,7 @@ from regpara.models import (
     g_as_model,
     plus_bound,
 )
-from regpara.norms import holder_norm, interior_mask, synthesize
+from regpara.norms import holder_norm, interior_mask, log_scale_fit, synthesize
 from regpara.translation import validate_model
 
 from conftest import build_random_model
@@ -153,6 +153,12 @@ class TestModelInvariants:
         model, _gb, _pib = build_random_model(S, grid512)
         rep = validate_model(model, samples=30)
         assert rep.ok, "\n".join(c.line() for c in rep.checks if not c.passed)
+        # a D-family check keeps the series its slope was fitted on
+        family = [c for c in rep.checks if c.name.startswith("d:family:")]
+        assert family
+        for c in family:
+            js = range(-1, len(c.norm.series) - 1)
+            assert -log_scale_fit(js, c.norm.series, c.norm.window)[0] == c.value, c.name
 
     def test_g_model_validation(self, bhz_g_model):
         rep = validate_model(bhz_g_model, samples=30)
@@ -416,8 +422,8 @@ class TestCoefficientMemo:
             assert have.keys() == need.keys() and have
             for key, vals in need.items():
                 assert np.array_equal(have[key].view(np.int64), vals.view(np.int64)), key
-        for key, rep in want.reports.items():
-            assert got.reports[key].lines() == rep.lines(), key
+        for have, need in zip(got.report.checks, want.report.checks, strict=True):
+            assert (have.name, have.norm.lines()) == (need.name, need.norm.lines())
         for gen, vals in want_g.values.items():
             assert np.array_equal(built_g.values[gen], vals), gen
         for gen, vals in want_pi.pi.items():
@@ -455,6 +461,6 @@ class TestCoefficientMemo:
         data = extract_brackets(model)
         assert fields and all(len(ids) == 1 for ids in fields.values())
         assert len(refs) > len(fields)   # some coefficient serves several terms
-        assert len(live_at_reports) == len(data.reports)
+        assert len(live_at_reports) == len(data.report.checks)
         assert max(live_at_reports) == 0
         assert all(r() is None for r in refs)

@@ -251,9 +251,12 @@ class TestMdProductMemo:
         for s, v in want.brackets.items():
             assert _same_bits(system.brackets[s], v), s
         assert _same_bits(system.reconstruction_bracket, want.reconstruction_bracket)
-        for key, rep in want.reports.items():
-            assert _same_bits(system.reports[key].block_norms, rep.block_norms), key
-            assert system.reports[key].slope == rep.slope
+        for have, need in zip(system.report.checks, want.report.checks, strict=True):
+            assert have.name == need.name
+            assert _same_bits(have.norm.block_norms, need.norm.block_norms), need.name
+            assert have.norm.slope == need.norm.slope
+        assert _same_bits(system.reconstruction_norm.block_norms,
+                          want.reconstruction_norm.block_norms)
         assert md2.coeffs.keys() == want2.coeffs.keys()
         for s, v in want2.coeffs.items():
             assert _same_bits(md2.coeffs[s], v), s
@@ -404,11 +407,12 @@ class TestMdProductMemo:
         md = md_from_paracontrolled(model, _core_brackets(S, grid), GAMMA, mode="d")
         system = md_to_paracontrolled(model, md)
         mask = interior_mask(grid)
-        for s, vals in system.brackets.items():
+        for (s, vals), check in zip(system.brackets.items(), system.report.checks, strict=True):
+            assert check.name == f"md_bracket {s}"
             want = holder_norm(Field(grid, vals), float(GAMMA - S.homog_base(s)), mask=mask)
-            assert _same_bits(system.reports[f"f:{s}"].block_norms, want.block_norms), s
+            assert _same_bits(check.norm.block_norms, want.block_norms), s
         want = holder_norm(Field(grid, system.reconstruction_bracket), float(GAMMA), mask=mask)
-        assert _same_bits(system.reports["reconstruction"].block_norms, want.block_norms)
+        assert _same_bits(system.reconstruction_norm.block_norms, want.block_norms)
 
     def test_memo_is_bounded_by_the_sigma_mu_pairs(self):
         S, grid = _memo_structure("toy"), Grid(1, 1024, np.pi)
