@@ -175,13 +175,15 @@ class FreeVector:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for key, coeff in items:
-                coeff = Fraction(coeff)
+                if type(coeff) is not Fraction:
+                    coeff = Fraction(coeff)
                 if coeff:
-                    new = data.get(key, Fraction(0)) + coeff
+                    old = data.get(key)
+                    new = coeff if old is None else old + coeff
                     if new:
                         data[key] = new
                     else:
-                        data.pop(key, None)
+                        del data[key]
         self.terms = data
 
     @staticmethod

@@ -56,7 +56,7 @@ def read_config(path) -> Config:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, _, value = line.partition("=")
+            key, value = line.split("=", 1) if "=" in line else (line, "")
             key = key.strip()
             value = value.strip()
             if key in _RETIRED_CONFIG_KEYS:

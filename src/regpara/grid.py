@@ -148,14 +148,27 @@ class Field:
         self.preimage = preimage
         self._spectrum = None
 
+    def alias(self) -> "Field":
+        """This field over a view of its values, for a holder that lets go
+        of it earlier: the view dies with the alias, and the spectrum is
+        this field's, taken once for both."""
+        out = Field.__new__(Field)
+        out.grid, out.values, out.preimage = self.grid, self.values.view(), self.preimage
+        out._spectrum = self
+        return out
+
     @property
     def spectrum(self) -> np.ndarray:
-        """rfftn of the values, computed once (read-only)."""
-        if self._spectrum is None:
-            spec = np.fft.rfftn(self.values)
+        """rfftn of the values, computed once (read-only); an alias reads
+        that of the field it aliases."""
+        spec = self._spectrum
+        if spec is None:
+            spec = np.fft.rfft(self.values) if self.grid.dim == 1 else np.fft.rfftn(self.values)
             spec.setflags(write=False)
             self._spectrum = spec
-        return self._spectrum
+        elif isinstance(spec, Field):
+            spec = self._spectrum = spec.spectrum
+        return spec
 
     @classmethod
     def constant(cls, grid: Grid, c: float) -> "Field":

@@ -172,9 +172,10 @@ class BracketExtractor:
 
     and reconstruction (build_g, build_pi) sign = +1, from the bracket.
 
-    Brackets, bracket vectors and the coefficients c g(tau/sigma) of the
-    coproduct terms are kept as Fields, so each is evaluated and
-    forward-transformed once per extractor however many paraproducts take it.
+    Brackets, bracket vectors, the values g(tau) and the coefficients
+    c g(tau/sigma) of the coproduct terms are kept as Fields, so each is
+    evaluated and forward-transformed once per extractor however many
+    paraproducts take it.
     """
 
     def __init__(self, model: Model, m: int):
@@ -185,6 +186,7 @@ class BracketExtractor:
         self._pi_memo: dict[BaseSymbol, Field] = {}
         self._vector_memo: dict[FreeVector, Field] = {}
         self._coef_memo: dict[tuple[Fraction, PlusMonomial], Field] = {}
+        self._g_values: dict[PlusMonomial, Field] = {}
 
     def step(self, start, terms, sign: int = -1) -> np.ndarray:
         """start + sign * sum_{(c, u) in terms} P^m_c u, the terms added in
@@ -208,13 +210,25 @@ class BracketExtractor:
                 acc += p
         return acc
 
+    def g_value(self, mono: PlusMonomial) -> Field:
+        """g(mono) as a read-only Field, evaluated once per extractor; g is
+        set once, so a kept value never goes stale."""
+        hit = self._g_values.get(mono)
+        if hit is None:
+            hit = self._g_values[mono] = Field.adopt(
+                self.model.grid, np.array(self.model.g_field(mono), dtype=float))
+        return hit
+
     def coefficient(self, c, quot: PlusMonomial) -> Field:
-        """c g(quot) as a read-only Field, one per (c, quot) and extractor;
-        g is set once, so a kept coefficient never goes stale."""
+        """c g(quot) as a read-only Field, one per (c, quot) and extractor.
+        For c = 1 it is an alias of g_value(quot): the same bits and the
+        same spectrum, taken once however many terms, brackets and
+        coefficients hold them."""
         hit = self._coef_memo.get((c, quot))
         if hit is None:
-            hit = self._coef_memo[(c, quot)] = Field.adopt(
-                self.model.grid, float(c) * self.model.g_field(quot))
+            g = self.g_value(quot)
+            hit = self._coef_memo[(c, quot)] = (
+                g.alias() if c == 1 else Field.adopt(self.model.grid, float(c) * g.values))
         return hit
 
     def coproduct_terms(self, tau, coproduct: FreeVector, bracket):
@@ -231,9 +245,13 @@ class BracketExtractor:
             raise ValueError(f"g-brackets are indexed by B+ \\ B_X^+, got {mono}")
         hit = self._g_memo.get(mono)
         if hit is None:
-            terms = self.coproduct_terms(mono, self.model.structure.delta_plus(mono), self.g_bracket)
-            hit = self._g_memo[mono] = Field.adopt(
-                self.model.grid, self.step(self.model.g_field(mono), terms))
+            # a step that adds no term leaves g(mono): the Field g_value(mono)
+            # itself, which coefficient(1, mono) aliases
+            terms = list(self.coproduct_terms(mono, self.model.structure.delta_plus(mono),
+                                              self.g_bracket))
+            start = self.g_value(mono)
+            hit = self._g_memo[mono] = start if not terms else Field.adopt(
+                self.model.grid, self.step(start, terms))
         return hit
 
     def g_bracket_vector(self, v: FreeVector) -> Field:

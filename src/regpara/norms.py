@@ -16,10 +16,6 @@ ZERO_FLOOR = 1e-290
 
 DEFAULT_R = 2.0
 
-# Quantile taken per scale by the checks that fit medians: D-family,
-# two-point and J-decay.
-MEDIAN = 0.5
-
 # Default one-sided tolerance of a slope check.
 SLOPE_TOL = 0.2
 
@@ -60,12 +56,28 @@ def log_scale_fit(xs, series, window: tuple[float, float] | None = None):
 def scale_stats(samples: np.ndarray, mask: np.ndarray | None = None, sup: bool = True):
     """(sup, median) of |samples| over the mask: what one scale contributes
     to a per-scale series, the sup None unless asked for.  samples is
-    overwritten.  holder_norm's sups come from block_sup."""
+    overwritten.  holder_norm's sups come from block_sup.
+
+    The median is np.quantile(|samples|, 0.5) bit for bit, from one
+    selection: after a partition at k = n // 2, b = x[k] is the upper
+    middle value and a, the max of x[:k], the lower one.  An even count
+    reads numpy's linear rule b - (b - a) * 0.5, an odd count b (numpy's
+    b + (next - b) * 0, NaN once an infinity enters it).  The sup is the
+    max of x[k:]; it is NaN when a sample is, and the median then too."""
     if mask is not None:
         samples = samples[mask]
-    np.abs(samples, out=samples)
-    return (np.max(samples) if sup else None,
-            np.quantile(samples, MEDIAN, overwrite_input=True))
+    x = np.abs(samples, out=samples).reshape(-1)
+    k = x.size // 2
+    x.partition(k)
+    top = np.max(x[k:])
+    med = x[k]
+    if x.size % 2 == 0:
+        below = np.max(x[:k])
+        med = med - (med - below) * 0.5
+    elif np.isinf(top):
+        nxt = np.min(x[k + 1:]) if k else med
+        med = med + (nxt - med) * 0.0
+    return (top if sup else None, top if np.isnan(top) else med)
 
 
 @dataclass

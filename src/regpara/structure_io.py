@@ -171,8 +171,8 @@ def parse_plus_monomial(path, line_no, text: str, dim: int,
                 raise FileFormatError(path, line_no, f"trailing input {rest!r} after X{mi_str(k)}")
             poly = tuple(a + b for a, b in zip(poly, k))
         else:
-            name, _, power = factor.partition("^")
-            mult = int(power) if power else 1
+            name, *power = factor.split("^", 1)
+            mult = int(power[0]) if power and power[0] else 1
             if name not in gens:
                 raise FileFormatError(path, line_no, f"unknown plus-generator {name!r}")
             counts[name] = counts.get(name, 0) + mult
@@ -208,25 +208,25 @@ def parse_base_symbol(path, line_no, text: str, dim: int,
 
 def _split_top(text: str, sep: str) -> list[str]:
     """Split on a separator at bracket depth zero only (generator names carry
-    brackets and '*' inside)."""
+    brackets and '*' inside).  Occurrences are taken left to right, the
+    depth counted with str.count over the text since the last split;
+    brackets inside a split separator do not count.  Every separator in use
+    starts with a character that is not a bracket."""
     out = []
-    depth = 0
-    cur = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        if depth == 0 and text.startswith(sep, i):
-            out.append("".join(cur))
-            cur = []
-            i += len(sep)
-            continue
-        cur.append(ch)
-        i += 1
-    out.append("".join(cur))
+    start = scanned = depth = 0
+    i = text.find(sep)
+    while i >= 0:
+        seg = text[scanned:i]
+        depth += (seg.count("(") + seg.count("[") + seg.count("{")
+                  - seg.count(")") - seg.count("]") - seg.count("}"))
+        scanned = i
+        if depth == 0:
+            out.append(text[start:i])
+            start = scanned = i + len(sep)
+            i = text.find(sep, start)
+        else:
+            i = text.find(sep, i + 1)
+    out.append(text[start:])
     return [c.strip() for c in out if c.strip()]
 
 

@@ -5,7 +5,12 @@ non-canonical change of representation.
 A tree is stored as a root with decorations and a canonically sorted tuple of
 branches, so isomorphic decorated trees (any child order) compare and hash
 equal.  Edge decorations: type name, e (derivative), f (polynomial shift,
-zero in the canonical representation).
+zero in the canonical representation).  Trees are immutable, so a tree and
+a branch take their hash once, at construction: the dataclass hash of their
+fields, whose own hashes are already kept.  A TreeAlgebra grades each tree
+once (`homogeneity` is memoised per algebra).  No output order rests on
+these hashes, which vary with the hash seed: enumeration keeps dicts in
+insertion order and sorts by (homogeneity, serialization).
 
 T+ has one monomial type, `algebra.PlusMonomial`: on this side its
 generators are integrated trees, and export renames them to their names.
@@ -61,6 +66,12 @@ class Branch:
     f_dec: Multi
     child: "DecoratedTree"
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.edge_type, self.e_dec, self.f_dec, self.child)))
+
+    def __hash__(self):
+        return self._hash
+
 
 @dataclass(frozen=True)
 class DecoratedTree:
@@ -72,6 +83,10 @@ class DecoratedTree:
     def __post_init__(self):
         ordered = tuple(sorted(self.branches, key=_branch_key))
         object.__setattr__(self, "branches", ordered)
+        object.__setattr__(self, "_hash", hash((self.dim, self.n_dec, self.o_dec, ordered)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_leaf(self) -> bool:
@@ -167,6 +182,7 @@ class TreeAlgebra:
         self.dim = dim
         self.types = {k: Fraction(v) for k, v in types.items()}
         self._lock = threading.Lock()
+        self._homog_memo: dict[DecoratedTree, Fraction] = {}
         self._delta_memo: dict[DecoratedTree, FreeVector] = {}
         self._to_noncan_memo: dict[DecoratedTree, FreeVector] = {}
         self._to_can_memo: dict[DecoratedTree, FreeVector] = {}
@@ -179,16 +195,16 @@ class TreeAlgebra:
             h += m * self.types[name]
         return h
 
-    def homogeneity(self, t: DecoratedTree, with_f: bool = True) -> Fraction:
-        """|tau| = |n| + |o| - |e| + |t| (+ |f| in the non-canonical form)."""
+    @memoised("_homog_memo")
+    def homogeneity(self, t: DecoratedTree) -> Fraction:
+        """|tau| = |n| + |o| - |e| + |t| (+ |f| in the non-canonical form),
+        computed once per tree and algebra."""
         h = Fraction(mi_abs(t.n_dec)) + self._o_homog(t.o_dec)
         for b in t.branches:
             if b.edge_type not in self.types:
                 raise KeyError(f"unknown edge type {b.edge_type}")
-            h += self.types[b.edge_type] - mi_abs(b.e_dec)
-            if with_f:
-                h += mi_abs(b.f_dec)
-            h += self.homogeneity(b.child, with_f)
+            h += self.types[b.edge_type] - mi_abs(b.e_dec) + mi_abs(b.f_dec)
+            h += self.homogeneity(b.child)
         return h
 
     # -- structural coproduct (canonical representation) -----------------------

@@ -4,16 +4,23 @@ byte-identical, and so must the exit status and stdout of every verb of the
 benchmark's two command-line chains (perfbench/clichain.py), up to round-off
 in readings of exact identities.  The files under tests/data/golden were
 written by `golden_outputs()` and `cli_golden_outputs()` below; a change
-that means to alter one of them must say why and rewrite it the same way."""
+that means to alter one of them must say why and rewrite it the same way.
+The enumeration of every shipped rule at the cutoffs of ENUMERATE_CUTOFFS
+(trees in order, with homogeneities) is pinned the same way, by
+`enumeration_dump()`, in the subdirectory tests/data/golden/enumerate."""
 import contextlib
+import dataclasses
 import importlib
 import io
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from regpara import cli, library
+from regpara.rules import enumerate_basis
 from regpara.structure_io import write_structure
+from regpara.trees import serialize
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden"
@@ -25,6 +32,16 @@ CLI_SEED = 0
 # max_rel_err=, chen-relation, identity:*, agreement:*), which differs
 # between floating-point environments.
 ROUNDOFF = 1e-12
+# Rule cutoffs whose enumeration is dumped under tests/data/golden/enumerate
+# (the shipped cutoffs and the larger ones that still enumerate in well under
+# a second each).
+ENUMERATE_CUTOFFS = {
+    "toy": ("1", "5/4", "3/2", "7/4", "2", "5/2"),
+    "twonoise": ("1", "3/2", "2"),
+    "bhz": ("2", "5/2", "3", "4"),
+    "toy2d": ("1", "3/2", "2", "5/2"),
+}
+ENUMERATE_CASES = [(name, c) for name, cuts in ENUMERATE_CUTOFFS.items() for c in cuts]
 
 
 def _structure_text(name: str, noncanonical: bool, tmp: Path) -> bytes:
@@ -47,6 +64,23 @@ def golden_outputs(name: str, tmp: Path):
         yield f"structure-{name}-{kind}.txt", _structure_text(name, kind == "noncanonical", tmp)
     for verb in ("bhz-enumerate", "bhz-transform"):
         yield f"{verb}-{name}.txt", _verb_stdout(verb, name)
+
+
+def enumeration_dump(name: str, cutoff: str) -> bytes:
+    """The closure, B., B~. and B+ of a shipped rule at another cutoff, in
+    the order enumerate_basis returns them, one `homogeneity tree` line each."""
+    rule = dataclasses.replace(library.RULES[name], cutoff=Fraction(cutoff))
+    basis = enumerate_basis(rule)
+    lines = [f"# rule {name} cutoff {cutoff}"]
+    for title, trees in (("closure", basis.trees), ("B.", basis.b_dot),
+                         ("B~.", basis.b_dot_tilde), ("B+", basis.plus_trees)):
+        lines.append(f"{title} {len(trees)}")
+        lines.extend(f"{basis.homog(t)} {serialize(t)}" for t in trees)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def enumeration_golden(name: str, cutoff: str) -> Path:
+    return GOLDEN / "enumerate" / f"enumerate-{name}-{cutoff.replace('/', '_')}.txt"
 
 
 def clichain(monkeypatch):
@@ -126,3 +160,17 @@ def test_benchmark_recognises_the_known_extract_fault(name, monkeypatch):
     status, _, stdout = (GOLDEN / f"cli-{name}-model-extract.txt").read_text("utf-8").partition("\n")
     assert status == "exit=1"
     assert clichain(monkeypatch)._known_extract_fault(stdout)
+
+
+def test_enumeration_golden_set_is_complete():
+    assert set(ENUMERATE_CUTOFFS) == set(NAMES)
+    assert sorted((GOLDEN / "enumerate").glob("*.txt")) == sorted(
+        enumeration_golden(name, c) for name, c in ENUMERATE_CASES)
+
+
+@pytest.mark.parametrize("name, cutoff", ENUMERATE_CASES,
+                         ids=[f"{n}-{c.replace('/', '_')}" for n, c in ENUMERATE_CASES])
+def test_enumeration_matches_golden(name, cutoff):
+    """Same trees, same order, same homogeneities: the gate on any change to
+    tree hashing, grading or the enumeration loop."""
+    assert enumeration_dump(name, cutoff) == enumeration_golden(name, cutoff).read_bytes()

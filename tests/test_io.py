@@ -1,9 +1,12 @@
 """File formats: binary fields, structure/rule text files, tree grammar,
 bundles with manifests."""
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regpara.bundles import (
     Config,
@@ -19,6 +22,7 @@ from regpara.library import RULES, structure
 from regpara.norms import synthesize
 from regpara.structure_io import (
     FileFormatError,
+    _split_top,
     read_rule,
     read_structure,
     write_rule,
@@ -205,3 +209,50 @@ class TestBundles:
         p.write_text("bogus=1\n")
         with pytest.raises(ValueError):
             read_config(p)
+
+
+# -- the structure-line splitter against a character loop ---------------------
+
+SEPARATORS = (" + ", " (x) ", " * ", ".")
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+
+def _split_top_by_characters(text: str, sep: str) -> list[str]:
+    """The reference splitter: one character at a time, tracking the depth."""
+    out = []
+    depth = 0
+    cur = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+        if depth == 0 and text.startswith(sep, i):
+            out.append("".join(cur))
+            cur = []
+            i += len(sep)
+            continue
+        cur.append(ch)
+        i += 1
+    out.append("".join(cur))
+    return [c.strip() for c in out if c.strip()]
+
+
+class TestSplitTop:
+    @given(st.lists(st.sampled_from(["(", ")", "[", "]", "{", "}", "a", "x", "1", " ", "+",
+                                      "*", ".", *SEPARATORS]), max_size=40))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_character_loop(self, tokens):
+        text = "".join(tokens)
+        for sep in SEPARATORS:
+            assert _split_top(text, sep) == _split_top_by_characters(text, sep), (text, sep)
+
+    def test_matches_the_character_loop_on_every_shipped_structure(self):
+        files = sorted(GOLDEN.glob("structure-*.txt"))
+        assert len(files) == 8
+        for path in files:
+            for line in path.read_text(encoding="utf-8").splitlines():
+                for sep in SEPARATORS:
+                    assert _split_top(line, sep) == _split_top_by_characters(line, sep), (path.name, line)

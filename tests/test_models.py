@@ -1,6 +1,7 @@
 """Model construction, bracket extraction, and the defining round trips."""
 import math
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -464,3 +465,38 @@ class TestCoefficientMemo:
         assert len(live_at_reports) == len(data.report.checks)
         assert max(live_at_reports) == 0
         assert all(r() is None for r in refs)
+
+    def test_each_g_value_evaluated_and_each_field_transformed_once(self, monkeypatch):
+        """One toy extraction evaluates g(mono) once per monomial, and g-side
+        Fields with the same bits share one spectrum: the g-bracket of
+        I[t](I[xi]), whose step adds no term, is g(I[t](I[xi])), which the
+        coefficient 1 g(I[t](I[xi])) of other terms aliases.  (The Pi-bracket
+        of the base symbol I[t](I[xi]) has those bits too, but is Pi's own
+        field, not a g-side one.)"""
+        model, _gb, _pib = _coef_model("toy", Grid(1, 1024, np.pi))
+        evaluated, fields = Counter(), []
+        g_field = model.g_field
+
+        def counted(v):
+            evaluated[v] += 1
+            return g_field(v)
+
+        def kept(method):
+            def spy(self, *args):
+                f = method(self, *args)
+                fields.append(f)
+                return f
+            return spy
+
+        monkeypatch.setattr(model, "g_field", counted)
+        for name in ("g_bracket", "coefficient"):
+            monkeypatch.setattr(BracketExtractor, name, kept(getattr(BracketExtractor, name)))
+        extract_brackets(model)
+        assert evaluated and max(evaluated.values()) == 1, evaluated.most_common(3)
+        by_bits = {}
+        for f in fields:
+            by_bits.setdefault(f.values.tobytes(), {})[id(f)] = f
+        shared = [list(group.values()) for group in by_bits.values() if len(group) > 1]
+        assert shared
+        for group in shared:
+            assert len({id(f.spectrum) for f in group}) == 1

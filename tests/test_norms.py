@@ -1,6 +1,8 @@
 """Norm estimation, slope fitting, synthetic fields, weighted kernels."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regpara.blocks import make_partition
 from regpara.grid import Field, Grid, TwoParamField
@@ -13,6 +15,7 @@ from regpara.norms import (
     holder_norm,
     interior_mask,
     log_scale_fit,
+    scale_stats,
     synthesize,
     two_param_norm,
 )
@@ -188,3 +191,59 @@ class TestWeightedScaling:
         ratios = np.array(ratios)
         assert np.all(ratios < 10.0 * np.median(ratios))
         assert np.all(ratios > 0)
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestScaleStatsMedian:
+    """scale_stats's median is np.quantile(|x|, 0.5) bit for bit, from one
+    selection, and its sup is the max of |x|."""
+
+    @given(n=st.integers(1, 40000), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["normal", "ties", "zeros", "masked"]))
+    @settings(max_examples=150, deadline=None)
+    def test_median_is_numpy_quantile(self, n, seed, kind):
+        rng = np.random.default_rng(seed)
+        mask = None
+        if kind == "ties":
+            x = rng.integers(-3, 4, n).astype(float)
+        elif kind == "zeros":
+            x = rng.standard_normal(n) * (rng.random(n) < 0.5)
+        elif kind == "masked":
+            x = rng.standard_normal((2, n))
+            mask = rng.random((2, n)) < 0.5
+            mask.flat[rng.integers(2 * n)] = True
+        else:
+            x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300)
+        want = np.abs(x if mask is None else x[mask])
+        sup, med = scale_stats(x.copy(), mask=mask)
+        assert _bits(med) == _bits(np.quantile(want, 0.5))
+        assert _bits(sup) == _bits(np.max(want))
+        assert scale_stats(x.copy(), mask=mask, sup=False) == (None, med)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10])
+    def test_odd_and_even_counts_and_infinities(self, n):
+        rng = np.random.default_rng(n)
+        for x in (np.arange(n, dtype=float)[::-1], np.full(n, 2.5), rng.standard_normal(n)):
+            for k in range(n + 1):
+                y = x.copy()
+                y[:k] = np.inf     # numpy reads NaN once an infinity enters the interpolation
+                with np.errstate(invalid="ignore"):
+                    want = np.quantile(np.abs(y), 0.5)
+                    got = scale_stats(y, sup=False)[1]
+                assert _bits(got) == _bits(want) or np.isnan(got) and np.isnan(want)
+
+    def test_nan_sample_gives_nan(self):
+        x = np.linspace(-1.0, 1.0, 11)
+        x[3] = np.nan
+        sup, med = scale_stats(x.copy())
+        assert np.isnan(sup) and np.isnan(med)
+        assert np.isnan(scale_stats(x[:10].copy(), sup=False)[1])
+
+    def test_empty_sample_raises(self):
+        with pytest.raises(ValueError):
+            scale_stats(np.array([]))
+        with pytest.raises(ValueError):
+            scale_stats(np.ones(4), mask=np.zeros(4, bool), sup=False)

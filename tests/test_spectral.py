@@ -283,16 +283,23 @@ def test_modified_paraproduct_against_long_double(m, rel):
 
 
 def _count_subgrid_transforms(monkeypatch, grid):
-    """Record every irfftn onto fewer points per axis than the grid has."""
+    """Record every irfftn (irfft on 1-D grids) onto fewer points per axis
+    than the grid has."""
     calls = []
-    irfftn = np.fft.irfftn
+    irfftn, irfft = np.fft.irfftn, np.fft.irfft
 
     def counting(a, s=None, axes=None, norm=None, out=None):
         if s is not None and s[-1] < grid.n:
             calls.append(s)
         return irfftn(a, s=s, axes=axes, norm=norm, out=out)
 
+    def counting_1d(a, n=None, axis=-1, norm=None, out=None):
+        if n is not None and n < grid.n:
+            calls.append((n,))
+        return irfft(a, n=n, axis=axis, norm=norm, out=out)
+
     monkeypatch.setattr(np.fft, "irfftn", counting)
+    monkeypatch.setattr(np.fft, "irfft", counting_1d)
     return calls
 
 
@@ -382,12 +389,15 @@ def test_field_spectrum_is_taken_once(case, monkeypatch):
     rfftn = np.fft.rfftn
     full = []
 
-    def counting(a, *args, **kwargs):
-        if np.shape(a) == grid.shape:
-            full.append(1)
-        return rfftn(a, *args, **kwargs)
+    def counting(transform):
+        def counted(a, *args, **kwargs):
+            if np.shape(a) == grid.shape:
+                full.append(1)
+            return transform(a, *args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(np.fft, "rfftn", counting)
+    for name in ("rfft", "rfftn"):   # the 1-D transform on 1-D grids
+        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
     spec = u.spectrum
     assert np.array_equal(spec, rfftn(f.values))
     assert not spec.flags.writeable
@@ -498,14 +508,20 @@ def test_stacked_d_family_reports_are_bit_identical(stack_case):
 
 def _count_full_grid_inverse(monkeypatch, grid):
     calls = []
-    irfftn = np.fft.irfftn
+    irfftn, irfft = np.fft.irfftn, np.fft.irfft
 
     def counting(a, s=None, axes=None, norm=None, out=None):
         if s is not None and s[-1] == grid.n:
             calls.append(np.shape(a)[: np.ndim(a) - grid.dim])
         return irfftn(a, s=s, axes=axes, norm=norm, out=out)
 
+    def counting_1d(a, n=None, axis=-1, norm=None, out=None):
+        if n == grid.n:
+            calls.append(np.shape(a)[: np.ndim(a) - 1])
+        return irfft(a, n=n, axis=axis, norm=norm, out=out)
+
     monkeypatch.setattr(np.fft, "irfftn", counting)
+    monkeypatch.setattr(np.fft, "irfft", counting_1d)
     return calls
 
 

@@ -352,13 +352,16 @@ class TestMdProductMemo:
         arrays."""
         S = _memo_structure(name)
         model = _fresh_model(S, grid)
-        rfftn, seen = np.fft.rfftn, []
+        seen = []
 
-        def recording(a, *args, **kwargs):
-            seen.append(a)
-            return rfftn(a, *args, **kwargs)
+        def recording(transform):
+            def recorded(a, *args, **kwargs):
+                seen.append(a)
+                return transform(a, *args, **kwargs)
+            return recorded
 
-        monkeypatch.setattr(np.fft, "rfftn", recording)
+        for fft in ("rfft", "rfftn"):   # the 1-D transform on 1-D grids
+            monkeypatch.setattr(np.fft, fft, recording(getattr(np.fft, fft)))
         md = md_from_paracontrolled(model, _core_brackets(S, grid), GAMMA, mode="d")
         transformed = {v.tobytes() for v in md.coeffs.values() if any(a is v for a in seen)}
         assert transformed
@@ -382,13 +385,16 @@ class TestMdProductMemo:
         once."""
         S = _memo_structure(name)
         model = _fresh_model(S, grid)
-        rfftn, seen = np.fft.rfftn, Counter()
+        seen = Counter()
 
-        def recording(a, *args, **kwargs):
-            seen[np.asarray(a).tobytes()] += 1
-            return rfftn(a, *args, **kwargs)
+        def recording(transform):
+            def recorded(a, *args, **kwargs):
+                seen[np.asarray(a).tobytes()] += 1
+                return transform(a, *args, **kwargs)
+            return recorded
 
-        monkeypatch.setattr(np.fft, "rfftn", recording)
+        for fft in ("rfft", "rfftn"):   # the 1-D transform on 1-D grids
+            monkeypatch.setattr(np.fft, fft, recording(getattr(np.fft, fft)))
         md = md_from_paracontrolled(model, _core_brackets(S, grid), GAMMA, mode="d")
         system = md_to_paracontrolled(model, md)
         counts = [seen[v.tobytes()] for v in md.coeffs.values()]
