@@ -299,7 +299,7 @@ class AssumptionReport:
     b_ok: bool
     b_failures: list[str]
     c_ok: bool
-    c_generators: list[str]                 # the set G_o^+
+    c_generators: list[str]                 # the set G_o^+, in (homogeneity, name) order
     c_orbit: dict[str, tuple[str, Multi]]   # gen -> (orbit root, k) with gen = D^k root
     c_failures: list[str]
     d_ok: bool
@@ -686,7 +686,7 @@ class ConcreteRegularityStructure:
             b_ok=not b_fail,
             b_failures=b_fail,
             c_ok=not c_fail,
-            c_generators=[r for r in roots],
+            c_generators=roots,
             c_orbit=orbit,
             c_failures=c_fail,
             d_ok=d_witness is None,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,10 +61,14 @@ def read_config(path) -> Config:
             value = value.strip()
             if key in _RETIRED_CONFIG_KEYS:
                 continue
-            if not hasattr(cfg, key):
+            if key not in {f.name for f in fields(cfg)}:
                 raise ValueError(f"{path}: unknown config key {key!r}")
-            cur = getattr(cfg, key)
-            setattr(cfg, key, type(cur)(value))
+            kind = type(getattr(cfg, key))
+            try:
+                setattr(cfg, key, kind(value))
+            except ValueError:
+                raise ValueError(f"{path}: config key {key!r}: cannot read {value!r} "
+                                 f"as {kind.__name__}") from None
     return cfg
 
 

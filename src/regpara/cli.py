@@ -171,9 +171,8 @@ def cmd_bhz_transform(args) -> int:
 def _random_model(S, cfg: Config):
     grid = cfg.grid()
     rep = S.check_assumptions()
-    roots = sorted(rep.c_generators, key=lambda n: (S.plus_gens[n], n))
     gb = {r: synthesize(float(S.plus_gens[r]), seed=cfg.seed + i, grid=grid)
-          for i, r in enumerate(roots)}
+          for i, r in enumerate(rep.c_generators)}
     g = build_g(S, grid, gb)
     negs = sorted((n for n, h in S.base_gens.items() if h < 0),
                   key=lambda n: (S.base_gens[n], n))

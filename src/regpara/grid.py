@@ -7,6 +7,7 @@ x^k keeps its meaning for characters and models.
 from __future__ import annotations
 
 import functools
+import os
 import struct
 from dataclasses import dataclass
 
@@ -148,26 +149,14 @@ class Field:
         self.preimage = preimage
         self._spectrum = None
 
-    def alias(self) -> "Field":
-        """This field over a view of its values, for a holder that lets go
-        of it earlier: the view dies with the alias, and the spectrum is
-        this field's, taken once for both."""
-        out = Field.__new__(Field)
-        out.grid, out.values, out.preimage = self.grid, self.values.view(), self.preimage
-        out._spectrum = self
-        return out
-
     @property
     def spectrum(self) -> np.ndarray:
-        """rfftn of the values, computed once (read-only); an alias reads
-        that of the field it aliases."""
+        """rfftn of the values, computed once (read-only)."""
         spec = self._spectrum
         if spec is None:
             spec = np.fft.rfft(self.values) if self.grid.dim == 1 else np.fft.rfftn(self.values)
             spec.setflags(write=False)
             self._spectrum = spec
-        elif isinstance(spec, Field):
-            spec = self._spectrum = spec.spectrum
         return spec
 
     @classmethod
@@ -249,12 +238,23 @@ def write_field(path, f: Field) -> None:
 
 
 def read_field(path) -> Field:
+    """The field written by write_field.  The header's grid and the file's
+    size are checked before the payload is read, so a malformed file names
+    its path and the byte counts instead of failing in the reader."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != FIELD_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {FIELD_MAGIC!r}")
-        dim, n = struct.unpack("<II", fh.read(8))
-        (box,) = struct.unpack("<d", fh.read(8))
-        grid = Grid(dim, n, box)
+        header = fh.read(20)
+        if header[:4] != FIELD_MAGIC:
+            raise ValueError(f"{path}: bad magic {header[:4]!r}, expected {FIELD_MAGIC!r}")
+        size = os.fstat(fh.fileno()).st_size
+        if len(header) < 20:
+            raise ValueError(f"{path}: {size} bytes, expected at least a 20-byte header")
+        dim, n, box = struct.unpack("<IId", header[4:])
+        try:
+            grid = Grid(dim, n, box)
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad header: {exc}") from None
+        expected = 20 + 8 * grid.size
+        if size != expected:
+            raise ValueError(f"{path}: {size} bytes, expected {expected} for dim {dim}, n {n}")
         data = np.frombuffer(fh.read(8 * grid.size), dtype="<f8").reshape(grid.shape)
         return Field(grid, data)

@@ -92,7 +92,8 @@ class Model:
         are never more entries than (sigma, mu) pairs.  Only a read-only f_mu
         that owns its data (the values of a Field) is kept: a writable array
         could change after its product was formed.  g and Pi are set once,
-        so the bracket <mu/sigma>^g never goes stale.
+        so the bracket <mu/sigma>^g never goes stale.  It pays: md_to reads
+        md_from's coefficient arrays, and a general-mode rebuild has their bits.
         """
         hit = self._md_products.get((sigma, mu))
         if hit is not None and _same_bits(hit[0], f_mu):
@@ -128,8 +129,10 @@ def diag_derivative(model: Model, mono: PlusMonomial, k) -> np.ndarray:
 
     Coordinate fields are smooth-periodic, so the whole monomial field passes
     through the FFT with no wrap artifacts; interior values agree with the
-    true polynomial derivative.  Computed once per (mono, k) and model; g is
-    set once per generator, so a stored value never goes stale.
+    true polynomial derivative.  Computed once per (mono, k) and model, as
+    md_from's derivative formula, its structure-condition check and
+    validate_model ask for the same (mono, k) many times; g is set once per
+    generator, so a stored value never goes stale.
     """
     if not any(k):
         return model.g_field(mono)
@@ -172,10 +175,9 @@ class BracketExtractor:
 
     and reconstruction (build_g, build_pi) sign = +1, from the bracket.
 
-    Brackets, bracket vectors, the values g(tau) and the coefficients
-    c g(tau/sigma) of the coproduct terms are kept as Fields, so each is
-    evaluated and forward-transformed once per extractor however many
-    paraproducts take it.
+    Brackets and the coefficients c g(tau/sigma) of the coproduct terms are
+    kept as Fields, as each is an operand of the steps of every bracket above
+    it: each is evaluated and forward-transformed once per extractor.
     """
 
     def __init__(self, model: Model, m: int):
@@ -184,9 +186,7 @@ class BracketExtractor:
         self.decomp = make_partition(model.grid)
         self._g_memo: dict[PlusMonomial, Field] = {}
         self._pi_memo: dict[BaseSymbol, Field] = {}
-        self._vector_memo: dict[FreeVector, Field] = {}
         self._coef_memo: dict[tuple[Fraction, PlusMonomial], Field] = {}
-        self._g_values: dict[PlusMonomial, Field] = {}
 
     def step(self, start, terms, sign: int = -1) -> np.ndarray:
         """start + sign * sum_{(c, u) in terms} P^m_c u, the terms added in
@@ -210,25 +210,15 @@ class BracketExtractor:
                 acc += p
         return acc
 
-    def g_value(self, mono: PlusMonomial) -> Field:
-        """g(mono) as a read-only Field, evaluated once per extractor; g is
-        set once, so a kept value never goes stale."""
-        hit = self._g_values.get(mono)
-        if hit is None:
-            hit = self._g_values[mono] = Field.adopt(
-                self.model.grid, np.array(self.model.g_field(mono), dtype=float))
-        return hit
-
     def coefficient(self, c, quot: PlusMonomial) -> Field:
         """c g(quot) as a read-only Field, one per (c, quot) and extractor.
-        For c = 1 it is an alias of g_value(quot): the same bits and the
-        same spectrum, taken once however many terms, brackets and
-        coefficients hold them."""
+        The c = 1 entry evaluates g(quot), once; every other c scales that
+        entry's values.  g is set once, so a kept entry never goes stale."""
         hit = self._coef_memo.get((c, quot))
         if hit is None:
-            g = self.g_value(quot)
-            hit = self._coef_memo[(c, quot)] = (
-                g.alias() if c == 1 else Field.adopt(self.model.grid, float(c) * g.values))
+            hit = self._coef_memo[(c, quot)] = Field.adopt(self.model.grid, (
+                np.array(self.model.g_field(quot), dtype=float) if c == 1
+                else float(c) * self.coefficient(1, quot).values))
         return hit
 
     def coproduct_terms(self, tau, coproduct: FreeVector, bracket):
@@ -245,23 +235,20 @@ class BracketExtractor:
             raise ValueError(f"g-brackets are indexed by B+ \\ B_X^+, got {mono}")
         hit = self._g_memo.get(mono)
         if hit is None:
-            # a step that adds no term leaves g(mono): the Field g_value(mono)
-            # itself, which coefficient(1, mono) aliases
+            # a step that adds no term leaves g(mono): the Field
+            # coefficient(1, mono) itself
             terms = list(self.coproduct_terms(mono, self.model.structure.delta_plus(mono),
                                               self.g_bracket))
-            start = self.g_value(mono)
+            start = self.coefficient(1, mono)
             hit = self._g_memo[mono] = start if not terms else Field.adopt(
                 self.model.grid, self.step(start, terms))
         return hit
 
     def g_bracket_vector(self, v: FreeVector) -> Field:
-        hit = self._vector_memo.get(v)
-        if hit is None:
-            acc = np.zeros(self.model.grid.shape)
-            for mono, c in v.sorted_items():
-                acc += float(c) * self.g_bracket(mono).values
-            hit = self._vector_memo[v] = Field.adopt(self.model.grid, acc)
-        return hit
+        acc = np.zeros(self.model.grid.shape)
+        for mono, c in v.sorted_items():
+            acc += float(c) * self.g_bracket(mono).values
+        return Field.adopt(self.model.grid, acc)
 
     def pi_bracket(self, sym: BaseSymbol) -> Field:
         if sym.is_poly:
@@ -416,7 +403,7 @@ def build_g(structure: ConcreteRegularityStructure, grid: Grid,
             "build_g needs assumptions (A) and (C); failures: "
             + "; ".join(rep.a_failures + rep.c_failures)
         )
-    roots = sorted(rep.c_generators, key=lambda n: (S.plus_gens[n], n))
+    roots = rep.c_generators
     missing = [r for r in roots if r not in brackets]
     if missing:
         raise ValueError(f"missing g-brackets for generators: {missing}")

@@ -14,7 +14,7 @@ bit-identity tests of the sampled and two-point checks pin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -52,7 +52,6 @@ from .norms import (
 from .models import (
     BracketExtractor,
     Model,
-    _same_bits,
     diag_derivative,
     diag_two_point,
     reconstruct,
@@ -316,20 +315,10 @@ class ModelledDistribution:
     grid: Grid
     gamma: Fraction
     coeffs: dict[BaseSymbol, np.ndarray]
-    # the Fields md_from_paracontrolled made the coefficients as, with the
-    # half spectra it took; md_to_paracontrolled uses them, then clears this
-    coeff_fields: dict[BaseSymbol, Field] = field(default_factory=dict, repr=False, compare=False)
 
     def coeff(self, sym: BaseSymbol) -> np.ndarray:
         vals = self.coeffs.get(sym)
         return np.zeros(self.grid.shape) if vals is None else vals
-
-    def operand(self, sym: BaseSymbol) -> Field | np.ndarray:
-        """coeff(sym) as a paraproduct operand: its Field in coeff_fields
-        while coeffs still holds that Field's values, so its spectrum is not
-        taken again; otherwise coeff(sym)."""
-        f = self.coeff_fields.get(sym)
-        return f if f is not None and f.values is self.coeffs.get(sym) else self.coeff(sym)
 
 
 @dataclass
@@ -342,8 +331,7 @@ class ParacontrolledSystem:
     gamma: Fraction
     brackets: dict[BaseSymbol, np.ndarray]
     reconstruction_bracket: np.ndarray | None = None
-    report: Report | None = None                    # `md_bracket <sigma>` checks
-    reconstruction_norm: NormReport | None = None   # of <f>^M at gamma; not checked
+    report: Report | None = None   # `md_bracket <sigma>` checks
 
 
 def _quotient_in_plus_span(S: ConcreteRegularityStructure, quot: FreeVector) -> bool:
@@ -391,7 +379,8 @@ def md_to_paracontrolled(model: Model, md: ModelledDistribution,
     (descending homogeneity), and <f>^M = Rf - sum_sigma P_{f_sigma} <sigma>^M.
     With reports, `report` checks the Hölder slope of each <f_sigma>^g on the
     interior box against gamma - |sigma| within tol_slope, the NormReport
-    kept on the check, and `reconstruction_norm` is that of <f>^M."""
+    kept on the check.  The coefficients are read as md.coeff arrays; a
+    product md_from formed with one is served by `Model.md_product`."""
     S, grid = model.structure, model.grid
     gamma = md.gamma
     ex = BracketExtractor(model, 0)
@@ -399,29 +388,23 @@ def md_to_paracontrolled(model: Model, md: ModelledDistribution,
     order = sorted(symbols, key=lambda s: (S.homog_base(s), term_key(s)), reverse=True)
     out: dict[BaseSymbol, np.ndarray] = {}
     for sigma in order:
-        out[sigma] = _sigma_step(model, ex, symbols, sigma, md.coeff(sigma), md.operand, sign=-1)
+        out[sigma] = _sigma_step(model, ex, symbols, sigma, md.coeff(sigma), md.coeff, sign=-1)
     rf = reconstruct(model, md.coeffs, gamma)
     # the Pi-brackets come from an extractor of their own, let go with its
-    # coefficients before the products are formed
+    # coefficients before the products are formed: it lowers md_to's peak
     pi = BracketExtractor(model, 0)
     brackets = [(s, pi.pi_bracket(s)) for s in symbols if not s.is_poly]
     del pi
-    rec = ex.step(rf, ((md.operand(s), b) for s, b in brackets))
+    rec = ex.step(rf, ((md.coeff(s), b) for s, b in brackets))
     system = ParacontrolledSystem(S, grid, gamma, out, rec)
     if with_reports:
         box = (interior_box(grid),) * grid.dim   # the interior, read as views
         system.report = Report(f"paracontrolled brackets gamma={gamma}")
         for sigma, vals in out.items():
             target = float(gamma - S.homog_base(sigma))
-            # a bracket with its coefficient's bits (no mu above sigma) is
-            # reported on the coefficient's Field, whose spectrum is taken
-            f = md.operand(sigma)
-            if not (isinstance(f, Field) and _same_bits(f.values, vals)):
-                f = Field(grid, vals)
             system.report.add_norm(f"md_bracket {sigma}",
-                                   holder_norm(f, target, mask=box), target, tol_slope)
-        system.reconstruction_norm = holder_norm(Field(grid, rec), float(gamma), mask=box)
-    md.coeff_fields.clear()   # their spectra are used; the md holds its values only
+                                   holder_norm(Field(grid, vals), target, mask=box),
+                                   target, tol_slope)
     return system
 
 
@@ -493,7 +476,7 @@ def md_from_paracontrolled(model: Model, brackets: dict[BaseSymbol, np.ndarray],
     # compute refers to itself through its closure; unbinding it frees the
     # extractor now instead of at a collection
     del compute
-    md = ModelledDistribution(S, grid, gamma, {s: f.values for s, f in coeffs.items()}, coeffs)
+    md = ModelledDistribution(S, grid, gamma, {s: f.values for s, f in coeffs.items()})
     if mode == "general":
         _check_structure_condition(model, md)
     return md
@@ -518,7 +501,7 @@ def _check_structure_condition(model: Model, md: ModelledDistribution) -> None:
     mask = interior_mask(grid)
     worst = None
     for tau in symbols:
-        # a copy, let go with tau, so the md does not keep its spectrum
+        # one Field per tau, its spectrum taken once for every k
         f_tau = Field(grid, md.coeff(tau))
         for k in mi_below_abs(S.dim, gamma - S.homog_base(tau)):
             if not any(k):

@@ -16,7 +16,7 @@ from regpara.algebra import (
     mi_range,
     polynomial_structure,
 )
-from regpara.library import structure
+from regpara.library import RULES, structure
 from regpara.models import plus_bound
 
 from conftest import perturbed_structure
@@ -263,6 +263,14 @@ class TestAssumptions:
         S = structure("bhz", noncanonical=True)
         rep = S.check_assumptions()
         assert rep.d_ok
+
+    @pytest.mark.parametrize("noncanonical", [False, True], ids=["canonical", "noncanonical"])
+    @pytest.mark.parametrize("name", sorted(RULES))
+    def test_c_generators_in_homogeneity_then_name_order(self, name, noncanonical):
+        """build_g and the CLI take this order as it is."""
+        S = structure(name, noncanonical=noncanonical)
+        gens = S.check_assumptions().c_generators
+        assert gens and gens == sorted(gens, key=lambda n: (S.plus_gens[n], n))
 
     def test_orbit_partition_covers_generators(self, bhz_structure):
         rep = bhz_structure.check_assumptions()

@@ -60,6 +60,37 @@ class TestFieldFormat:
             read_field(p)
         assert "magic" in str(err.value)
 
+    @staticmethod
+    def _written(tmp_path, n=64):
+        p = tmp_path / "u.fld"
+        write_field(p, synthesize(0.5, 1, Grid(1, n, np.pi)))
+        return p, p.read_bytes()
+
+    @pytest.mark.parametrize("change", [-100, -8, 64], ids=["cut-100", "cut-8", "extra-64"])
+    def test_wrong_size_names_the_path_and_both_byte_counts(self, tmp_path, change):
+        p, raw = self._written(tmp_path)
+        p.write_bytes(raw[:change] if change < 0 else raw + b"\0" * change)
+        with pytest.raises(ValueError) as err:
+            read_field(p)
+        assert str(err.value) == (f"{p}: {len(raw) + change} bytes, expected {len(raw)} "
+                                  "for dim 1, n 64")
+
+    def test_bad_header_dim_names_the_path(self, tmp_path):
+        p, raw = self._written(tmp_path)
+        p.write_bytes(raw[:4] + (3).to_bytes(4, "little") + raw[8:])
+        with pytest.raises(ValueError) as err:
+            read_field(p)
+        assert str(err.value) == f"{p}: bad header: dim must be 1 or 2, got 3"
+
+    def test_truncated_field_fails_the_cli_with_the_path(self, tmp_path, capsys):
+        from regpara.cli import main
+
+        p, raw = self._written(tmp_path)
+        p.write_bytes(raw[:-100])
+        assert main(["norm-report", "--field", str(p), "--alpha", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert str(p) in err and f"expected {len(raw)}" in err
+
 
 class TestStructureFiles:
     @pytest.mark.parametrize("name", ["toy", "bhz", "twonoise"])
@@ -174,9 +205,9 @@ class TestBundles:
             os.path.join(root, "g", f)
             for f in os.listdir(os.path.join(root, "g"))
         )
-        data = bytearray(open(victim, "rb").read())
+        data = bytearray(Path(victim).read_bytes())
         data[-1] ^= 0xFF
-        open(victim, "wb").write(bytes(data))
+        Path(victim).write_bytes(bytes(data))
         with pytest.raises(ValueError) as err:
             read_model_bundle(root)
         assert "hash mismatch" in str(err.value)
@@ -206,9 +237,18 @@ class TestBundles:
 
     def test_unknown_config_key(self, tmp_path):
         p = tmp_path / "config.txt"
-        p.write_text("bogus=1\n")
-        with pytest.raises(ValueError):
+        for key in ("bogus", "grid"):   # a Config method is no key either
+            p.write_text(f"{key}=1\n")
+            with pytest.raises(ValueError) as err:
+                read_config(p)
+            assert str(err.value) == f"{p}: unknown config key {key!r}"
+
+    def test_unparsable_config_value_names_the_path_and_key(self, tmp_path):
+        p = tmp_path / "config.txt"
+        p.write_text("n=128\nseed=nine\n")
+        with pytest.raises(ValueError) as err:
             read_config(p)
+        assert str(err.value) == f"{p}: config key 'seed': cannot read 'nine' as int"
 
 
 # -- the structure-line splitter against a character loop ---------------------

@@ -441,7 +441,10 @@ class TestCoefficientMemo:
 
     def test_one_field_per_key_and_none_held_after_extraction(self, monkeypatch):
         """Each (c, tau/sigma) is one read-only Field for the extractor's
-        life; extraction lets them go before its reports run."""
+        life; extraction lets the extractor go before its reports run, so
+        every coefficient array still alive while they run is the values of
+        an extracted g-bracket.  On toy that is one array, g(I[t](I[xi])),
+        the bracket of a step that adds no term."""
         model, _gb, _pib = _coef_model("toy", Grid(1, 1024, np.pi))
         fields, refs, live_at_reports = {}, [], []
         coefficient = BracketExtractor.coefficient
@@ -454,7 +457,7 @@ class TestCoefficientMemo:
             return f
 
         def reporting(f, alpha, *args, **kwargs):
-            live_at_reports.append(sum(r() is not None for r in refs))
+            live_at_reports.append({id(a) for r in refs if (a := r()) is not None})
             return holder_norm(f, alpha, *args, **kwargs)
 
         monkeypatch.setattr(BracketExtractor, "coefficient", spy)
@@ -463,16 +466,18 @@ class TestCoefficientMemo:
         assert fields and all(len(ids) == 1 for ids in fields.values())
         assert len(refs) > len(fields)   # some coefficient serves several terms
         assert len(live_at_reports) == len(data.report.checks)
-        assert max(live_at_reports) == 0
+        brackets = {id(v) for v in data.g_side.values()}
+        assert all(live <= brackets and len(live) == 1 for live in live_at_reports)
+        del data
         assert all(r() is None for r in refs)
 
     def test_each_g_value_evaluated_and_each_field_transformed_once(self, monkeypatch):
-        """One toy extraction evaluates g(mono) once per monomial, and g-side
-        Fields with the same bits share one spectrum: the g-bracket of
-        I[t](I[xi]), whose step adds no term, is g(I[t](I[xi])), which the
-        coefficient 1 g(I[t](I[xi])) of other terms aliases.  (The Pi-bracket
-        of the base symbol I[t](I[xi]) has those bits too, but is Pi's own
-        field, not a g-side one.)"""
+        """One toy extraction evaluates g(mono) once per monomial, and no two
+        distinct g-side Fields hold the same bits, so none is transformed
+        twice: the g-bracket of I[t](I[xi]), whose step adds no term, is the
+        Field of the coefficient 1 g(I[t](I[xi])) of other terms.  (The
+        Pi-bracket of the base symbol I[t](I[xi]) has those bits too, but is
+        Pi's own field, not a g-side one.)"""
         model, _gb, _pib = _coef_model("toy", Grid(1, 1024, np.pi))
         evaluated, fields = Counter(), []
         g_field = model.g_field
@@ -496,7 +501,10 @@ class TestCoefficientMemo:
         by_bits = {}
         for f in fields:
             by_bits.setdefault(f.values.tobytes(), {})[id(f)] = f
-        shared = [list(group.values()) for group in by_bits.values() if len(group) > 1]
-        assert shared
-        for group in shared:
-            assert len({id(f.spectrum) for f in group}) == 1
+        assert all(len(group) == 1 for group in by_bits.values())
+        S = model.structure
+        ex = BracketExtractor(model, default_m(S))
+        no_term = [mono for mono in S.plus_monomials(plus_bound(S)) if not mono.is_poly
+                   and not list(ex.coproduct_terms(mono, S.delta_plus(mono), ex.g_bracket))]
+        assert [str(mono) for mono in no_term] == ["I[t;(0)](I[xi;(0)](1))"]
+        assert ex.g_bracket(no_term[0]) is ex.coefficient(1, no_term[0])
