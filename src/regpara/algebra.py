@@ -285,6 +285,26 @@ def memoised(table: str):
     return wrap
 
 
+def _as_gen(fv: FreeVector) -> str | None:
+    """The name of the generator fv is, if fv is one generator with coefficient 1."""
+    if len(fv) != 1:
+        return None
+    ((key, c),) = fv.items()
+    if c == 1 and len(key.gens) == 1 and key.gens[0][1] == 1 and not any(key.poly):
+        return key.gens[0][0]
+    return None
+
+
+def poly_right_witness(pairs) -> str | None:
+    """The first `sigma (x) X^k in Delta(label)` with k != 0 over (label,
+    coproduct) pairs, each coproduct in sorted order; None if there is none."""
+    for label, coproduct in pairs:
+        for (left, right), _c in coproduct.sorted_items():
+            if right.is_poly and any(right.poly):
+                return f"{left} (x) {right} in Delta({label})"
+    return None
+
+
 def _mul_base_symbols(a: BaseSymbol, b: BaseSymbol) -> BaseSymbol:
     if a.core != "1" and b.core != "1":
         raise ValueError(f"cannot multiply base symbols {a} and {b}: B is an X_-module only")
@@ -502,12 +522,26 @@ class ConcreteRegularityStructure:
     # -- assumption checks -------------------------------------------------------
 
     def check_assumptions(self) -> AssumptionReport:
+        """Assumptions (A)-(D); each failure message names its witness.
+
+        (A) coproduct shapes: diagonal and counit terms, grading,
+        triangularity, no X^k (x) X^l.  (B) no quotient mixes T_X^+ and
+        span(B+ - B_X^+).  (C) disjoint D^k-orbits, found in one sweep in
+        decreasing (homogeneity, name) order: the first generator in no orbit
+        yet is a root, and each D^k root, 0 < |k| < |root|, must be a generator
+        in no orbit yet, else `D^k root = v is not a basis generator` or
+        `D^k root = g is already D^l other`.  The sweep tests D^{k+e_i} root
+        where a one-step scan tests D^{e_i} D^k root; the two agree whenever
+        Delta+ is coassociative (structure-validate's `hopf_defects`).  (C-2)
+        a middle term of Delta+ root with a factor outside the lower orbits:
+        `Delta+ root: factor g of ... is not built from strictly lower
+        generators`.  (D) the first `sigma (x) X^k`, k != 0, in Delta of B.
+        """
         a_fail: list[str] = []
         b_fail: list[str] = []
         c_fail: list[str] = []
 
-        # (A): positive plus-homogeneities are enforced at construction; check
-        # coproduct shapes and the no-X^k (x) X^l conditions on generators.
+        # (A); positive plus-homogeneities are enforced at construction.
         for name in sorted(self.plus_gens):
             mono = PlusMonomial.of_gen(name, self.dim)
             h = self.plus_gens[name]
@@ -544,8 +578,7 @@ class ConcreteRegularityStructure:
                 if left.is_poly and right.is_poly and not right.is_unit:
                     a_fail.append(f"Delta {name}: polynomial term {left} (x) {right}")
 
-        # (B): every quotient mu/tau of basis elements below cutoff is either in
-        # T_X^+ or in span(B+ \ B_X^+); mixed quotients are failures.
+        # (B), over every mu in B below the cutoff
         symbols = self.base_symbols()
         for mu in symbols:
             by_left: dict[BaseSymbol, list[tuple[PlusMonomial, Fraction]]] = {}
@@ -556,129 +589,42 @@ class ConcreteRegularityStructure:
                 if len(kinds) > 1:
                     b_fail.append(f"{mu}/{tau} mixes T_X^+ and span(B+ - B_X^+)")
 
-        # (C): orbit decomposition of the plus-generators under D^k.  One-step
-        # edges nu -> D^{e_i} nu suffice (D^k D^l = D^{k+l}); a generator may
-        # have several one-step parents inside one orbit, but they must all
-        # resolve to the same root.
+        # (C), the sweep; `found` maps each generator to (root, k)
         gens = sorted(self.plus_gens, key=lambda n: (self.plus_gens[n], n))
-
-        def _as_gen(fv: FreeVector) -> str | None:
-            if len(fv) != 1:
-                return None
-            ((key, c),) = fv.items()
-            if (
-                c == 1
-                and not key.is_poly
-                and len(key.gens) == 1
-                and key.gens[0][1] == 1
-                and not any(key.poly)
-            ):
-                return key.gens[0][0]
-            return None
-
-        parents: dict[str, set[str]] = {n: set() for n in gens}
-        for name in gens:
-            mono = PlusMonomial.of_gen(name, self.dim)
-            h = self.plus_gens[name]
-            for i in range(self.dim):
-                e = tuple(1 if a == i else 0 for a in range(self.dim))
-                if h <= 1:
-                    continue
-                dk = self.d_op(e, mono)
-                if not dk:
-                    c_fail.append(f"D^{mi_str(e)} {name} vanishes below |{name}|")
-                    continue
-                target = _as_gen(dk)
-                if target is None:
-                    c_fail.append(f"D^{mi_str(e)} {name} = {dk} is not a basis generator")
-                else:
-                    parents[target].add(name)
-
-        roots = [n for n in gens if not parents[n]]
-        root_of: dict[str, str] = {}
-
-        def _resolve(n: str, seen: tuple[str, ...] = ()) -> str | None:
-            if n in root_of:
-                return root_of[n]
-            if n in seen:
-                c_fail.append(f"cyclic D^k chain through {n}")
-                return None
-            if not parents[n]:
-                root_of[n] = n
-                return n
-            ups = {_resolve(p, seen + (n,)) for p in sorted(parents[n])}
-            if None in ups:
-                return None
-            if len(ups) != 1:
-                c_fail.append(f"{n} reaches several orbit roots {sorted(ups)}")
-                return None
-            root_of[n] = ups.pop()
-            return root_of[n]
-
-        for n in gens:
-            _resolve(n)
-        # exact k for each orbit member, by matching D^k root against it
-        orbit: dict[str, tuple[str, Multi]] = {}
-        for n in gens:
-            root = root_of.get(n)
-            if root is None:
+        found: dict[str, tuple[str, Multi]] = {}
+        for root in reversed(gens):
+            if root in found:
                 continue
-            if root == n:
-                orbit[n] = (n, mi_zero(self.dim))
-                continue
-            drop = self.plus_gens[root] - self.plus_gens[n]
-            found = None
-            if drop == int(drop) and drop > 0:
-                mono = PlusMonomial.of_gen(root, self.dim)
-                for k in mi_range(self.dim, int(drop)):
-                    if mi_abs(k) == drop and _as_gen(self.d_op(k, mono)) == n:
-                        found = k
-                        break
-            if found is None:
-                c_fail.append(f"{n} is in the orbit of {root} but no D^k {root} equals it")
-            else:
-                orbit[n] = (root, found)
-        # verify the disjoint-union cover: D^k root is a generator for every
-        # admissible k (|k| < |root|)
-        for root in roots:
-            h = self.plus_gens[root]
+            found[root] = (root, mi_zero(self.dim))
             mono = PlusMonomial.of_gen(root, self.dim)
-            for k in mi_below_abs(self.dim, h):
-                if not any(k):
-                    continue
-                if _as_gen(self.d_op(k, mono)) is None:
-                    c_fail.append(
-                        f"orbit of {root}: D^{mi_str(k)} is not a basis generator"
-                    )
-        # (C-2): middle terms of Delta+ on the roots must live in the submonoid
-        # generated by strictly lower orbits (left slot and right quotient both).
+            for k in mi_below_abs(self.dim, self.plus_gens[root])[1:]:
+                dk = self.d_op(k, mono)
+                member = _as_gen(dk)
+                if member is None:
+                    c_fail.append(f"D^{mi_str(k)} {root} = {dk} is not a basis generator")
+                elif member in found:
+                    other, l = found[member]
+                    c_fail.append(f"D^{mi_str(k)} {root} = {member} is already "
+                                  f"D^{mi_str(l)} {other}")
+                else:
+                    found[member] = (root, k)
+        orbit = {n: found[n] for n in gens}
+        roots = [n for n in gens if orbit[n][0] == n]
+        # (C-2), left slot and right quotient both
         for root in roots:
             h = self.plus_gens[root]
             for (left, right), _c in self.dplus_table[root].items():
-                if left.is_poly:
-                    continue
-                if left == PlusMonomial.of_gen(root, self.dim):
+                if left.is_poly or left == PlusMonomial.of_gen(root, self.dim):
                     continue
                 for gname, _m in left.gens + right.gens:
-                    groot = root_of.get(gname)
-                    if groot is None or self.plus_gens[groot] >= h:
-                        c_fail.append(
-                            f"Delta+ {root}: factor {gname} of {left} (x) {right} "
-                            f"is not built from strictly lower generators"
-                        )
+                    if self.plus_gens[orbit[gname][0]] >= h:
+                        c_fail.append(f"Delta+ {root}: factor {gname} of {left} (x) {right} "
+                                      f"is not built from strictly lower generators")
 
-        # (D): scan Delta tau, tau in B., for sigma (x) X^k terms with k != 0.
-        d_witness = None
-        for core in sorted(
-            (n for n in self.base_gens if n != "1"),
-            key=lambda n: (self.base_gens[n], n),
-        ):
-            for (left, right), c in self.delta_table[core].sorted_items():
-                if right.is_poly and any(right.poly):
-                    d_witness = f"{left} (x) {right} in Delta({core})"
-                    break
-            if d_witness:
-                break
+        d_witness = poly_right_witness(
+            (core, self.delta_table[core])
+            for core in sorted((n for n in self.base_gens if n != "1"),
+                               key=lambda n: (self.base_gens[n], n)))
 
         return AssumptionReport(
             a_ok=not a_fail,

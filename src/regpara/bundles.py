@@ -95,20 +95,38 @@ def _write_manifest(root) -> None:
             fh.write(f"{digest}  {rel}\n")
 
 
-def verify_manifest(root) -> None:
-    path = os.path.join(root, "manifest.txt")
+def _bundle_lines(root, name, count):
+    """(where, fields) of each non-blank line of root/name: `count` fields,
+    the last of which may hold spaces, the second a path inside the bundle
+    root; `where` names the file, the line number and the text."""
+    path = os.path.join(root, name)
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for line_no, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
                 continue
-            digest, rel = line.split(None, 1)
-            full = os.path.join(root, rel)
-            if not os.path.exists(full):
-                raise ValueError(f"bundle file missing: {rel}")
-            actual = _sha256(full)
-            if actual != digest:
-                raise ValueError(f"bundle hash mismatch for {rel}")
+            parts = line.split(None, count - 1)
+            where = f"{path} line {line_no} {line!r}"
+            if len(parts) != count:
+                raise ValueError(f"{where}: malformed line")
+            if os.path.isabs(parts[1]):
+                raise ValueError(f"{where}: absolute path")
+            if os.path.normpath(parts[1]).split(os.sep)[0] == os.pardir:
+                raise ValueError(f"{where}: path leaves the bundle")
+            yield where, parts
+
+
+def verify_manifest(root) -> set[str]:
+    """The paths that the manifest lists, each checked against its sha256."""
+    listed = set()
+    for _where, (digest, rel) in _bundle_lines(root, "manifest.txt", 2):
+        full = os.path.join(root, rel)
+        if not os.path.exists(full):
+            raise ValueError(f"bundle file missing: {rel}")
+        if _sha256(full) != digest:
+            raise ValueError(f"bundle hash mismatch for {rel}")
+        listed.add(rel)
+    return listed
 
 
 def _write_field_map(root, sub, named_fields) -> list[str]:
@@ -141,22 +159,19 @@ def _write_bundle(root, structure, cfg: Config, field_maps, extra=None) -> None:
 
 
 def _read_bundle(root) -> tuple[list[tuple[str, str, Field]], Config]:
-    """(sub, name, field) of every `fields.txt` entry, each on the config's
-    grid, and the config; the manifest is verified first."""
-    verify_manifest(root)
+    """(sub, name, field) of every `fields.txt` entry, each a file that the
+    verified manifest lists and on the config's grid, and the config."""
+    listed = verify_manifest(root)
     cfg = read_config(os.path.join(root, "config.txt"))
     grid = cfg.grid()
     entries = []
-    with open(os.path.join(root, "fields.txt"), "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            sub, rel, name = line.split(" ", 2)
-            f = read_field(os.path.join(root, rel))
-            if f.grid != grid:
-                raise ValueError(f"{rel}: grid does not match bundle config")
-            entries.append((sub, name, f))
+    for where, (sub, rel, name) in _bundle_lines(root, "fields.txt", 3):
+        if rel not in listed:
+            raise ValueError(f"{where}: field file not in the manifest")
+        f = read_field(os.path.join(root, rel))
+        if f.grid != grid:
+            raise ValueError(f"{rel}: grid does not match bundle config")
+        entries.append((sub, name, f))
     return entries, cfg
 
 

@@ -163,9 +163,10 @@ def cmd_bhz_transform(args) -> int:
         if back != FreeVector.single(t):
             errs += 1
     lines.append(f"change_of_basis_roundtrip_failures={errs}")
-    lines.append(f"dim_match={'pass' if len(basis.b_dot) == len(basis.b_dot_tilde) else 'fail'}")
+    dim_ok = len(basis.b_dot) == len(basis.b_dot_tilde)
+    lines.append(f"dim_match={'pass' if dim_ok else 'fail'}")
     _emit(lines, args.out)
-    return 0 if ok_s and errs == 0 else 1
+    return 0 if ok_s and errs == 0 and dim_ok else 1
 
 
 def _random_model(S, cfg: Config):

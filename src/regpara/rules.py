@@ -23,6 +23,7 @@ from .algebra import (
     mi_range,
     mi_str,
     mi_zero,
+    poly_right_witness,
 )
 from .trees import (
     DecoratedTree,
@@ -223,14 +224,9 @@ def enumerate_basis(rule: Rule) -> TreeBasis:
 
 def check_d_canonical(basis: TreeBasis) -> tuple[bool, str | None]:
     """Scan Delta tau, tau in B., for sigma (x) X^k terms with k != 0."""
-    algebra = basis.algebra
-    for t in basis.b_dot:
-        if t.is_unit:
-            continue
-        for (left, right), _c in algebra.delta(t).sorted_items():
-            if right.is_poly and any(right.poly):
-                return False, f"{left} (x) X{mi_str(right.poly)} in Delta({serialize(t)})"
-    return True, None
+    witness = poly_right_witness((serialize(t), basis.algebra.delta(t))
+                                 for t in basis.b_dot if not t.is_unit)
+    return witness is None, witness
 
 
 def check_stronger_claim(basis: TreeBasis) -> tuple[bool, str | None]:

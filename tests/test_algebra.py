@@ -1,7 +1,9 @@
 """Exact symbolic layer: monomials, free vectors, coproducts, D^k, assumptions."""
 import itertools
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,8 +18,11 @@ from regpara.algebra import (
     mi_range,
     polynomial_structure,
 )
+from regpara import cli
+from regpara.grid import Grid
 from regpara.library import RULES, structure
-from regpara.models import plus_bound
+from regpara.models import build_g, plus_bound
+from regpara.structure_io import read_structure
 
 from conftest import perturbed_structure
 
@@ -241,6 +246,60 @@ def test_mi_below_abs_is_the_strict_ball(d, bound):
     brute = {k for k in itertools.product(range(4), repeat=d) if sum(k) < bound}
     assert set(got) == brute and len(got) == len(brute)
     assert got == [k for k in mi_range(d, 3) if sum(k) < bound]   # mi_range's order
+
+
+# Plus-generators of structures in d = 1 around one base generator u: one whose
+# D^k-orbit (C) is right, and three that break (C), each with the C_failure
+# that must name it.
+_ONE_NOISE = "dim 1\ncutoff 3\ngen u base -1/2\ndelta u = u (x) 1\n"
+_ORBIT_JKL = ("gen J plus 5/2\ngen K plus 3/2\ngen L plus 1/2\n"
+              "dplus K = K (x) 1 + 1 (x) K + X(1) (x) L\n"
+              "dplus L = L (x) 1 + 1 (x) L\n")
+C_FAILURES = {
+    # Delta+ J lacks its X(2) term, so D^(2) J = 0 cuts the orbit of J short
+    "truncated-orbit": (_ORBIT_JKL + "dplus J = J (x) 1 + 1 (x) J + X(1) (x) K\n",
+                        "D^(2) J = 0 is not a basis generator"),
+    # K = D^(1) A = D^(1) B lies in two orbits
+    "two-roots": ("gen A plus 3/2\ngen B plus 3/2\ngen K plus 1/2\n"
+                  "dplus A = A (x) 1 + 1 (x) A + X(1) (x) K\n"
+                  "dplus B = B (x) 1 + 1 (x) B + X(1) (x) K\n"
+                  "dplus K = K (x) 1 + 1 (x) K\n",
+                  "D^(1) A = K is already D^(1) B"),
+    # (C-2): R = D^(1) S is no product of orbits below Q, as |S| = 3/2 > |Q|
+    "c2": ("gen S plus 3/2\ngen R plus 1/2\ngen Q plus 1\n"
+           "dplus S = S (x) 1 + 1 (x) S + X(1) (x) R\n"
+           "dplus R = R (x) 1 + 1 (x) R\n"
+           "dplus Q = Q (x) 1 + 1 (x) Q + R (x) R\n",
+           "Delta+ Q: factor R of R (x) R is not built from strictly lower generators"),
+}
+
+
+def test_orbit_sweep_fills_every_member(tmp_path):
+    path = tmp_path / "orbit.txt"
+    path.write_text(_ONE_NOISE + _ORBIT_JKL
+                    + "dplus J = J (x) 1 + 1 (x) J + X(1) (x) K + 1/2 * X(2) (x) L\n")
+    rep = read_structure(path).check_assumptions()
+    assert rep.all_ok and rep.c_generators == ["J"]
+    # insertion order: ascending (homogeneity, name)
+    assert list(rep.c_orbit.items()) == [("L", ("J", (2,))), ("K", ("J", (1,))),
+                                         ("J", ("J", (0,)))]
+
+
+@pytest.mark.parametrize("case", sorted(C_FAILURES))
+def test_c_failure_names_its_witness(case, tmp_path, capsys):
+    """The failure names the generator and k; build_g refuses the structure
+    with it, and structure-validate prints it and exits 1."""
+    text, message = C_FAILURES[case]
+    path = tmp_path / f"{case}.txt"
+    path.write_text(_ONE_NOISE + text)
+    S = read_structure(path)
+    rep = S.check_assumptions()
+    assert rep.a_ok and rep.b_ok and not rep.c_ok
+    assert message in rep.c_failures
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_g(S, Grid(1, 16, np.pi), {})
+    assert cli.main(["structure-validate", "--structure", str(path)]) == 1
+    assert f"\nC_failure {message}\n" in capsys.readouterr().out
 
 
 class TestAssumptions:

@@ -1,4 +1,5 @@
 """Command-line verbs: determinism, exit codes, golden outputs."""
+import dataclasses
 import subprocess
 import sys
 
@@ -54,6 +55,20 @@ class TestVerbs:
         code, out = run(["bhz-transform", "--rule", "bhz"], capsys)
         assert code == 0
         assert out == GOLDEN_BHZ_TRANSFORM
+
+    def test_bhz_transform_dim_mismatch_exits_1(self, monkeypatch, capsys):
+        """A basis change whose B~. lost an f-tree fails with dim_match=fail;
+        every other line reads as before."""
+        enumerate_basis = cli.enumerate_basis
+
+        def one_f_tree_short(rule):
+            basis = enumerate_basis(rule)
+            return dataclasses.replace(basis, b_dot_tilde=basis.b_dot_tilde[:-1])
+
+        monkeypatch.setattr(cli, "enumerate_basis", one_f_tree_short)
+        code, out = run(["bhz-transform", "--rule", "bhz"], capsys)
+        assert code == 1
+        assert out == GOLDEN_BHZ_TRANSFORM.replace("dim_match=pass", "dim_match=fail")
 
     def test_bhz_enumerate_deterministic(self, capsys):
         code1, out1 = run(["bhz-enumerate", "--rule", "toy"], capsys)

@@ -7,9 +7,15 @@ written by `golden_outputs()` and `cli_golden_outputs()` below; a change
 that means to alter one of them must say why and rewrite it the same way.
 The enumeration of every shipped rule at the cutoffs of ENUMERATE_CUTOFFS
 (trees in order, with homogeneities) is pinned the same way, by
-`enumeration_dump()`, in the subdirectory tests/data/golden/enumerate."""
+`enumeration_dump()`, in the subdirectory tests/data/golden/enumerate.
+Every field of the assumption report of each of those enumerations (both
+bases, where the export succeeds) and of the eight golden structure files,
+with `check_d_canonical` and `check_stronger_claim` of each enumerated basis,
+is pinned by `assumption_dump()` and `structure_assumption_dump()` in
+tests/data/golden/assumptions."""
 import contextlib
 import dataclasses
+import functools
 import importlib
 import io
 from fractions import Fraction
@@ -18,8 +24,9 @@ from pathlib import Path
 import pytest
 
 from regpara import cli, library
-from regpara.rules import enumerate_basis
-from regpara.structure_io import write_structure
+from regpara.algebra import mi_str
+from regpara.rules import check_d_canonical, check_stronger_claim, enumerate_basis, export_structure
+from regpara.structure_io import read_structure, write_structure
 from regpara.trees import serialize
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,6 +49,8 @@ ENUMERATE_CUTOFFS = {
     "toy2d": ("1", "3/2", "2", "5/2"),
 }
 ENUMERATE_CASES = [(name, c) for name, cuts in ENUMERATE_CUTOFFS.items() for c in cuts]
+STRUCTURE_GOLDENS = [f"structure-{name}-{kind}.txt"
+                     for name in NAMES for kind in ("canonical", "noncanonical")]
 
 
 def _structure_text(name: str, noncanonical: bool, tmp: Path) -> bytes:
@@ -66,11 +75,15 @@ def golden_outputs(name: str, tmp: Path):
         yield f"{verb}-{name}.txt", _verb_stdout(verb, name)
 
 
+@functools.cache
+def _basis(name: str, cutoff: str):
+    return enumerate_basis(dataclasses.replace(library.RULES[name], cutoff=Fraction(cutoff)))
+
+
 def enumeration_dump(name: str, cutoff: str) -> bytes:
     """The closure, B., B~. and B+ of a shipped rule at another cutoff, in
     the order enumerate_basis returns them, one `homogeneity tree` line each."""
-    rule = dataclasses.replace(library.RULES[name], cutoff=Fraction(cutoff))
-    basis = enumerate_basis(rule)
+    basis = _basis(name, cutoff)
     lines = [f"# rule {name} cutoff {cutoff}"]
     for title, trees in (("closure", basis.trees), ("B.", basis.b_dot),
                          ("B~.", basis.b_dot_tilde), ("B+", basis.plus_trees)):
@@ -81,6 +94,61 @@ def enumeration_dump(name: str, cutoff: str) -> bytes:
 
 def enumeration_golden(name: str, cutoff: str) -> Path:
     return GOLDEN / "enumerate" / f"enumerate-{name}-{cutoff.replace('/', '_')}.txt"
+
+
+def assumption_lines(rep) -> list[str]:
+    """Every field of an AssumptionReport: `field value`, and a list or the
+    orbit map as `field count` with one indented line per entry, the orbit
+    map in its insertion order."""
+    out = []
+    for f in dataclasses.fields(rep):
+        value = getattr(rep, f.name)
+        if isinstance(value, dict):
+            out.append(f"{f.name} {len(value)}")
+            out.extend(f"  {n} {root} {mi_str(k)}" for n, (root, k) in value.items())
+        elif isinstance(value, list):
+            out.append(f"{f.name} {len(value)}")
+            out.extend(f"  {x}" for x in value)
+        else:
+            out.append(f"{f.name} {value}")
+    return out
+
+
+def assumption_dump(name: str, cutoff: str) -> bytes:
+    """check_d_canonical and check_stronger_claim of the enumerated basis,
+    then the assumption report of its export on each basis (or the error
+    that stops the export)."""
+    basis = _basis(name, cutoff)
+    lines = [f"# rule {name} cutoff {cutoff}"]
+    for title, check in (("check_d_canonical", check_d_canonical),
+                         ("check_stronger_claim", check_stronger_claim)):
+        ok, witness = check(basis)
+        lines.append(f"{title} {ok} {witness}")
+    for kind in ("canonical", "noncanonical"):
+        try:
+            S = export_structure(basis, noncanonical=kind == "noncanonical")
+        except KeyError as exc:
+            lines.append(f"{kind} export {type(exc).__name__} {exc}")
+            continue
+        lines.append(f"{kind} check_assumptions")
+        lines.extend(assumption_lines(S.check_assumptions()))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def structure_assumption_dump(fname: str) -> bytes:
+    """The assumption report of a golden structure file, read back."""
+    S = read_structure(GOLDEN / fname)
+    lines = [f"# {fname}"] + assumption_lines(S.check_assumptions())
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def assumption_goldens() -> dict[Path, object]:
+    """Golden file -> the function of no arguments that rebuilds it."""
+    out = {GOLDEN / "assumptions" / f"enumerate-{name}-{c.replace('/', '_')}.txt":
+           functools.partial(assumption_dump, name, c) for name, c in ENUMERATE_CASES}
+    for fname in STRUCTURE_GOLDENS:
+        out[GOLDEN / "assumptions" / fname] = functools.partial(structure_assumption_dump, fname)
+    return out
 
 
 def clichain(monkeypatch):
@@ -174,3 +242,15 @@ def test_enumeration_matches_golden(name, cutoff):
     """Same trees, same order, same homogeneities: the gate on any change to
     tree hashing, grading or the enumeration loop."""
     assert enumeration_dump(name, cutoff) == enumeration_golden(name, cutoff).read_bytes()
+
+
+def test_assumption_golden_set_is_complete():
+    assert len(STRUCTURE_GOLDENS) == 8
+    assert sorted((GOLDEN / "assumptions").glob("*.txt")) == sorted(assumption_goldens())
+
+
+@pytest.mark.parametrize("path", sorted(assumption_goldens()), ids=lambda p: p.stem)
+def test_assumption_report_matches_golden(path):
+    """Every field of every assumption report, the orbit map's order
+    included, and both tree-basis checks with their witnesses."""
+    assert assumption_goldens()[path]() == path.read_bytes()

@@ -1,6 +1,7 @@
 """File formats: binary fields, structure/rule text files, tree grammar,
 bundles with manifests."""
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regpara import cli
 from regpara.bundles import (
     Config,
+    _write_manifest,
     read_bracket_bundle,
     read_config,
     read_model_bundle,
@@ -141,7 +144,8 @@ class TestStructureFiles:
         S = read_structure(p)
         assert S.plus_gens["J"] == 3 / 2
         rep = S.check_assumptions()
-        assert not rep.c_ok  # D^1 J = J/2 is not a basis generator
+        assert not rep.c_ok
+        assert rep.c_failures == ["D^(1) J = 1/2 J is not a basis generator"]
 
 
 class TestRuleFiles:
@@ -211,6 +215,41 @@ class TestBundles:
         with pytest.raises(ValueError) as err:
             read_model_bundle(root)
         assert "hash mismatch" in str(err.value)
+
+    @pytest.mark.parametrize("name, make_line, problem", [
+        ("manifest.txt", lambda d, rel, root: d, "malformed line"),
+        ("manifest.txt", lambda d, rel, root: f"{d}  {root / rel}", "absolute path"),
+        ("manifest.txt", lambda d, rel, root: f"{d}  ../model/{rel}", "path leaves the bundle"),
+        ("fields.txt", lambda sub, rel, root: f"{sub} {rel}", "malformed line"),
+        ("fields.txt", lambda sub, rel, root: f"{sub} {root.parent / 'other' / rel} u",
+         "absolute path"),
+        ("fields.txt", lambda sub, rel, root: f"{sub} ../other/{rel} u", "path leaves the bundle"),
+        ("fields.txt", lambda sub, rel, root: f"{sub} g/extra.fld u",
+         "field file not in the manifest"),
+    ], ids=["manifest-malformed", "manifest-absolute", "manifest-leaves", "fields-malformed",
+            "fields-absolute", "fields-leaves", "fields-unlisted"])
+    def test_bundle_lines_stay_inside_the_bundle(self, toy_structure, tmp_path, capsys,
+                                                 name, make_line, problem):
+        """The first line of manifest.txt or fields.txt is replaced (the
+        manifest re-hashed after a fields.txt edit); reading the bundle fails
+        with the file, the line number and the text, and model-check exits 2."""
+        model, _gb, _pib = build_random_model(toy_structure, Grid(1, 64, np.pi), seed=5)
+        root, other = tmp_path / "model", tmp_path / "other"
+        for path in (root, other):
+            write_model_bundle(path, model, Config(n=64))
+        lines = (root / name).read_text().splitlines()
+        first, rel = lines[0].split()[:2]
+        lines[0] = make_line(first, rel, root)
+        (root / name).write_text("\n".join(lines) + "\n")
+        if name == "fields.txt":
+            _write_manifest(root)
+            shutil.copy(other / rel, root / "g" / "extra.fld")   # a file no manifest lists
+        message = f"{root / name} line 1 {lines[0]!r}: {problem}"
+        with pytest.raises(ValueError) as err:
+            read_model_bundle(root)
+        assert str(err.value) == message
+        assert cli.main(["model-check", "--model", str(root)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bracket_bundle(self, toy_structure, tmp_path):
         grid = Grid(1, 64, np.pi)
