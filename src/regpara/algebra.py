@@ -532,10 +532,10 @@ class ConcreteRegularityStructure:
         in no orbit yet, else `D^k root = v is not a basis generator` or
         `D^k root = g is already D^l other`.  The sweep tests D^{k+e_i} root
         where a one-step scan tests D^{e_i} D^k root; the two agree whenever
-        Delta+ is coassociative (structure-validate's `hopf_defects`).  (C-2)
-        a middle term of Delta+ root with a factor outside the lower orbits:
-        `Delta+ root: factor g of ... is not built from strictly lower
-        generators`.  (D) the first `sigma (x) X^k`, k != 0, in Delta of B.
+        Delta+ is coassociative (`hopf_defects`).  (C-2) a middle term of
+        Delta+ root with a factor outside the lower orbits, once per factor
+        and term: `Delta+ root: factor g of ... is not built from strictly
+        lower generators`.  (D) the first `sigma (x) X^k`, k != 0, in Delta of B.
         """
         a_fail: list[str] = []
         b_fail: list[str] = []
@@ -616,7 +616,7 @@ class ConcreteRegularityStructure:
             for (left, right), _c in self.dplus_table[root].items():
                 if left.is_poly or left == PlusMonomial.of_gen(root, self.dim):
                     continue
-                for gname, _m in left.gens + right.gens:
+                for gname in dict.fromkeys(g for g, _m in left.gens + right.gens):
                     if self.plus_gens[orbit[gname][0]] >= h:
                         c_fail.append(f"Delta+ {root}: factor {gname} of {left} (x) {right} "
                                       f"is not built from strictly lower generators")
@@ -660,6 +660,36 @@ class ConcreteRegularityStructure:
     def comodule_defect(self, s: BaseSymbol) -> FreeVector:
         """(Delta (x) Id)Delta - (Id (x) Delta+)Delta on s; zero iff exact."""
         return self.coaction_defect(self.delta, s)
+
+    def hopf_defects(self) -> list:
+        """The generators at which Delta+ is not coassociative or Delta not
+        coassociative against Delta+, plus side first, each side in
+        (homogeneity, name) order; empty iff both identities hold on every
+        monomial of B+ and every symbol of B below the cutoff.
+
+        The plus side checks the plus-generators and the X_i below the
+        cutoff; the base side the base generators below it, and the X_(e_i)
+        when some X_^k sigma, k != 0, is below it.  That suffices: Delta+ is
+        by construction the multiplicative extension of dplus_table and
+        Delta(X_^k sigma) = (Delta X_^k)(Delta sigma), so both sides of each
+        identity are algebra morphisms on T+ (T_X-module morphisms on T), and
+        they agree on a product once they agree on its factors.  A monomial
+        of B+ below the cutoff has only factors below it, plus-homogeneities
+        being positive; X_^k sigma below it has sigma below it.
+        """
+        d = self.dim
+        units = mi_range(d, 1)[1:]
+        plus = [PlusMonomial.of_gen(n, d) for n in self.plus_gens]
+        plus += [PlusMonomial.of_poly(e) for e in units]
+        base = [BaseSymbol(n, mi_zero(d)) for n in self.base_gens if n != "1"]
+        if self.beta0 + 1 < self.cutoff:
+            base += [BaseSymbol("1", e) for e in units]
+        plus = sorted((m for m in plus if self.homog_plus(m) < self.cutoff),
+                      key=lambda m: (self.homog_plus(m), term_key(m)))
+        base = sorted((s for s in base if s.is_poly or self.homog_base(s) < self.cutoff),
+                      key=lambda s: (self.homog_base(s), term_key(s)))
+        return ([m for m in plus if self.coassociativity_defect(m)]
+                + [s for s in base if self.comodule_defect(s)])
 
 
 def polynomial_structure(dim: int, cutoff) -> ConcreteRegularityStructure:

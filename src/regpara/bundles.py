@@ -141,6 +141,10 @@ def _write_field_map(root, sub, named_fields) -> list[str]:
     return lines
 
 
+# The files of every bundle besides its field files.
+_BUNDLE_FILES = ("structure.txt", "config.txt", "fields.txt")
+
+
 def _write_bundle(root, structure, cfg: Config, field_maps, extra=None) -> None:
     """Structure, config, one field map per (sub, named fields) pair, the
     `fields.txt` naming them, the extra text files, then the manifest."""
@@ -158,13 +162,22 @@ def _write_bundle(root, structure, cfg: Config, field_maps, extra=None) -> None:
     _write_manifest(root)
 
 
-def _read_bundle(root) -> tuple[list[tuple[str, str, Field]], Config]:
+def _listed(root, listed: set[str], name: str) -> str:
+    """The path of root/name, a file that the verified manifest must list."""
+    if name not in listed:
+        raise ValueError(f"{root}: {name} is not in the manifest")
+    return os.path.join(root, name)
+
+
+def _read_bundle(root) -> tuple[list[tuple[str, str, Field]], Config, set[str]]:
     """(sub, name, field) of every `fields.txt` entry, each a file that the
-    verified manifest lists and on the config's grid, and the config."""
+    verified manifest lists and on the config's grid, the config, and the
+    paths the manifest lists.  Every file a reader opens must be listed."""
     listed = verify_manifest(root)
-    cfg = read_config(os.path.join(root, "config.txt"))
+    cfg = read_config(_listed(root, listed, "config.txt"))
     grid = cfg.grid()
     entries = []
+    _listed(root, listed, "fields.txt")
     for where, (sub, rel, name) in _bundle_lines(root, "fields.txt", 3):
         if rel not in listed:
             raise ValueError(f"{where}: field file not in the manifest")
@@ -172,7 +185,7 @@ def _read_bundle(root) -> tuple[list[tuple[str, str, Field]], Config]:
         if f.grid != grid:
             raise ValueError(f"{rel}: grid does not match bundle config")
         entries.append((sub, name, f))
-    return entries, cfg
+    return entries, cfg, listed
 
 
 def write_model_bundle(root, model: Model, cfg: Config) -> None:
@@ -184,8 +197,8 @@ def write_model_bundle(root, model: Model, cfg: Config) -> None:
 
 
 def read_model_bundle(root) -> tuple[Model, Config]:
-    entries, cfg = _read_bundle(root)
-    S = read_structure(os.path.join(root, "structure.txt"))
+    entries, cfg, listed = _read_bundle(root)
+    S = read_structure(_listed(root, listed, "structure.txt"))
     grid = cfg.grid()
     g_values = {name: f.values for sub, name, f in entries if sub == "g"}
     pi_values = {name: f.values for sub, name, f in entries if sub != "g"}
@@ -198,6 +211,14 @@ def write_bracket_bundle(root, structure, named_fields: dict[str, Field], cfg: C
     _write_bundle(root, structure, cfg, [(kind, named_fields)], extra)
 
 
-def read_bracket_bundle(root) -> tuple[dict[str, Field], Config]:
-    entries, cfg = _read_bundle(root)
-    return {name: f for _sub, name, f in entries}, cfg
+def read_bracket_bundle(root) -> tuple[dict[str, Field], Config, dict[str, str]]:
+    """The named fields, the config, and the stripped text of each extra
+    file of write_bracket_bundle: every other file that the manifest lists
+    at the bundle's top level."""
+    entries, cfg, listed = _read_bundle(root)
+    extra = {}
+    for name in sorted(listed - set(_BUNDLE_FILES)):
+        if "/" not in name:
+            with open(os.path.join(root, name), "r", encoding="utf-8") as fh:
+                extra[name] = fh.read().strip()
+    return {name: f for _sub, name, f in entries}, cfg, extra

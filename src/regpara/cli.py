@@ -24,13 +24,7 @@ from .bundles import (
     write_model_bundle,
 )
 from .grid import Field, read_field
-from .models import (
-    build_g,
-    build_pi,
-    default_m,
-    extract_brackets,
-    g_as_model,
-)
+from .models import BracketExtractor, build_g, build_pi, default_m, extract_brackets
 from .norms import Report, holder_norm, synthesize
 from .rules import (
     check_d_canonical,
@@ -102,13 +96,7 @@ def cmd_structure_validate(args) -> int:
     rep = S.check_assumptions()
     lines = [f"structure={S.name}"]
     lines += rep.lines()
-    hopf = 0
-    for mono in S.plus_monomials():
-        if S.coassociativity_defect(mono):
-            hopf += 1
-    for sym in S.base_symbols():
-        if S.comodule_defect(sym):
-            hopf += 1
+    hopf = len(S.hopf_defects())
     lines.append(f"hopf_defects={hopf}")
     _emit(lines, args.out)
     return 0 if rep.all_ok and hopf == 0 else 1
@@ -237,7 +225,9 @@ def cmd_md_build(args) -> int:
 
 
 def _read_md(model, path):
-    named, _cfg = read_bracket_bundle(path)
+    named, _cfg, extra = read_bracket_bundle(path)
+    if "gamma.txt" not in extra:
+        raise ValueError(f"{path}: gamma.txt is not in the manifest")
     S = model.structure
     coeffs = {}
     for name, f in named.items():
@@ -245,11 +235,7 @@ def _read_md(model, path):
             raise ValueError(f"{path}: unexpected field {name!r} in md bundle")
         sym = parse_base_symbol(path, 0, name[2:], S.dim, S.base_gens)
         coeffs[sym] = f.values
-    meta = os.path.join(path, "gamma.txt")
-    if not os.path.exists(meta):
-        raise ValueError(f"{path}: missing gamma.txt")
-    with open(meta, "r", encoding="utf-8") as fh:
-        gamma = Fraction(fh.read().strip())
+    gamma = Fraction(extra["gamma.txt"])
     return ModelledDistribution(S, model.grid, gamma, coeffs)
 
 
@@ -280,7 +266,6 @@ def cmd_reconstruct(args) -> int:
 def cmd_roundtrip(args) -> int:
     S = _load_structure(args)
     cfg = _config(args, S, tol_rel=args.tol_rel)
-    grid = cfg.grid()
     model, gb, pib, m = _random_model(S, cfg)
     lines = [f"structure={S.name}", f"side={args.side}", f"seed={cfg.seed}", f"m={m}"]
     worst = 0.0
@@ -292,14 +277,15 @@ def cmd_roundtrip(args) -> int:
         worst = max(worst, err)
         lines.append(f"{side} {name} rel_err={err:.3e}")
 
+    # the brackets of M^g's g-side at m = 0, and of the model's Pi-side
     if args.side in ("g", "both"):
-        data = extract_brackets(g_as_model(S, grid, model.g), m=0, with_reports=False)
+        ex = BracketExtractor(model, 0)
         for name, f in gb.items():
-            compare("g", name, data.g_side[PlusMonomial.of_gen(name, S.dim)], f)
+            compare("g", name, ex.g_bracket(PlusMonomial.of_gen(name, S.dim)).values, f)
     if args.side in ("pi", "both"):
-        data = extract_brackets(model, m=m, with_reports=False)
+        ex = BracketExtractor(model, m)
         for name, f in pib.items():
-            compare("pi", name, data.pi_side[BaseSymbol(name, (0,) * S.dim)], f)
+            compare("pi", name, ex.pi_bracket(BaseSymbol(name, (0,) * S.dim)).values, f)
     rep = Report(f"bracket round trip: {S.name}")
     check = rep.add("roundtrip", worst <= cfg.tol_rel, worst, 0.0, cfg.tol_rel)
     lines.append(f"max_rel_err={worst:.3e}")

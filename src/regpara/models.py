@@ -414,17 +414,14 @@ def build_g(structure: ConcreteRegularityStructure, grid: Grid,
         gen = PlusMonomial.of_gen(root, S.dim)
         terms = ex.coproduct_terms(gen, S.delta_plus(gen), ex.g_bracket)
         g.values[root] = ex.step(brackets[root], terms, sign=+1)
-        # orbit members D^k root via the diagonal-derivative formula
-        h_root = S.plus_gens[root]
+        # orbit members D^k root, 0 < |k| < |root| (assumption (C)), via the
+        # diagonal-derivative formula
         members = sorted(
             (n for n, (r, k) in rep.c_orbit.items() if r == root and any(k)),
             key=lambda n: (mi_abs(rep.c_orbit[n][1]), n),
         )
         for name in members:
             k = rep.c_orbit[name][1]
-            if mi_abs(k) >= h_root:
-                g.values[name] = np.zeros(grid.shape)
-                continue
             vals = diag_derivative(model, gen, k).copy()
             for (left, right), c in S.dplus_table[root].sorted_items():
                 if left == gen or left.is_poly or left.is_unit:

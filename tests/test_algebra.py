@@ -22,6 +22,7 @@ from regpara import cli
 from regpara.grid import Grid
 from regpara.library import RULES, structure
 from regpara.models import build_g, plus_bound
+from regpara.rules import export_structure
 from regpara.structure_io import read_structure
 
 from conftest import perturbed_structure
@@ -295,11 +296,91 @@ def test_c_failure_names_its_witness(case, tmp_path, capsys):
     S = read_structure(path)
     rep = S.check_assumptions()
     assert rep.a_ok and rep.b_ok and not rep.c_ok
-    assert message in rep.c_failures
+    assert rep.c_failures.count(message) == 1
     with pytest.raises(ValueError, match=re.escape(message)):
         build_g(S, Grid(1, 16, np.pi), {})
     assert cli.main(["structure-validate", "--structure", str(path)]) == 1
-    assert f"\nC_failure {message}\n" in capsys.readouterr().out
+    assert capsys.readouterr().out.split("\n").count(f"C_failure {message}") == 1
+
+
+# A structure whose only wrong table is that of its lowest plus-generator L:
+# its diagonal term has coefficient 2.
+_LOW_DEFECT = ("gen L plus 1/2\ngen K plus 3/2\n"
+               "dplus L = 2 * L (x) 1 + 1 (x) L\n"
+               "dplus K = K (x) 1 + 1 (x) K\n")
+
+
+def _monomial_sweep(S):
+    """The defective monomials of B+ and symbols of B below the cutoff, by
+    the whole walk that hopf_defects replaces."""
+    return ([m for m in S.plus_monomials() if S.coassociativity_defect(m)],
+            [s for s in S.base_symbols() if S.comodule_defect(s)])
+
+
+def _hopf_oracle_structures(tmp_path):
+    """(label, structure) of every shipped structure on both bases, every
+    export of a golden enumeration, the C_FAILURES structures, _LOW_DEFECT
+    and toy with one wrong Delta table."""
+    from test_golden import ENUMERATE_CASES, _basis
+
+    yield "polynomial", structure("polynomial")
+    for name in sorted(RULES):
+        for nc in (False, True):
+            yield f"{name} nc={nc}", structure(name, noncanonical=nc)
+    for name, cutoff in ENUMERATE_CASES:
+        for nc in (False, True):
+            try:
+                yield f"{name} {cutoff} nc={nc}", export_structure(_basis(name, cutoff), nc)
+            except KeyError:
+                pass
+    for case, text in [*((c, t) for c, (t, _m) in sorted(C_FAILURES.items())),
+                       ("low-defect", _LOW_DEFECT)]:
+        path = tmp_path / f"{case}.txt"
+        path.write_text(_ONE_NOISE + text)
+        yield case, read_structure(path)
+    # and a wrong Delta table: the comodule side
+    S = structure("toy")
+    name = max((n for n in S.base_gens if n != "1"), key=lambda n: S.base_gens[n])
+    yield "toy delta-perturbed", perturbed_structure(
+        S, "delta_table", name, (BaseSymbol(name, (0,)), PlusMonomial.unit(1)), 2)
+
+
+def test_hopf_defects_agree_with_the_monomial_sweep(tmp_path):
+    """hopf_defects() passes a side iff the whole sweep finds no defect on
+    it, and each generator it names below the cutoff is in the sweep."""
+    labels = []
+    for label, S in _hopf_oracle_structures(tmp_path):
+        labels.append(label)
+        found = S.hopf_defects()
+        plus = [g for g in found if isinstance(g, PlusMonomial)]
+        base = [g for g in found if isinstance(g, BaseSymbol)]
+        assert plus + base == found, label
+        sweep_plus, sweep_base = _monomial_sweep(S)
+        assert bool(plus) == bool(sweep_plus) and set(plus) <= set(sweep_plus), label
+        assert bool(base) == bool(sweep_base), label
+        assert {s for s in base if S.homog_base(s) < S.cutoff} <= set(sweep_base), label
+    # 7 of the 17 golden enumerations export, on both bases
+    assert len(labels) == len(set(labels)) == 1 + 8 + 14 + 4 + 1
+
+
+def test_hopf_defects_name_the_low_generator(tmp_path, capsys):
+    """One wrong table on a low generator spoils every monomial it enters;
+    hopf_defects names the generator alone, and structure-validate counts it."""
+    path = tmp_path / "low-defect.txt"
+    path.write_text(_ONE_NOISE + _LOW_DEFECT)
+    S = read_structure(path)
+    sweep_plus, sweep_base = _monomial_sweep(S)
+    assert len(sweep_plus) > 5 and not sweep_base
+    assert all("L" in dict(m.gens) for m in sweep_plus)
+    assert S.hopf_defects() == [PlusMonomial.of_gen("L", 1)]
+    assert cli.main(["structure-validate", "--structure", str(path)]) == 1
+    assert "\nhopf_defects=1\n" in capsys.readouterr().out
+
+
+def test_truncated_orbit_has_a_hopf_defect(tmp_path):
+    path = tmp_path / "truncated-orbit.txt"
+    path.write_text(_ONE_NOISE + C_FAILURES["truncated-orbit"][0])
+    assert read_structure(path).hopf_defects() == [PlusMonomial.of_gen("J", 1)]
 
 
 class TestAssumptions:

@@ -1,12 +1,17 @@
 """Command-line verbs: determinism, exit codes, golden outputs."""
+import collections
 import dataclasses
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from regpara import cli
+from regpara import cli, models
+from regpara.algebra import ConcreteRegularityStructure
 from regpara.cli import main
+from regpara.library import RULES
+from regpara.structure_io import write_rule
 
 GOLDEN_BHZ_TRANSFORM = """\
 rule=bhz
@@ -333,3 +338,85 @@ def test_each_verb_exits_on_its_library_report(tmp_path, monkeypatch, capsys):
             (check,) = report.checks
             assert f"max_rel_err={check.value:.3e}\nstatus={check.verdict}\n" in out
     assert codes == {0, 1}
+
+
+# -- Hopf exactness and the bracket round trip on the generators -------------
+
+@pytest.fixture
+def toy_5_4(tmp_path):
+    """The toy rule at cutoff 5/4, past the shipped cutoff, as a rule file."""
+    path = tmp_path / "toy-5_4.rule"
+    write_rule(path, dataclasses.replace(RULES["toy"], cutoff=Fraction(5, 4)))
+    return str(path)
+
+
+def _counting(monkeypatch, owner, name, counts):
+    """Rebinds owner.name to a wrapper that counts its calls in counts[name]."""
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("flags", [[], ["--noncanonical"]], ids=["canonical", "noncanonical"])
+def test_verbs_pass_past_the_shipped_cutoff(toy_5_4, flags, capsys):
+    assert main(["structure-validate", "--structure", toy_5_4, *flags]) == 0
+    assert "\nhopf_defects=0\n" in capsys.readouterr().out
+    assert main(["roundtrip", "--structure", toy_5_4, *flags, "--grid", "256"]) == 0
+    assert "\nstatus=pass\n" in capsys.readouterr().out
+
+
+def test_structure_validate_checks_the_generators(toy_5_4, monkeypatch, capsys):
+    """At toy 5/4, 4 plus-generators and X against 30 monomials of B+, and 7
+    base generators and X_(1) against 12 symbols of B."""
+    counts = collections.Counter()
+    for name in ("coassociativity_defect", "comodule_defect"):
+        _counting(monkeypatch, ConcreteRegularityStructure, name, counts)
+    assert main(["structure-validate", "--structure", toy_5_4]) == 0
+    assert counts == {"coassociativity_defect": 5, "comodule_defect": 8}
+
+
+def test_roundtrip_forms_no_whole_extraction(toy_5_4, monkeypatch, capsys):
+    assert "g_as_model" not in vars(cli)
+    counts = collections.Counter()
+    _counting(monkeypatch, models, "plus_as_base", counts)   # every M^g builds one
+    _counting(monkeypatch, models, "extract_brackets", counts)
+    _counting(monkeypatch, cli, "extract_brackets", counts)
+    assert main(["roundtrip", "--structure", toy_5_4, "--grid", "256"]) == 0
+    assert counts == {}
+
+
+class _RecordingExtractor(models.BracketExtractor):
+    made: list = []
+
+    def __init__(self, model, m):
+        super().__init__(model, m)
+        self.made.append(self)
+
+
+@pytest.mark.parametrize("structure, grid", [
+    (["toy"], 512), (["bhz", "--noncanonical"], 512), (None, 256)],
+    ids=["toy", "bhz-noncanonical", "toy-5_4"])
+def test_roundtrip_brackets_are_the_whole_extractions(structure, grid, toy_5_4,
+                                                      monkeypatch, capsys):
+    """Every bracket roundtrip forms has the bits of the same bracket in the
+    whole extraction: of M^g at m = 0 on the g-side, of the model on the Pi-side."""
+    structure = structure or [toy_5_4]
+    monkeypatch.setattr(_RecordingExtractor, "made", [])
+    monkeypatch.setattr(cli, "BracketExtractor", _RecordingExtractor)
+    assert main(["roundtrip", "--structure", *structure, "--grid", str(grid)]) == 0
+    ex_g, ex_pi = _RecordingExtractor.made
+    model, S = ex_pi.model, ex_pi.model.structure
+    assert ex_g.model is model and ex_g.m == 0 and not ex_g._pi_memo and not ex_pi._g_memo
+    rep = S.check_assumptions()
+    assert {m.gens[0][0] for m in ex_g._g_memo} >= set(rep.c_generators)
+    assert {s.core for s in ex_pi._pi_memo} >= {n for n, h in S.base_gens.items() if h < 0}
+    whole_g = models.extract_brackets(models.g_as_model(S, model.grid, model.g), m=0,
+                                      with_reports=False).g_side
+    whole_pi = models.extract_brackets(model, m=ex_pi.m, with_reports=False).pi_side
+    for memo, whole in ((ex_g._g_memo, whole_g), (ex_pi._pi_memo, whole_pi)):
+        for key, bracket in memo.items():
+            assert bracket.values.tobytes() == whole[key].tobytes(), key

@@ -257,10 +257,54 @@ class TestBundles:
         root = tmp_path / "brackets"
         write_bracket_bundle(root, toy_structure, named, Config(n=64),
                              extra={"gamma.txt": "9/8"})
-        back, cfg = read_bracket_bundle(root)
+        back, cfg, extra = read_bracket_bundle(root)
         assert set(back) == {"a", "b"}
         assert np.array_equal(back["a"].values, named["a"].values)
         assert (root / "gamma.txt").read_text().strip() == "9/8"
+        assert extra == {"gamma.txt": "9/8"}
+
+    @staticmethod
+    def _unlist(root, name):
+        """Deletes the manifest line of root/name, the file left in place."""
+        manifest = root / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        kept = [line for line in lines if not line.endswith(f"  {name}")]
+        assert len(kept) == len(lines) - 1
+        manifest.write_text("\n".join(kept) + "\n")
+
+    @pytest.mark.parametrize("name", ["config.txt", "structure.txt", "fields.txt"])
+    def test_model_reader_opens_only_listed_files(self, toy_structure, tmp_path, capsys,
+                                                  name):
+        """An unlisted file is refused, by name, whatever it holds: here an
+        appended seed=99 in an unlisted config.txt is not read back."""
+        model, _gb, _pib = build_random_model(toy_structure, Grid(1, 64, np.pi), seed=5)
+        root = tmp_path / "model"
+        write_model_bundle(root, model, Config(n=64))
+        self._unlist(root, name)
+        if name == "config.txt":
+            with open(root / name, "a", encoding="utf-8") as fh:
+                fh.write("seed=99\n")
+        message = f"{root}: {name} is not in the manifest"
+        with pytest.raises(ValueError) as err:
+            read_model_bundle(root)
+        assert str(err.value) == message
+        assert cli.main(["model-check", "--model", str(root)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_md_reader_opens_only_a_listed_gamma(self, tmp_path, capsys):
+        """An md bundle whose gamma.txt is unlisted and edited to 3/2 is
+        refused; reconstruct exits 2 and prints no gamma."""
+        model, md = str(tmp_path / "model"), tmp_path / "md"
+        assert cli.main(["model-build", "--structure", "toy", "--grid", "64",
+                         "--out", model]) == 0
+        assert cli.main(["md-build", "--model", model, "--gamma", "9/8",
+                         "--out", str(md)]) == 0
+        capsys.readouterr()
+        self._unlist(md, "gamma.txt")
+        (md / "gamma.txt").write_text("3/2\n")
+        assert cli.main(["reconstruct", "--model", model, "--md", str(md)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {md}: gamma.txt is not in the manifest\n"
 
     def test_config_round_trip(self, tmp_path):
         cfg = Config(n=128, seed=9, tol_slope=0.25)
