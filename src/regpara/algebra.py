@@ -236,9 +236,6 @@ class FreeVector:
         fv.terms = {} if not c else {k: v * c for k, v in self.terms.items()}
         return fv
 
-    def map_keys(self, fn) -> "FreeVector":
-        return FreeVector([(fn(k), c) for k, c in self.terms.items()])
-
     def mul(self, other: "FreeVector", key_mul) -> "FreeVector":
         """Bilinear product: the sum of c1 c2 key_mul(a, b) over the terms
         c1 a of self and c2 b of other, in that order."""

@@ -11,8 +11,12 @@ on every lattice frequency.  Block j >= 0 is supported in the annulus
 S_j = sum_{i < j-1} Delta_i has symbol chi(2^{-(j-1)}|xi|) for j >= 1 and
 vanishes for j <= 0.
 
-Every spectral operation of the package goes through the BlockDecomposition
-of its grid, one per grid.  Fields are real, so transforms are
+Block symbols, block transforms and the one-parameter paraproducts go
+through the BlockDecomposition of its grid, one per grid.  Four places call
+numpy's FFT directly: `Field.spectrum` (a field's half spectrum, kept),
+`norms.synthesize` (a complex ifftn), `Grid.coord_fields` (one mollifying
+rfft/irfft per grid) and the two-parameter paraproducts of `paraproducts`
+(rfft2/irfft2 of a TwoParamField).  Fields are real, so transforms are
 rfftn/irfftn on the half spectrum, and every symbol in use is radial or a
 per-axis product, so it lives on the half spectrum only.  On 1-D grids the
 plan (and `Field.spectrum`) calls numpy's 1-D rfft/irfft: the pocketfft

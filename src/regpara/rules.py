@@ -4,8 +4,8 @@ assumption-(D) scans, and export to concrete regularity structures.
 The rule object is a simplified stand-in for BHZ conformity: a node's child
 edge-type multiset must be contained in one of the allowed products, kernel
 edges graft non-empty trees, noise edges graft the unit only, and polynomial
-and e-decorations are capped to keep the bases finite.  Enumeration runs with
-o-decorations identically zero.
+and e-decorations are capped to keep the bases finite.  Trees carry the n, e
+and f decorations only: the extended (o-) decoration of BHZ is not modelled.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from .trees import (
     DecoratedTree,
     TreeAlgebra,
     graft,
-    o_is_zero,
+    is_name,
     serialize,
     tree_product,
     unit_tree,
@@ -58,6 +58,9 @@ class Rule:
     name: str = "rule"
 
     def __post_init__(self):
+        for nm, _ in (*self.noises, *self.kernels):
+            if not is_name(nm):
+                raise ValueError(f"edge type {nm!r}: a name is letters, digits, '_' and '-'")
         object.__setattr__(self, "noises", tuple(sorted(self.noises)))
         object.__setattr__(self, "kernels", tuple(sorted(self.kernels)))
         object.__setattr__(
@@ -143,8 +146,9 @@ def enumerate_basis(rule: Rule) -> TreeBasis:
         for i in range(d):
             e = tuple(1 if a == i else 0 for a in range(d))
             candidates.append(x_mul(e, t))
-        # kernel grafts; pure-polynomial arguments are excluded so that the
-        # T-side stays closed under left coproduct factors
+        # kernel grafts; pure-polynomial arguments are left out, yet Delta
+        # forms such grafts as left factors above the shipped cutoffs, where
+        # export raises KeyError (ROADMAP item 2)
         if t.edge_count() > 0:
             for kname in sorted(kernel_types):
                 for e in mi_range(d, rule.max_e):
@@ -269,13 +273,9 @@ def ell_identity_defect(basis: TreeBasis, l: Multi, k: Multi, tname: str, t: Dec
     bad = [
         ((left, right), c)
         for (left, right), c in defect.items()
-        if not _is_poly_tree(left)
+        if left.branches
     ]
     return FreeVector(bad)
-
-
-def _is_poly_tree(t: DecoratedTree) -> bool:
-    return not t.branches and o_is_zero(t.o_dec)
 
 
 # -- export to a concrete regularity structure ----------------------------------

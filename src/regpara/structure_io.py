@@ -44,6 +44,7 @@ from .algebra import (
     mi_zero,
 )
 from .rules import Rule, enumerate_basis, export_structure
+from .trees import is_name
 
 
 class FileFormatError(ValueError):
@@ -72,6 +73,16 @@ def _parse_fraction(path, line_no, text: str) -> Fraction:
         raise FileFormatError(path, line_no, f"bad rational {text!r}") from None
 
 
+def _parse_int(path, line_no, text: str, low: int) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < low:
+        raise FileFormatError(path, line_no, f"expected an integer >= {low}, got {text!r}")
+    return value
+
+
 # -- rule files -----------------------------------------------------------------
 
 def read_rule(path) -> Rule:
@@ -81,27 +92,29 @@ def read_rule(path) -> Rule:
     max_e = 0
     noises: list[tuple[str, Fraction]] = []
     kernels: list[tuple[str, Fraction]] = []
-    products: list[tuple[tuple[str, int], ...]] = []
+    products: list[tuple[int, tuple[tuple[str, int], ...]]] = []  # (line, product)
     for line_no, line in _content_lines(path):
         parts = line.split()
         key = parts[0]
         if key == "dim" and len(parts) == 2:
-            dim = int(parts[1])
+            dim = _parse_int(path, line_no, parts[1], 1)
         elif key == "cutoff" and len(parts) == 2:
             cutoff = _parse_fraction(path, line_no, parts[1])
         elif key == "polybound" and len(parts) == 2:
-            polybound = int(parts[1])
+            polybound = _parse_int(path, line_no, parts[1], 0)
         elif key == "max_e" and len(parts) == 2:
-            max_e = int(parts[1])
-        elif key == "noise" and len(parts) == 3:
-            noises.append((parts[1], _parse_fraction(path, line_no, parts[2])))
-        elif key == "kernel" and len(parts) == 3:
-            kernels.append((parts[1], _parse_fraction(path, line_no, parts[2])))
+            max_e = _parse_int(path, line_no, parts[1], 0)
+        elif key in ("noise", "kernel") and len(parts) == 3:
+            if not is_name(parts[1]):
+                raise FileFormatError(path, line_no, f"edge type {parts[1]!r}: "
+                                      "a name is letters, digits, '_' and '-'")
+            (noises if key == "noise" else kernels).append(
+                (parts[1], _parse_fraction(path, line_no, parts[2])))
         elif key == "allow":
             counts: dict[str, int] = {}
             for nm in parts[1:]:
                 counts[nm] = counts.get(nm, 0) + 1
-            products.append(tuple(sorted(counts.items())))
+            products.append((line_no, tuple(sorted(counts.items()))))
         else:
             raise FileFormatError(path, line_no, f"unrecognised rule line {line!r}")
     if dim is None:
@@ -109,16 +122,16 @@ def read_rule(path) -> Rule:
     if cutoff is None:
         raise FileFormatError(path, 0, "missing 'cutoff'")
     known = {n for n, _ in noises} | {n for n, _ in kernels}
-    for prod in products:
+    for line_no, prod in products:
         for nm, _ in prod:
             if nm not in known:
-                raise FileFormatError(path, 0, f"product uses unknown edge type {nm!r}")
+                raise FileFormatError(path, line_no, f"product uses unknown edge type {nm!r}")
     return Rule(
         dim=dim,
         cutoff=cutoff,
         noises=tuple(noises),
         kernels=tuple(kernels),
-        products=tuple(products),
+        products=tuple(prod for _, prod in products),
         polybound=polybound,
         max_e=max_e,
         name=os.path.splitext(os.path.basename(str(path)))[0],
@@ -172,7 +185,7 @@ def parse_plus_monomial(path, line_no, text: str, dim: int,
             poly = tuple(a + b for a, b in zip(poly, k))
         else:
             name, *power = factor.split("^", 1)
-            mult = int(power[0]) if power and power[0] else 1
+            mult = _parse_int(path, line_no, power[0], 1) if power else 1
             if name not in gens:
                 raise FileFormatError(path, line_no, f"unknown plus-generator {name!r}")
             counts[name] = counts.get(name, 0) + mult
@@ -259,22 +272,25 @@ def read_structure(path) -> ConcreteRegularityStructure:
     for line_no, line in lines:
         parts = line.split(None, 1)
         key = parts[0]
+        if key not in ("dim", "cutoff", "rule", "gen", "dplus", "delta"):
+            raise FileFormatError(path, line_no, f"unrecognised structure line {line!r}")
+        if len(parts) == 1:
+            raise FileFormatError(path, line_no, f"{key!r} needs a value")
+        value = parts[1]
         if key == "dim":
-            dim = int(parts[1])
+            dim = _parse_int(path, line_no, value, 1)
         elif key == "cutoff":
-            cutoff = _parse_fraction(path, line_no, parts[1])
+            cutoff = _parse_fraction(path, line_no, value)
         elif key == "rule":
-            bits = parts[1].split()
+            bits = value.split()
             if len(bits) != 2 or bits[1] not in ("canonical", "noncanonical"):
                 raise FileFormatError(path, line_no,
                                       "expected 'rule PATH canonical|noncanonical'")
             rule_ref = (bits[0], bits[1] == "noncanonical")
         elif key == "gen":
-            gen_lines.append((line_no, parts[1]))
-        elif key in ("dplus", "delta"):
-            table_lines.append((line_no, key, parts[1]))
+            gen_lines.append((line_no, value))
         else:
-            raise FileFormatError(path, line_no, f"unrecognised structure line {line!r}")
+            table_lines.append((line_no, key, value))
 
     if rule_ref is not None:
         rule_path = os.path.join(os.path.dirname(os.path.abspath(str(path))), rule_ref[0])

@@ -2,22 +2,23 @@
 coproduct, the polynomial-shifted grafting operators, and the canonical /
 non-canonical change of representation.
 
-A tree is stored as a root with decorations and a canonically sorted tuple of
-branches, so isomorphic decorated trees (any child order) compare and hash
-equal.  Edge decorations: type name, e (derivative), f (polynomial shift,
-zero in the canonical representation).  Trees are immutable, so a tree and
-a branch take their hash once, at construction: the dataclass hash of their
-fields, whose own hashes are already kept.  A TreeAlgebra grades each tree
-once (`homogeneity` is memoised per algebra).  No output order rests on
-these hashes, which vary with the hash seed: enumeration keeps dicts in
-insertion order and sorts by (homogeneity, serialization).
+A tree is stored as a root with its polynomial decoration n and a
+canonically sorted tuple of branches, so isomorphic decorated trees (any
+child order) compare and hash equal.  Edge decorations: type name, e
+(derivative), f (polynomial shift, zero in the canonical representation).
+Trees are immutable, so a tree and a branch build their canonical text
+(`serialize`) and take their hash once, at construction: the dataclass hash
+of their fields, whose own hashes are already kept.  Branches sort by their
+text.  A TreeAlgebra grades each tree once (`homogeneity` is memoised per
+algebra).  No output order rests on these hashes, which vary with the hash
+seed: enumeration keeps dicts in insertion order and sorts by (homogeneity,
+serialization).
 
 T+ has one monomial type, `algebra.PlusMonomial`: on this side its
 generators are integrated trees, and export renames them to their names.
 """
 from __future__ import annotations
 
-import functools
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,25 +41,6 @@ from .algebra import (
 )
 
 
-ODec = tuple[Multi, tuple[tuple[str, int], ...]]  # Z^d part, Z(L) part
-
-
-def o_zero(d: int) -> ODec:
-    return (mi_zero(d), ())
-
-
-def o_add(a: ODec, b: ODec) -> ODec:
-    zd = tuple(x + y for x, y in zip(a[0], b[0]))
-    counts = dict(a[1])
-    for name, m in b[1]:
-        counts[name] = counts.get(name, 0) + m
-    return (zd, tuple(sorted((n, m) for n, m in counts.items() if m)))
-
-
-def o_is_zero(a: ODec) -> bool:
-    return not any(a[0]) and not a[1]
-
-
 @dataclass(frozen=True)
 class Branch:
     edge_type: str
@@ -67,6 +49,10 @@ class Branch:
     child: "DecoratedTree"
 
     def __post_init__(self):
+        head = f"I[{self.edge_type};{mi_str(self.e_dec)}"
+        if any(self.f_dec):
+            head += f";{mi_str(self.f_dec)}"
+        object.__setattr__(self, "text", f"{head}]({self.child.text})")
         object.__setattr__(self, "_hash", hash((self.edge_type, self.e_dec, self.f_dec, self.child)))
 
     def __hash__(self):
@@ -77,13 +63,16 @@ class Branch:
 class DecoratedTree:
     dim: int
     n_dec: Multi
-    o_dec: ODec
     branches: tuple[Branch, ...]
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.branches, key=_branch_key))
+        ordered = tuple(sorted(self.branches, key=lambda b: b.text))
+        bits = [b.text for b in ordered]
+        if any(self.n_dec):
+            bits.insert(0, "X" + mi_str(self.n_dec))
         object.__setattr__(self, "branches", ordered)
-        object.__setattr__(self, "_hash", hash((self.dim, self.n_dec, self.o_dec, ordered)))
+        object.__setattr__(self, "text", "*".join(bits) or "1")
+        object.__setattr__(self, "_hash", hash((self.dim, self.n_dec, ordered)))
 
     def __hash__(self):
         return self._hash
@@ -94,81 +83,48 @@ class DecoratedTree:
 
     @property
     def is_unit(self) -> bool:
-        return not self.branches and not any(self.n_dec) and o_is_zero(self.o_dec)
+        return not self.branches and not any(self.n_dec)
 
     def with_root_n(self, k: Multi) -> "DecoratedTree":
-        return DecoratedTree(self.dim, k, self.o_dec, self.branches)
+        return DecoratedTree(self.dim, k, self.branches)
 
     def edge_count(self) -> int:
         return sum(1 + b.child.edge_count() for b in self.branches)
 
     def __str__(self):
-        return serialize(self)
+        return self.text
 
 
-@functools.lru_cache(maxsize=None)
-def _branch_str(b: Branch) -> str:
-    head = f"I[{b.edge_type};{mi_str(b.e_dec)}"
-    if any(b.f_dec):
-        head += f";{mi_str(b.f_dec)}"
-    return head + f"]({serialize(b.child)})"
-
-
-def _branch_key(b: Branch) -> str:
-    return _branch_str(b)
-
-
-@functools.lru_cache(maxsize=None)
 def serialize(t: DecoratedTree) -> str:
     """Canonical parenthesised form; equal strings iff isomorphic trees."""
-    bits = []
-    if any(t.n_dec):
-        bits.append("X" + mi_str(t.n_dec))
-    bits.extend(_branch_str(b) for b in t.branches)
-    body = "*".join(bits) if bits else "1"
-    if not o_is_zero(t.o_dec):
-        zd, zl = t.o_dec
-        parts = [mi_str(zd)]
-        if zl:
-            parts.append("{" + ",".join(f"{n}:{m}" for n, m in zl) + "}")
-        body = f"R[{';'.join(parts)}]({body})"
-    return body
+    return t.text
 
 
 # -- constructors -------------------------------------------------------------
 
 def unit_tree(dim: int) -> DecoratedTree:
-    return DecoratedTree(dim, mi_zero(dim), o_zero(dim), ())
+    return DecoratedTree(dim, mi_zero(dim), ())
 
 
 def x_power(dim: int, k: Multi) -> DecoratedTree:
-    return DecoratedTree(dim, k, o_zero(dim), ())
+    return DecoratedTree(dim, k, ())
 
 
 def tree_product(a: DecoratedTree, b: DecoratedTree) -> DecoratedTree:
     """Identify roots; root decorations add; commutative up to isomorphism."""
     if a.dim != b.dim:
         raise ValueError("tree dimensions differ")
-    return DecoratedTree(
-        a.dim, mi_add(a.n_dec, b.n_dec), o_add(a.o_dec, b.o_dec), a.branches + b.branches
-    )
+    return DecoratedTree(a.dim, mi_add(a.n_dec, b.n_dec), a.branches + b.branches)
 
 
 def graft(edge_type: str, k: Multi, tau: DecoratedTree) -> DecoratedTree:
     """I_k^t(tau): new root, one edge of the given type with e-decoration k."""
-    d = tau.dim
-    return DecoratedTree(d, mi_zero(d), o_zero(d), (Branch(edge_type, k, mi_zero(d), tau),))
+    return graft_f(edge_type, k, mi_zero(tau.dim), tau)
 
 
 def graft_f(edge_type: str, k: Multi, l: Multi, tau: DecoratedTree) -> DecoratedTree:
     """Non-canonical edge with f-decoration l (the tree of the operator lI_k^t)."""
-    d = tau.dim
-    return DecoratedTree(d, mi_zero(d), o_zero(d), (Branch(edge_type, k, l, tau),))
-
-
-def r_alpha(alpha: ODec, tau: DecoratedTree) -> DecoratedTree:
-    """R_alpha: add alpha to the o-decoration at the root."""
-    return DecoratedTree(tau.dim, tau.n_dec, o_add(tau.o_dec, alpha), tau.branches)
+    return DecoratedTree(tau.dim, mi_zero(tau.dim), (Branch(edge_type, k, l, tau),))
 
 
 def x_mul(k: Multi, tau: DecoratedTree) -> DecoratedTree:
@@ -189,17 +145,11 @@ class TreeAlgebra:
 
     # -- homogeneity ----------------------------------------------------------
 
-    def _o_homog(self, o: ODec) -> Fraction:
-        h = Fraction(sum(o[0]))
-        for name, m in o[1]:
-            h += m * self.types[name]
-        return h
-
     @memoised("_homog_memo")
     def homogeneity(self, t: DecoratedTree) -> Fraction:
-        """|tau| = |n| + |o| - |e| + |t| (+ |f| in the non-canonical form),
+        """|tau| = |n| - |e| + |t| (+ |f| in the non-canonical form),
         computed once per tree and algebra."""
-        h = Fraction(mi_abs(t.n_dec)) + self._o_homog(t.o_dec)
+        h = Fraction(mi_abs(t.n_dec))
         for b in t.branches:
             if b.edge_type not in self.types:
                 raise KeyError(f"unknown edge type {b.edge_type}")
@@ -213,23 +163,17 @@ class TreeAlgebra:
     def delta(self, t: DecoratedTree) -> FreeVector:
         """Delta tau in T (x) T+, by the structural identities:
         Delta 1 = 1 (x) 1, Delta X_i primitive, multiplicativity,
-        Delta I_k^t via (I_k^t (x) Id)Delta + truncated polynomial sum,
-        Delta R_alpha = (R_alpha (x) Id)Delta.
+        Delta I_k^t via (I_k^t (x) Id)Delta + truncated polynomial sum.
         Keys are (DecoratedTree, PlusMonomial over trees)."""
         d = self.dim
-        if not o_is_zero(t.o_dec):
-            bare = DecoratedTree(d, t.n_dec, o_zero(d), t.branches)
-            out = self.delta(bare).map_keys(
-                lambda lr: (r_alpha(t.o_dec, lr[0]), lr[1])
-            )
-        elif t.is_leaf:
+        if t.is_leaf:
             # single node X^k
             out = poly_split(t.n_dec, lambda l: x_power(d, l), PlusMonomial.of_poly)
         elif any(t.n_dec) or len(t.branches) > 1:
             # factorise: X^n * product of single branches
             out = self.delta(x_power(d, t.n_dec))
             for b in t.branches:
-                single = DecoratedTree(d, mi_zero(d), o_zero(d), (b,))
+                single = DecoratedTree(d, mi_zero(d), (b,))
                 out = out.tensor_mul(self.delta(single), tree_product, PlusMonomial.mul)
         else:
             (b,) = t.branches
@@ -260,7 +204,7 @@ class TreeAlgebra:
         """Delta+ of a positive integrated tree: same recursion with left
         factors reinterpreted in T+ and non-positive left trees projected out.
         Keys are (PlusMonomial, PlusMonomial) over trees."""
-        if len(t.branches) != 1 or any(t.n_dec) or not o_is_zero(t.o_dec):
+        if len(t.branches) != 1 or any(t.n_dec):
             raise ValueError(f"plus-generators are single integrated trees, got {t}")
         if self.homogeneity(t) <= 0:
             raise ValueError(f"{t} has non-positive homogeneity, not in T+")
@@ -275,11 +219,9 @@ class TreeAlgebra:
     def tree_to_plus_monomial(self, t: DecoratedTree) -> PlusMonomial | None:
         """Reinterpret a tree X^a * prod branches as an element of T+;
         None if some integrated factor has non-positive homogeneity."""
-        if not o_is_zero(t.o_dec):
-            return None
         mono = PlusMonomial.of_poly(t.n_dec)
         for b in t.branches:
-            single = DecoratedTree(t.dim, mi_zero(t.dim), o_zero(t.dim), (b,))
+            single = DecoratedTree(t.dim, mi_zero(t.dim), (b,))
             if self.homogeneity(single) <= 0:
                 return None
             mono = mono.mul(PlusMonomial.of_gen(single, t.dim))
@@ -312,8 +254,6 @@ class TreeAlgebra:
                     [(graft(b.edge_type, b.e_dec, tau), c) for tau, c in child.items()]
                 )
             out = out.mul(branch_vec, tree_product)
-        if not o_is_zero(t.o_dec):
-            out = out.map_keys(lambda tr: r_alpha(t.o_dec, tr))
         return out
 
     @memoised("_to_noncan_memo")
@@ -331,8 +271,6 @@ class TreeAlgebra:
                      tau.n_dec, b.e_dec, b.edge_type, tau.with_root_n(mi_zero(d))).items()]
             )
             out = out.mul(branch_vec, tree_product)
-        if not o_is_zero(t.o_dec):
-            out = out.map_keys(lambda tr: r_alpha(t.o_dec, tr))
         return out
 
     def leading_ftree(self, t: DecoratedTree) -> DecoratedTree:
@@ -345,7 +283,7 @@ class TreeAlgebra:
             branches.append(
                 Branch(b.edge_type, b.e_dec, mi_add(b.f_dec, shift), child.with_root_n(mi_zero(self.dim)))
             )
-        return DecoratedTree(t.dim, t.n_dec, t.o_dec, tuple(branches))
+        return DecoratedTree(t.dim, t.n_dec, tuple(branches))
 
     def delta_noncanonical(self, t: DecoratedTree) -> FreeVector:
         """Delta of an f-tree with left factors re-expanded over the
@@ -374,12 +312,18 @@ def _shifted_grafts(l: Multi, v, grafted) -> FreeVector:
 # -- parsing of the canonical term grammar --------------------------------------
 #
 #   tree    := "1" | factor ("*" factor)*
-#   factor  := "X" mi | "I[" name ";" mi (";" mi)? "](" tree ")" | "R[" odec "](" tree ")"
+#   factor  := "X" mi | "I[" name ";" mi (";" mi)? "](" tree ")"
 #   mi      := "(" int ("," int)* ")"
-#   odec    := mi (";" "{" name ":" int ("," name ":" int)* "}")?
+#   name    := (letter | digit | "_" | "-")+
 #
 # Serialization emits factors in canonical sorted order, so parse(serialize(t))
 # round-trips for every tree.
+
+def is_name(text: str) -> bool:
+    """Whether text is a name of the grammar: an edge type that serializes
+    into a tree the parser reads back."""
+    return text != "" and all(c.isalnum() or c in "_-" for c in text)
+
 
 class TreeParseError(ValueError):
     def __init__(self, text: str, pos: int, message: str):
@@ -409,7 +353,7 @@ class _TreeParser:
 
     def name(self) -> str:
         start = self.pos
-        while self.peek() and (self.peek().isalnum() or self.peek() in "_-"):
+        while is_name(self.peek()):
             self.pos += 1
         if self.pos == start:
             self.error("expected a name")
@@ -436,25 +380,6 @@ class _TreeParser:
             self.error(f"multi-index {tuple(out)} does not match dimension {self.dim}")
         return tuple(out)
 
-    def odec(self) -> ODec:
-        zd = self.mi()
-        types: tuple[tuple[str, int], ...] = ()
-        if self.peek() == ";":
-            self.pos += 1
-            self.expect("{")
-            pairs = []
-            while True:
-                nm = self.name()
-                self.expect(":")
-                pairs.append((nm, self.integer()))
-                if self.peek() == ",":
-                    self.pos += 1
-                    continue
-                break
-            self.expect("}")
-            types = tuple(sorted(pairs))
-        return (zd, types)
-
     def factor(self) -> DecoratedTree:
         d = self.dim
         if self.peek() == "1":
@@ -476,16 +401,8 @@ class _TreeParser:
             self.expect("(")
             child = self.tree()
             self.expect(")")
-            return DecoratedTree(d, mi_zero(d), o_zero(d), (Branch(tname, e, f, child),))
-        if self.text.startswith("R[", self.pos):
-            self.pos += 2
-            o = self.odec()
-            self.expect("]")
-            self.expect("(")
-            inner = self.tree()
-            self.expect(")")
-            return r_alpha(o, inner)
-        self.error("expected a tree factor ('1', 'X', 'I[' or 'R[')")
+            return graft_f(tname, e, f, child)
+        self.error("expected a tree factor ('1', 'X' or 'I[')")
 
     def tree(self) -> DecoratedTree:
         out = self.factor()

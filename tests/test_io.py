@@ -1,7 +1,9 @@
 """File formats: binary fields, structure/rule text files, tree grammar,
 bundles with manifests."""
+import dataclasses
 import os
 import shutil
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +133,32 @@ class TestStructureFiles:
             read_structure(p)
         assert "unknown plus-generator" in str(err.value)
 
+    @pytest.mark.parametrize("key", ["dim", "cutoff", "rule", "gen", "dplus", "delta"])
+    def test_key_without_a_value_names_its_line(self, key, tmp_path, capsys):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"dim 1\ncutoff 2\n{key}\n")
+        with pytest.raises(FileFormatError) as err:
+            read_structure(p)
+        assert str(err.value) == f"{p}:3: {key!r} needs a value"
+        assert cli.main(["structure-validate", "--structure", str(p)]) == 2
+        assert f"{p}:3: " in capsys.readouterr().err
+
+    def test_non_integer_dim_names_its_line(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_text("cutoff 2\ndim x\n")
+        with pytest.raises(FileFormatError) as err:
+            read_structure(p)
+        assert str(err.value) == f"{p}:2: expected an integer >= 1, got 'x'"
+
+    @pytest.mark.parametrize("power", ["0", "-1", "x", ""])
+    def test_power_not_a_positive_integer_names_its_line(self, power, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_text("dim 1\ncutoff 2\ngen J0 plus 1/2\ngen th base -1/2\n"
+                     f"delta th = th (x) 1 + 1 * th (x) J0^{power}\n")
+        with pytest.raises(FileFormatError) as err:
+            read_structure(p)
+        assert str(err.value) == f"{p}:5: expected an integer >= 1, got {power!r}"
+
     def test_handwritten_structure(self, tmp_path):
         p = tmp_path / "hand.txt"
         p.write_text(
@@ -163,8 +191,30 @@ class TestRuleFiles:
     def test_unknown_edge_type_in_product(self, tmp_path):
         p = tmp_path / "bad.rule"
         p.write_text("dim 1\ncutoff 1\nnoise xi -5/8\nallow zz\n")
-        with pytest.raises(FileFormatError):
+        with pytest.raises(FileFormatError) as err:
             read_rule(p)
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize("key", ["dim", "polybound", "max_e"])
+    def test_non_integer_value_names_its_line(self, key, tmp_path):
+        p = tmp_path / "bad.rule"
+        p.write_text(f"dim 1\ncutoff 1\nnoise xi -5/8\n{key} x\n")
+        with pytest.raises(FileFormatError) as err:
+            read_rule(p)
+        assert err.value.line == 4
+        assert "expected an integer" in str(err.value)
+
+    @pytest.mark.parametrize("kind", ["noise", "kernel"])
+    def test_edge_type_outside_the_tree_grammar(self, kind, tmp_path):
+        # such a name enumerates trees like I[x);(0)](1), which parse_tree
+        # cannot read back
+        p = tmp_path / "bad.rule"
+        p.write_text(f"dim 1\ncutoff 1\nnoise xi -5/8\n{kind} x) -5/8\n")
+        with pytest.raises(FileFormatError) as err:
+            read_rule(p)
+        assert str(err.value).startswith(f"{p}:4: edge type 'x)'")
+        with pytest.raises(ValueError, match="edge type 'x\\)'"):
+            dataclasses.replace(RULES["toy"], **{kind + "s": (("x)", Fraction(-5, 8)),)})
 
     def test_bad_rational(self, tmp_path):
         p = tmp_path / "bad.rule"

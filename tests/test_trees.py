@@ -1,6 +1,8 @@
 """Decorated trees: canonical hashing, homogeneity bookkeeping, the structural
 coproduct, and polynomial-shifted grafting."""
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regpara.algebra import FreeVector, PlusMonomial
-from regpara.library import basis
+from regpara.library import RULES, basis
+from regpara.rules import Rule, enumerate_basis, export_structure
+from regpara.structure_io import write_structure
 from regpara.trees import (
     DecoratedTree,
     TreeAlgebra,
@@ -20,6 +24,9 @@ from regpara.trees import (
     x_mul,
     x_power,
 )
+
+from test_golden import ENUMERATE_CASES
+from test_golden import _basis as golden_basis
 
 TYPES = {"xi": Fraction(-5, 8), "t": Fraction(1)}
 
@@ -52,7 +59,7 @@ class TestCanonicalForm:
             return
         shuffled = list(t.branches)
         rng.shuffle(shuffled)
-        t2 = DecoratedTree(t.dim, t.n_dec, t.o_dec, tuple(shuffled))
+        t2 = DecoratedTree(t.dim, t.n_dec, tuple(shuffled))
         assert t2 == t
         assert hash(t2) == hash(t)
         assert serialize(t2) == serialize(t)
@@ -79,6 +86,27 @@ class TestCanonicalForm:
     def test_grammar_round_trip(self, seed):
         t = random_tree(random.Random(seed))
         assert parse_tree(serialize(t), 1) == t
+
+    @pytest.mark.parametrize("name, cutoff",
+                             [(name, None) for name in RULES] + ENUMERATE_CASES)
+    def test_every_enumerated_tree_round_trips(self, name, cutoff):
+        b = basis(name) if cutoff is None else golden_basis(name, cutoff)
+        for t in (*b.trees, *b.b_dot, *b.b_dot_tilde, *b.plus_trees):
+            assert parse_tree(serialize(t), b.rule.dim) == t
+
+    def test_trees_of_a_dropped_basis_are_freed(self, tmp_path):
+        # edge types of their own, so that no other test has built these trees
+        rule = Rule(dim=1, cutoff=Fraction(5, 4), noises=(("zeta", Fraction(-5, 8)),),
+                    kernels=(("k", Fraction(1)),),
+                    products=((("zeta", 1),), (("k", 1),), (("k", 1), ("zeta", 1))),
+                    max_e=0, name="freed")
+        b = enumerate_basis(rule)
+        write_structure(tmp_path / "structure.txt", export_structure(b))
+        refs = [weakref.ref(t) for t in (*b.trees, *b.b_dot_tilde, *b.plus_trees)]
+        assert len(refs) > 10
+        del b
+        gc.collect()
+        assert [serialize(r()) for r in refs if r() is not None] == []
 
 
 class TestHomogeneity:
@@ -179,17 +207,6 @@ class TestStructuralCoproduct:
                 algebra.delta(b), tree_product, PlusMonomial.mul
             )
             assert lhs == rhs
-
-    def test_o_decoration_passes_through(self, algebra):
-        from regpara.trees import r_alpha
-
-        xi = graft("xi", (0,), unit_tree(1))
-        alpha = ((1,), (("t", 1),))
-        lhs = algebra.delta(r_alpha(alpha, xi))
-        want = FreeVector(
-            [((r_alpha(alpha, xi), PlusMonomial.unit(1)), 1)]
-        )
-        assert lhs == want
 
 
 class TestShiftedGrafts:
