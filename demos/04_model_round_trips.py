@@ -14,8 +14,8 @@ from regpara import (
     build_pi,
     extract_brackets,
     g_as_model,
+    random_brackets,
     structure,
-    synthesize,
     validate_model,
 )
 from regpara.algebra import BaseSymbol, PlusMonomial
@@ -23,20 +23,14 @@ from regpara.models import plus_bound
 
 S = structure("bhz")
 grid = Grid(1, 512, np.pi)
-rep = S.check_assumptions()
-roots = sorted(rep.c_generators, key=lambda n: (S.plus_gens[n], n))
-negs = sorted((n for n, h in S.base_gens.items() if h < 0),
-              key=lambda n: (S.base_gens[n], n))
+# one bracket per coordinate, at its homogeneity: g-side i from seed 20 + i,
+# Pi-side i from seed 1020 + i
+g_brackets, pi_brackets = random_brackets(S, grid, seed=20)
 print("free coordinates of the model space:")
-for r in roots:
+for r in g_brackets:
     print(f"  g-side  {S.plus_gens[r]!s:>6}  {r}")
-for n in negs:
+for n in pi_brackets:
     print(f"  Pi-side {S.base_gens[n]!s:>6}  {n}")
-
-g_brackets = {r: synthesize(float(S.plus_gens[r]), seed=20 + i, grid=grid)
-              for i, r in enumerate(roots)}
-pi_brackets = {n: synthesize(float(S.base_gens[n]), seed=1020 + i, grid=grid)
-               for i, n in enumerate(negs)}
 
 g = build_g(S, grid, g_brackets)
 print(f"\nbuilt g on {len(g.values)} generators (derivative members filled "
@@ -51,7 +45,7 @@ data = extract_brackets(model)
 worst = max(
     np.max(np.abs(data.pi_side[BaseSymbol(n, (0,))] - pi_brackets[n].values))
     / np.max(np.abs(pi_brackets[n].values))
-    for n in negs
+    for n in pi_brackets
 )
 print(f"Pi-bracket round trip: {worst:.2e}")
 
@@ -60,6 +54,6 @@ gdata = extract_brackets(Mg, m=0, with_reports=False)
 worst_g = max(
     np.max(np.abs(gdata.g_side[PlusMonomial.of_gen(r, 1)] - g_brackets[r].values))
     / np.max(np.abs(g_brackets[r].values))
-    for r in roots
+    for r in g_brackets
 )
 print(f"g-bracket round trip: {worst_g:.2e}")

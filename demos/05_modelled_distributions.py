@@ -15,33 +15,25 @@ from regpara import (
     build_pi,
     md_from_paracontrolled,
     md_to_paracontrolled,
+    random_brackets,
+    random_md_brackets,
     reconstruction_report,
     structure,
-    synthesize,
     validate_md,
 )
 
 S = structure("toy")
 grid = Grid(1, 512, np.pi)
-rep = S.check_assumptions()
-roots = sorted(rep.c_generators, key=lambda n: (S.plus_gens[n], n))
-negs = sorted((n for n, h in S.base_gens.items() if h < 0),
-              key=lambda n: (S.base_gens[n], n))
-g = build_g(S, grid, {r: synthesize(float(S.plus_gens[r]), seed=20 + i, grid=grid)
-                      for i, r in enumerate(roots)})
-model = build_pi(S, grid, g, {n: synthesize(float(S.base_gens[n]), seed=1020 + i, grid=grid)
-                              for i, n in enumerate(negs)})
+g_brackets, pi_brackets = random_brackets(S, grid, seed=20)
+model = build_pi(S, grid, build_g(S, grid, g_brackets), pi_brackets)
 
 gamma = Fraction(9, 8)
-cores = [s for s in S.base_symbols(gamma) if not any(s.poly)]
+# one bracket per core symbol below gamma, at gamma - |core|, from seed 100 + i
+brackets = random_md_brackets(S, grid, gamma, seed=100)
 print(f"free coordinates of the gamma={gamma} distribution space:")
-for s in cores:
+for s in brackets:
     print(f"  target C^{gamma - S.homog_base(s)}  <f_{s}>")
 
-brackets = {
-    s: synthesize(float(gamma - S.homog_base(s)), seed=100 + i, grid=grid).values
-    for i, s in enumerate(cores)
-}
 md = md_from_paracontrolled(model, brackets, gamma, mode="d")
 print(f"\nbuilt {len(md.coeffs)} coefficients (polynomial slots by diagonal "
       f"derivatives with the factorial normalisation)")
@@ -52,7 +44,7 @@ print(f"two-point coefficient checks: {'pass' if vrep.ok else 'FAIL'}")
 system = md_to_paracontrolled(model, md, with_reports=False)
 worst = max(
     np.max(np.abs(system.brackets[s] - brackets[s])) / np.max(np.abs(brackets[s]))
-    for s in cores
+    for s in brackets
 )
 print(f"representation recovers the free coordinates: {worst:.2e}")
 

@@ -37,6 +37,7 @@ from .models import (
     build_pi,
     extract_brackets,
     g_as_model,
+    random_brackets,
     reconstruct,
 )
 from .norms import (
@@ -63,6 +64,7 @@ from .translation import (
     lambda_cross_check,
     md_from_paracontrolled,
     md_to_paracontrolled,
+    random_md_brackets,
     reconstruction_report,
     validate_md,
     validate_model,

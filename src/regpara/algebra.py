@@ -302,6 +302,14 @@ def poly_right_witness(pairs) -> str | None:
     return None
 
 
+def check_coordinates(side: str, keys, coordinates: list) -> None:
+    """ValueError naming every coordinate missing from keys and every key outside them."""
+    missing = [str(c) for c in coordinates if c not in keys]
+    extra = [str(k) for k in keys if k not in coordinates]
+    if missing or extra:
+        raise ValueError(f"{side}-brackets: missing {missing}, not coordinates {extra}")
+
+
 def _mul_base_symbols(a: BaseSymbol, b: BaseSymbol) -> BaseSymbol:
     if a.core != "1" and b.core != "1":
         raise ValueError(f"cannot multiply base symbols {a} and {b}: B is an X_-module only")
@@ -515,6 +523,17 @@ class ConcreteRegularityStructure:
                for k in mi_below_abs(self.dim, bound - h)]
         out.sort(key=lambda s: (self.homog_base(s), term_key(s)))
         return out
+
+    # -- free coordinates (the g-side ones: check_assumptions().c_generators) -----
+
+    def pi_coordinates(self) -> list[str]:
+        """The Pi-side coordinates: the negative base generators, in (homogeneity, name) order."""
+        return sorted((n for n, h in self.base_gens.items() if h < 0),
+                      key=lambda n: (self.base_gens[n], n))
+
+    def md_coordinates(self, gamma) -> list[BaseSymbol]:
+        """The (D)-mode md coordinates: the core symbols below gamma, in base_symbols order."""
+        return [s for s in self.base_symbols(gamma) if not any(s.poly)]
 
     # -- assumption checks -------------------------------------------------------
 

@@ -20,7 +20,7 @@ from .structure_io import read_structure, write_structure
 
 @dataclass
 class Config:
-    """Run configuration: grid, paraproduct order, seed, tolerances."""
+    """Run configuration: grid, paraproduct order, seed, slope tolerance."""
 
     dim: int = 1
     n: int = 512
@@ -28,14 +28,13 @@ class Config:
     m: int = -1          # -1: use the structure default ceil(cutoff)+1
     seed: int = 0
     tol_slope: float = 0.2
-    tol_rel: float = 1e-8
 
     def grid(self) -> Grid:
         return Grid(self.dim, self.n, self.box)
 
     def lines(self) -> list[str]:
         out = []
-        for name in ("dim", "n", "box", "m", "seed", "tol_slope", "tol_rel"):
+        for name in ("dim", "n", "box", "m", "seed", "tol_slope"):
             out.append(f"{name}={getattr(self, name)}")
         return out
 
@@ -45,8 +44,8 @@ def write_config(path, cfg: Config) -> None:
         fh.write("\n".join(cfg.lines()) + "\n")
 
 
-# Keys that older bundles wrote (a fit window no estimator read); skipped on read.
-_RETIRED_CONFIG_KEYS = ("fit_lo", "fit_hi")
+# Keys that older bundles wrote and no reader reads; skipped on read.
+_RETIRED_CONFIG_KEYS = ("fit_lo", "fit_hi", "tol_rel")
 
 
 def read_config(path) -> Config:

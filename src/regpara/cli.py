@@ -24,8 +24,8 @@ from .bundles import (
     write_model_bundle,
 )
 from .grid import Field, read_field
-from .models import BracketExtractor, build_g, build_pi, default_m, extract_brackets
-from .norms import Report, holder_norm, synthesize
+from .models import BracketExtractor, build_g, build_pi, default_m, extract_brackets, random_brackets
+from .norms import Report, holder_norm
 from .rules import (
     check_d_canonical,
     check_stronger_claim,
@@ -43,6 +43,7 @@ from .translation import (
     lambda_cross_check,
     md_from_paracontrolled,
     md_to_paracontrolled,
+    random_md_brackets,
     reconstruction_report,
     validate_md,
     validate_model,
@@ -63,12 +64,11 @@ def _load_rule(args):
     return library.RULES[args.rule] if args.rule in library.RULES else read_rule(args.rule)
 
 
-def _config(args, S, tol_slope: float = Config.tol_slope,
-            tol_rel: float = Config.tol_rel) -> Config:
+def _config(args, S, tol_slope: float = Config.tol_slope) -> Config:
     """The run configuration of a verb that builds a model; the grid
     dimension is the structure's."""
     return Config(dim=S.dim, n=args.grid, box=args.box, m=args.m, seed=args.seed,
-                  tol_slope=tol_slope, tol_rel=tol_rel)
+                  tol_slope=tol_slope)
 
 
 def _emit(lines, out_dir=None, name="report.txt", report: Report | None = None) -> int:
@@ -159,17 +159,9 @@ def cmd_bhz_transform(args) -> int:
 
 def _random_model(S, cfg: Config):
     grid = cfg.grid()
-    rep = S.check_assumptions()
-    gb = {r: synthesize(float(S.plus_gens[r]), seed=cfg.seed + i, grid=grid)
-          for i, r in enumerate(rep.c_generators)}
-    g = build_g(S, grid, gb)
-    negs = sorted((n for n, h in S.base_gens.items() if h < 0),
-                  key=lambda n: (S.base_gens[n], n))
-    pib = {n: synthesize(float(S.base_gens[n]), seed=cfg.seed + 1000 + i, grid=grid)
-           for i, n in enumerate(negs)}
+    gb, pib = random_brackets(S, grid, cfg.seed)
     m = cfg.m if cfg.m >= 0 else default_m(S)
-    model = build_pi(S, grid, g, pib, m=m)
-    return model, gb, pib, m
+    return build_pi(S, grid, build_g(S, grid, gb), pib, m=m), gb, pib, m
 
 
 def cmd_model_build(args) -> int:
@@ -203,12 +195,7 @@ def cmd_md_build(args) -> int:
     model, cfg = read_model_bundle(args.model)
     S, grid = model.structure, model.grid
     gamma = Fraction(args.gamma)
-    rng_base = cfg.seed + 5000
-    brackets = {}
-    for i, sym in enumerate(s for s in S.base_symbols(gamma) if not any(s.poly)):
-        target = float(gamma - S.homog_base(sym))
-        brackets[sym] = synthesize(target, rng_base + i, grid).values
-    md = md_from_paracontrolled(model, brackets, gamma)
+    md = md_from_paracontrolled(model, random_md_brackets(S, grid, gamma, cfg.seed + 5000), gamma)
     if args.general:
         # Independent brackets on polynomial-decorated symbols violate the
         # structure condition; the brackets of an md satisfy it by construction.
@@ -265,7 +252,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     S = _load_structure(args)
-    cfg = _config(args, S, tol_rel=args.tol_rel)
+    cfg = _config(args, S)
     model, gb, pib, m = _random_model(S, cfg)
     lines = [f"structure={S.name}", f"side={args.side}", f"seed={cfg.seed}", f"m={m}"]
     worst = 0.0
@@ -287,7 +274,7 @@ def cmd_roundtrip(args) -> int:
         for name, f in pib.items():
             compare("pi", name, ex.pi_bracket(BaseSymbol(name, (0,) * S.dim)).values, f)
     rep = Report(f"bracket round trip: {S.name}")
-    check = rep.add("roundtrip", worst <= cfg.tol_rel, worst, 0.0, cfg.tol_rel)
+    check = rep.add("roundtrip", worst <= args.tol_rel, worst, 0.0, args.tol_rel)
     lines.append(f"max_rel_err={worst:.3e}")
     lines.append(f"status={check.verdict}")
     return _emit(lines, args.out, report=rep)
@@ -381,7 +368,7 @@ def _parser() -> argparse.ArgumentParser:
     verb("reconstruct", cmd_reconstruct, "reconstruction and its D^gamma check", _md_flags)
     p = verb("roundtrip", cmd_roundtrip, "extract-after-build bracket round trip", _build_flags)
     p.add_argument("--side", choices=("g", "pi", "both"), default="both")
-    p.add_argument("--tol-rel", type=float, default=Config.tol_rel,
+    p.add_argument("--tol-rel", type=float, default=1e-8,
                    help="relative-error bound of the bracket round trip")
     p = verb("norm-report", cmd_norm_report, "per-block norms and fitted slope of a field file")
     p.add_argument("--field", required=True)

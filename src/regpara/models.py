@@ -19,6 +19,7 @@ from .algebra import (
     ConcreteRegularityStructure,
     FreeVector,
     PlusMonomial,
+    check_coordinates,
     mi_abs,
     mi_zero,
     term_key,
@@ -26,7 +27,7 @@ from .algebra import (
 from .blocks import derivative, make_partition
 from .characters import Character, field_character
 from .grid import Field, Grid
-from .norms import SLOPE_TOL, Report, SeparableFamily, holder_norm
+from .norms import SLOPE_TOL, Report, SeparableFamily, holder_norm, synthesize
 from .paraproducts import modified_paraproduct, paraproduct
 
 
@@ -288,10 +289,20 @@ def extract_brackets(model: Model, m: int | None = None,
 
 # -- reconstruction of Pi from bracket data ----------------------------------------
 
+def random_brackets(structure: ConcreteRegularityStructure, grid: Grid, seed: int):
+    """(g-brackets, Pi-brackets) on every free coordinate, each synthesized at
+    its homogeneity: g-side coordinate i with seed + i, Pi-side i with seed + 1000 + i."""
+    S = structure
+    return ({r: synthesize(float(S.plus_gens[r]), seed + i, grid)
+             for i, r in enumerate(S.check_assumptions().c_generators)},
+            {n: synthesize(float(S.base_gens[n]), seed + 1000 + i, grid)
+             for i, n in enumerate(S.pi_coordinates())})
+
+
 def build_pi(structure: ConcreteRegularityStructure, grid: Grid, g: Character,
              brackets: dict[str, Field | np.ndarray], m: int | None = None) -> Model:
-    """The unique model over a valid g with prescribed negative-homogeneity
-    brackets: increasing-homogeneity recursion
+    """The unique model over a valid g with prescribed brackets on the
+    negative generators (pi_coordinates): increasing-homogeneity recursion
 
         Pi tau = sum_{sigma < tau, sigma not in B_X_} P^m_{g(tau/sigma)} <sigma>^{m,M} + <tau>
 
@@ -300,17 +311,7 @@ def build_pi(structure: ConcreteRegularityStructure, grid: Grid, g: Character,
     S = structure
     if m is None:
         m = default_m(S)
-    negatives = sorted(
-        (n for n, h in S.base_gens.items() if h < 0),
-        key=lambda n: (S.base_gens[n], n),
-    )
-    missing = [n for n in negatives if n not in brackets]
-    if missing:
-        raise ValueError(f"missing Pi-brackets for negative generators: {missing}")
-    extra = [n for n in brackets if n not in negatives]
-    if extra:
-        raise ValueError(f"brackets supplied for non-negative generators: {extra}")
-
+    check_coordinates("Pi", brackets, S.pi_coordinates())
     model = Model(S, grid, g, {})
     ex = BracketExtractor(model, m)
     for name in sorted(S.base_gens, key=lambda n: (S.base_gens[n], term_key(n))):
@@ -318,7 +319,7 @@ def build_pi(structure: ConcreteRegularityStructure, grid: Grid, g: Character,
             continue
         h = S.base_gens[name]
         sym = BaseSymbol(name, mi_zero(S.dim))
-        if h < 0:
+        if name in brackets:
             terms = ex.coproduct_terms(sym, S.delta(sym), ex.pi_bracket)
             model.pi[name] = ex.step(brackets[name], terms, sign=+1)
         else:
@@ -390,7 +391,7 @@ def reconstruct_family(model: Model, fam: SeparableFamily, gamma) -> Field:
 def build_g(structure: ConcreteRegularityStructure, grid: Grid,
             brackets: dict[str, Field | np.ndarray]) -> Character:
     """The unique g-map with prescribed brackets on the assumption-(C)
-    generator set: ordered induction with
+    generator set (c_generators): ordered induction with
 
         g(tau_n) = sum_{sigma <+ tau_n, sigma not poly} P_{g(tau_n/sigma)} <sigma>^{M^g} + <tau_n>
 
@@ -404,9 +405,7 @@ def build_g(structure: ConcreteRegularityStructure, grid: Grid,
             + "; ".join(rep.a_failures + rep.c_failures)
         )
     roots = rep.c_generators
-    missing = [r for r in roots if r not in brackets]
-    if missing:
-        raise ValueError(f"missing g-brackets for generators: {missing}")
+    check_coordinates("g", brackets, roots)
     g = field_character(S, grid, {})
     model = Model(S, grid, g, {})
     ex = BracketExtractor(model, 0)

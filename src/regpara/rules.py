@@ -58,9 +58,13 @@ class Rule:
     name: str = "rule"
 
     def __post_init__(self):
-        for nm, _ in (*self.noises, *self.kernels):
+        names = [nm for nm, _ in (*self.noises, *self.kernels)]
+        for nm in names:
             if not is_name(nm):
                 raise ValueError(f"edge type {nm!r}: a name is letters, digits, '_' and '-'")
+        twice = sorted({nm for nm in names if names.count(nm) > 1})
+        if twice:
+            raise ValueError(f"edge types declared twice: {', '.join(twice)}")
         object.__setattr__(self, "noises", tuple(sorted(self.noises)))
         object.__setattr__(self, "kernels", tuple(sorted(self.kernels)))
         object.__setattr__(
@@ -68,12 +72,7 @@ class Rule:
         )
 
     def types(self) -> dict[str, Fraction]:
-        out = dict(self.noises)
-        for k, v in self.kernels:
-            if k in out:
-                raise ValueError(f"edge type {k} declared twice")
-            out[k] = v
-        return out
+        return dict(self.noises + self.kernels)
 
     def allows(self, multiset: dict[str, int]) -> bool:
         for prod in self.products:

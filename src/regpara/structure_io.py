@@ -108,6 +108,8 @@ def read_rule(path) -> Rule:
             if not is_name(parts[1]):
                 raise FileFormatError(path, line_no, f"edge type {parts[1]!r}: "
                                       "a name is letters, digits, '_' and '-'")
+            if parts[1] in {nm for nm, _ in noises + kernels}:
+                raise FileFormatError(path, line_no, f"edge type {parts[1]} declared twice")
             (noises if key == "noise" else kernels).append(
                 (parts[1], _parse_fraction(path, line_no, parts[2])))
         elif key == "allow":

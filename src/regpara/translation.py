@@ -24,6 +24,7 @@ from .algebra import (
     ConcreteRegularityStructure,
     FreeVector,
     PlusMonomial,
+    check_coordinates,
     mi_abs,
     mi_below_abs,
     mi_factorial,
@@ -48,6 +49,7 @@ from .norms import (
     interior_mask,
     log_scale_fit,
     scale_stats,
+    synthesize,
 )
 from .models import (
     BracketExtractor,
@@ -140,10 +142,10 @@ def chen_residual(model: Model, rng: np.random.Generator, samples: int = 100) ->
         return 0.0
     idxs = rng.integers(0, grid.n, size=(samples, 3, grid.dim))
     ix, iy, iz = (_sample_index(idxs, slot) for slot in range(3))
+    fields = _SampledFields(model)
     worst = 0.0
     for name in gens:
         mono = PlusMonomial.of_gen(name, S.dim)
-        fields = _SampledFields(model)
         scale = max(np.max(np.abs(fields.g(mono))), 1.0)
         # chen: g_{zx} = sum over Delta+ of g_{zy}(left) g_{yx}(right)
         acc = 0.0
@@ -249,10 +251,10 @@ def lemma_gyx_f_residual(model: Model, rng: np.random.Generator, samples: int = 
     pairs = rng.integers(0, grid.n, size=(samples, 2, grid.dim))
     iy, ix = _sample_index(pairs, 0), _sample_index(pairs, 1)
     diff = [model.g.point[i][iy] - model.g.point[i][ix] for i in range(S.dim)]
+    fields = _SampledFields(model)
     for name in sorted(model.g.values):
         mono = PlusMonomial.of_gen(name, S.dim)
         h = S.plus_gens[name]
-        fields = _SampledFields(model)
         for k, dk in _d_symbol_vectors(S, mono):
             f_fields = {}
             # |l| <= h - |k|, inclusive at integer h
@@ -416,6 +418,14 @@ class StructureConditionError(ValueError):
         )
 
 
+def random_md_brackets(structure: ConcreteRegularityStructure, grid: Grid, gamma: Fraction,
+                       seed: int) -> dict[BaseSymbol, np.ndarray]:
+    """(D)-mode brackets on every md coordinate below gamma: core i
+    synthesized at gamma - |core| with seed + i."""
+    return {s: synthesize(float(gamma - structure.homog_base(s)), seed + i, grid).values
+            for i, s in enumerate(structure.md_coordinates(gamma))}
+
+
 def md_from_paracontrolled(model: Model, brackets: dict[BaseSymbol, np.ndarray],
                            gamma, mode: str = "auto") -> ModelledDistribution:
     """Modelled distribution from bracket data.
@@ -425,16 +435,19 @@ def md_from_paracontrolled(model: Model, brackets: dict[BaseSymbol, np.ndarray],
     a residual above STRUCTURE_TOL raises StructureConditionError carrying
     the worst (tau, k).
 
-    (D) mode: brackets indexed by B. only; polynomial-decorated coefficients
-    are defined directly by the diagonal-derivative formula (with the 1/k!
-    normalisation forced by D^k F_tau = k! F_{X^k tau}).
+    (D) mode: brackets indexed by B. only (md_coordinates); polynomial-decorated
+    coefficients are defined directly by the diagonal-derivative formula (with
+    the 1/k! normalisation forced by D^k F_tau = k! F_{X^k tau}).  A key
+    missing, or outside the mode's keys, raises ValueError.
     """
     S, grid = model.structure, model.grid
     gamma = Fraction(gamma)
     symbols = S.base_symbols(gamma)
+    cores = S.md_coordinates(gamma)
     if mode == "auto":
-        core_only = all(not any(s.poly) for s in brackets)
+        core_only = all(s in cores for s in brackets)
         mode = "d" if core_only and S.check_assumptions().d_ok else "general"
+    check_coordinates("md", brackets, symbols if mode == "general" else cores)
     ex = BracketExtractor(model, 0)
     coeffs: dict[BaseSymbol, Field] = {}   # each transformed once
 
@@ -465,12 +478,6 @@ def md_from_paracontrolled(model: Model, brackets: dict[BaseSymbol, np.ndarray],
         coeffs[sigma] = Field.adopt(grid, vals)
         return coeffs[sigma]
 
-    if mode == "general":
-        missing = [s for s in symbols if s not in brackets]
-    else:
-        missing = [s for s in symbols if not any(s.poly) and s not in brackets]
-    if missing:
-        raise ValueError(f"missing md brackets for: {[str(s) for s in missing]}")
     for s in symbols:
         compute(s)
     # compute refers to itself through its closure; unbinding it frees the
@@ -529,9 +536,10 @@ def validate_md(model: Model, md: ModelledDistribution,
     S, grid = model.structure, model.grid
     rep = Report(f"modelled distribution gamma={md.gamma}")
     symbols = S.base_symbols(md.gamma)
+    fields = _SampledFields(model)
     for tau in symbols:
         target = float(md.gamma - S.homog_base(tau))
-        terms = [(float(c), model.g_field(a), model.g_inv_field(b), md.coeff(mu))
+        terms = [(float(c), fields.g(a), fields.g_inv(b), md.coeff(mu))
                  for mu in symbols for c, a, b in S.delta_plus_terms(S.quotient(mu, tau))]
 
         def diff(ys, xs):

@@ -7,8 +7,7 @@ import pytest
 from regpara.algebra import ConcreteRegularityStructure, FreeVector
 from regpara.grid import Grid
 from regpara.library import structure
-from regpara.models import build_g, build_pi, g_as_model
-from regpara.norms import synthesize
+from regpara.models import build_g, build_pi, g_as_model, random_brackets
 
 
 @pytest.fixture(scope="session")
@@ -32,17 +31,8 @@ def bhz_structure():
 
 
 def build_random_model(S, grid, seed=20):
-    rep = S.check_assumptions()
-    roots = sorted(rep.c_generators, key=lambda n: (S.plus_gens[n], n))
-    gb = {r: synthesize(float(S.plus_gens[r]), seed=seed + i, grid=grid)
-          for i, r in enumerate(roots)}
-    g = build_g(S, grid, gb)
-    negs = sorted((n for n, h in S.base_gens.items() if h < 0),
-                  key=lambda n: (S.base_gens[n], n))
-    pib = {n: synthesize(float(S.base_gens[n]), seed=seed + 1000 + i, grid=grid)
-           for i, n in enumerate(negs)}
-    model = build_pi(S, grid, g, pib)
-    return model, gb, pib
+    gb, pib = random_brackets(S, grid, seed)
+    return build_pi(S, grid, build_g(S, grid, gb), pib), gb, pib
 
 
 def perturbed_structure(S, table, name, key, coeff):

@@ -232,8 +232,7 @@ class TestPipelines:
         assert code == 0
         assert "m=3" in out.splitlines()
         config = (model / "config.txt").read_text(encoding="utf-8").splitlines()
-        assert config == ["dim=1", "n=128", "box=2.5", "m=3", "seed=5",
-                          "tol_slope=10.0", "tol_rel=1e-08"]
+        assert config == ["dim=1", "n=128", "box=2.5", "m=3", "seed=5", "tol_slope=10.0"]
         built, _ = read_model_bundle(model)
         assert (built.grid.n, built.grid.box) == (128, 2.5)
         # the stored order and slope tolerance govern the bundle verbs
@@ -413,7 +412,7 @@ def test_roundtrip_brackets_are_the_whole_extractions(structure, grid, toy_5_4,
     assert ex_g.model is model and ex_g.m == 0 and not ex_g._pi_memo and not ex_pi._g_memo
     rep = S.check_assumptions()
     assert {m.gens[0][0] for m in ex_g._g_memo} >= set(rep.c_generators)
-    assert {s.core for s in ex_pi._pi_memo} >= {n for n, h in S.base_gens.items() if h < 0}
+    assert {s.core for s in ex_pi._pi_memo} >= set(S.pi_coordinates())
     whole_g = models.extract_brackets(models.g_as_model(S, model.grid, model.g), m=0,
                                       with_reports=False).g_side
     whole_pi = models.extract_brackets(model, m=ex_pi.m, with_reports=False).pi_side

@@ -12,12 +12,14 @@ Every field of the assumption report of each of those enumerations (both
 bases, where the export succeeds) and of the eight golden structure files,
 with `check_d_canonical` and `check_stronger_claim` of each enumerated basis,
 is pinned by `assumption_dump()` and `structure_assumption_dump()` in
-tests/data/golden/assumptions."""
+tests/data/golden/assumptions.  The stdout of every script under demos/ is
+pinned, up to round-off, in tests/data/golden/demos/<script>.txt."""
 import contextlib
 import dataclasses
 import functools
 import importlib
 import io
+import runpy
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,6 +53,7 @@ ENUMERATE_CUTOFFS = {
 ENUMERATE_CASES = [(name, c) for name, cuts in ENUMERATE_CUTOFFS.items() for c in cuts]
 STRUCTURE_GOLDENS = [f"structure-{name}-{kind}.txt"
                      for name in NAMES for kind in ("canonical", "noncanonical")]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _structure_text(name: str, noncanonical: bool, tmp: Path) -> bytes:
@@ -254,3 +257,20 @@ def test_assumption_report_matches_golden(path):
     """Every field of every assumption report, the orbit map's order
     included, and both tree-basis checks with their witnesses."""
     assert assumption_goldens()[path]() == path.read_bytes()
+
+
+def test_demo_golden_set_is_complete():
+    assert len(DEMOS) == 5
+    assert sorted((GOLDEN / "demos").glob("*.txt")) == [GOLDEN / "demos" / f"{d.stem}.txt"
+                                                       for d in DEMOS]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_stdout_matches_golden(demo):
+    """Each demo run as a script prints its golden text; a numeric warning
+    is an error here, as in the suite."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(demo), run_name="__main__")
+    want = (GOLDEN / "demos" / f"{demo.stem}.txt").read_bytes()
+    assert same_up_to_roundoff(out.getvalue().encode("utf-8"), want)

@@ -216,6 +216,21 @@ class TestRuleFiles:
         with pytest.raises(ValueError, match="edge type 'x\\)'"):
             dataclasses.replace(RULES["toy"], **{kind + "s": (("x)", Fraction(-5, 8)),)})
 
+    @pytest.mark.parametrize("first, second", [("noise", "noise"), ("kernel", "kernel"),
+                                               ("noise", "kernel")])
+    def test_edge_type_declared_twice(self, first, second, tmp_path):
+        # dict(noises) used to keep the last of two noise lines silently
+        p = tmp_path / "bad.rule"
+        p.write_text(f"dim 1\ncutoff 1\n{first} xi -5/8\nkernel t 2\n{second} xi -1/4\n")
+        with pytest.raises(FileFormatError) as err:
+            read_rule(p)
+        assert str(err.value) == f"{p}:5: edge type xi declared twice"
+        declared = {"noises": [], "kernels": []}
+        declared[first + "s"] += [("xi", Fraction(-5, 8)), ("t", Fraction(2))]
+        declared[second + "s"] += [("xi", Fraction(-1, 4)), ("t", Fraction(2))]
+        with pytest.raises(ValueError, match="^edge types declared twice: t, xi$"):
+            dataclasses.replace(RULES["toy"], **{k: tuple(v) for k, v in declared.items()})
+
     def test_bad_rational(self, tmp_path):
         p = tmp_path / "bad.rule"
         p.write_text("dim 1\ncutoff 1\nnoise xi -5//8\n")

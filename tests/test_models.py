@@ -21,8 +21,9 @@ from regpara.models import (
     extract_brackets,
     g_as_model,
     plus_bound,
+    random_brackets,
 )
-from regpara.norms import holder_norm, interior_mask, log_scale_fit, synthesize
+from regpara.norms import holder_norm, interior_mask, log_scale_fit
 from regpara.translation import validate_model
 
 from conftest import build_random_model
@@ -61,8 +62,7 @@ class TestBuildExtractRoundTrips:
         # a generator with no intermediate terms extracts to g(tau) itself
         model, _gb, _pib = toy_model
         S = toy_structure
-        rep = S.check_assumptions()
-        first = sorted(rep.c_generators, key=lambda n: (S.plus_gens[n], n))[0]
+        first = S.check_assumptions().c_generators[0]
         Mg = g_as_model(S, model.grid, model.g, plus_bound(S))
         data = extract_brackets(Mg, m=0, with_reports=False)
         mono = PlusMonomial.of_gen(first, S.dim)
@@ -171,31 +171,42 @@ class TestBuildGDetails:
         # both generation orders consume only strictly lower data, so the
         # results agree; the two-noise structure has an equal-homogeneity pair
         S = structure("twonoise")
-        rep = S.check_assumptions()
-        roots = sorted(rep.c_generators, key=lambda n: (S.plus_gens[n], n))
+        gb, _pib = random_brackets(S, grid512, 60)
         pairs = {}
-        for r in roots:
+        for r in gb:
             pairs.setdefault(S.plus_gens[r], []).append(r)
         assert any(len(v) > 1 for v in pairs.values())
-        gb = {r: synthesize(float(S.plus_gens[r]), seed=60 + i, grid=grid512)
-              for i, r in enumerate(roots)}
         g1 = build_g(S, grid512, gb)
         g2 = build_g(S, grid512, gb)  # deterministic repeat
         for n in g1.values:
             assert np.array_equal(g1.values[n], g2.values[n])
 
     def test_missing_bracket_raises(self, toy_structure, grid256):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             build_g(toy_structure, grid256, {})
+        roots = toy_structure.check_assumptions().c_generators
+        assert str(err.value) == f"g-brackets: missing {roots}, not coordinates []"
+
+    @pytest.mark.parametrize("extra", ["orbit-member", "nonsense"])
+    def test_key_outside_the_coordinates_raises(self, grid256, extra):
+        """g of an orbit member D^k root comes from the diagonal-derivative
+        formula, so a bracket for it is an error, as one for an unknown
+        name is; neither is dropped."""
+        S = structure("bhz", noncanonical=True)
+        orbit = S.check_assumptions().c_orbit
+        if extra == "orbit-member":
+            extra = next(n for n, (_root, k) in orbit.items() if any(k))
+        gb, _pib = random_brackets(S, grid256, 3)
+        gb[extra] = next(iter(gb.values()))
+        with pytest.raises(ValueError) as err:
+            build_g(S, grid256, gb)
+        assert str(err.value) == f"g-brackets: missing [], not coordinates [{extra!r}]"
 
     def test_derivative_member_zero_beyond_homogeneity(self, grid256):
         # requesting D^k values with |k| >= |tau| stores the zero field
         S = structure("bhz")
         rep = S.check_assumptions()
-        roots = sorted(rep.c_generators, key=lambda n: (S.plus_gens[n], n))
-        gb = {r: synthesize(float(S.plus_gens[r]), seed=3 + i, grid=grid256)
-              for i, r in enumerate(roots)}
-        g = build_g(S, grid256, gb)
+        g = build_g(S, grid256, random_brackets(S, grid256, 3)[0])
         for name, (root, k) in rep.c_orbit.items():
             if any(k):
                 assert name in g.values
@@ -239,15 +250,12 @@ class TestBuildGDetails:
         assert rep.c_ok
         # |I_0(Theta)| = 1 sits exactly at |k| = 1 for the bigger root
         assert Fraction(1) in {S.plus_gens[r] for r in rep.c_generators}
-        roots = sorted(rep.c_generators, key=lambda n: (S.plus_gens[n], n))
-        gb = {r: synthesize(float(S.plus_gens[r]), seed=5 + i, grid=grid512)
-              for i, r in enumerate(roots)}
-        g = build_g(S, grid512, gb)
+        g = build_g(S, grid512, random_brackets(S, grid512, 5)[0])
         model = g_as_model(S, grid512, g, plus_bound(S))
         res = lemma_gx_fx_residual(model)
         assert res < 1e-6
         # independent check that the boundary term genuinely contributes
-        big = [r for r in roots if S.plus_gens[r] > 1][0]
+        big = [r for r in rep.c_generators if S.plus_gens[r] > 1][0]
         mono = PlusMonomial.of_gen(big, 1)
         boundary_terms = [
             (left, right)
@@ -268,13 +276,17 @@ class TestBuildGDetails:
 class TestBuildPiDetails:
     def test_missing_and_extra_brackets_raise(self, toy_structure, grid256, toy_model):
         model, _gb, _pib = toy_model
-        with pytest.raises(ValueError):
-            build_pi(toy_structure, grid256, model.g, {})
-        negs = [n for n, h in toy_structure.base_gens.items() if h < 0]
-        bad = {n: synthesize(-0.5, 1, grid256) for n in negs}
-        bad["1"] = synthesize(0.0, 2, grid256)
-        with pytest.raises(ValueError):
-            build_pi(toy_structure, grid256, model.g, bad)
+        S = toy_structure
+        negs = S.pi_coordinates()
+        with pytest.raises(ValueError) as err:
+            build_pi(S, grid256, model.g, {})
+        assert str(err.value) == f"Pi-brackets: missing {negs}, not coordinates []"
+        _gb, pib = random_brackets(S, grid256, 3)
+        bad = {n: pib[n] for n in negs[1:]} | {"1": pib[negs[0]], "nonsense": pib[negs[0]]}
+        with pytest.raises(ValueError) as err:
+            build_pi(S, grid256, model.g, bad)
+        assert str(err.value) == (f"Pi-brackets: missing {negs[:1]}, "
+                                  "not coordinates ['1', 'nonsense']")
 
     def test_single_negative_generator_is_its_own_bracket(self, toy_model, toy_structure):
         model, _gb, pib = toy_model
@@ -335,14 +347,11 @@ class TestFirstGeneratorTaylorStructure:
         )
         S = export_structure(enumerate_basis(rule))
         rep = S.check_assumptions()
-        roots = sorted(rep.c_generators, key=lambda n: (S.plus_gens[n], n))
-        first = roots[0]
+        first = rep.c_generators[0]
         assert S.plus_gens[first] > 1  # has a genuine derivative member
-        gb = {r: synthesize(float(S.plus_gens[r]), seed=8 + i, grid=grid512)
-              for i, r in enumerate(roots)}
         from regpara.models import build_g
 
-        g = build_g(S, grid512, gb)
+        g = build_g(S, grid512, random_brackets(S, grid512, 8)[0])
         model = Model(S, grid512, g, {})
         members = sorted(n for n, (r, k) in rep.c_orbit.items() if r == first)
         iy, ix = (101,), (317,)

@@ -21,7 +21,7 @@ from regpara.blocks import derivative
 from regpara.characters import f_character_values, field_character
 from regpara.grid import Field, Grid
 from regpara.library import structure
-from regpara.models import Model, build_g, reconstruct, reconstruction_family
+from regpara.models import Model, build_g, random_brackets, reconstruct, reconstruction_family
 from regpara.norms import (
     dyadic_separations,
     holder_norm,
@@ -40,6 +40,7 @@ from regpara.translation import (
     lemma_gyx_f_residual,
     md_from_paracontrolled,
     md_to_paracontrolled,
+    random_md_brackets,
     reconstruction_report,
     two_point_g_report,
     validate_md,
@@ -54,12 +55,7 @@ GAMMA = Fraction(9, 8)
 @pytest.fixture(scope="module")
 def md_setup(toy_structure, grid512):
     model, _gb, _pib = build_random_model(toy_structure, grid512, seed=20)
-    S = toy_structure
-    cores = [s for s in S.base_symbols(GAMMA) if not any(s.poly)]
-    brackets = {
-        s: synthesize(float(GAMMA - S.homog_base(s)), seed=100 + i, grid=grid512).values
-        for i, s in enumerate(cores)
-    }
+    brackets = random_md_brackets(toy_structure, grid512, GAMMA, seed=100)
     md = md_from_paracontrolled(model, brackets, GAMMA, mode="d")
     return model, brackets, md
 
@@ -97,7 +93,7 @@ class TestModelledDistributionRoundTrips:
     def test_rebuild_from_extracted_system(self, md_setup):
         model, _brackets, md = md_setup
         system = md_to_paracontrolled(model, md, with_reports=False)
-        core_only = {s: v for s, v in system.brackets.items() if not any(s.poly)}
+        core_only = {s: system.brackets[s] for s in model.structure.md_coordinates(GAMMA)}
         md3 = md_from_paracontrolled(model, core_only, GAMMA, mode="d")
         for sym, want in md.coeffs.items():
             assert rel_err(md3.coeffs[sym], want) < 1e-8
@@ -140,6 +136,40 @@ class TestModelledDistributionRoundTrips:
         assert zeros.shape == md.grid.shape and not np.any(zeros)
 
 
+class TestMdCoordinates:
+    """md_from checks its keys as build_g and build_pi do: every coordinate
+    of the mode that is missing and every key outside them is named."""
+
+    @staticmethod
+    def _raises(model, keys, mode):
+        brackets = {s: np.zeros(model.grid.shape) for s in keys}
+        with pytest.raises(ValueError) as err:
+            md_from_paracontrolled(model, brackets, GAMMA, mode=mode)
+        return str(err.value)
+
+    @pytest.mark.parametrize("mode", ["d", "general"])
+    def test_missing_keys_are_named(self, md_setup, mode):
+        model = md_setup[0]
+        S = model.structure
+        coords = S.md_coordinates(GAMMA) if mode == "d" else S.base_symbols(GAMMA)
+        want = f"md-brackets: missing {[str(s) for s in coords[::2]]}, not coordinates []"
+        assert self._raises(model, coords[1::2], mode) == want
+
+    @pytest.mark.parametrize("mode, extra", [("d", "polynomial"), ("d", "above-gamma"),
+                                             ("general", "above-gamma")])
+    def test_keys_outside_the_coordinates_are_named(self, md_setup, mode, extra):
+        """A polynomial-decorated symbol is no (D)-mode coordinate (its
+        coefficient comes from the diagonal-derivative formula), and X_(5)
+        lies above gamma in either mode."""
+        model = md_setup[0]
+        S = model.structure
+        coords = S.md_coordinates(GAMMA) if mode == "d" else S.base_symbols(GAMMA)
+        key = (next(s for s in S.base_symbols(GAMMA) if any(s.poly)) if extra == "polynomial"
+               else BaseSymbol("1", (5,)))
+        want = f"md-brackets: missing [], not coordinates ['{key}']"
+        assert self._raises(model, [*coords, key], mode) == want
+
+
 class TestReconstruction:
     def test_d_gamma_slope(self, md_setup):
         model, _brackets, md = md_setup
@@ -165,8 +195,7 @@ class TestReconstruction:
 
         model, _brackets, _md = md_setup
         S = model.structure
-        neg = [n for n, h in S.base_gens.items() if h < 0]
-        name = max(neg, key=lambda n: S.base_gens[n])
+        name = max(S.pi_coordinates(), key=lambda n: S.base_gens[n])
         h = S.base_gens[name]
         sym = BaseSymbol(name, mi_zero(S.dim))
         rf = reconstruct(model, h_coefficients(model, sym), h)
@@ -213,15 +242,15 @@ def _memo_structure(name):
     return structure(name, noncanonical=name == "bhz")
 
 
-def _core_brackets(S, grid, seed=100):
-    cores = [s for s in S.base_symbols(GAMMA) if not any(s.poly)]
-    return {s: synthesize(float(GAMMA - S.homog_base(s)), seed=seed + i, grid=grid).values
-            for i, s in enumerate(cores)}
-
-
 def _fresh_model(S, grid):
     """The same model every time, with an empty memo."""
     return build_random_model(S, grid, seed=20)[0]
+
+
+def _d_mode_md(model, seed=100):
+    """md_from (D mode) on the random core brackets of one seed."""
+    brackets = random_md_brackets(model.structure, model.grid, GAMMA, seed)
+    return md_from_paracontrolled(model, brackets, GAMMA, mode="d")
 
 
 def _same_bits(a, b):
@@ -241,7 +270,7 @@ class TestMdProductMemo:
     def test_outputs_equal_those_of_a_fresh_model(self, name, grid):
         S = _memo_structure(name)
         model = _fresh_model(S, grid)
-        md = md_from_paracontrolled(model, _core_brackets(S, grid), GAMMA, mode="d")
+        md = _d_mode_md(model)
         system = md_to_paracontrolled(model, md)
         md2 = md_from_paracontrolled(model, dict(system.brackets), GAMMA, mode="general")
         assert model._md_products
@@ -293,8 +322,7 @@ class TestMdProductMemo:
             del formed[:]
             return run(), set(formed)
 
-        md, by_from = stage(
-            lambda: md_from_paracontrolled(model, _core_brackets(S, grid), GAMMA, mode="d"))
+        md, by_from = stage(lambda: _d_mode_md(model))
         system, by_to = stage(lambda: md_to_paracontrolled(model, md, with_reports=False))
         _md2, by_general = stage(lambda: md_from_paracontrolled(
             model, dict(system.brackets), GAMMA, mode="general"))
@@ -306,7 +334,7 @@ class TestMdProductMemo:
     def test_a_changed_coefficient_gets_its_own_product(self):
         S, grid = _memo_structure("toy"), Grid(1, 1024, np.pi)
         model = _fresh_model(S, grid)
-        md = md_from_paracontrolled(model, _core_brackets(S, grid), GAMMA, mode="d")
+        md = _d_mode_md(model)
         first = md_to_paracontrolled(model, md, with_reports=False)
         # a multiplier of the recursion, held as a Field's (read-only) values
         mu = next(mu for _s, mu in sorted(_sigma_mu_pairs(S), key=str))
@@ -327,8 +355,7 @@ class TestMdProductMemo:
 
     def test_writable_coefficients_are_never_kept(self):
         S, grid = _memo_structure("toy"), Grid(1, 1024, np.pi)
-        md = md_from_paracontrolled(_fresh_model(S, grid), _core_brackets(S, grid), GAMMA,
-                                    mode="d")
+        md = _d_mode_md(_fresh_model(S, grid))
         writable = ModelledDistribution(S, grid, GAMMA,
                                         {s: v.copy() for s, v in md.coeffs.items()})
         model = _fresh_model(S, grid)
@@ -360,7 +387,7 @@ class TestMdProductMemo:
 
         for fft in ("rfft", "rfftn"):   # the 1-D transform on 1-D grids
             monkeypatch.setattr(np.fft, fft, recording(getattr(np.fft, fft)))
-        md = md_from_paracontrolled(model, _core_brackets(S, grid), GAMMA, mode="d")
+        md = _d_mode_md(model)
         system = md_to_paracontrolled(model, md)
         seen.clear()
         md2 = md_from_paracontrolled(model, dict(system.brackets), GAMMA, mode="general")
@@ -373,7 +400,7 @@ class TestMdProductMemo:
         interior mask."""
         S = _memo_structure(name)
         model = _fresh_model(S, grid)
-        md = md_from_paracontrolled(model, _core_brackets(S, grid), GAMMA, mode="d")
+        md = _d_mode_md(model)
         system = md_to_paracontrolled(model, md)
         mask = interior_mask(grid)
         for (s, vals), check in zip(system.brackets.items(), system.report.checks, strict=True):
@@ -398,7 +425,7 @@ class TestMdProductMemo:
             return derivative(f, k)
 
         monkeypatch.setattr(models, "derivative", counted)
-        md = md_from_paracontrolled(model, _core_brackets(S, grid), GAMMA, mode="d")
+        md = _d_mode_md(model)
         system = md_to_paracontrolled(model, md)
         md_from_paracontrolled(model, dict(system.brackets), GAMMA, mode="general")
         validate_model(model)
@@ -408,8 +435,7 @@ class TestMdProductMemo:
         S, grid = _memo_structure("toy"), Grid(1, 1024, np.pi)
         model = _fresh_model(S, grid)
         for seed in range(5):
-            md = md_from_paracontrolled(model, _core_brackets(S, grid, seed=200 + 10 * seed),
-                                        GAMMA, mode="d")
+            md = _d_mode_md(model, 200 + 10 * seed)
             system = md_to_paracontrolled(model, md, with_reports=False)
             md_from_paracontrolled(model, dict(system.brackets), GAMMA, mode="general")
             assert set(model._md_products) <= _sigma_mu_pairs(S)
@@ -423,14 +449,12 @@ def test_two_point_g_report_probes_every_axis(varying_axis):
     be measured and reach its target."""
     S = structure("toy2d")
     grid, line = Grid(2, 64, np.pi), Grid(1, 64, np.pi)
-    roots = sorted(S.check_assumptions().c_generators, key=lambda n: (S.plus_gens[n], n))
     for seed in range(5):
-        gb = {}
-        for i, r in enumerate(roots):
-            f = synthesize(float(S.plus_gens[r]), seed=seed + i, grid=line).values
-            gb[r] = Field(grid, np.moveaxis(np.tile(f, (grid.n, 1)), 1, varying_axis))
+        # the g-brackets of a d = 1 draw, constant along the other axis
+        gb = {r: Field(grid, np.moveaxis(np.tile(f.values, (grid.n, 1)), 1, varying_axis))
+              for r, f in random_brackets(S, line, seed)[0].items()}
         model = Model(S, grid, build_g(S, grid, gb), {})
-        for r in roots:
+        for r in gb:
             alpha = float(S.plus_gens[r])
             slope, pts, _ = two_point_g_report(model, PlusMonomial.of_gen(r, 2))
             assert all(q > 0 for _h, q in pts)
@@ -483,10 +507,7 @@ def test_two_point_boxes_give_the_rolled_medians(name, grid):
             return sum(c * np.roll(ga, -steps, axis=axis) * gb for c, ga, gb in terms)
 
         assert two_point_g_report(model, mono)[:2] == _rolled_two_point_fit(grid, g_diff)
-    cores = [s for s in S.base_symbols(GAMMA) if not any(s.poly)]
-    brackets = {s: synthesize(float(GAMMA - S.homog_base(s)), seed=50 + i, grid=grid).values
-                for i, s in enumerate(cores)}
-    md = md_from_paracontrolled(model, brackets, GAMMA, mode="d")
+    md = _d_mode_md(model, 50)
     symbols = S.base_symbols(GAMMA)
     want = []
     for tau in symbols:
@@ -507,8 +528,7 @@ def test_two_point_boxes_give_the_rolled_medians(name, grid):
 class TestAuxiliaryStructure:
     def test_cross_checks_pass_on_both_roots(self, bhz_g_model, bhz_structure):
         rep = bhz_structure.check_assumptions()
-        roots = sorted(rep.c_generators, key=lambda n: (bhz_structure.plus_gens[n], n))
-        for root in roots:
+        for root in rep.c_generators:
             crep = lambda_cross_check(bhz_g_model, root)
             assert crep.ok, "\n".join(c.line() for c in crep.checks if not c.passed)
 
@@ -532,7 +552,7 @@ class TestAuxiliaryStructure:
 
     def test_requires_m_above_homogeneity(self, bhz_g_model, bhz_structure):
         rep = bhz_structure.check_assumptions()
-        root = max(rep.c_generators, key=lambda n: bhz_structure.plus_gens[n])
+        root = rep.c_generators[-1]
         with pytest.raises(ValueError):
             lambda_cross_check(bhz_g_model, root, m=1)
 
@@ -543,9 +563,7 @@ class TestContinuityProbe:
         # changes must scale with stable ratio (the homeomorphism picture)
         S = toy_structure
         model, gb, pib = build_random_model(S, grid512, seed=31)
-        rep = S.check_assumptions()
-        roots = sorted(rep.c_generators, key=lambda n: (S.plus_gens[n], n))
-        victim = roots[0]
+        victim = S.check_assumptions().c_generators[0]
         noise = synthesize(float(S.plus_gens[victim]), 777, grid512)
         from regpara.models import build_g, build_pi
 
@@ -649,3 +667,25 @@ def test_sampled_residuals_equal_their_per_sample_loops(which, request):
     assert lemma_gyx_f_residual(model, np.random.default_rng(6), 30) == _scalar_lemma_gyx_f(
         model, np.random.default_rng(6), 30
     )
+
+
+@pytest.mark.parametrize("name", ["toy", "bhz"])
+def test_validators_evaluate_each_field_once(name, monkeypatch):
+    """chen_residual, lemma_gyx_f_residual and validate_md each read the g
+    and g^{-1} fields through one reader a call, so Model.g_field and
+    Model.g_inv_field are called at most once per monomial a call."""
+    S = structure(name, noncanonical=name == "bhz")
+    model = build_random_model(S, Grid(1, 256, np.pi), seed=3)[0]
+    md = _d_mode_md(model)
+    calls = []
+    for method in ("g_field", "g_inv_field"):
+        def counted(self, v, _method=method, _original=getattr(Model, method)):
+            calls.append((_method, v))
+            return _original(self, v)
+        monkeypatch.setattr(Model, method, counted)
+    for run in (lambda: chen_residual(model, np.random.default_rng(5), 40),
+                lambda: lemma_gyx_f_residual(model, np.random.default_rng(6), 30),
+                lambda: validate_md(model, md)):
+        del calls[:]
+        run()
+        assert calls and len(calls) == len(set(calls)), Counter(calls).most_common(1)
