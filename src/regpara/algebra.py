@@ -317,7 +317,7 @@ def _mul_base_symbols(a: BaseSymbol, b: BaseSymbol) -> BaseSymbol:
     return BaseSymbol(core, mi_add(a.poly, b.poly))
 
 
-@dataclass
+@dataclass(frozen=True)
 class AssumptionReport:
     a_ok: bool
     a_failures: list[str]
@@ -382,6 +382,7 @@ class ConcreteRegularityStructure:
         self._lock = threading.Lock()
         self._dplus_memo: dict[PlusMonomial, FreeVector] = {}
         self._delta_memo: dict[BaseSymbol, FreeVector] = {}
+        self._assumptions: AssumptionReport | None = None
 
         if "1" not in self.base_gens or self.base_gens["1"] != 0:
             raise ValueError("structure must declare the unit base generator '1' at homogeneity 0")
@@ -552,7 +553,10 @@ class ConcreteRegularityStructure:
         Delta+ root with a factor outside the lower orbits, once per factor
         and term: `Delta+ root: factor g of ... is not built from strictly
         lower generators`.  (D) the first `sigma (x) X^k`, k != 0, in Delta of B.
+        The tables are fixed at construction, so the first call's report is kept.
         """
+        if self._assumptions is not None:
+            return self._assumptions
         a_fail: list[str] = []
         b_fail: list[str] = []
         c_fail: list[str] = []
@@ -642,7 +646,7 @@ class ConcreteRegularityStructure:
             for core in sorted((n for n in self.base_gens if n != "1"),
                                key=lambda n: (self.base_gens[n], n)))
 
-        return AssumptionReport(
+        self._assumptions = AssumptionReport(
             a_ok=not a_fail,
             a_failures=a_fail,
             b_ok=not b_fail,
@@ -654,6 +658,7 @@ class ConcreteRegularityStructure:
             d_ok=d_witness is None,
             d_witness=d_witness,
         )
+        return self._assumptions
 
     # -- coassociativity / comodule (exact) ---------------------------------------
 

@@ -37,17 +37,17 @@ would reach N does alias on the full grid; callers form those on the full
 grid, so their aliasing is the same as that of a pointwise product there.
 
 Stacked block transforms.  Every block loop (`holder_norm`,
-`d_family_report`, the full-grid top blocks of a paraproduct) transforms
-its blocks through `BlockDecomposition.blocks`, `lanes` of them per inverse
-FFT: a stack of spectra along a leading axis, which numpy's pocketfft runs
-several at a time in SIMD lanes, each lane bit for bit the one-at-a-time
-transform.  `lanes` is 4 in d = 1 and 1 in d = 2.  With numpy 2.4 on a
-2-core Xeon, 16 inverse transforms of 32768 points took about 7 ms one at
-a time and 5 ms in fours (deeper stacks gained little more); in d = 2 a
-transform already vectorises across its rows, and a stack of 16 took 18 ms
-against 14 ms looped at 256^2 (73 against 52 ms at 512^2).  A block loop
-allocates its stacks per call; the heap policy below serves them again
-from the heap.
+`d_family_report`, the full-grid top blocks of a paraproduct, the J-operator
+sums of `lambda_cross_check`) takes its rows from `BlockDecomposition.blocks`,
+which alone sizes the stacks: `lanes` spectra along a leading axis per
+inverse FFT, which numpy's pocketfft runs several at a time in SIMD lanes,
+each lane bit for bit the one-at-a-time transform.  `lanes` is 4 in d = 1
+and 1 in d = 2.  With numpy 2.4 on a 2-core Xeon, 16 inverse transforms of
+32768 points took about 7 ms one at a time and 5 ms in fours (deeper stacks
+gained little more); in d = 2 a transform already vectorises across its
+rows, and a stack of 16 took 18 ms against 14 ms looped at 256^2 (73
+against 52 ms at 512^2).  A stack is allocated per inverse FFT; the heap
+policy below serves it again from the heap.
 
 Heap policy.  A grid array of n = 32768 points is 256 KiB, above glibc's
 default mmap threshold of 128 KiB.  glibc then serves such arrays by mmap
@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 
 import numpy as np
 
@@ -195,22 +196,28 @@ class BlockDecomposition:
             raise ValueError("grid mismatch")
         return Field.adopt(self.grid, self.irfft(sym * f.spectrum))
 
-    def blocks(self, pairs, out: np.ndarray) -> np.ndarray:
-        """out[i] = irfft(sym_i * spec_i) for the (sym, spec) pairs in order,
-        at most len(out) of them; returns out[:k] for k pairs.
+    def blocks(self, pairs):
+        """Yields irfft(sym_i * spec_i) for the (sym, spec) pairs, in order.
 
-        Each product is formed in a row of a stack of `lanes` spectra before
-        the next pair is drawn; every full stack goes through one inverse FFT."""
-        stack = np.empty((min(self.lanes, len(out)), *self.radius.shape), complex)
-        k = 0
-        for sym, spec in pairs:
-            np.multiply(sym, spec, out=stack[k % self.lanes])
-            k += 1
-            if k % self.lanes == 0:
-                self.irfft(stack, out=out[k - self.lanes : k])
-        if k % self.lanes:
-            self.irfft(stack[: k % self.lanes], out=out[k - k % self.lanes : k])
-        return out[:k]
+        Each product is formed in a stack of `lanes` spectra before the next
+        pair is drawn; a stack goes through one inverse FFT into a ring of
+        max(lanes, 2) rows, and let go before its rows are yielded.  The
+        next stack overwrites them, so row 2i stays valid while row 2i + 1 is
+        taken (every row while the next is, when `lanes` is 1)."""
+        pairs, slot = iter(pairs), 0
+        ring = np.empty((max(self.lanes, 2), *self.grid.shape))
+        while True:
+            stack = np.empty((self.lanes, *self.radius.shape), complex)
+            k = 0
+            for k, (sym, spec) in enumerate(itertools.islice(pairs, self.lanes), 1):
+                np.multiply(sym, spec, out=stack[k - 1])
+            if not k:
+                return
+            rows = ring[slot : slot + k]
+            self.irfft(stack[:k], out=rows)
+            del stack, sym   # not held while the caller reads the rows
+            slot = (slot + k) % len(ring)
+            yield from rows
 
     # -- half-spectrum symbols -----------------------------------------------
 
@@ -378,11 +385,21 @@ def derivative(f: Field, k: tuple[int, ...]) -> Field:
 
 
 def j_operator(decomp: BlockDecomposition, j: int, k: tuple[int, ...], m: int, zeta: Field) -> Field:
-    """J_j^{k,m}(zeta) = d^k |grad|^{-m} Delta_j zeta, in one multiplier.
+    """J_j^{k,m}(zeta) = d^k |grad|^{-m} Delta_j zeta, in one multiplier."""
+    sym, spec = j_operator_pair(decomp, j, k, m, zeta)
+    return Field.adopt(decomp.grid, decomp.irfft(sym * spec))
+
+
+def j_operator_pair(decomp: BlockDecomposition, j: int, k: tuple[int, ...], m: int,
+                    zeta: Field) -> tuple:
+    """(symbol, half spectrum) whose product is the spectrum of
+    J_j^{k,m}(zeta), a pair for `BlockDecomposition.blocks`.
 
     j = -1 requires zeta to carry a preimage tag xi with zeta = |grad|^m xi;
     the result is then d^k Delta_{-1} xi.
     """
+    if zeta.grid != decomp.grid:
+        raise ValueError("grid mismatch")
     sym = decomp.half_rho(j)
     if j == -1 and m != 0:
         if zeta.preimage is None:
@@ -394,4 +411,4 @@ def j_operator(decomp: BlockDecomposition, j: int, k: tuple[int, ...], m: int, z
         sym = sym * decomp.half_power(-m)
     if any(k):
         sym = sym * decomp.half_derivative(k)
-    return decomp.apply(sym, zeta)
+    return sym, zeta.spectrum

@@ -8,6 +8,8 @@ reconstruction Pi tau = <tau> + the same sum (sign +1); likewise for g(tau).
 """
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,6 +69,15 @@ class Model:
         if self._g_inv is None:
             self._g_inv = self.g.invert()
         return self._g_inv
+
+    def holding_fields(self) -> "Model":
+        """A copy of this model that evaluates each g and g^{-1} field once
+        and holds it; all else, the inverse and the memos too, is shared."""
+        held = copy.copy(self)
+        held._g_inv = self.g_inv
+        held.g_field = functools.cache(self.g_field)
+        held.g_inv_field = functools.cache(self.g_inv_field)
+        return held
 
     def g_field(self, v) -> np.ndarray:
         return np.broadcast_to(np.asarray(self.g(v), dtype=float), self.grid.shape)

@@ -249,15 +249,11 @@ def holder_norm(f: Field, alpha: float, a: float = 0.0, mask=None) -> NormReport
     decomp = make_partition(f.grid)
     w = f.grid.weight(a) if a else None
     norms = np.zeros(decomp.j_max + 2)
-    lanes, live = decomp.lanes, decomp.live_js
-    rows = np.empty((lanes, *f.grid.shape))
-    for start in range(0, len(live), lanes):
-        js = live[start : start + lanes]
-        out = decomp.blocks(((decomp.half_rho(j), f.spectrum) for j in js), rows)
-        for j, vals in zip(js, out):
-            if w is not None:
-                vals *= w
-            norms[j + 1] = block_sup(vals, mask)
+    live = decomp.live_js
+    for j, vals in zip(live, decomp.blocks((decomp.half_rho(j), f.spectrum) for j in live)):
+        if w is not None:
+            vals *= w
+        norms[j + 1] = block_sup(vals, mask)
     return NormReport.from_blocks(norms, norms, alpha, a)
 
 
@@ -308,10 +304,10 @@ def d_family_report(family, alpha, mask: np.ndarray | None = None):
     `family` is one SeparableFamily, or a list of them on one grid with a
     list of exponents `alpha`, giving a list of reports.  Each distinct
     field u (the same array) among all terms is transformed once and paired
-    once per j, however many terms hold it.  The pairings of one scale go
-    through the plan's stacked block transforms: those of fields held by
-    several terms first, kept for the whole scale, then the others in runs
-    of `lanes` per family, each run summed in term order.
+    once per j, however many terms hold it.  The pairings of one scale come
+    from one run of the plan's block transforms: those of fields held by
+    several terms first, copied into rows kept for the whole scale, then the
+    others in family and term order, each taken as its term is summed.
     """
     if isinstance(family, SeparableFamily):
         return d_family_report([family], [alpha], mask)[0]
@@ -325,43 +321,27 @@ def d_family_report(family, alpha, mask: np.ndarray | None = None):
         if id(u) not in spectra:
             spectra[id(u)] = decomp.rfft(u)
     shared = [key for key, n in uses.items() if n > 1]
-    kept_rows = np.empty((len(shared), *decomp.grid.shape))
-    kept = dict(zip(shared, kept_rows))
+    fresh = [key for key, n in uses.items() if n == 1]
+    kept = dict(zip(shared, np.empty((len(shared), *decomp.grid.shape))))
     term = np.empty(decomp.grid.shape) if shared else None   # c times a kept pairing
     vals = np.empty(decomp.grid.shape)
-    once = np.empty((decomp.lanes, *decomp.grid.shape))
     series = [(np.zeros(decomp.j_max + 2), np.zeros(decomp.j_max + 2)) for _ in family]
     for j in range(1, decomp.j_max + 1):
         sym = decomp.half_gauss(j)
-        decomp.blocks(((sym, spectra[key]) for key in shared), kept_rows)
+        rows = decomp.blocks((sym, spectra[key]) for key in shared + fresh)
+        for key in shared:
+            kept[key][...] = next(rows)
         for fam, (norms, medians) in zip(family, series):
             vals.fill(0.0)
-            for run in _runs(fam.terms, kept, decomp.lanes):
-                fresh = ((sym, spectra[key]) for _, key in run if key not in kept)
-                paired = iter(decomp.blocks(fresh, once))
-                for c, key in run:
-                    if key in kept:
-                        vals += np.multiply(c, kept[key], out=term)
-                    else:
-                        pairing = next(paired)
-                        vals += np.multiply(c, pairing, out=pairing)
+            for c, u in fam.terms:
+                if id(u) in kept:
+                    vals += np.multiply(c, kept[id(u)], out=term)
+                else:
+                    pairing = next(rows)
+                    vals += np.multiply(c, pairing, out=pairing)
+                    del pairing   # else it keeps this scale's ring beside the next's
             norms[j + 1], medians[j + 1] = scale_stats(vals, mask=mask)
     return [NormReport.from_blocks(norms, medians, a) for (norms, medians), a in zip(series, alpha)]
-
-
-def _runs(terms, kept, lanes: int):
-    """Consecutive runs of (c, id(u)) over the terms, each holding at most
-    `lanes` terms whose field u is not in `kept`."""
-    run, fresh = [], 0
-    for c, u in terms:
-        if id(u) not in kept:
-            if fresh == lanes:
-                yield run
-                run, fresh = [], 0
-            fresh += 1
-        run.append((c, id(u)))
-    if run:
-        yield run
 
 
 def dyadic_separations(grid: Grid) -> list[int]:

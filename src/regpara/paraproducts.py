@@ -79,21 +79,18 @@ def _block_sum(decomp: BlockDecomposition, resonant: bool, fspec, gspec, m: int 
 
     The F and G factors of the products on one sub-grid are transformed as
     one stack and the products summed there, then added into the half
-    spectrum; the factors of those on the grid itself go through the plan's
-    stacked block transforms, F and G of a product side by side, and the
+    spectrum; the factors of those on the grid itself come from the plan's
+    block transforms, the F row of a product then its G row, and the
     products are summed in real space.  One inverse FFT of the summed
     spectrum ends it, into the one array returned."""
     grid = decomp.grid
     groups, full = _schedule(decomp, resonant)
     acc = np.zeros(grid.shape)
-    rows = np.empty((max(decomp.lanes, 2), *grid.shape))
-    factors = [pair for fband, gband in full for pair in ((fband, fspec), (gband, gspec))]
-    for start in range(0, len(factors), len(rows)):
-        chunk = factors[start : start + len(rows)]
-        out = decomp.blocks(((decomp.half_band(*b), s) for b, s in chunk), rows)
-        for fb, gb in zip(out[0::2], out[1::2]):
-            fb *= gb
-            acc += fb
+    rows = decomp.blocks((decomp.half_band(*band), spec) for fband, gband in full
+                         for band, spec in ((fband, fspec), (gband, gspec)))
+    for fb, gb in zip(rows, rows):   # the F and the G row of one product
+        fb *= gb
+        acc += fb
     spec = np.zeros(decomp.radius.shape, complex)
     for size, syms in groups:
         k = len(syms) // 2

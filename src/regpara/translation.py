@@ -32,7 +32,7 @@ from .algebra import (
     mi_zero,
     term_key,
 )
-from .blocks import derivative, fourier_multiplier, j_operator, make_partition
+from .blocks import derivative, fourier_multiplier, j_operator_pair, make_partition
 from .characters import (
     f_character_values,
 )
@@ -97,36 +97,19 @@ def _two_point_fit(grid: Grid, diff) -> tuple[float | None, list, int]:
 def two_point_g_report(model: Model, v) -> tuple[float | None, list, int]:
     """Fitted slope of |g_{yx}(v)| against dyadic separations y - x = h
     along each axis; the worst axis decides (see _two_point_fit)."""
-    fields = _SampledFields(model)
-    return _two_point_fit(model.grid, lambda ys, xs: fields.two_point(v, ys, xs))
+    held = model.holding_fields()
+    return _two_point_fit(model.grid, lambda ys, xs: _two_point(held, v, ys, xs))
 
 
-class _SampledFields:
-    """g and g^{-1} fields of a model, each evaluated once and then read at
-    index arrays (one entry per sampled point) or at index boxes."""
-
-    def __init__(self, model: Model):
-        self.model = model
-        self._g: dict = {}
-        self._g_inv: dict = {}
-
-    def g(self, mono) -> np.ndarray:
-        if mono not in self._g:
-            self._g[mono] = self.model.g_field(mono)
-        return self._g[mono]
-
-    def g_inv(self, mono) -> np.ndarray:
-        if mono not in self._g_inv:
-            self._g_inv[mono] = self.model.g_inv_field(mono)
-        return self._g_inv[mono]
-
-    def two_point(self, v, ia, ib):
-        """g_{yx}(v) at indices (ia, ib); v a monomial or FreeVector.  Each
-        sample is summed in the same order as a scalar loop would."""
-        acc = 0.0
-        for c, left, right in self.model.structure.delta_plus_terms(v):
-            acc = acc + float(c) * self.g(left)[ia] * self.g_inv(right)[ib]
-        return acc
+def _two_point(model: Model, v, ia, ib):
+    """g_{yx}(v) at indices (ia, ib), or at index boxes; v a monomial or
+    FreeVector.  Each sample is summed in the same order as a scalar loop
+    would.  Callers pass a `Model.holding_fields` copy, which evaluates each
+    field once however many samples and terms read it."""
+    acc = 0.0
+    for c, left, right in model.structure.delta_plus_terms(v):
+        acc = acc + float(c) * model.g_field(left)[ia] * model.g_inv_field(right)[ib]
+    return acc
 
 
 def _sample_index(idxs: np.ndarray, slot: int) -> tuple:
@@ -142,18 +125,18 @@ def chen_residual(model: Model, rng: np.random.Generator, samples: int = 100) ->
         return 0.0
     idxs = rng.integers(0, grid.n, size=(samples, 3, grid.dim))
     ix, iy, iz = (_sample_index(idxs, slot) for slot in range(3))
-    fields = _SampledFields(model)
+    held = model.holding_fields()
     worst = 0.0
     for name in gens:
         mono = PlusMonomial.of_gen(name, S.dim)
-        scale = max(np.max(np.abs(fields.g(mono))), 1.0)
+        scale = max(np.max(np.abs(held.g_field(mono))), 1.0)
         # chen: g_{zx} = sum over Delta+ of g_{zy}(left) g_{yx}(right)
         acc = 0.0
         for c, left, right in S.delta_plus_terms(mono):
-            gzy = fields.two_point(left, iz, iy)
-            gyx = fields.two_point(right, iy, ix)
+            gzy = _two_point(held, left, iz, iy)
+            gyx = _two_point(held, right, iy, ix)
             acc = acc + float(c) * gzy * gyx
-        direct = fields.two_point(mono, iz, ix)
+        direct = _two_point(held, mono, iz, ix)
         worst = max(worst, np.max(np.abs(acc - direct) / scale))
     return worst
 
@@ -163,10 +146,14 @@ def chen_residual(model: Model, rng: np.random.Generator, samples: int = 100) ->
 def validate_model(model: Model, tol_slope: float = SLOPE_TOL,
                    seed: int = 0, samples: int = 50) -> Report:
     """Conditions (a)-(d) of the model definition plus the character-identity
-    cross-checks; (a) and (c) are exact, (b) and (d) are empirical slopes."""
+    cross-checks; (a) and (c) are exact, (b) and (d) are empirical slopes.
+    Every check reads its fields from one `Model.holding_fields` copy.  The
+    (d) families are paired last, once that copy is let go, and are still
+    listed before the identities."""
     S, grid = model.structure, model.grid
     rep = Report(f"model check: {S.name}")
     rng = np.random.default_rng(seed)
+    held = model.holding_fields()
 
     # (a) g(X^k) = x^k, g(1+) = 1 (exact)
     ok = True
@@ -188,28 +175,28 @@ def validate_model(model: Model, tol_slope: float = SLOPE_TOL,
     for name in sorted(model.g.values, key=lambda n: (S.plus_gens[n], n)):
         h = float(S.plus_gens[name])
         mono = PlusMonomial.of_gen(name, S.dim)
-        rep.add("b:finite:" + name, bool(np.all(np.isfinite(model.g_field(mono)))))
-        slope, _, scales = two_point_g_report(model, mono)
+        rep.add("b:finite:" + name, bool(np.all(np.isfinite(held.g_field(mono)))))
+        slope, _, scales = two_point_g_report(held, mono)
         rep.add_slope("b:two-point:" + name, slope, h, tol_slope, scales=scales)
+
+    # Chen relation on random triples, lemma identities (exact rearrangements)
+    identities = [
+        ("chen-relation", chen_residual(held, rng, samples=min(samples, 100)), REL_TOL),
+        ("identity:g_x-and-f_x", lemma_gx_fx_residual(held), 1e-6),
+        ("identity:g_yx-and-f", lemma_gyx_f_residual(held, rng, samples=samples), 1e-6),
+        ("identity:diagonal-derivative", third_formula_residual(held), 1e-5),
+    ]
 
     # (d) D-family slopes on the base generators, their Pi fields paired once
     names = sorted((n for n in model.pi if n != "1"), key=lambda n: (S.base_gens[n], n))
     hs = [float(S.base_gens[name]) for name in names]
-    fams = [model.pi_recentered_family(BaseSymbol(name, mi_zero(S.dim))) for name in names]
+    fams = [held.pi_recentered_family(BaseSymbol(name, mi_zero(S.dim))) for name in names]
+    del held   # its fields are not held through the pairings
     for name, h, d_rep in zip(names, hs, d_family_report(fams, hs, mask=interior_mask(grid))):
         rep.add_norm("d:family:" + name, d_rep, h, tol_slope)
 
-    # Chen relation on random triples
-    res = chen_residual(model, rng, samples=min(samples, 100))
-    rep.add("chen-relation", res <= REL_TOL, res, 0.0, REL_TOL)
-
-    # Lemma identities (exact rearrangements -> tight tolerance)
-    res1 = lemma_gx_fx_residual(model)
-    rep.add("identity:g_x-and-f_x", res1 <= 1e-6, res1, 0.0, 1e-6)
-    res2 = lemma_gyx_f_residual(model, rng, samples=samples)
-    rep.add("identity:g_yx-and-f", res2 <= 1e-6, res2, 0.0, 1e-6)
-    res3 = third_formula_residual(model)
-    rep.add("identity:diagonal-derivative", res3 <= 1e-5, res3, 0.0, 1e-5)
+    for name, res, tol in identities:
+        rep.add(name, res <= tol, res, 0.0, tol)
     return rep
 
 
@@ -251,7 +238,7 @@ def lemma_gyx_f_residual(model: Model, rng: np.random.Generator, samples: int = 
     pairs = rng.integers(0, grid.n, size=(samples, 2, grid.dim))
     iy, ix = _sample_index(pairs, 0), _sample_index(pairs, 1)
     diff = [model.g.point[i][iy] - model.g.point[i][ix] for i in range(S.dim)]
-    fields = _SampledFields(model)
+    held = model.holding_fields()
     for name in sorted(model.g.values):
         mono = PlusMonomial.of_gen(name, S.dim)
         h = S.plus_gens[name]
@@ -273,10 +260,10 @@ def lemma_gyx_f_residual(model: Model, rng: np.random.Generator, samples: int = 
                      np.asarray(f_character_values(g, g_inv, dk_left), dtype=float))
                 )
             scale = max(float(np.max(np.abs(np.asarray(g(dk), dtype=float)))), 1.0)
-            lhs = fields.two_point(dk, iy, ix)
+            lhs = _two_point(held, dk, iy, ix)
             rhs = 0.0
             for c, left, right, f_y in sigma_data:
-                gyx = fields.two_point(right, iy, ix)
+                gyx = _two_point(held, right, iy, ix)
                 rhs = rhs + c * gyx * f_y[iy]
             for l, f_x in f_fields.items():
                 coef = 1.0
@@ -536,10 +523,10 @@ def validate_md(model: Model, md: ModelledDistribution,
     S, grid = model.structure, model.grid
     rep = Report(f"modelled distribution gamma={md.gamma}")
     symbols = S.base_symbols(md.gamma)
-    fields = _SampledFields(model)
+    held = model.holding_fields()
     for tau in symbols:
         target = float(md.gamma - S.homog_base(tau))
-        terms = [(float(c), fields.g(a), fields.g_inv(b), md.coeff(mu))
+        terms = [(float(c), held.g_field(a), held.g_inv_field(b), md.coeff(mu))
                  for mu in symbols for c, a, b in S.delta_plus_terms(S.quotient(mu, tau))]
 
         def diff(ys, xs):
@@ -581,6 +568,7 @@ def lambda_cross_check(model: Model, root: str, m: int | None = None,
     if m <= h_root:
         raise ValueError(f"need m > |tau| = {h_root}, got {m}")
     rep = Report(f"lambda/J cross-check at {root}, m={m}")
+    model = model.holding_fields()
     decomp = make_partition(grid)
     mask = interior_mask(grid)
 
@@ -611,13 +599,14 @@ def lambda_cross_check(model: Model, root: str, m: int | None = None,
             terms = [(float(c), left, right)
                      for c, left, right in S.delta_plus_terms(mo, left_poly=False)
                      if left in lam_fields]
+            rows = decomp.blocks(j_operator_pair(decomp, j, k, m, lam_fields[left])
+                                 for j in decomp.js for _, left, _ in terms)
             acc = np.zeros(grid.shape)
             medians = np.zeros(decomp.j_max + 2)
             for j in decomp.js:
                 vals = np.zeros(grid.shape)
                 for c, left, right in terms:
-                    jop = j_operator(decomp, j, k, m, lam_fields[left])
-                    vals += c * model.g_inv_field(right) * jop.values
+                    vals += c * model.g_inv_field(right) * next(rows)
                 acc += vals
                 if j >= 1:
                     medians[j + 1] = scale_stats(vals, mask=mask, sup=False)[1]

@@ -284,6 +284,27 @@ REPORTS = {
 }
 
 
+def test_model_build_computes_one_assumption_report(tmp_path, monkeypatch, capsys):
+    """model-build draws the brackets on the (C) generators and builds g
+    from them; both read one assumption report of the structure, which is
+    computed once."""
+    from regpara import algebra, library
+
+    reports, report = [], algebra.AssumptionReport
+
+    def counted(**fields):
+        reports.append(fields)
+        return report(**fields)
+
+    # a structure built afresh, whose report no earlier call has computed
+    monkeypatch.setattr(library, "structure", library.structure.__wrapped__)
+    monkeypatch.setattr(algebra, "AssumptionReport", counted)
+    code, _ = run(["model-build", "--structure", "toy", "--grid", "64",
+                   "--out", str(tmp_path / "model")], capsys)
+    assert code == 0
+    assert len(reports) == 1
+
+
 def test_each_verb_exits_on_its_library_report(tmp_path, monkeypatch, capsys):
     """Every verb that reports checks prints them from one Report, the
     library's where the library forms it, and exits 1 exactly when that

@@ -263,3 +263,49 @@ def test_no_unused_imports():
                                     reexports=path.name == "__init__.py")
     ]
     assert unused == []
+
+
+# Where numpy's FFT may be called outside blocks.py: the direct callers the
+# blocks.py module docstring names, as "function" or "Class.method".
+DIRECT_FFT = {
+    "grid.py": {"Field.spectrum", "Grid.coord_fields"},
+    "norms.py": {"synthesize"},
+    "paraproducts.py": {"_two_param_spectrum", "_two_param_block"},
+}
+
+
+def _owned_nodes(tree: ast.Module):
+    """(owner, node) for every node below a module-level statement; the
+    owner is the function or "Class.method" that holds it, else None."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            for item in top.body:
+                owner = f"{top.name}.{item.name}" if isinstance(item, ast.FunctionDef) else None
+                yield from ((owner, node) for node in ast.walk(item))
+        else:
+            owner = top.name if isinstance(top, ast.FunctionDef) else None
+            yield from ((owner, node) for node in ast.walk(top))
+
+
+def test_block_transforms_have_one_owner():
+    """No module but blocks.py reads a plan's stack depth (`.lanes`): the
+    plan's `blocks` sizes every stack.  numpy's FFT is reached only from
+    blocks.py and the direct callers of DIRECT_FFT."""
+    lanes, fft = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "blocks.py":
+            continue
+        allowed = DIRECT_FFT.get(path.name, set())
+        for owner, node in _owned_nodes(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "lanes":
+                lanes.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+            else:
+                continue
+            if owner not in allowed and any("fft" in name.split(".") for name in names):
+                fft.append(f"{path.name}:{node.lineno} ({owner})")
+    assert lanes == []
+    assert fft == []

@@ -358,12 +358,12 @@ class TestFirstGeneratorTaylorStructure:
         gy = sample_character(g, iy)
         gx = sample_character(g, ix)
         diff = g.point[0][iy] - g.point[0][ix]
-        from regpara.translation import _SampledFields
+        from regpara.translation import _two_point
 
         for name in members:
             k = rep.c_orbit[name][1]
             mono = PlusMonomial.of_gen(name, 1)
-            lhs = _SampledFields(model).two_point(mono, iy, ix)
+            lhs = _two_point(model, mono, iy, ix)
             rhs = gy.of_monomial(mono)
             l = 0
             while True:

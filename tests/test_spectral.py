@@ -544,6 +544,55 @@ def test_stack_depth_follows_the_dimension(monkeypatch, grid):
         assert len(sub) == len(paraproducts._schedule(decomp, is_resonant)[0])
 
 
+def _block_pairs(decomp, count):
+    """`count` (symbol, half spectrum) pairs on decomp's grid: live block
+    symbols, every third one times a derivative symbol (complex), against
+    random spectra."""
+    rng = np.random.default_rng(43)
+    live = decomp.live_js
+    out = []
+    for i in range(count):
+        sym = decomp.half_rho(live[i % len(live)])
+        if i % 3 == 2:
+            sym = sym * decomp.half_derivative((1,) * decomp.grid.dim)
+        out.append((sym, Field(decomp.grid, rng.standard_normal(decomp.grid.shape)).spectrum))
+    return out
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 4096, np.pi), Grid(2, 64, np.pi)], ids=["d1", "d2"])
+def test_block_rows_are_the_lone_transforms(grid):
+    """`blocks` yields irfft(sym * spec) bit for bit, pair by pair, for every
+    count of pairs from none to two full stacks and one more."""
+    decomp = make_partition(grid)
+    pairs = _block_pairs(decomp, 2 * decomp.lanes + 1)
+    lone = [_bits(decomp.irfft(sym * spec)) for sym, spec in pairs]
+    for count in range(len(pairs) + 1):
+        rows = [_bits(row) for row in decomp.blocks(iter(pairs[:count]))]
+        assert rows == lone[:count], count
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 4096, np.pi), Grid(2, 64, np.pi)], ids=["d1", "d2"])
+def test_a_block_row_outlives_the_next_one_taken(grid):
+    """Row i is intact once row i + 1 has been taken: for every i when one
+    block fills a stack (d = 2), for even i otherwise, the F and G rows of
+    a `_block_sum` product."""
+    decomp = make_partition(grid)
+    pairs = _block_pairs(decomp, 2 * decomp.lanes + 1)
+    lone = [_bits(decomp.irfft(sym * spec)) for sym, spec in pairs]
+    rows = decomp.blocks(pairs)
+    held = next(rows)
+    for i in range(1, len(pairs)):
+        row = next(rows)
+        if decomp.lanes == 1 or i % 2:
+            assert _bits(held) == lone[i - 1], i
+        held = row
+    assert next(rows, None) is None
+
+
 # -- the heap policy -----------------------------------------------------------
 
 def test_plans_of_large_grids_pin_the_heap_policy(monkeypatch):

@@ -671,12 +671,16 @@ def test_sampled_residuals_equal_their_per_sample_loops(which, request):
 
 @pytest.mark.parametrize("name", ["toy", "bhz"])
 def test_validators_evaluate_each_field_once(name, monkeypatch):
-    """chen_residual, lemma_gyx_f_residual and validate_md each read the g
-    and g^{-1} fields through one reader a call, so Model.g_field and
-    Model.g_inv_field are called at most once per monomial a call."""
+    """chen_residual, lemma_gyx_f_residual, validate_md, validate_model and
+    lambda_cross_check each read the g and g^{-1} fields through one held
+    copy of the model a call, so Model.g_field and Model.g_inv_field are
+    called at most once per monomial a call.  validate_model's checks read
+    6 distinct fields on toy and 11 on bhz --noncanonical (44 and 64
+    evaluations at n = 512 when each check read its own)."""
     S = structure(name, noncanonical=name == "bhz")
     model = build_random_model(S, Grid(1, 256, np.pi), seed=3)[0]
     md = _d_mode_md(model)
+    root = min(S.plus_gens, key=lambda n: (S.plus_gens[n], n))
     calls = []
     for method in ("g_field", "g_inv_field"):
         def counted(self, v, _method=method, _original=getattr(Model, method)):
@@ -685,7 +689,10 @@ def test_validators_evaluate_each_field_once(name, monkeypatch):
         monkeypatch.setattr(Model, method, counted)
     for run in (lambda: chen_residual(model, np.random.default_rng(5), 40),
                 lambda: lemma_gyx_f_residual(model, np.random.default_rng(6), 30),
-                lambda: validate_md(model, md)):
+                lambda: validate_md(model, md),
+                lambda: lambda_cross_check(model, root),
+                lambda: validate_model(model)):
         del calls[:]
         run()
         assert calls and len(calls) == len(set(calls)), Counter(calls).most_common(1)
+    assert len(calls) == {"toy": 6, "bhz": 11}[name]
