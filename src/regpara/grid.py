@@ -122,10 +122,12 @@ class Field:
     field (m > 0); block -1 of a negative-order multiplier is only defined
     through it.  `spectrum` is the half spectrum rfftn(values), taken on
     first use and kept, so a field passed to several spectral operations is
-    transformed once.
+    transformed once.  `_rows` is None, or, while a caller holds the field
+    as a paraproduct operand, the dict its operand rows are kept in
+    (`paraproducts.hold_rows`).
     """
 
-    __slots__ = ("grid", "values", "preimage", "_spectrum")
+    __slots__ = ("grid", "values", "preimage", "_spectrum", "_rows")
 
     def __init__(self, grid: Grid, values: np.ndarray, preimage: "Field | None" = None):
         self._set(grid, np.array(values, dtype=float, order="C"), preimage)
@@ -148,6 +150,7 @@ class Field:
         self.values = values
         self.preimage = preimage
         self._spectrum = None
+        self._rows = None
 
     @property
     def spectrum(self) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from .blocks import derivative, make_partition
 from .characters import Character, field_character
 from .grid import Field, Grid
 from .norms import SLOPE_TOL, Report, SeparableFamily, holder_norm, synthesize
-from .paraproducts import modified_paraproduct, paraproduct
+from .paraproducts import hold_rows, modified_paraproduct, paraproduct, release_rows
 
 
 def default_m(structure: ConcreteRegularityStructure) -> int:
@@ -190,6 +191,16 @@ class BracketExtractor:
     Brackets and the coefficients c g(tau/sigma) of the coproduct terms are
     kept as Fields, as each is an operand of the steps of every bracket above
     it: each is evaluated and forward-transformed once per extractor.
+
+    An extractor given a plan (`plan`) before it forms anything also forms
+    the operand rows (`paraproducts`) of each coefficient and bracket once.
+    The plan counts, from the coproducts alone, the products that read each
+    of them, and the other reads of each entry c = 1, g(quot): one per
+    coefficient c g(quot) scaled from it and one for the start of the
+    g-step of quot.  A Field is held before each product of it but its
+    last, so it keeps its rows from its first product to its last, and it
+    is released after that; a coefficient leaves the memo at its last read.
+    Without a plan nothing is held and nothing leaves the memo.
     """
 
     def __init__(self, model: Model, m: int):
@@ -199,6 +210,46 @@ class BracketExtractor:
         self._g_memo: dict[PlusMonomial, Field] = {}
         self._pi_memo: dict[BaseSymbol, Field] = {}
         self._coef_memo: dict[tuple[Fraction, PlusMonomial], Field] = {}
+        # reads still to come, by coefficient key (c, quot) or bracket key:
+        # by products, and of an entry (1, quot) by the coefficients scaled
+        # from it and by the start of the g-step of quot
+        self._products: Counter = Counter()
+        self._entry_reads: Counter = Counter()
+
+    def plan(self, g_keys, pi_keys) -> None:
+        """Count the reads of the recursions of the g-brackets of g_keys and
+        the Pi-brackets of pi_keys."""
+        S = self.model.structure
+        products, entry_reads, seen = Counter(), Counter(), set()
+        todo = [(mono, False) for mono in g_keys] + [(sym, True) for sym in pi_keys]
+        while todo:
+            tau, pi_side = todo.pop()
+            if tau in seen:
+                continue
+            seen.add(tau)
+            if not pi_side:
+                entry_reads[(1, tau)] += 1
+            for c, quot, sigma in self.term_keys(tau, S.delta(tau) if pi_side else S.delta_plus(tau)):
+                if c != 1 and (c, quot) not in products:
+                    entry_reads[(1, quot)] += 1
+                products[(c, quot)] += 1
+                products[sigma] += 1
+                todo.append((sigma, pi_side))
+        self._products, self._entry_reads = products, entry_reads
+
+    def _read(self, key, field: Field, side: str, product: bool = True) -> None:
+        """One planned read of `field`, the Field of key, done: by a product,
+        or else of a coefficient entry.  After its last product, its `side`
+        rows are released; after its last read, a coefficient leaves the
+        memo.  Unplanned reads change nothing."""
+        reads = self._products if product else self._entry_reads
+        if not reads[key]:
+            return
+        reads[key] -= 1
+        if product and not reads[key]:
+            release_rows(field, side)
+        if side == "f" and not (self._products[key] or self._entry_reads[key]):
+            del self._coef_memo[key]
 
     def step(self, start, terms, sign: int = -1) -> np.ndarray:
         """start + sign * sum_{(c, u) in terms} P^m_c u, the terms added in
@@ -228,19 +279,35 @@ class BracketExtractor:
         entry's values.  g is set once, so a kept entry never goes stale."""
         hit = self._coef_memo.get((c, quot))
         if hit is None:
-            hit = self._coef_memo[(c, quot)] = Field.adopt(self.model.grid, (
-                np.array(self.model.g_field(quot), dtype=float) if c == 1
-                else float(c) * self.coefficient(1, quot).values))
+            if c == 1:
+                values = np.array(self.model.g_field(quot), dtype=float)
+            else:
+                base = self.coefficient(1, quot)
+                values = float(c) * base.values
+                self._read((1, quot), base, "f", product=False)
+            hit = self._coef_memo[(c, quot)] = Field.adopt(self.model.grid, values)
         return hit
 
+    @staticmethod
+    def term_keys(tau, coproduct: FreeVector) -> list:
+        """(c, tau/sigma, sigma) for each term c sigma (x) tau/sigma of the
+        coproduct of tau with sigma != tau not polynomial, in order."""
+        return [(c, right, left) for (left, right), c in coproduct.sorted_items()
+                if left != tau and not left.is_poly]
+
     def coproduct_terms(self, tau, coproduct: FreeVector, bracket):
-        """(c g(tau/sigma), <sigma>) for each term c sigma (x) tau/sigma of
-        the coproduct of tau with sigma != tau not polynomial; <sigma> =
-        bracket(sigma), and the coefficient comes from `coefficient`."""
-        for (left, right), c in coproduct.sorted_items():
-            if left == tau or left.is_poly:
-                continue
-            yield self.coefficient(c, right), bracket(left)
+        """(c g(tau/sigma), <sigma>) for each term of `term_keys`; <sigma> =
+        bracket(sigma), and the coefficient comes from `coefficient`.  With
+        a plan, an operand of a later product too is held before the pair
+        is yielded, and both reads are counted once its product is formed."""
+        for c, quot, sigma in self.term_keys(tau, coproduct):
+            reads = ((self.coefficient(c, quot), (c, quot), "f"), (bracket(sigma), sigma, "g"))
+            for field, key, _side in reads:
+                if self._products[key] > 1:
+                    hold_rows(field)
+            yield reads[0][0], reads[1][0]
+            for field, key, side in reads:
+                self._read(key, field, side)
 
     def g_bracket(self, mono: PlusMonomial) -> Field:
         if mono.is_poly:
@@ -249,11 +316,13 @@ class BracketExtractor:
         if hit is None:
             # a step that adds no term leaves g(mono): the Field
             # coefficient(1, mono) itself
-            terms = list(self.coproduct_terms(mono, self.model.structure.delta_plus(mono),
-                                              self.g_bracket))
+            coproduct = self.model.structure.delta_plus(mono)
             start = self.coefficient(1, mono)
-            hit = self._g_memo[mono] = start if not terms else Field.adopt(
-                self.model.grid, self.step(start, terms))
+            hit = start if not self.term_keys(mono, coproduct) else Field.adopt(
+                self.model.grid, self.step(start, self.coproduct_terms(mono, coproduct,
+                                                                       self.g_bracket)))
+            self._read((1, mono), start, "f", product=False)
+            self._g_memo[mono] = hit
         return hit
 
     def g_bracket_vector(self, v: FreeVector) -> Field:
@@ -275,17 +344,20 @@ class BracketExtractor:
 
 def extract_brackets(model: Model, m: int | None = None,
                      with_reports: bool = True, tol_slope: float = SLOPE_TOL) -> BracketData:
-    """All bracket data of a model below the cutoff.  With reports, `report`
-    checks each bracket's Hölder slope against its homogeneity within
-    tol_slope, the NormReport kept on the check."""
+    """All bracket data of a model below the cutoff, from an extractor that
+    plans its products first (`BracketExtractor.plan`).  With reports,
+    `report` checks each bracket's Hölder slope against its homogeneity
+    within tol_slope, the NormReport kept on the check."""
     S = model.structure
     if m is None:
         m = default_m(S)
     ex = BracketExtractor(model, m)
-    g_side = {mono: ex.g_bracket(mono) for mono in S.plus_monomials(plus_bound(S))
-              if not mono.is_poly and all(n in model.g.values for n, _ in mono.gens)}
-    pi_side = {sym: ex.pi_bracket(sym) for sym in S.base_symbols()
-               if not sym.is_poly and sym.core in model.pi}
+    g_keys = [mono for mono in S.plus_monomials(plus_bound(S))
+              if not mono.is_poly and all(n in model.g.values for n, _ in mono.gens)]
+    pi_keys = [sym for sym in S.base_symbols() if not sym.is_poly and sym.core in model.pi]
+    ex.plan(g_keys, pi_keys)
+    g_side = {mono: ex.g_bracket(mono) for mono in g_keys}
+    pi_side = {sym: ex.pi_bracket(sym) for sym in pi_keys}
     del ex   # its coefficient Fields are not held while the reports run
     out = BracketData(m, {mono: f.values for mono, f in g_side.items()},
                       {sym: f.values for sym, f in pi_side.items()})

@@ -14,10 +14,34 @@ P_f g + P_g f + Pi(f, g) = fg hold to rounding.  The summed spectrum goes
 through one inverse FFT, after |grad|^m when m > 0.  Forming products below
 their band also keeps the rounding error of real-space products above the
 band out of the spectrum, where |grad|^m would amplify it.
+
+The kernel has two parts.  The operand rows of a side, f (the factor of
+S_j, or of Delta_i in Pi) or g (|grad|^{-m} g, the factor of Delta_j), are
+its factors in every block product: per sub-grid group the inverse FFT of
+the group's symbols times the side's restricted spectrum, and its
+full-grid top-block rows.  The pair kernel multiplies the two sides' rows
+and sums the products, those of a group on its sub-grid and then through
+its spectrum, those of the top blocks in real space.  The rows of a side
+that keeps none are formed group by group within the pair kernel, and
+when both sides are formed they share each inverse FFT: one stack of 2k
+rows per group, and the F and G rows of the top blocks in the stacks of
+`BlockDecomposition.blocks`.
+
+A Field keeps its rows only while it is held (`hold_rows`), in one buffer
+per side, filled by the first product that forms them.  The one caller
+that holds Fields, `models.extract_brackets`, plans its products: it holds
+an operand from its first product to its last and then releases it
+(`release_rows`), so that the rows of an operand of several products are
+formed once.  Every other caller holds nothing, and each of its products
+forms the rows of both sides and lets them go.  A row is the same
+transform, bit for bit, wherever it is formed (a lane of a stacked inverse
+FFT equals its lone transform), and the products are summed in the same
+order, so a product does not depend on which of its rows were held.
 """
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -74,34 +98,56 @@ def _schedule(decomp: BlockDecomposition, resonant: bool) -> tuple:
     return tuple(groups), tuple(full)
 
 
-def _block_sum(decomp: BlockDecomposition, resonant: bool, fspec, gspec, m: int = 0) -> np.ndarray:
-    """|grad|^m of the block sum of P or Pi, from the half spectra of f and g.
+def hold_rows(field: Field) -> None:
+    """Let `field` keep the operand rows that products form of it, until
+    `release_rows`: a caller holds an operand before each product of it
+    that is not its last."""
+    if field._rows is None:
+        field._rows = {}
 
-    The F and G factors of the products on one sub-grid are transformed as
-    one stack and the products summed there, then added into the half
-    spectrum; the factors of those on the grid itself come from the plan's
-    block transforms, the F row of a product then its G row, and the
-    products are summed in real space.  One inverse FFT of the summed
-    spectrum ends it, into the one array returned."""
-    grid = decomp.grid
+
+def release_rows(field: Field, side: str) -> None:
+    """Drop the rows `field` keeps as the `side` operand of products, "f"
+    or "g"; a field that keeps none is no longer held."""
+    rows = field._rows
+    if rows is not None:
+        for key in [key for key in rows if key[0] == side]:
+            del rows[key]
+        if not rows:
+            field._rows = None
+
+
+def _side_buffer(decomp: BlockDecomposition, resonant: bool) -> list:
+    """One operand side's rows, uninitialised, over one buffer: an array
+    per sub-grid group, then the full-grid top-block rows."""
     groups, full = _schedule(decomp, resonant)
-    acc = np.zeros(grid.shape)
-    rows = decomp.blocks((decomp.half_band(*band), spec) for fband, gband in full
-                         for band, spec in ((fband, fspec), (gband, gspec)))
-    for fb, gb in zip(rows, rows):   # the F and the G row of one product
-        fb *= gb
-        acc += fb
-    spec = np.zeros(decomp.radius.shape, complex)
-    for size, syms in groups:
-        k = len(syms) // 2
-        stack = np.empty(syms.shape, complex)
-        np.multiply(syms[:k], decomp.restrict(fspec, size), out=stack[:k])
-        np.multiply(syms[k:], decomp.restrict(gspec, size), out=stack[k:])
-        b = decomp.irfft(stack, size)
-        del stack   # not held while the products are formed
-        prod = np.sum(b[:k] * b[k:], axis=0)
-        prod *= (size / grid.n) ** grid.dim
-        decomp.scatter_add(spec, decomp.rfft(prod), size)
+    shapes = [(len(syms) // 2,) + (size,) * decomp.grid.dim for size, syms in groups]
+    shapes.append((len(full), *decomp.grid.shape))
+    buf = np.empty(sum(map(math.prod, shapes)))
+    out, at = [], 0
+    for shape in shapes:
+        out.append(buf[at : at + math.prod(shape)].reshape(shape))
+        at += math.prod(shape)
+    return out
+
+
+def _block_sum(decomp: BlockDecomposition, resonant: bool, f: Field, g: Field,
+               m: int = 0) -> np.ndarray:
+    """|grad|^m of the block sum of P_f |grad|^{-m} g (Pi(f, g) when
+    resonant, with m = 0).
+
+    The operand rows a held field keeps are read from its buffer; the
+    others are formed by the pair kernel, and written into the buffer of a
+    held field that keeps none yet.  One inverse FFT of the summed
+    spectrum ends it, into the one array returned."""
+    groups, full = _schedule(decomp, resonant)
+    frows, fspec, fbuf = _side(decomp, resonant, f, ("f", resonant))
+    grows, gspec, gbuf = _side(decomp, resonant, g, ("g", resonant, m))
+    if m and gspec is not None:
+        gspec = decomp.half_power(-m) * gspec
+    sides = (frows, fspec, fbuf), (grows, gspec, gbuf)
+    acc = _top_sum(decomp, full, sides)
+    spec = _group_sum(decomp, groups, sides)
     if m:
         spec += decomp.rfft(acc)
         spec *= decomp.half_power(m)
@@ -109,6 +155,73 @@ def _block_sum(decomp: BlockDecomposition, resonant: bool, fspec, gspec, m: int 
     out = decomp.irfft(spec)
     out += acc
     return out
+
+
+def _side(decomp: BlockDecomposition, resonant: bool, x: Field, key) -> tuple:
+    """(rows, None, None) for a side whose rows x keeps, else (None, the
+    half spectrum of x, the buffer x keeps the rows in if it is held)."""
+    kept = x._rows
+    rows = None if kept is None else kept.get(key)
+    if rows is not None:
+        return rows, None, None
+    buf = None
+    if kept is not None:
+        buf = kept[key] = _side_buffer(decomp, resonant)
+    return None, x.spectrum, buf
+
+
+def _top_sum(decomp: BlockDecomposition, full, sides) -> np.ndarray:
+    """The pair kernel on the top blocks: the sum of their F row times
+    their G row, in real space.  A side's rows are those it keeps, or are
+    formed from its half spectrum pair by pair, F and G in one group."""
+    (frows, fspec, fbuf), (grows, gspec, gbuf) = sides
+    fresh = [(i, spec) for i, spec in enumerate((fspec, gspec)) if spec is not None]
+    formed = decomp.blocks(((decomp.half_band(*bands[i]), spec)
+                            for bands in full for i, spec in fresh), len(fresh)) if fresh else None
+    acc = np.zeros(decomp.grid.shape)
+    for b in range(len(full)):
+        rows = next(formed) if fresh else ()
+        fb = rows[0] if frows is None else frows[-1][b]
+        gb = rows[-1] if grows is None else grows[-1][b]
+        if fbuf is not None:
+            fbuf[-1][b] = fb
+        if gbuf is not None:
+            gbuf[-1][b] = gb
+        # the product goes into a row formed here, a ring row, if any
+        acc += np.multiply(fb, gb, out=rows[-1] if fresh else None)
+    return acc
+
+
+def _group_sum(decomp: BlockDecomposition, groups, sides) -> np.ndarray:
+    """The pair kernel on the sub-grid groups: each group's products summed
+    on its sub-grid, their spectrum added into the half spectrum returned.
+    Rows as in `_top_sum`; those formed for one group, F and G, are one
+    inverse FFT."""
+    (frows, fspec, fbuf), (grows, gspec, gbuf) = sides
+    grid = decomp.grid
+    spec = np.zeros(decomp.radius.shape, complex)
+    for i, (size, syms) in enumerate(groups):
+        k = len(syms) // 2
+        if frows is None or grows is None:
+            # the sides formed here take symbols lo..hi: F's, G's or both
+            lo, hi = (0 if frows is None else k), (k if grows is not None else 2 * k)
+            stack = np.empty((hi - lo, *syms.shape[1:]), complex)
+            if frows is None:
+                np.multiply(syms[:k], decomp.restrict(fspec, size), out=stack[:k])
+            if grows is None:
+                np.multiply(syms[k:], decomp.restrict(gspec, size), out=stack[k - lo :])
+            formed = decomp.irfft(stack, size)
+            del stack   # not held while the products are formed
+        fb = formed[:k] if frows is None else frows[i]
+        gb = formed[k - lo :] if grows is None else grows[i]
+        if fbuf is not None:
+            fbuf[i][...] = fb
+        if gbuf is not None:
+            gbuf[i][...] = gb
+        prod = np.sum(fb * gb, axis=0)
+        prod *= (size / grid.n) ** grid.dim
+        decomp.scatter_add(spec, decomp.rfft(prod), size)
+    return spec
 
 
 def paraproduct(decomp: BlockDecomposition, f: Field, g: Field) -> Field:
@@ -126,16 +239,13 @@ def modified_paraproduct(decomp: BlockDecomposition, m: int, f: Field, g: Field)
     _check(decomp, f, g)
     if m < 0:
         raise ValueError("modified paraproduct requires m in N")
-    gspec = g.spectrum
-    if m:
-        gspec = decomp.half_power(-m) * gspec
-    return Field.adopt(decomp.grid, _block_sum(decomp, False, f.spectrum, gspec, m))
+    return Field.adopt(decomp.grid, _block_sum(decomp, False, f, g, m))
 
 
 def resonant(decomp: BlockDecomposition, f: Field, g: Field) -> Field:
     """Pi(f, g) = sum_{|i-j|<=1} (Delta_i f)(Delta_j g)."""
     _check(decomp, f, g)
-    return Field.adopt(decomp.grid, _block_sum(decomp, True, f.spectrum, g.spectrum))
+    return Field.adopt(decomp.grid, _block_sum(decomp, True, f, g))
 
 
 def smooth_part(decomp: BlockDecomposition, g: Field) -> Field:

@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from regpara import models
+from regpara import models, paraproducts
 from regpara.algebra import BaseSymbol, PlusMonomial, mi_zero
+from regpara.blocks import BlockDecomposition, make_partition
 from regpara.grid import Field, Grid
 from regpara.library import structure
 from regpara.models import (
@@ -400,40 +401,60 @@ COEF_IDS = ["toy-1024", "bhz-noncanonical-1024", "toy2d-64"]
 
 
 class _FreshCoefficients(BracketExtractor):
-    """An extractor that evaluates every coefficient c g(tau/sigma) anew,
-    as a bare array, for every term that takes it."""
+    """An extractor that forms every product from fresh Fields: it
+    evaluates every coefficient c g(tau/sigma) anew and copies every
+    bracket, as bare arrays, for every term that takes them, so that no
+    operand keeps rows."""
 
     def coproduct_terms(self, tau, coproduct, bracket):
-        for (left, right), c in coproduct.sorted_items():
-            if left == tau or left.is_poly:
-                continue
-            yield float(c) * self.model.g_field(right), bracket(left)
+        for c, quot, sigma in self.term_keys(tau, coproduct):
+            yield float(c) * self.model.g_field(quot), bracket(sigma).values
 
 
 def _coef_model(name, grid):
     return build_random_model(structure(name, noncanonical=name == "bhz"), grid)
 
 
+def _assert_same_brackets(got, want):
+    """Both sides of two BracketData, bit for bit, and their report lines."""
+    for side in ("g_side", "pi_side"):
+        have, need = getattr(got, side), getattr(want, side)
+        assert have.keys() == need.keys() and have
+        for key, vals in need.items():
+            assert np.array_equal(have[key].view(np.int64), vals.view(np.int64)), key
+    for have, need in zip(got.report.checks, want.report.checks, strict=True):
+        assert (have.name, have.norm.lines()) == (need.name, need.norm.lines())
+
+
 class TestCoefficientMemo:
     @pytest.mark.parametrize("name, grid", COEF_CASES, ids=COEF_IDS)
     def test_outputs_equal_those_from_fresh_coefficients(self, name, grid, monkeypatch):
+        """The planned extraction, which keeps the operand rows of a Field
+        from its first product to its last, returns the bits and report
+        lines of one from fresh Fields, which keeps none, and of a second
+        planned extraction; once it returns, no Field it held keeps rows."""
         model, gb, pib = _coef_model(name, grid)
         S = model.structure
         ex = BracketExtractor(model, default_m(S))
+        held = []
+
+        def holding(f):
+            held.append(f)
+            paraproducts.hold_rows(f)
+
+        monkeypatch.setattr(models, "hold_rows", holding)
         got = extract_brackets(model)
+        assert held and all(f._rows is None for f in held)
+        _assert_same_brackets(extract_brackets(model), got)
         built_g = build_g(S, grid, gb)
         built = build_pi(S, grid, built_g, pib)
         monkeypatch.setattr(models, "BracketExtractor", _FreshCoefficients)
+        del held[:]
         want = extract_brackets(model)
+        assert not held
         want_g = build_g(S, grid, gb)
         want_pi = build_pi(S, grid, want_g, pib)
-        for side in ("g_side", "pi_side"):
-            have, need = getattr(got, side), getattr(want, side)
-            assert have.keys() == need.keys() and have
-            for key, vals in need.items():
-                assert np.array_equal(have[key].view(np.int64), vals.view(np.int64)), key
-        for have, need in zip(got.report.checks, want.report.checks, strict=True):
-            assert (have.name, have.norm.lines()) == (need.name, need.norm.lines())
+        _assert_same_brackets(got, want)
         for gen, vals in want_g.values.items():
             assert np.array_equal(built_g.values[gen], vals), gen
         for gen, vals in want_pi.pi.items():
@@ -517,3 +538,32 @@ class TestCoefficientMemo:
                    and not list(ex.coproduct_terms(mono, S.delta_plus(mono), ex.g_bracket))]
         assert [str(mono) for mono in no_term] == ["I[t;(0)](I[xi;(0)](1))"]
         assert ex.g_bracket(no_term[0]) is ex.coefficient(1, no_term[0])
+
+
+class TestOperandRows:
+    def test_each_operand_side_is_transformed_once(self, monkeypatch):
+        """One toy extraction at n = 1024 forms the operand rows of each of
+        its 15 coefficients and 9 brackets once, 8 rows a side (6 on
+        sub-grids, 2 top blocks): 192 inverse-transform rows for its 31
+        products, where forming both sides of every product made 496."""
+        model, _gb, _pib = _coef_model("toy", Grid(1, 1024, np.pi))
+        groups, full = paraproducts._schedule(make_partition(model.grid), False)
+        per_side = sum(len(syms) // 2 for _, syms in groups) + len(full)
+        rows, operands = [], []
+        irfft, product = BlockDecomposition.irfft, models.modified_paraproduct
+
+        def counting(self, spec, size=None, out=None):
+            if spec.ndim > self.grid.dim:   # a stack of rows, not a final transform
+                rows.append(len(spec))
+            return irfft(self, spec, size, out)
+
+        def recording(decomp, m, f, g):
+            operands.append((f, g))
+            return product(decomp, m, f, g)
+
+        monkeypatch.setattr(BlockDecomposition, "irfft", counting)
+        monkeypatch.setattr(models, "modified_paraproduct", recording)
+        extract_brackets(model, with_reports=False)
+        coefs, brackets = ({id(pair[side]) for pair in operands} for side in (0, 1))
+        assert (len(operands), len(coefs), len(brackets), per_side) == (31, 15, 9, 8)
+        assert sum(rows) == (len(coefs) + len(brackets)) * per_side == 192

@@ -540,8 +540,32 @@ def test_stack_depth_follows_the_dimension(monkeypatch, grid):
     sub = _count_subgrid_transforms(monkeypatch, grid)
     for is_resonant in (False, True):
         del sub[:]
-        paraproducts._block_sum(decomp, is_resonant, f.spectrum, f.spectrum)
+        paraproducts._block_sum(decomp, is_resonant, f, f)
         assert len(sub) == len(paraproducts._schedule(decomp, is_resonant)[0])
+
+
+def test_a_product_of_fresh_fields_stacks_both_sides(monkeypatch):
+    """P^2 of two fresh Fields at n = 1024 makes 6 inverse FFTs, as when
+    no operand could keep its rows: the 4-row stack of the top blocks' F
+    and G rows, one stack per sub-grid group with its F and G rows, and
+    the final transform."""
+    grid = Grid(1, 1024, np.pi)
+    decomp = make_partition(grid)
+    rng = np.random.default_rng(37)
+    u, v = (Field(grid, rng.standard_normal(grid.shape)) for _ in range(2))
+    groups, _full = paraproducts._schedule(decomp, False)
+    calls = []
+    irfft = blocks.BlockDecomposition.irfft
+
+    def counting(self, spec, size=None, out=None):
+        calls.append((spec.shape[:-1], size or grid.n))
+        return irfft(self, spec, size, out)
+
+    monkeypatch.setattr(blocks.BlockDecomposition, "irfft", counting)
+    modified_paraproduct(decomp, 2, u, v)
+    assert calls == [((4,), grid.n), *(((len(syms),), size) for size, syms in groups),
+                     ((), grid.n)]
+    assert len(calls) == 6
 
 
 def _block_pairs(decomp, count):
@@ -576,21 +600,27 @@ def test_block_rows_are_the_lone_transforms(grid):
 
 
 @pytest.mark.parametrize("grid", [Grid(1, 4096, np.pi), Grid(2, 64, np.pi)], ids=["d1", "d2"])
-def test_a_block_row_outlives_the_next_one_taken(grid):
-    """Row i is intact once row i + 1 has been taken: for every i when one
-    block fills a stack (d = 2), for even i otherwise, the F and G rows of
-    a `_block_sum` product."""
+def test_a_block_row_is_intact_until_the_next_is_taken(grid):
+    """Each row is its lone transform until the next one is taken, and all
+    rows live in a ring of `lanes` rows (4 in d = 1, one grid array in
+    d = 2); taken in groups of two, as a paraproduct takes a top block's
+    F and G rows, each group is intact until the next is taken, and the
+    ring holds whole groups (2 of them in d = 1, 1 in d = 2); a last group
+    short of pairs holds only the rows drawn."""
     decomp = make_partition(grid)
-    pairs = _block_pairs(decomp, 2 * decomp.lanes + 1)
+    pairs = _block_pairs(decomp, 2 * decomp.lanes + 2)
     lone = [_bits(decomp.irfft(sym * spec)) for sym, spec in pairs]
-    rows = decomp.blocks(pairs)
-    held = next(rows)
-    for i in range(1, len(pairs)):
-        row = next(rows)
-        if decomp.lanes == 1 or i % 2:
-            assert _bits(held) == lone[i - 1], i
-        held = row
-    assert next(rows, None) is None
+    groups = max(decomp.lanes, 2) // 2
+    for group, count, depth in ((None, len(pairs), decomp.lanes), (2, len(pairs), groups),
+                                (2, len(pairs) - 1, groups)):
+        taken, slots = 0, set()
+        for rows in decomp.blocks(pairs[:count], group):
+            got = [rows] if group is None else list(rows)
+            assert [_bits(row) for row in got] == lone[taken : taken + len(got)], taken
+            slots.add(rows.__array_interface__["data"][0])
+            taken += len(got)
+        assert taken == count
+        assert len(slots) == depth
 
 
 # -- the heap policy -----------------------------------------------------------
