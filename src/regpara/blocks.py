@@ -38,22 +38,20 @@ grid, so their aliasing is the same as that of a pointwise product there.
 
 Stacked block transforms.  Every block loop (`holder_norm`,
 `d_family_report`, the J-operator sums of `lambda_cross_check`, and the
-full-grid top blocks of a paraproduct when its operand rows are formed)
-takes its rows from `BlockDecomposition.blocks`, which alone sizes the
-stacks: `lanes` spectra along a leading axis per inverse FFT, which
-numpy's pocketfft runs several at a time in SIMD lanes, each lane bit for
-bit the one-at-a-time transform.  `lanes` is 4 in d = 1 and 1 in d = 2.
-With numpy 2.4 on a 2-core Xeon, 16 inverse transforms of 32768 points
-took about 7 ms one at a time and 5 ms in fours (deeper stacks gained
-little more); in d = 2 a transform already vectorises across its rows, and
-a stack of 16 took 18 ms against 14 ms looped at 256^2 (73 against 52 ms
-at 512^2).  A stack is allocated per inverse FFT; the heap policy below
-serves it again from the heap.  The rows go into a ring of `lanes` rows,
-which the next stack overwrites, so that a row is intact until the next
-one is taken.  A paraproduct takes the F and the G row of a top block as
-one group of two: its ring holds whole groups, 4 rows in d = 1 and 2 in
-d = 2.  The rows an operand keeps (`paraproducts`) are copied out of the
-ring into its own buffer.
+top-block rows of each paraproduct operand) takes its rows from
+`BlockDecomposition.blocks`, which alone sizes the stacks: `lanes` spectra
+along a leading axis per inverse FFT, which numpy's pocketfft runs several
+at a time in SIMD lanes, each lane bit for bit the one-at-a-time transform.
+`lanes` is 4 in d = 1 and 1 in d = 2.  With numpy 2.4 on a 2-core Xeon, 16
+inverse transforms of 32768 points took about 7 ms one at a time and 5 ms
+in fours (deeper stacks gained little more); in d = 2 a transform already
+vectorises across its rows, and a stack of 16 took 18 ms against 14 ms
+looped at 256^2 (73 against 52 ms at 512^2).  A stack is allocated per
+inverse FFT and let go before its rows are yielded; the heap policy below
+serves it again from the heap.  The rows go into a ring of at most `lanes`
+rows, which the next stack overwrites, so that a row is intact until the
+next one is taken.  A held paraproduct operand (`paraproducts`) copies its
+top-block rows out of the ring into its own buffer.
 
 Heap policy.  A grid array of n = 32768 points is 256 KiB, above glibc's
 default mmap threshold of 128 KiB.  glibc then serves such arrays by mmap
@@ -202,41 +200,29 @@ class BlockDecomposition:
             raise ValueError("grid mismatch")
         return Field.adopt(self.grid, self.irfft(sym * f.spectrum))
 
-    def blocks(self, pairs, group: int | None = None):
-        """Yields irfft(sym_i * spec_i) for the (sym, spec) pairs, in order:
-        one row per pair or, given a group size, one array of `group`
-        consecutive rows at a time.
+    def blocks(self, pairs):
+        """Yields irfft(sym_i * spec_i) for the (sym, spec) pairs, in order.
 
-        The products go through inverse FFTs `lanes` at a time into a ring
-        of `lanes` rows, rounded up to whole groups, which the next fill
-        overwrites: what is yielded is intact until the next is taken."""
-        per = group or 1
-        pairs = iter(pairs)
-        ring = np.empty((-(-self.lanes // per) * per, *self.grid.shape))
-        while k := self._fill(pairs, ring):
-            if group is None:
-                yield from ring[:k]
-            else:
-                for i in range(0, k, per):
-                    yield ring[i : min(i + per, k)]
-
-    def _fill(self, pairs, rows) -> int:
-        """Draws up to len(rows) pairs and writes their transforms into the
-        first rows, `lanes` products per stack, each stack and its symbols
-        let go before the next is formed; the count drawn."""
-        k = 0
-        while k < len(rows):
-            stack = np.empty((min(self.lanes, len(rows) - k), *self.radius.shape), complex)
+        The products go through inverse FFTs `lanes` at a time, each stack
+        and its symbols let go before its rows are yielded, into a ring of
+        as many rows as the first stack has, which the next stack
+        overwrites: a row yielded is intact until the next is taken."""
+        pairs, ring = iter(pairs), None
+        while True:
+            stack = np.empty((self.lanes, *self.radius.shape), complex)
             n = 0
-            for n, (sym, spec) in enumerate(itertools.islice(pairs, len(stack)), 1):
+            for n, (sym, spec) in enumerate(itertools.islice(pairs, self.lanes), 1):
                 np.multiply(sym, spec, out=stack[n - 1])
-            if n:
-                self.irfft(stack[:n], out=rows[k : k + n])
-                k += n
-            if n < len(stack):
-                break
-            del stack, sym, spec
-        return k
+            if not n:
+                return
+            del sym, spec
+            if ring is None:
+                ring = np.empty((n, *self.grid.shape))
+            self.irfft(stack[:n], out=ring[:n])
+            del stack
+            yield from ring[:n]
+            if n < self.lanes:
+                return
 
     # -- half-spectrum symbols -----------------------------------------------
 

@@ -192,15 +192,17 @@ class BracketExtractor:
     kept as Fields, as each is an operand of the steps of every bracket above
     it: each is evaluated and forward-transformed once per extractor.
 
-    An extractor given a plan (`plan`) before it forms anything also forms
-    the operand rows (`paraproducts`) of each coefficient and bracket once.
-    The plan counts, from the coproducts alone, the products that read each
-    of them, and the other reads of each entry c = 1, g(quot): one per
-    coefficient c g(quot) scaled from it and one for the start of the
-    g-step of quot.  A Field is held before each product of it but its
+    `brackets(g_keys, pi_keys)` plans before it forms anything, so that the
+    operand rows (`paraproducts`) of each coefficient and bracket are formed
+    once.  The plan counts, from the coproducts alone, the products that
+    read each of them, and the other reads of each entry c = 1, g(quot):
+    one per coefficient c g(quot) scaled from it and one for the start of
+    the g-step of quot.  A Field is held before each product of it but its
     last, so it keeps its rows from its first product to its last, and it
     is released after that; a coefficient leaves the memo at its last read.
-    Without a plan nothing is held and nothing leaves the memo.
+    An extractor without a plan (build_g, build_pi, the md sigma-steps)
+    holds each bracket it memoizes, for its own life, and no coefficient;
+    nothing leaves its memo.
     """
 
     def __init__(self, model: Model, m: int):
@@ -212,11 +214,18 @@ class BracketExtractor:
         self._coef_memo: dict[tuple[Fraction, PlusMonomial], Field] = {}
         # reads still to come, by coefficient key (c, quot) or bracket key:
         # by products, and of an entry (1, quot) by the coefficients scaled
-        # from it and by the start of the g-step of quot
-        self._products: Counter = Counter()
+        # from it and by the start of the g-step of quot; None without a plan
+        self._products: Counter | None = None
         self._entry_reads: Counter = Counter()
 
-    def plan(self, g_keys, pi_keys) -> None:
+    def brackets(self, g_keys, pi_keys) -> tuple[dict, dict]:
+        """The g-brackets of g_keys, then the Pi-brackets of pi_keys, as
+        Fields, their products planned first."""
+        self._plan(g_keys, pi_keys)
+        g_side = {mono: self.g_bracket(mono) for mono in g_keys}
+        return g_side, {sym: self.pi_bracket(sym) for sym in pi_keys}
+
+    def _plan(self, g_keys, pi_keys) -> None:
         """Count the reads of the recursions of the g-brackets of g_keys and
         the Pi-brackets of pi_keys."""
         S = self.model.structure
@@ -243,7 +252,7 @@ class BracketExtractor:
         rows are released; after its last read, a coefficient leaves the
         memo.  Unplanned reads change nothing."""
         reads = self._products if product else self._entry_reads
-        if not reads[key]:
+        if self._products is None or not reads[key]:
             return
         reads[key] -= 1
         if product and not reads[key]:
@@ -303,11 +312,18 @@ class BracketExtractor:
         for c, quot, sigma in self.term_keys(tau, coproduct):
             reads = ((self.coefficient(c, quot), (c, quot), "f"), (bracket(sigma), sigma, "g"))
             for field, key, _side in reads:
-                if self._products[key] > 1:
+                if self._products is not None and self._products[key] > 1:
                     hold_rows(field)
             yield reads[0][0], reads[1][0]
             for field, key, side in reads:
                 self._read(key, field, side)
+
+    def _memoize(self, memo: dict, key, bracket: Field) -> Field:
+        """memo[key] = bracket, held for the extractor's life if it has no plan."""
+        if self._products is None:
+            hold_rows(bracket)
+        memo[key] = bracket
+        return bracket
 
     def g_bracket(self, mono: PlusMonomial) -> Field:
         if mono.is_poly:
@@ -322,12 +338,17 @@ class BracketExtractor:
                 self.model.grid, self.step(start, self.coproduct_terms(mono, coproduct,
                                                                        self.g_bracket)))
             self._read((1, mono), start, "f", product=False)
-            self._g_memo[mono] = hit
+            self._memoize(self._g_memo, mono, hit)
         return hit
 
     def g_bracket_vector(self, v: FreeVector) -> Field:
+        """sum c <mono> over the terms c mono of v; the memoized bracket
+        itself when v is one monomial with coefficient 1."""
+        terms = v.sorted_items()
+        if len(terms) == 1 and terms[0][1] == 1:
+            return self.g_bracket(terms[0][0])
         acc = np.zeros(self.model.grid.shape)
-        for mono, c in v.sorted_items():
+        for mono, c in terms:
             acc += float(c) * self.g_bracket(mono).values
         return Field.adopt(self.model.grid, acc)
 
@@ -337,28 +358,25 @@ class BracketExtractor:
         hit = self._pi_memo.get(sym)
         if hit is None:
             terms = self.coproduct_terms(sym, self.model.structure.delta(sym), self.pi_bracket)
-            hit = self._pi_memo[sym] = Field.adopt(
-                self.model.grid, self.step(self.model.pi_symbol(sym), terms))
+            hit = self._memoize(self._pi_memo, sym, Field.adopt(
+                self.model.grid, self.step(self.model.pi_symbol(sym), terms)))
         return hit
 
 
 def extract_brackets(model: Model, m: int | None = None,
                      with_reports: bool = True, tol_slope: float = SLOPE_TOL) -> BracketData:
     """All bracket data of a model below the cutoff, from an extractor that
-    plans its products first (`BracketExtractor.plan`).  With reports,
+    plans its products first (`BracketExtractor.brackets`).  With reports,
     `report` checks each bracket's Hölder slope against its homogeneity
     within tol_slope, the NormReport kept on the check."""
     S = model.structure
     if m is None:
         m = default_m(S)
-    ex = BracketExtractor(model, m)
     g_keys = [mono for mono in S.plus_monomials(plus_bound(S))
               if not mono.is_poly and all(n in model.g.values for n, _ in mono.gens)]
     pi_keys = [sym for sym in S.base_symbols() if not sym.is_poly and sym.core in model.pi]
-    ex.plan(g_keys, pi_keys)
-    g_side = {mono: ex.g_bracket(mono) for mono in g_keys}
-    pi_side = {sym: ex.pi_bracket(sym) for sym in pi_keys}
-    del ex   # its coefficient Fields are not held while the reports run
+    # the extractor, with its coefficient Fields, is let go before the reports run
+    g_side, pi_side = BracketExtractor(model, m).brackets(g_keys, pi_keys)
     out = BracketData(m, {mono: f.values for mono, f in g_side.items()},
                       {sym: f.values for sym, f in pi_side.items()})
     if with_reports:

@@ -158,13 +158,14 @@ def write_rule(path, rule: Rule) -> None:
 
 # -- monomial and term grammar -----------------------------------------------------
 
-_MI_RE = re.compile(r"^\((-?\d+)(,(-?\d+))*\)")
+_MI_RE = re.compile(r"^\((\d+)(,(\d+))*\)")
 
 
 def _parse_mi(path, line_no, text: str, dim: int) -> tuple[tuple[int, ...], str]:
+    """A multi-index in N^d at the start of text, and the rest of text."""
     m = _MI_RE.match(text)
     if not m:
-        raise FileFormatError(path, line_no, f"expected a multi-index at {text[:20]!r}")
+        raise FileFormatError(path, line_no, f"expected a multi-index in N^{dim} at {text[:20]!r}")
     body = m.group(0)
     vals = tuple(int(v) for v in body[1:-1].split(","))
     if len(vals) != dim:

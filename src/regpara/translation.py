@@ -349,7 +349,8 @@ def _sigma_step(model: Model, ex: BracketExtractor, symbols, sigma: BaseSymbol,
     coeff(mu), a Field or an array: `BracketExtractor.step` over the
     quotients of sigma, in their order.  Each product comes from
     `Model.md_product`, so md_from_paracontrolled and md_to_paracontrolled
-    form it once per model and f_mu; <mu/sigma>^g is formed only with it."""
+    form it once per model and f_mu; <mu/sigma>^g is formed only with it,
+    and ex, which has no plan, holds its rows for the stage."""
     def products():
         for mu, quot in _plus_quotients(model.structure, symbols, sigma):
             f = coeff(mu)
@@ -379,12 +380,10 @@ def md_to_paracontrolled(model: Model, md: ModelledDistribution,
     for sigma in order:
         out[sigma] = _sigma_step(model, ex, symbols, sigma, md.coeff(sigma), md.coeff, sign=-1)
     rf = reconstruct(model, md.coeffs, gamma)
-    # the Pi-brackets come from an extractor of their own, let go with its
-    # coefficients before the products are formed: it lowers md_to's peak
-    pi = BracketExtractor(model, 0)
-    brackets = [(s, pi.pi_bracket(s)) for s in symbols if not s.is_poly]
-    del pi
-    rec = ex.step(rf, ((md.coeff(s), b) for s, b in brackets))
+    # the Pi-brackets come from a planned extractor of their own, let go
+    # with its coefficients before the products are formed
+    _, brackets = BracketExtractor(model, 0).brackets((), [s for s in symbols if not s.is_poly])
+    rec = ex.step(rf, ((md.coeff(s), b) for s, b in brackets.items()))
     system = ParacontrolledSystem(S, grid, gamma, out, rec)
     if with_reports:
         box = (interior_box(grid),) * grid.dim   # the interior, read as views

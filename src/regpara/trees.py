@@ -359,22 +359,21 @@ class _TreeParser:
             self.error("expected a name")
         return self.text[start:self.pos]
 
-    def integer(self) -> int:
+    def natural(self) -> int:
+        """A multi-index entry, in N."""
         start = self.pos
-        if self.peek() == "-":
+        while self.peek().isdecimal():   # isdigit() also passes "²", which int() refuses
             self.pos += 1
-        while self.peek().isdigit():
-            self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
-            self.error("expected an integer")
+        if self.pos == start:
+            self.error("expected a natural number")
         return int(self.text[start:self.pos])
 
     def mi(self) -> Multi:
         self.expect("(")
-        out = [self.integer()]
+        out = [self.natural()]
         while self.peek() == ",":
             self.pos += 1
-            out.append(self.integer())
+            out.append(self.natural())
         self.expect(")")
         if len(out) != self.dim:
             self.error(f"multi-index {tuple(out)} does not match dimension {self.dim}")

@@ -303,6 +303,65 @@ def test_c_failure_names_its_witness(case, tmp_path, capsys):
     assert capsys.readouterr().out.split("\n").count(f"C_failure {message}") == 1
 
 
+# Hand-written tables that the constructor refuses (a ValueError) or whose
+# assumption (A) or (B) fails once, each with its one message.
+_PLUS_J = "gen J plus 3/2\n"
+_PLUS_K = "gen K plus 1/2\ndplus K = K (x) 1 + 1 (x) K\n"
+AB_FAILURES = {
+    "no-unit": ("dim 1\ncutoff 3\ngen 1 base 1\ngen u base -1/2\ndelta u = u (x) 1\n",
+                "structure must declare the unit base generator '1' at homogeneity 0"),
+    "plus-at-zero": (_ONE_NOISE + "gen J plus 0\ndplus J = J (x) 1 + 1 (x) J\n",
+                     "plus-generator J must have positive homogeneity, got 0"),
+    "base-at-zero": (_ONE_NOISE + "gen v base 0\ndelta v = v (x) 1\n",
+                     "only '1' may sit at homogeneity 0, got v"),
+    "no-dplus": (_ONE_NOISE + _PLUS_J, "missing Delta+ table entry for plus-generator J"),
+    "no-delta": (_ONE_NOISE + "gen v base -1/4\n",
+                 "missing Delta table entry for base generator v"),
+    "dplus-diagonal": (_ONE_NOISE + _PLUS_J + "dplus J = 1 (x) J\n",
+                       "Delta+ J misses the diagonal term J (x) 1"),
+    "dplus-counit": (_ONE_NOISE + _PLUS_J + "dplus J = J (x) 1\n",
+                     "Delta+ J misses the counit term 1 (x) J"),
+    "dplus-grading": (_ONE_NOISE + _PLUS_J + "dplus J = J (x) 1 + 1 (x) J + X(1) (x) 1\n",
+                      "Delta+ J: term X(1) (x) 1 breaks the grading"),
+    "dplus-polynomial": (_ONE_NOISE + "gen J plus 2\n"
+                         "dplus J = J (x) 1 + 1 (x) J + X(1) (x) X(1)\n",
+                         "Delta+ J: polynomial term X(1) (x) X(1)"),
+    "dplus-triangular": (_ONE_NOISE + _PLUS_J + _PLUS_K
+                         + "dplus J = J (x) 1 + 1 (x) J + K^3 (x) 1\n",
+                         "Delta+ J: middle term K^3 (x) 1 not triangular"),
+    "delta-diagonal": ("dim 1\ncutoff 3\ngen u base -1/2\ndelta u = 2 * u (x) 1\n",
+                       "Delta u misses the diagonal term u (x) 1"),
+    "delta-grading": (_ONE_NOISE + "gen v base -1/4\ndelta v = v (x) 1 + v (x) X(1)\n",
+                      "Delta v: term v (x) X(1) breaks the grading"),
+    "delta-triangular": (_ONE_NOISE + "gen v base -1/2\ndelta v = v (x) 1 + u (x) 1\n",
+                         "Delta v: term u (x) 1 not triangular"),
+    "delta-polynomial": (_ONE_NOISE + "gen w base 2\ndelta w = w (x) 1 + X_(1) (x) X(1)\n",
+                         "Delta w: polynomial term X_(1) (x) X(1)"),
+    # below cutoff 1 no X_ multiple of v repeats the mix
+    "b-mix": ("dim 1\ncutoff 1\ngen u base -1/2\ndelta u = u (x) 1\n"
+              "gen K plus 1\ndplus K = K (x) 1 + 1 (x) K\n"
+              "gen v base 1/2\ndelta v = v (x) 1 + u (x) K + u (x) X(1)\n",
+              "v/u mixes T_X^+ and span(B+ - B_X^+)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AB_FAILURES))
+def test_structure_error_or_ab_failure_names_its_witness(case, tmp_path):
+    """Each malformed table set is refused at construction with its message,
+    or reads and fails (A) or (B) with that message alone."""
+    text, message = AB_FAILURES[case]
+    path = tmp_path / f"{case}.txt"
+    path.write_text(text)
+    try:
+        S = read_structure(path)
+    except ValueError as exc:
+        assert str(exc) == message
+        return
+    rep = S.check_assumptions()
+    assert rep.a_failures + rep.b_failures == [message]
+    assert (rep.a_ok, rep.b_ok) == (not case.startswith(("dplus", "delta")), case != "b-mix")
+
+
 # A structure whose only wrong table is that of its lowest plus-generator L:
 # its diagonal term has coefficient 2.
 _LOW_DEFECT = ("gen L plus 1/2\ngen K plus 3/2\n"

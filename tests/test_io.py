@@ -176,6 +176,70 @@ class TestStructureFiles:
         assert rep.c_failures == ["D^(1) J = 1/2 J is not a basis generator"]
 
 
+# One malformed file per refusal of the rule and structure readers: (reader,
+# text, line, message); line 0 is the whole file.
+_HEAD = "dim 1\ncutoff 2\ngen J0 plus 1/2\ngen th base -1/2\n"
+_TABLES = "dplus J0 = J0 (x) 1 + 1 (x) J0\ndelta th = th (x) 1\n"
+MALFORMED = {
+    "rule-unknown-line": (read_rule, "dim 1\ncutoff 1\nnoise xi -5/8\nfrobnicate 2\n", 4,
+                          "unrecognised rule line 'frobnicate 2'"),
+    "rule-no-dim": (read_rule, "cutoff 1\nnoise xi -5/8\n", 0, "missing 'dim'"),
+    "rule-no-cutoff": (read_rule, "dim 1\nnoise xi -5/8\n", 0, "missing 'cutoff'"),
+    "unknown-line": (read_structure, _HEAD + "frobnicate 2\n", 5,
+                     "unrecognised structure line 'frobnicate 2'"),
+    "bad-rule-line": (read_structure, "rule toy.rule sideways\n", 1,
+                      "expected 'rule PATH canonical|noncanonical'"),
+    "no-dim": (read_structure, "cutoff 2\n", 0, "missing 'dim' or 'cutoff'"),
+    "no-cutoff": (read_structure, "dim 1\n", 0, "missing 'dim' or 'cutoff'"),
+    "bad-gen-line": (read_structure, _HEAD + "gen J1 minus 1\n", 5,
+                     "expected 'gen NAME plus|base HOMOG'"),
+    "no-equals": (read_structure, _HEAD + "dplus J0 J0 (x) 1\n", 5,
+                  "expected 'NAME = terms' in 'J0 J0 (x) 1'"),
+    "unknown-table-generator": (read_structure, _HEAD + _TABLES + "dplus J9 = J0 (x) 1\n", 7,
+                                "dplus for unknown generator 'J9'"),
+    "two-tensors": (read_structure, _HEAD + "dplus J0 = J0 (x) 1 (x) 1\n", 5,
+                    "term 'J0 (x) 1 (x) 1' needs exactly one ' (x) '"),
+    "two-stars": (read_structure, _HEAD + "dplus J0 = 1 * 2 * J0 (x) 1\n", 5,
+                  "term '1 * 2 * J0 (x) 1' has too many ' * '"),
+    "bad-multi-index": (read_structure, _HEAD + "dplus J0 = J0 (x) 1 + X(a) (x) J0\n", 5,
+                        "expected a multi-index in N^1 at '(a)'"),
+    "negative-multi-index": (read_structure, _HEAD + "dplus J0 = J0 (x) 1 + X(-1) (x) J0\n",
+                             5, "expected a multi-index in N^1 at '(-1)'"),
+    "negative-base-multi-index": (read_structure, _HEAD + "dplus J0 = J0 (x) 1 + 1 (x) J0\n"
+                                  "delta th = th (x) 1 + X_(-1) (x) 1\n", 6,
+                                  "expected a multi-index in N^1 at '(-1)'"),
+    "multi-index-dim": (read_structure, _HEAD + "dplus J0 = J0 (x) 1 + X(1,0) (x) J0\n", 5,
+                        "multi-index (1,0) does not match dim 1"),
+    "trailing-after-x": (read_structure, _HEAD + "dplus J0 = J0 (x) 1 + X(1)J0 (x) 1\n", 5,
+                         "trailing input 'J0' after X(1)"),
+    "trailing-after-base-x": (read_structure, _HEAD + _TABLES + "delta th = X_(1)th (x) 1\n",
+                              7, "trailing input 'th'"),
+    "unknown-base-generator": (read_structure, _HEAD + _TABLES + "delta th = zz (x) 1\n", 7,
+                               "unknown base generator 'zz'"),
+    "two-cores": (read_structure, _HEAD + _TABLES + "delta th = th.th (x) 1\n", 7,
+                  "base symbol with two cores"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_file_names_path_and_line(case, tmp_path):
+    reader, text, line, message = MALFORMED[case]
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    with pytest.raises(FileFormatError) as err:
+        reader(p)
+    assert str(err.value) == f"{p}:{line}: {message}"
+
+
+def test_negative_element_is_refused(tmp_path, capsys):
+    """Multi-indices live in N^d: the CLI's --element is refused at <arg>."""
+    p = tmp_path / "s.txt"
+    p.write_text(_HEAD + _TABLES)
+    assert cli.main(["coproduct", "--structure", str(p), "--element", "X(-2)"]) == 2
+    assert capsys.readouterr().err == "error: <arg>:0: expected a multi-index in N^1 at '(-2)'\n"
+    assert cli.main(["coproduct", "--structure", str(p), "--element", "X(2)"]) == 0
+
+
 class TestRuleFiles:
     def test_round_trip(self, tmp_path):
         for name, rule in RULES.items():
@@ -249,6 +313,15 @@ class TestTreeGrammar:
     def test_dimension_mismatch(self):
         with pytest.raises(TreeParseError):
             parse_tree("X(1,0)", 1)
+
+    @pytest.mark.parametrize("text, col", [("I[t;(-1)](X(2))", 6), ("I[t;(1)](X(-2))", 12),
+                                           ("I[t;(1,0)](X(0,-2))", 16), ("X(²)", 3)])
+    def test_entry_outside_n_names_its_column(self, text, col):
+        dim = 2 if "," in text else 1
+        with pytest.raises(TreeParseError) as err:
+            parse_tree(text, dim)
+        assert (err.value.line, err.value.col) == (1, col)
+        assert str(err.value) == f"line 1, column {col}: expected a natural number"
 
 
 class TestBundles:

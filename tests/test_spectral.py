@@ -527,8 +527,8 @@ def _count_full_grid_inverse(monkeypatch, grid):
 
 @pytest.mark.parametrize("grid", [Grid(1, 4096, np.pi), Grid(2, 64, np.pi)], ids=["d1", "d2"])
 def test_stack_depth_follows_the_dimension(monkeypatch, grid):
-    """Four blocks per inverse FFT in d = 1, one in d = 2; every sub-grid
-    group's F and G factors in one transform."""
+    """Four blocks per inverse FFT in d = 1, one in d = 2; each side's
+    factors of a sub-grid group in one transform, the F then the G side."""
     decomp = make_partition(grid)
     f = Field(grid, np.random.default_rng(31).standard_normal(grid.shape))
     assert decomp.lanes == (4 if grid.dim == 1 else 1)
@@ -541,19 +541,20 @@ def test_stack_depth_follows_the_dimension(monkeypatch, grid):
     for is_resonant in (False, True):
         del sub[:]
         paraproducts._block_sum(decomp, is_resonant, f, f)
-        assert len(sub) == len(paraproducts._schedule(decomp, is_resonant)[0])
+        groups = paraproducts._schedule(decomp, is_resonant)[0]
+        assert sub == [(size,) * grid.dim for size, _syms in groups for _side in "fg"]
 
 
-def test_a_product_of_fresh_fields_stacks_both_sides(monkeypatch):
-    """P^2 of two fresh Fields at n = 1024 makes 6 inverse FFTs, as when
-    no operand could keep its rows: the 4-row stack of the top blocks' F
-    and G rows, one stack per sub-grid group with its F and G rows, and
-    the final transform."""
+def test_a_product_of_fresh_fields_transforms_each_side_apart(monkeypatch):
+    """P^2 of two fresh Fields at n = 1024 makes 11 inverse FFTs: the F
+    then the G side's stack of its 2 top-block rows, then per sub-grid
+    group one transform of the F and one of the G side's rows, then the
+    final transform."""
     grid = Grid(1, 1024, np.pi)
     decomp = make_partition(grid)
     rng = np.random.default_rng(37)
     u, v = (Field(grid, rng.standard_normal(grid.shape)) for _ in range(2))
-    groups, _full = paraproducts._schedule(decomp, False)
+    groups, full = paraproducts._schedule(decomp, False)
     calls = []
     irfft = blocks.BlockDecomposition.irfft
 
@@ -563,9 +564,9 @@ def test_a_product_of_fresh_fields_stacks_both_sides(monkeypatch):
 
     monkeypatch.setattr(blocks.BlockDecomposition, "irfft", counting)
     modified_paraproduct(decomp, 2, u, v)
-    assert calls == [((4,), grid.n), *(((len(syms),), size) for size, syms in groups),
-                     ((), grid.n)]
-    assert len(calls) == 6
+    per_group = [((len(syms) // 2,), size) for size, syms in groups for _side in "fg"]
+    assert calls == [((len(full),), grid.n), ((len(full),), grid.n), *per_group, ((), grid.n)]
+    assert (len(groups), len(full), len(calls)) == (4, 2, 11)
 
 
 def _block_pairs(decomp, count):
@@ -603,24 +604,18 @@ def test_block_rows_are_the_lone_transforms(grid):
 def test_a_block_row_is_intact_until_the_next_is_taken(grid):
     """Each row is its lone transform until the next one is taken, and all
     rows live in a ring of `lanes` rows (4 in d = 1, one grid array in
-    d = 2); taken in groups of two, as a paraproduct takes a top block's
-    F and G rows, each group is intact until the next is taken, and the
-    ring holds whole groups (2 of them in d = 1, 1 in d = 2); a last group
-    short of pairs holds only the rows drawn."""
+    d = 2), or of as many as there are pairs when they are fewer."""
     decomp = make_partition(grid)
     pairs = _block_pairs(decomp, 2 * decomp.lanes + 2)
     lone = [_bits(decomp.irfft(sym * spec)) for sym, spec in pairs]
-    groups = max(decomp.lanes, 2) // 2
-    for group, count, depth in ((None, len(pairs), decomp.lanes), (2, len(pairs), groups),
-                                (2, len(pairs) - 1, groups)):
+    for count in (len(pairs), 2):
         taken, slots = 0, set()
-        for rows in decomp.blocks(pairs[:count], group):
-            got = [rows] if group is None else list(rows)
-            assert [_bits(row) for row in got] == lone[taken : taken + len(got)], taken
-            slots.add(rows.__array_interface__["data"][0])
-            taken += len(got)
+        for row in decomp.blocks(pairs[:count]):
+            assert _bits(row) == lone[taken], taken
+            slots.add(row.__array_interface__["data"][0])
+            taken += 1
         assert taken == count
-        assert len(slots) == depth
+        assert len(slots) == min(decomp.lanes, count)
 
 
 # -- the heap policy -----------------------------------------------------------

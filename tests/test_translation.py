@@ -442,6 +442,84 @@ class TestMdProductMemo:
         assert len(model._md_products) == len(_sigma_mu_pairs(S))
 
 
+def _recorded_products(monkeypatch):
+    """(made, steps): every product an extractor forms, as (extractor, f, g,
+    stacked inverse-transform rows made for it), and those that
+    Model.md_product formed, the last of each of its forms (a bracket's own
+    recursion may come before).  f and g are kept, so their ids stay
+    distinct."""
+    import regpara.models as models
+    from regpara.blocks import BlockDecomposition
+
+    made, steps, rows = [], [], []
+    irfft, product = BlockDecomposition.irfft, models.BracketExtractor.product
+    md_product = models.Model.md_product
+
+    def counting(self, spec, size=None, out=None):
+        if spec.ndim > self.grid.dim:   # a stack of rows, not a final transform
+            rows.append(len(spec))
+        return irfft(self, spec, size, out)
+
+    def recording(self, c, u):
+        del rows[:]
+        out = product(self, c, u)
+        made.append((self, c, u, sum(rows)))
+        return out
+
+    def tagged(self, sigma, mu, f_mu, form):
+        def tagged_form():
+            out = form()
+            steps.append(made[-1])
+            return out
+        return md_product(self, sigma, mu, f_mu, tagged_form)
+
+    monkeypatch.setattr(BlockDecomposition, "irfft", counting)
+    monkeypatch.setattr(models.BracketExtractor, "product", recording)
+    monkeypatch.setattr(models.Model, "md_product", tagged)
+    return made, steps
+
+
+def _rows_per_side(grid):
+    from regpara.blocks import make_partition
+    from regpara.paraproducts import _schedule
+
+    groups, full = _schedule(make_partition(grid), False)
+    return sum(len(syms) // 2 for _, syms in groups) + len(full)
+
+
+class TestOperandRows:
+    def test_md_from_transforms_each_quotient_bracket_once(self, monkeypatch):
+        """md_from (D mode) on toy at n = 1024 forms 7 sigma-step products
+        P_{f_mu} <mu/sigma>^g over only 3 distinct quotient brackets, and 2
+        more in the recursions of two of them, whose operand is the third.
+        Each bracket, held by the extractor, has its rows transformed once;
+        each coefficient, held by no one, once per product."""
+        S, grid = _memo_structure("toy"), Grid(1, 1024, np.pi)
+        model = _fresh_model(S, grid)
+        made, steps = _recorded_products(monkeypatch)
+        _d_mode_md(model)
+        brackets = {id(g) for _ex, _f, g, _rows in made}
+        assert (len(steps), len({id(g) for _ex, _f, g, _rows in steps})) == (7, 3)
+        assert (len(made), len(brackets)) == (9, 3)
+        rows = sum(rows for *_, rows in made)
+        assert rows == _rows_per_side(grid) * (len(made) + len(brackets))
+
+    @pytest.mark.parametrize("name, grid", MEMO_CASES, ids=MEMO_IDS)
+    def test_md_to_forms_each_pi_bracket_operand_side_once(self, name, grid, monkeypatch):
+        """md_to's Pi-brackets come from a planned extractor: the rows of each
+        of its coefficients and brackets are transformed once, though some
+        are operands of several products."""
+        S = _memo_structure(name)
+        model = _fresh_model(S, grid)
+        md = _d_mode_md(model)
+        made, _steps = _recorded_products(monkeypatch)
+        md_to_paracontrolled(model, md, with_reports=False)
+        pi = [(f, g, rows) for ex, f, g, rows in made if ex._pi_memo]
+        sides = {("f", id(f)) for f, _g, _rows in pi} | {("g", id(g)) for _f, g, _rows in pi}
+        assert len(sides) < 2 * len(pi)
+        assert sum(rows for *_, rows in pi) == _rows_per_side(grid) * len(sides)
+
+
 @pytest.mark.parametrize("varying_axis", [0, 1])
 def test_two_point_g_report_probes_every_axis(varying_axis):
     """In d = 2 a g-bracket that varies along one axis only has g_{yx} = 0
