@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -31,7 +32,13 @@ from .blocks import derivative, make_partition
 from .characters import Character, field_character
 from .grid import Field, Grid
 from .norms import SLOPE_TOL, Report, SeparableFamily, holder_norm, synthesize
-from .paraproducts import hold_rows, modified_paraproduct, paraproduct, release_rows
+from .paraproducts import (
+    hold_rows,
+    modified_paraproduct,
+    paraproduct,
+    paraproduct_sum,
+    release_rows,
+)
 
 
 def default_m(structure: ConcreteRegularityStructure) -> int:
@@ -181,7 +188,9 @@ class BracketExtractor:
     """Lazy evaluation of the bracket recursions over one model.
 
     Every recursion is `step(start, terms, sign)` = start + sign * sum P^m_c u
-    over (c, u) in terms.  Extraction takes sign = -1:
+    over (c, u) in terms, the sum one block sum over the terms
+    (`paraproducts.paraproduct_sum`), so a step of k terms makes the
+    transforms of one product.  Extraction takes sign = -1:
 
     g-side:  <tau>^{m,g}  = g(tau)  - sum_{1 < nu < tau, nu not poly} P^m_{g(tau/nu)} <nu>^{m,g}
     Pi-side: <sigma>^{m,M} = Pi sigma - sum_{mu < sigma, mu not in B_X_} P^m_{g(sigma/mu)} <mu>^{m,M}
@@ -200,6 +209,10 @@ class BracketExtractor:
     the g-step of quot.  A Field is held before each product of it but its
     last, so it keeps its rows from its first product to its last, and it
     is released after that; a coefficient leaves the memo at its last read.
+    `pi_step` plans the Pi-brackets of md_to's reconstruction step with
+    that step's reads of them.  The terms of a step are drawn one at a
+    time, each after the rows of the one before are formed, so a release
+    comes after the product that was its operand's last.
     An extractor without a plan (build_g, build_pi, the md sigma-steps)
     holds each bracket it memoizes, for its own life, and no coefficient;
     nothing leaves its memo.
@@ -261,19 +274,31 @@ class BracketExtractor:
             del self._coef_memo[key]
 
     def step(self, start, terms, sign: int = -1) -> np.ndarray:
-        """start + sign * sum_{(c, u) in terms} P^m_c u, the terms added in
-        order; start, c and u are Fields or arrays."""
-        return self.accumulate(start, (self.product(c, u) for c, u in terms), sign)
+        """start + sign * sum_{(c, u) in terms} P^m_c u, the sum one block sum
+        (`paraproducts.paraproduct_sum`) over the terms, drawn in order and
+        each before the next, so that a step of k terms makes the transforms
+        of one product; start, c and u are Fields or arrays.  A step with no
+        term is a copy of start, made without a transform."""
+        start = start.values if isinstance(start, Field) else start
+        terms = iter(terms)
+        first = next(terms, None)
+        if first is None:
+            return np.array(start, dtype=float)
+        pairs = (self._fields(c, u) for c, u in itertools.chain([first], terms))
+        total = paraproduct_sum(self.decomp, self.m, pairs).values
+        return np.subtract(start, total) if sign < 0 else np.add(start, total)
 
     def product(self, c, u) -> np.ndarray:
         """P^m_c u for Fields or arrays c and u (read-only)."""
-        c, u = (x if isinstance(x, Field) else Field(self.model.grid, x) for x in (c, u))
-        return modified_paraproduct(self.decomp, self.m, c, u).values
+        return modified_paraproduct(self.decomp, self.m, *self._fields(c, u)).values
+
+    def _fields(self, c, u) -> tuple[Field, Field]:
+        return tuple(x if isinstance(x, Field) else Field(self.model.grid, x) for x in (c, u))
 
     @staticmethod
     def accumulate(start, products, sign: int) -> np.ndarray:
         """start + sign * sum of the products, added in order into a copy of
-        start: the sum of `step`."""
+        start: the sum of the md sigma-steps, one product per term."""
         acc = np.array(start.values if isinstance(start, Field) else start, dtype=float)
         for p in products:
             if sign < 0:
@@ -306,17 +331,37 @@ class BracketExtractor:
 
     def coproduct_terms(self, tau, coproduct: FreeVector, bracket):
         """(c g(tau/sigma), <sigma>) for each term of `term_keys`; <sigma> =
-        bracket(sigma), and the coefficient comes from `coefficient`.  With
-        a plan, an operand of a later product too is held before the pair
-        is yielded, and both reads are counted once its product is formed."""
-        for c, quot, sigma in self.term_keys(tau, coproduct):
-            reads = ((self.coefficient(c, quot), (c, quot), "f"), (bracket(sigma), sigma, "g"))
+        bracket(sigma), and the coefficient comes from `coefficient`."""
+        return self._planned(((self.coefficient(c, quot), (c, quot)), (bracket(sigma), sigma))
+                             for c, quot, sigma in self.term_keys(tau, coproduct))
+
+    def _planned(self, operands):
+        """(c, u) for each ((c, c_key), (u, u_key)) of operands, drawn one
+        at a time.  With a plan, an operand of a later product too is held
+        before the pair is yielded, and both reads are counted once its
+        product is formed, when the next pair is drawn."""
+        for (c, c_key), (u, u_key) in operands:
+            reads = ((c, c_key, "f"), (u, u_key, "g"))
             for field, key, _side in reads:
                 if self._products is not None and self._products[key] > 1:
                     hold_rows(field)
-            yield reads[0][0], reads[1][0]
+            yield c, u
             for field, key, side in reads:
                 self._read(key, field, side)
+
+    def pi_step(self, start, coeffs: dict, sign: int = -1) -> np.ndarray:
+        """start + sign * sum_sigma P^m_{coeffs[sigma]} <sigma>^M over the
+        keys of coeffs in order: md_to's <f>^M = Rf - sum_sigma P_{f_sigma}
+        <sigma>^M.  The Pi-brackets are planned, with the step's one read of
+        each among their products, and formed before the step, so a bracket
+        that is also an operand of their recursions keeps its rows from its
+        first product there to the step's."""
+        self._plan((), coeffs)
+        for sym in coeffs:
+            self._products[sym] += 1
+        brackets = {sym: self.pi_bracket(sym) for sym in coeffs}
+        return self.step(start, self._planned(((c, None), (brackets[sym], sym))
+                                              for sym, c in coeffs.items()), sign)
 
     def _memoize(self, memo: dict, key, bracket: Field) -> Field:
         """memo[key] = bracket, held for the extractor's life if it has no plan."""

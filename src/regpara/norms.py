@@ -304,10 +304,13 @@ def d_family_report(family, alpha, mask: np.ndarray | None = None):
     `family` is one SeparableFamily, or a list of them on one grid with a
     list of exponents `alpha`, giving a list of reports.  Each distinct
     field u (the same array) among all terms is transformed once and paired
-    once per j, however many terms hold it.  The pairings of one scale come
-    from one run of the plan's block transforms: those of fields held by
-    several terms first, copied into rows kept for the whole scale, then the
-    others in family and term order, each taken as its term is summed.
+    once per j, however many terms hold it.  A field whose half spectrum is
+    zero off the origin (a constant, as Pi(1) = 1) is its own pairing at
+    every scale, each Gaussian symbol being exactly 1 there, and is not
+    paired.  The pairings of one scale come from one run of the plan's
+    block transforms: those of fields held by several terms first, copied
+    into rows kept for the whole scale, then the others in family and term
+    order, each taken as its term is summed.
     """
     if isinstance(family, SeparableFamily):
         return d_family_report([family], [alpha], mask)[0]
@@ -316,13 +319,16 @@ def d_family_report(family, alpha, mask: np.ndarray | None = None):
     decomp = make_partition(family[0].grid)
     fields = [u for fam in family for _, u in fam.terms]
     uses = Counter(id(u) for u in fields)
-    spectra = {}
+    spectra, constant = {}, {}
     for u in fields:
         if id(u) not in spectra:
-            spectra[id(u)] = decomp.rfft(u)
-    shared = [key for key, n in uses.items() if n > 1]
-    fresh = [key for key, n in uses.items() if n == 1]
+            spectra[id(u)] = spec = decomp.rfft(u)
+            if not spec.flat[1:].any():
+                constant[id(u)] = u
+    shared = [key for key, n in uses.items() if n > 1 and key not in constant]
+    fresh = [key for key, n in uses.items() if n == 1 and key not in constant]
     kept = dict(zip(shared, np.empty((len(shared), *decomp.grid.shape))))
+    kept.update(constant)
     term = np.empty(decomp.grid.shape) if shared else None   # c times a kept pairing
     vals = np.empty(decomp.grid.shape)
     series = [(np.zeros(decomp.j_max + 2), np.zeros(decomp.j_max + 2)) for _ in family]

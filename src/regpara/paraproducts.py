@@ -15,23 +15,33 @@ through one inverse FFT, after |grad|^m when m > 0.  Forming products below
 their band also keeps the rounding error of real-space products above the
 band out of the spectrum, where |grad|^m would amplify it.
 
+`_block_sum` is one block sum over a sequence of (f, g) pairs: every
+pair's top-block products go into one real-space sum and each sub-grid
+group's into one sum on its sub-grid, so a sum of k products, as a step
+of the bracket recursions (`models.BracketExtractor.step`) is, makes one
+forward FFT per group, one of the top-block sum (m > 0) and one inverse
+FFT, as one product does.  `paraproduct_sum` is that sum of P^m products;
+`paraproduct`, `modified_paraproduct` and `resonant` are its one-pair
+case.  A sum of several pairs rounds otherwise than the products added
+one by one, at the level of rounding.
+
 Each operand side has one producer, `_rows`.  The rows of f (the factor
 of S_j, or of Delta_i in Pi) or of g (|grad|^{-m} g, the factor of
 Delta_j) are its top-block rows, from `BlockDecomposition.blocks`, then
 per sub-grid group one inverse FFT of the side's symbols times its
-restricted spectrum.  `_block_sum` is the pair kernel: it multiplies the
-two sides' rows and sums the products, those of the top blocks in real
-space and those of a group on its sub-grid and then through its spectrum.
+restricted spectrum.  The pairs are drawn one at a time, and a pair's
+rows are formed and multiplied before the next is drawn.
 
 A Field keeps its rows only while it is held (`hold_rows`), in one buffer
 per side, filled by the first product that forms them; the rows of a
 Field not held are formed for one product.  `models.BracketExtractor`
 holds: in a planned extraction an operand from its first product to its
-last, then it releases it (`release_rows`); without a plan each bracket
-it memoizes, for the extractor's life.  A row is the same transform, bit
-for bit, wherever it is formed (a lane of a stacked inverse FFT equals its
-lone transform), and the products are summed in the same order, so a
-product does not depend on which of its rows were held.
+last, then it releases it (`release_rows`) as the next pair is drawn;
+without a plan each bracket it memoizes, for the extractor's life.  A row
+is the same transform, bit for bit, wherever it is formed (a lane of a
+stacked inverse FFT equals its lone transform), and the products are
+summed in the same order, so a sum does not depend on which of its rows
+were held.
 """
 from __future__ import annotations
 
@@ -150,26 +160,49 @@ def _rows(decomp: BlockDecomposition, resonant: bool, x: Field, side: str, m: in
                            size, out=out)
 
 
-def _block_sum(decomp: BlockDecomposition, resonant: bool, f: Field, g: Field,
-               m: int = 0) -> np.ndarray:
-    """|grad|^m of the block sum of P_f |grad|^{-m} g (Pi(f, g) when
-    resonant, with m = 0), the pair kernel over the rows of f and g: the
-    top blocks' products summed in real space, each sub-grid group's on
-    its sub-grid and then through its spectrum into the half spectrum,
-    whose inverse FFT ends it, into the one array returned."""
+def _pair_sums(decomp: BlockDecomposition, resonant: bool, f: Field, g: Field, m: int,
+               acc: np.ndarray) -> list:
+    """Adds the top-block products of f and |grad|^{-m} g into acc, and
+    returns each sub-grid group's sum of their products on its sub-grid.
+    The rows of both sides, and the rings they lie in, go with its return,
+    before the next pair of a block sum is drawn."""
     groups, full = _schedule(decomp, resonant)
-    grid = decomp.grid
     frows, grows = _rows(decomp, resonant, f, "f"), _rows(decomp, resonant, g, "g", m)
-    acc, prod = np.zeros(grid.shape), np.empty(grid.shape)
+    prod = np.empty(decomp.grid.shape)
     # zip draws from `full` first, so it stops before the sub-grid rows
     for _bands, fb, gb in zip(full, frows, grows):
         acc += np.multiply(fb, gb, out=prod)
     del prod
+    return [np.sum(fb * gb, axis=0) for _group, fb, gb in zip(groups, frows, grows)]
+
+
+def _block_sum(decomp: BlockDecomposition, resonant: bool, pairs, m: int = 0):
+    """|grad|^m of the block sum of sum_i P_{f_i} |grad|^{-m} g_i over the
+    (f_i, g_i) pairs (of Pi(f_i, g_i) when resonant, with m = 0), drawn one
+    at a time, each pair's products formed (`_pair_sums`) before the next
+    is drawn: the top blocks' products summed in real space, each sub-grid
+    group's on its sub-grid, then each group's sum through its spectrum
+    into the half spectrum, whose inverse FFT ends it, into the one array
+    returned; None for no pair."""
+    groups, _full = _schedule(decomp, resonant)
+    grid = decomp.grid
+    acc = sums = None
+    for f, g in pairs:
+        _check(decomp, f, g)
+        if acc is None:
+            acc = np.zeros(grid.shape)
+        parts = _pair_sums(decomp, resonant, f, g, m, acc)
+        if sums is None:
+            sums = parts
+        else:
+            for total, part in zip(sums, parts):
+                total += part
+    if acc is None:
+        return None
     spec = np.zeros(decomp.radius.shape, complex)
-    for (size, _syms), fb, gb in zip(groups, frows, grows):
-        prod = np.sum(fb * gb, axis=0)
-        prod *= (size / grid.n) ** grid.dim
-        decomp.scatter_add(spec, decomp.rfft(prod), size)
+    for (size, _syms), total in zip(groups, sums):
+        total *= (size / grid.n) ** grid.dim
+        decomp.scatter_add(spec, decomp.rfft(total), size)
     if m:
         spec += decomp.rfft(acc)
         spec *= decomp.half_power(m)
@@ -177,6 +210,19 @@ def _block_sum(decomp: BlockDecomposition, resonant: bool, f: Field, g: Field,
     out = decomp.irfft(spec)
     out += acc
     return out
+
+
+def paraproduct_sum(decomp: BlockDecomposition, m: int, pairs) -> Field:
+    """sum_i P^m_{f_i} g_i over the (f_i, g_i) pairs of Fields, drawn one at
+    a time, as one block sum: the pairs share its transforms, one forward
+    FFT per sub-grid group, one of the top blocks (m > 0) and one inverse
+    FFT.  It rounds otherwise than adding the products one by one, at the
+    level of rounding; one pair is `modified_paraproduct` bit for bit, and
+    no pair the zero Field, made without a transform."""
+    if m < 0:
+        raise ValueError("modified paraproduct requires m in N")
+    out = _block_sum(decomp, False, pairs, m)
+    return Field.zero(decomp.grid) if out is None else Field.adopt(decomp.grid, out)
 
 
 def paraproduct(decomp: BlockDecomposition, f: Field, g: Field) -> Field:
@@ -191,16 +237,12 @@ def modified_paraproduct(decomp: BlockDecomposition, m: int, f: Field, g: Field)
     which is the same operator since both are linear.  m = 0 runs the
     identical code path as the plain paraproduct, so P^0 = P bit for bit.
     """
-    _check(decomp, f, g)
-    if m < 0:
-        raise ValueError("modified paraproduct requires m in N")
-    return Field.adopt(decomp.grid, _block_sum(decomp, False, f, g, m))
+    return paraproduct_sum(decomp, m, [(f, g)])
 
 
 def resonant(decomp: BlockDecomposition, f: Field, g: Field) -> Field:
     """Pi(f, g) = sum_{|i-j|<=1} (Delta_i f)(Delta_j g)."""
-    _check(decomp, f, g)
-    return Field.adopt(decomp.grid, _block_sum(decomp, True, f, g))
+    return Field.adopt(decomp.grid, _block_sum(decomp, True, [(f, g)]))
 
 
 def smooth_part(decomp: BlockDecomposition, g: Field) -> Field:

@@ -1,11 +1,13 @@
 """Modelled distributions, paracontrolled systems, model validation, and the
 auxiliary negative-homogeneity cross-check structure.
 
-md <-> paracontrolled runs `models.BracketExtractor.step` over the quotients
-mu/sigma in span(B+ \\ B_X^+): md_to_paracontrolled takes sign -1,
-<f_sigma>^g = f_sigma - sum_{sigma < mu} P_{f_mu} <mu/sigma>^g and
+md <-> paracontrolled runs the recursions of `models.BracketExtractor` over
+the quotients mu/sigma in span(B+ \\ B_X^+): md_to_paracontrolled takes
+sign -1, <f_sigma>^g = f_sigma - sum_{sigma < mu} P_{f_mu} <mu/sigma>^g and
 <f>^M = Rf - sum_sigma P_{f_sigma} <sigma>^M; md_from_paracontrolled takes
-sign +1, f_sigma = <f_sigma>^g + the same sum.
+sign +1, f_sigma = <f_sigma>^g + the same sum.  A sigma-step adds its
+products one by one (`_sigma_step`), each of them kept by
+`Model.md_product`; <f>^M is one step, one block sum (`BracketExtractor.pi_step`).
 
 Every sum of g (x) g^{-1} over Delta+ here goes through
 `ConcreteRegularityStructure.delta_plus_terms`, in one order, which the
@@ -346,11 +348,13 @@ def _plus_quotients(S: ConcreteRegularityStructure, symbols, sigma: BaseSymbol):
 def _sigma_step(model: Model, ex: BracketExtractor, symbols, sigma: BaseSymbol,
                 start, coeff, sign: int) -> np.ndarray:
     """start + sign * sum_{sigma < mu} P_{f_mu} <mu/sigma>^g with f_mu =
-    coeff(mu), a Field or an array: `BracketExtractor.step` over the
-    quotients of sigma, in their order.  Each product comes from
-    `Model.md_product`, so md_from_paracontrolled and md_to_paracontrolled
-    form it once per model and f_mu; <mu/sigma>^g is formed only with it,
-    and ex, which has no plan, holds its rows for the stage."""
+    coeff(mu), a Field or an array, over the quotients of sigma, added in
+    their order one product at a time (`BracketExtractor.accumulate`), not
+    as one block sum: each product comes from `Model.md_product`, so
+    md_from_paracontrolled and md_to_paracontrolled form it once per model
+    and f_mu, which saves more than a sigma-step's shared transforms would;
+    <mu/sigma>^g is formed only with it, and ex, which has no plan, holds
+    its rows for the stage."""
     def products():
         for mu, quot in _plus_quotients(model.structure, symbols, sigma):
             f = coeff(mu)
@@ -380,10 +384,11 @@ def md_to_paracontrolled(model: Model, md: ModelledDistribution,
     for sigma in order:
         out[sigma] = _sigma_step(model, ex, symbols, sigma, md.coeff(sigma), md.coeff, sign=-1)
     rf = reconstruct(model, md.coeffs, gamma)
-    # the Pi-brackets come from a planned extractor of their own, let go
-    # with its coefficients before the products are formed
-    _, brackets = BracketExtractor(model, 0).brackets((), [s for s in symbols if not s.is_poly])
-    rec = ex.step(rf, ((md.coeff(s), b) for s, b in brackets.items()))
+    # the Pi-brackets come from a planned extractor of their own, whose plan
+    # counts this step's products of them too; the sigma-steps' extractor,
+    # with the brackets it holds, goes first
+    ex = BracketExtractor(model, 0)
+    rec = ex.pi_step(rf, {s: md.coeff(s) for s in symbols if not s.is_poly})
     system = ParacontrolledSystem(S, grid, gamma, out, rec)
     if with_reports:
         box = (interior_box(grid),) * grid.dim   # the interior, read as views

@@ -23,9 +23,10 @@ from regpara.models import (
     g_as_model,
     plus_bound,
     random_brackets,
+    reconstruct,
 )
 from regpara.norms import holder_norm, interior_mask, log_scale_fit
-from regpara.translation import validate_model
+from regpara.translation import md_from_paracontrolled, random_md_brackets, validate_model
 
 from conftest import build_random_model
 
@@ -384,7 +385,7 @@ class TestPolynomialOnlyModel:
     def test_taylor_model_validates(self, grid256):
         from regpara.algebra import polynomial_structure
         from regpara.characters import field_character
-        from regpara.translation import validate_model
+        from regpara.translation import md_from_paracontrolled, random_md_brackets, validate_model
 
         S = polynomial_structure(1, 2)
         model = Model(S, grid256, field_character(S, grid256, {}), {})
@@ -550,20 +551,94 @@ class TestOperandRows:
         groups, full = paraproducts._schedule(make_partition(model.grid), False)
         per_side = sum(len(syms) // 2 for _, syms in groups) + len(full)
         rows, operands = [], []
-        irfft, product = BlockDecomposition.irfft, models.modified_paraproduct
+        irfft, block_sum = BlockDecomposition.irfft, models.paraproduct_sum
 
         def counting(self, spec, size=None, out=None):
             if spec.ndim > self.grid.dim:   # a stack of rows, not a final transform
                 rows.append(len(spec))
             return irfft(self, spec, size, out)
 
-        def recording(decomp, m, f, g):
-            operands.append((f, g))
-            return product(decomp, m, f, g)
+        def recording(decomp, m, pairs):
+            def drawn():
+                for pair in pairs:
+                    operands.append(pair)
+                    yield pair
+            return block_sum(decomp, m, drawn())
 
         monkeypatch.setattr(BlockDecomposition, "irfft", counting)
-        monkeypatch.setattr(models, "modified_paraproduct", recording)
+        monkeypatch.setattr(models, "paraproduct_sum", recording)
         extract_brackets(model, with_reports=False)
         coefs, brackets = ({id(pair[side]) for pair in operands} for side in (0, 1))
         assert (len(operands), len(coefs), len(brackets), per_side) == (31, 15, 9, 8)
         assert sum(rows) == (len(coefs) + len(brackets)) * per_side == 192
+
+
+def _multi_term_steps(model):
+    """(extractor, start, terms) of every step with two or more terms of an
+    extraction of model, g-side then Pi-side, and of md_to's reconstruction
+    step <f>^M = Rf - sum P_{f_sigma} <sigma>^M of a (D)-mode md at gamma =
+    9/8, each term list drawn in full."""
+    S = model.structure
+    data = extract_brackets(model, with_reports=False)
+    ex = BracketExtractor(model, default_m(S))
+    out = []
+    for keys, delta, bracket, start in (
+            (data.g_side, S.delta_plus, ex.g_bracket, lambda mono: ex.coefficient(1, mono)),
+            (data.pi_side, S.delta, ex.pi_bracket, model.pi_symbol)):
+        for tau in keys:
+            terms = list(ex.coproduct_terms(tau, delta(tau), bracket))
+            if len(terms) > 1:
+                out.append((ex, start(tau), terms))
+    gamma = Fraction(9, 8)
+    md = md_from_paracontrolled(model, random_md_brackets(S, model.grid, gamma, 100), gamma)
+    ex0 = BracketExtractor(model, 0)
+    terms = [(md.coeff(sym), ex0.pi_bracket(sym)) for sym in data.pi_side]
+    out.append((ex0, reconstruct(model, md.coeffs, gamma), terms))
+    return out
+
+
+class TestStepBlockSum:
+    @pytest.mark.parametrize("name, grid", COEF_CASES, ids=COEF_IDS)
+    def test_a_step_is_the_sum_of_its_products(self, name, grid):
+        """A step of k terms, one block sum, equals its start minus its k
+        products added one by one in order, to 1e-12 of the largest value."""
+        model, _gb, _pib = _coef_model(name, grid)
+        for ex, start, terms in _multi_term_steps(model):
+            got = ex.step(start, terms)
+            want = ex.accumulate(start, (ex.product(c, u) for c, u in terms), -1)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name, grid", COEF_CASES, ids=COEF_IDS)
+    def test_a_step_makes_the_transforms_of_one_product(self, name, grid, monkeypatch):
+        """Of operands already transformed, a step of k terms makes one
+        inverse FFT onto the grid that is not a stack of rows, one forward
+        FFT per sub-grid group and one of its top blocks' sum (m > 0), as
+        one product does; a step with no term makes no transform."""
+        model, _gb, _pib = _coef_model(name, grid)
+        ex, start, terms = max(_multi_term_steps(model), key=lambda step: len(step[2]))
+        terms = [(c if isinstance(c, Field) else Field(grid, c), u) for c, u in terms]
+        for c, u in terms:
+            c.spectrum, u.spectrum
+        forward, inverse = [], []
+
+        def spy(fn, calls, forward_fft):
+            def counted(a, *args, **kwargs):
+                out = fn(a, *args, **kwargs)
+                if forward_fft:
+                    calls.append(np.shape(a))
+                elif np.ndim(a) == grid.dim and np.shape(out) == grid.shape:
+                    calls.append(np.shape(out))
+                return out
+            return counted
+
+        for fft, calls, forward_fft in (("rfft", forward, True), ("rfftn", forward, True),
+                                        ("irfft", inverse, False), ("irfftn", inverse, False)):
+            monkeypatch.setattr(np.fft, fft, spy(getattr(np.fft, fft), calls, forward_fft))
+        ex.step(start, terms)
+        groups, _full = paraproducts._schedule(ex.decomp, False)
+        assert len(terms) >= 4
+        assert forward == [(size,) * grid.dim for size, _syms in groups] + [grid.shape] * (ex.m > 0)
+        assert inverse == [grid.shape]
+        del forward[:], inverse[:]
+        assert np.array_equal(ex.step(start, []), start.values)
+        assert forward == inverse == []

@@ -468,6 +468,37 @@ def test_stacked_block_sums_are_bit_identical(stack_case):
         assert np.array_equal(got.values, want), name
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_a_one_pair_block_sum_is_the_modified_paraproduct(stack_case, m):
+    """paraproduct_sum over one pair is P^m bit for bit, and so the block
+    sum with every block transformed on its own."""
+    grid, (f, g, *_) = stack_case
+    decomp = make_partition(grid)
+    u, v = Field(grid, f), Field(grid, g)
+    got = paraproducts.paraproduct_sum(decomp, m, [(u, v)]).values
+    assert np.array_equal(got.view(np.int64), modified_paraproduct(decomp, m, u, v).values.view(np.int64))
+    gspec = decomp.half_power(-m) * v.spectrum if m else v.spectrum
+    want = _block_sum_one_at_a_time(decomp, False, u.spectrum, gspec, m)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 4096, np.pi), Grid(2, 256, np.pi)], ids=["d1", "d2"])
+def test_a_block_sum_is_the_sum_of_its_products(grid):
+    """Over several pairs, sub-grid groups on both grids, paraproduct_sum
+    equals the products added one by one, to 1e-12 of the largest value;
+    over none it is zero."""
+    decomp = make_partition(grid)
+    rng = np.random.default_rng(47)
+    fields = [Field(grid, rng.standard_normal(grid.shape)) for _ in range(4)]
+    pairs = [(fields[0], fields[1]), (fields[2], fields[1]), (fields[3], fields[0])]
+    assert paraproducts._schedule(decomp, False)[0]
+    for m in range(4):
+        got = paraproducts.paraproduct_sum(decomp, m, iter(pairs)).values
+        want = sum(modified_paraproduct(decomp, m, f, g).values for f, g in pairs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), m
+    assert not paraproducts.paraproduct_sum(decomp, 0, []).values.any()
+
+
 def _d_family_one_at_a_time(families, alphas, mask):
     """d_family_report with each pairing transformed on its own."""
     decomp = make_partition(families[0].grid)
@@ -506,6 +537,29 @@ def test_stacked_d_family_reports_are_bit_identical(stack_case):
                           _d_family_one_at_a_time([single], [0.5], None)[0].block_norms)
 
 
+
+@pytest.mark.parametrize("grid", [Grid(1, 512, np.pi), Grid(2, 64, np.pi)], ids=["d1", "d2"])
+def test_a_constant_field_is_its_own_pairing(monkeypatch, grid):
+    """Every Gaussian window pairs the constant 1 to itself, bit for bit, so
+    d_family_report transforms no row for it: one row per scale, the other
+    field's, for a family of Pi(1) = 1 and one other field."""
+    decomp = make_partition(grid)
+    ones = np.ones(grid.shape)
+    for j in range(1, decomp.j_max + 1):
+        (row,) = decomp.blocks([(decomp.half_gauss(j), decomp.rfft(ones))])
+        assert np.array_equal(row.view(np.int64), ones.view(np.int64)), j
+    rng = np.random.default_rng(53)
+    a, b, u = (rng.standard_normal(grid.shape) for _ in range(3))
+    rows, irfft = [], blocks.BlockDecomposition.irfft
+
+    def counting(self, spec, size=None, out=None):
+        rows.append(len(spec) if spec.ndim > grid.dim else 1)
+        return irfft(self, spec, size, out)
+
+    monkeypatch.setattr(blocks.BlockDecomposition, "irfft", counting)
+    d_family_report(SeparableFamily(grid, [(a, ones), (b, u)]), 0.5)
+    assert sum(rows) == decomp.j_max
+
 def _count_full_grid_inverse(monkeypatch, grid):
     calls = []
     irfftn, irfft = np.fft.irfftn, np.fft.irfft
@@ -540,7 +594,7 @@ def test_stack_depth_follows_the_dimension(monkeypatch, grid):
     sub = _count_subgrid_transforms(monkeypatch, grid)
     for is_resonant in (False, True):
         del sub[:]
-        paraproducts._block_sum(decomp, is_resonant, f, f)
+        paraproducts._block_sum(decomp, is_resonant, [(f, f)])
         groups = paraproducts._schedule(decomp, is_resonant)[0]
         assert sub == [(size,) * grid.dim for size, _syms in groups for _side in "fg"]
 

@@ -236,6 +236,9 @@ class TestReconstruction:
 MEMO_CASES = [("toy", Grid(1, 1024, np.pi)), ("bhz", Grid(1, 1024, np.pi)),
               ("toy2d", Grid(2, 64, np.pi))]
 MEMO_IDS = ["toy-1024", "bhz-noncanonical-1024", "toy2d-64"]
+# Pi-brackets md_to forms, and how many of them are operands of the others'
+# recursions as well as of the reconstruction step
+PI_OPERANDS = {"toy": (7, 4), "bhz": (4, 2), "toy2d": (5, 1)}
 
 
 def _memo_structure(name):
@@ -443,17 +446,19 @@ class TestMdProductMemo:
 
 
 def _recorded_products(monkeypatch):
-    """(made, steps): every product an extractor forms, as (extractor, f, g,
-    stacked inverse-transform rows made for it), and those that
-    Model.md_product formed, the last of each of its forms (a bracket's own
-    recursion may come before).  f and g are kept, so their ids stay
-    distinct."""
+    """(made, steps): every product an extractor forms, alone (`product`)
+    or as a term of a step's block sum, as (extractor, f, g, stacked
+    inverse-transform rows made for it), and those that Model.md_product
+    formed, the last of each of its forms (a bracket's own recursion may
+    come before).  A step's term is drawn after the rows of the one before
+    it are formed, and its rows before the next is drawn.  f and g are
+    kept, so their ids stay distinct."""
     import regpara.models as models
     from regpara.blocks import BlockDecomposition
 
     made, steps, rows = [], [], []
     irfft, product = BlockDecomposition.irfft, models.BracketExtractor.product
-    md_product = models.Model.md_product
+    step, md_product = models.BracketExtractor.step, models.Model.md_product
 
     def counting(self, spec, size=None, out=None):
         if spec.ndim > self.grid.dim:   # a stack of rows, not a final transform
@@ -461,10 +466,18 @@ def _recorded_products(monkeypatch):
         return irfft(self, spec, size, out)
 
     def recording(self, c, u):
-        del rows[:]
+        first = len(rows)
         out = product(self, c, u)
-        made.append((self, c, u, sum(rows)))
+        made.append((self, c, u, sum(rows[first:])))
         return out
+
+    def drawing(self, start, terms, sign=-1):
+        def drawn():
+            for c, u in terms:
+                first = len(rows)
+                yield c, u
+                made.append((self, c, u, sum(rows[first:])))
+        return step(self, start, drawn(), sign)
 
     def tagged(self, sigma, mu, f_mu, form):
         def tagged_form():
@@ -475,6 +488,7 @@ def _recorded_products(monkeypatch):
 
     monkeypatch.setattr(BlockDecomposition, "irfft", counting)
     monkeypatch.setattr(models.BracketExtractor, "product", recording)
+    monkeypatch.setattr(models.BracketExtractor, "step", drawing)
     monkeypatch.setattr(models.Model, "md_product", tagged)
     return made, steps
 
@@ -506,17 +520,24 @@ class TestOperandRows:
 
     @pytest.mark.parametrize("name, grid", MEMO_CASES, ids=MEMO_IDS)
     def test_md_to_forms_each_pi_bracket_operand_side_once(self, name, grid, monkeypatch):
-        """md_to's Pi-brackets come from a planned extractor: the rows of each
-        of its coefficients and brackets are transformed once, though some
-        are operands of several products."""
+        """md_to's Pi-brackets come from a planned extractor whose plan counts
+        the reconstruction step <f>^M = Rf - sum P_{f_sigma} <sigma>^M too:
+        over the brackets' recursions and that step, the rows of each
+        coefficient and bracket are transformed once, those of a bracket
+        that is an operand of both kept from its first product to the step's."""
         S = _memo_structure(name)
         model = _fresh_model(S, grid)
         md = _d_mode_md(model)
         made, _steps = _recorded_products(monkeypatch)
         md_to_paracontrolled(model, md, with_reports=False)
-        pi = [(f, g, rows) for ex, f, g, rows in made if ex._pi_memo]
+        brackets = {id(b) for ex, *_ in made for b in ex._pi_memo.values()}
+        pi = [(f, g, rows) for _ex, f, g, rows in made if id(g) in brackets]
+        # the step's multipliers are md's coefficient arrays, the recursions' Fields
+        step = {id(g) for f, g, _rows in pi if not isinstance(f, Field)}
+        recursion = {id(g) for f, g, _rows in pi if isinstance(f, Field)}
+        assert (len(brackets), len(recursion & step)) == PI_OPERANDS[name]
+        assert step == brackets
         sides = {("f", id(f)) for f, _g, _rows in pi} | {("g", id(g)) for _f, g, _rows in pi}
-        assert len(sides) < 2 * len(pi)
         assert sum(rows for *_, rows in pi) == _rows_per_side(grid) * len(sides)
 
 

@@ -6,12 +6,15 @@ keeps every output bit-identical.
 prints `<output> <sha256>` lines:
 
 - `toy-1d-32k:<step>`, for every step of one pass of
-  `perfbench/pipeline.py` at seed 1: arrays by their dtype, shape and bytes,
-  reports by their lines, dicts entry by entry in the order of their keys'
-  strings;
+  `perfbench/pipeline.py` at seed 1, then `toy-1d-32k:validate_md`, the
+  (D)-mode md of that pass validated on its model (a step the pass leaves
+  out in d = 1): arrays by their dtype, shape and bytes, reports by their
+  lines, dicts entry by entry in the order of their keys' strings;
 - `cli-512:<chain>:<verb>` for the exit status and stdout of every verb of
   both `perfbench/clichain.py` chains (roundtrip at seed 1), and
   `cli-512:<chain>/<file>` for every file the bundle verbs write;
+- `demos:<script>` for the stdout of every script under `demos/`, run in
+  this process;
 - `all`, the sha256 of the lines above it.
 
 The chains run in a temporary directory, whose path is replaced by
@@ -21,9 +24,12 @@ checkout.  Compare the output of two commits, or of one commit under
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import itertools
+import runpy
 import sys
 import tempfile
 from pathlib import Path
@@ -38,6 +44,7 @@ import clichain  # noqa: E402
 import pipeline  # noqa: E402
 from regpara.characters import Character  # noqa: E402
 from regpara.models import Model  # noqa: E402
+from regpara.translation import validate_md  # noqa: E402
 
 SEED = 1
 
@@ -79,6 +86,7 @@ def pipeline_outputs():
     for _half, op, fn in pipeline.steps(inp):
         results[op] = fn(results)
         yield f"toy-1d-32k:{op}", results[op]
+    yield "toy-1d-32k:validate_md", validate_md(results["build_pi"], results["md_from_d"])
 
 
 def cli_outputs():
@@ -91,9 +99,17 @@ def cli_outputs():
             yield f"cli-512:{path.relative_to(inp.workdir).as_posix()}", path.read_bytes()
 
 
+def demo_outputs():
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(str(demo), run_name="__main__")
+        yield f"demos:{demo.stem}", out.getvalue()
+
+
 def main() -> int:
     lines = []
-    for name, obj in itertools.chain(pipeline_outputs(), cli_outputs()):
+    for name, obj in itertools.chain(pipeline_outputs(), cli_outputs(), demo_outputs()):
         lines.append(f"{name} {digest(obj)}")
         print(lines[-1])
     print("all", digest("\n".join(lines)))
