@@ -39,9 +39,10 @@ grid, so their aliasing is the same as that of a pointwise product there.
 Stacked block transforms.  Every block loop (`holder_norm`,
 `d_family_report`, the J-operator sums of `lambda_cross_check`, and the
 top-block rows of each paraproduct operand) takes its rows from
-`BlockDecomposition.blocks`, which alone sizes the stacks: `lanes` spectra
-along a leading axis per inverse FFT, which numpy's pocketfft runs several
-at a time in SIMD lanes, each lane bit for bit the one-at-a-time transform.
+`BlockDecomposition.blocks`, which alone sizes the stacks: `lanes` spectra,
+or the pairs left if fewer, along a leading axis per inverse FFT, which
+numpy's pocketfft runs several at a time in SIMD lanes, each lane bit for
+bit the one-at-a-time transform.
 `lanes` is 4 in d = 1 and 1 in d = 2.  With numpy 2.4 on a 2-core Xeon, 16
 inverse transforms of 32768 points took about 7 ms one at a time and 5 ms
 in fours (deeper stacks gained little more); in d = 2 a transform already
@@ -203,22 +204,23 @@ class BlockDecomposition:
     def blocks(self, pairs):
         """Yields irfft(sym_i * spec_i) for the (sym, spec) pairs, in order.
 
-        The products go through inverse FFTs `lanes` at a time, each stack
-        and its symbols let go before its rows are yielded, into a ring of
-        as many rows as the first stack has, which the next stack
-        overwrites: a row yielded is intact until the next is taken."""
+        The products go through inverse FFTs `lanes` at a time, or the pairs
+        left if fewer, each stack and its symbols let go before its rows are
+        yielded, into a ring of as many rows as the first stack has, which
+        the next stack overwrites: a row yielded is intact until the next is
+        taken."""
         pairs, ring = iter(pairs), None
-        while True:
-            stack = np.empty((self.lanes, *self.radius.shape), complex)
-            n = 0
-            for n, (sym, spec) in enumerate(itertools.islice(pairs, self.lanes), 1):
-                np.multiply(sym, spec, out=stack[n - 1])
-            if not n:
-                return
+        while drawn := list(itertools.islice(pairs, self.lanes)):
+            n = len(drawn)
+            stack = np.empty((n, *self.radius.shape), complex)
+            for i in range(n):   # by index: a row bound to a name would keep the stack
+                sym, spec = drawn[i]
+                drawn[i] = None
+                np.multiply(sym, spec, out=stack[i])
             del sym, spec
             if ring is None:
                 ring = np.empty((n, *self.grid.shape))
-            self.irfft(stack[:n], out=ring[:n])
+            self.irfft(stack, out=ring[:n])
             del stack
             yield from ring[:n]
             if n < self.lanes:

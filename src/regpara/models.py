@@ -5,6 +5,8 @@ Pi and g components from free bracket data.
 Both run one triangular recursion through `BracketExtractor.step`: extraction
 <tau> = Pi tau - sum_{sigma < tau} P^m_{g(tau/sigma)} <sigma> (sign -1), and
 reconstruction Pi tau = <tau> + the same sum (sign +1); likewise for g(tau).
+Every sum of paraproducts, a step's (`BracketExtractor.block_sum`, the md
+sigma-steps' too) or reconstruct_family's, is one `paraproduct_sum`.
 """
 from __future__ import annotations
 
@@ -32,13 +34,7 @@ from .blocks import derivative, make_partition
 from .characters import Character, field_character
 from .grid import Field, Grid
 from .norms import SLOPE_TOL, Report, SeparableFamily, holder_norm, synthesize
-from .paraproducts import (
-    hold_rows,
-    modified_paraproduct,
-    paraproduct,
-    paraproduct_sum,
-    release_rows,
-)
+from .paraproducts import hold_rows, paraproduct_sum, release_rows
 
 
 def default_m(structure: ConcreteRegularityStructure) -> int:
@@ -70,7 +66,7 @@ class Model:
         self.pi.setdefault("1", np.ones(grid.shape))
         self._g_inv: Character | None = None
         self._diag: dict = {}
-        self._md_products: dict = {}
+        self._md_sums: dict = {}
 
     @property
     def g_inv(self) -> Character:
@@ -101,27 +97,27 @@ class Model:
             out = self.grid.poly(s.poly) * out
         return out
 
-    def md_product(self, sigma: BaseSymbol, mu: BaseSymbol, f_mu: np.ndarray,
-                   form) -> np.ndarray:
-        """P_{f_mu} <mu/sigma>^g of the md sigma-recursion (m = 0), formed by
-        form() unless the model holds it.
+    def md_sum(self, sigma: BaseSymbol, coeffs: tuple, form) -> np.ndarray:
+        """T_sigma = sum_mu P_{f_mu} <mu/sigma>^g of the md sigma-step
+        (m = 0), coeffs the arrays f_mu in the order of sigma's quotients,
+        formed by form() unless the model holds it.
 
-        The model keeps one product per (sigma, mu) together with the f_mu
-        it was formed from, and returns it while the f_mu asked for is that
-        array or has the same bits; a new f_mu replaces the entry, so there
-        are never more entries than (sigma, mu) pairs.  Only a read-only f_mu
-        that owns its data (the values of a Field) is kept: a writable array
-        could change after its product was formed.  g and Pi are set once,
-        so the bracket <mu/sigma>^g never goes stale.  It pays: md_to reads
-        md_from's coefficient arrays, and a general-mode rebuild has their bits.
+        The model keeps one sum per sigma with the f_mu it was formed from,
+        and returns it while every f_mu asked for is that array or has the
+        same bits; a new tuple replaces the entry, so there are never more
+        entries than sigmas.  It is kept only if every f_mu is read-only and
+        owns its data (the values of a Field): a writable array could change
+        after its sum was formed.  g and Pi are set once, so no <mu/sigma>^g
+        goes stale.  It pays: md_to reads md_from's coefficient arrays, and
+        a general-mode rebuild has their bits.
         """
-        hit = self._md_products.get((sigma, mu))
-        if hit is not None and _same_bits(hit[0], f_mu):
+        hit = self._md_sums.get(sigma)
+        if hit and len(hit[0]) == len(coeffs) and all(map(_same_bits, hit[0], coeffs)):
             return hit[1]
-        product = form()
-        if not f_mu.flags.writeable and f_mu.flags.owndata:
-            self._md_products[(sigma, mu)] = (f_mu, product)
-        return product
+        total = form()
+        if all(not f.flags.writeable and f.flags.owndata for f in coeffs):
+            self._md_sums[sigma] = (coeffs, total)
+        return total
 
     def pi_recentered_family(self, t: BaseSymbol) -> SeparableFamily:
         """Pi^g_x t = sum_{s <= t} Pi(s) g_x^{-1}(t/s) as a separable family
@@ -274,38 +270,33 @@ class BracketExtractor:
             del self._coef_memo[key]
 
     def step(self, start, terms, sign: int = -1) -> np.ndarray:
-        """start + sign * sum_{(c, u) in terms} P^m_c u, the sum one block sum
+        """start + sign * sum_{(c, u) in terms} P^m_c u, the sum `block_sum`
+        of the terms; start is a Field or an array."""
+        return self.add(start, self.block_sum(terms), sign)
+
+    def block_sum(self, terms) -> np.ndarray | None:
+        """sum_{(c, u) in terms} P^m_c u as one block sum
         (`paraproducts.paraproduct_sum`) over the terms, drawn in order and
-        each before the next, so that a step of k terms makes the transforms
-        of one product; start, c and u are Fields or arrays.  A step with no
-        term is a copy of start, made without a transform."""
-        start = start.values if isinstance(start, Field) else start
+        each before the next, so that k terms make the transforms of one
+        product; c and u are Fields or arrays.  None for no term."""
         terms = iter(terms)
         first = next(terms, None)
         if first is None:
-            return np.array(start, dtype=float)
+            return None
         pairs = (self._fields(c, u) for c, u in itertools.chain([first], terms))
-        total = paraproduct_sum(self.decomp, self.m, pairs).values
-        return np.subtract(start, total) if sign < 0 else np.add(start, total)
+        return paraproduct_sum(self.decomp, self.m, pairs).values
 
-    def product(self, c, u) -> np.ndarray:
-        """P^m_c u for Fields or arrays c and u (read-only)."""
-        return modified_paraproduct(self.decomp, self.m, *self._fields(c, u)).values
+    @staticmethod
+    def add(start, total: np.ndarray | None, sign: int) -> np.ndarray:
+        """start + sign * total into a new array; a copy of start, made
+        without a transform, when total is None (a step with no term)."""
+        start = start.values if isinstance(start, Field) else start
+        if total is None:
+            return np.array(start, dtype=float)
+        return np.subtract(start, total) if sign < 0 else np.add(start, total)
 
     def _fields(self, c, u) -> tuple[Field, Field]:
         return tuple(x if isinstance(x, Field) else Field(self.model.grid, x) for x in (c, u))
-
-    @staticmethod
-    def accumulate(start, products, sign: int) -> np.ndarray:
-        """start + sign * sum of the products, added in order into a copy of
-        start: the sum of the md sigma-steps, one product per term."""
-        acc = np.array(start.values if isinstance(start, Field) else start, dtype=float)
-        for p in products:
-            if sign < 0:
-                acc -= p
-            else:
-                acc += p
-        return acc
 
     def coefficient(self, c, quot: PlusMonomial) -> Field:
         """c g(quot) as a read-only Field, one per (c, quot) and extractor.
@@ -521,15 +512,14 @@ def reconstruct_family(model: Model, fam: SeparableFamily, gamma) -> Field:
 
     gamma > 0: the two-parameter paraproduct of Lambda plus the unique
     C^gamma correction, which on the grid is the diagonal trace.
-    gamma <= 0: **P**(Lambda) alone (reconstruction is not unique there).
+    gamma <= 0: **P**(Lambda) alone (reconstruction is not unique there),
+    sum P_coef u over the family's terms (coef, u) as one block sum.
     """
     if Fraction(gamma) > 0:
         return fam.diagonal()
-    decomp = make_partition(model.grid)
-    acc = Field.zero(model.grid)
-    for coef, u in fam.terms:
-        acc = acc + paraproduct(decomp, Field(model.grid, coef), Field(model.grid, u))
-    return acc
+    grid = model.grid
+    return paraproduct_sum(make_partition(grid), 0,
+                           ((Field(grid, coef), Field(grid, u)) for coef, u in fam.terms))
 
 
 # -- reconstruction of g from bracket data ------------------------------------------

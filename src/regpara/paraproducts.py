@@ -20,7 +20,9 @@ pair's top-block products go into one real-space sum and each sub-grid
 group's into one sum on its sub-grid, so a sum of k products, as a step
 of the bracket recursions (`models.BracketExtractor.step`) is, makes one
 forward FFT per group, one of the top-block sum (m > 0) and one inverse
-FFT, as one product does.  `paraproduct_sum` is that sum of P^m products;
+FFT, as one product does.  `paraproduct_sum` is that sum of P^m products,
+and every sum of paraproducts in `models` and `translation` is one
+(`models.BracketExtractor.block_sum`, `models.reconstruct_family`);
 `paraproduct`, `modified_paraproduct` and `resonant` are its one-pair
 case.  A sum of several pairs rounds otherwise than the products added
 one by one, at the level of rounding.

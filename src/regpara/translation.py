@@ -5,9 +5,9 @@ md <-> paracontrolled runs the recursions of `models.BracketExtractor` over
 the quotients mu/sigma in span(B+ \\ B_X^+): md_to_paracontrolled takes
 sign -1, <f_sigma>^g = f_sigma - sum_{sigma < mu} P_{f_mu} <mu/sigma>^g and
 <f>^M = Rf - sum_sigma P_{f_sigma} <sigma>^M; md_from_paracontrolled takes
-sign +1, f_sigma = <f_sigma>^g + the same sum.  A sigma-step adds its
-products one by one (`_sigma_step`), each of them kept by
-`Model.md_product`; <f>^M is one step, one block sum (`BracketExtractor.pi_step`).
+sign +1, f_sigma = <f_sigma>^g + the same sum.  Each is one block sum: a
+sigma-step's sum T_sigma (`_sigma_step`), which `Model.md_sum` keeps per
+sigma, and <f>^M's (`BracketExtractor.pi_step`).
 
 Every sum of g (x) g^{-1} over Delta+ here goes through
 `ConcreteRegularityStructure.delta_plus_terms`, in one order, which the
@@ -347,22 +347,23 @@ def _plus_quotients(S: ConcreteRegularityStructure, symbols, sigma: BaseSymbol):
 
 def _sigma_step(model: Model, ex: BracketExtractor, symbols, sigma: BaseSymbol,
                 start, coeff, sign: int) -> np.ndarray:
-    """start + sign * sum_{sigma < mu} P_{f_mu} <mu/sigma>^g with f_mu =
-    coeff(mu), a Field or an array, over the quotients of sigma, added in
-    their order one product at a time (`BracketExtractor.accumulate`), not
-    as one block sum: each product comes from `Model.md_product`, so
-    md_from_paracontrolled and md_to_paracontrolled form it once per model
-    and f_mu, which saves more than a sigma-step's shared transforms would;
+    """start + sign * T_sigma, T_sigma = sum_{sigma < mu} P_{f_mu} <mu/sigma>^g
+    over the quotients of sigma, with f_mu = coeff(mu), a Field or an array.
+    Every f_mu is drawn before the step starts, so no other sigma-step runs
+    inside its draw; T_sigma is one block sum (`BracketExtractor.block_sum`) and
+    comes from `Model.md_sum`, so md_from_paracontrolled and
+    md_to_paracontrolled form it once per model and coefficients.
     <mu/sigma>^g is formed only with it, and ex, which has no plan, holds
     its rows for the stage."""
-    def products():
-        for mu, quot in _plus_quotients(model.structure, symbols, sigma):
-            f = coeff(mu)
-            vals = f.values if isinstance(f, Field) else np.asarray(f, dtype=float)
-            yield model.md_product(sigma, mu, vals,
-                                   lambda: ex.product(f, ex.g_bracket_vector(quot)))
-
-    return ex.accumulate(start, products(), sign)
+    quotients = list(_plus_quotients(model.structure, symbols, sigma))
+    fs = [coeff(mu) for mu, _quot in quotients]
+    total = None
+    if fs:
+        arrays = tuple(f.values if isinstance(f, Field) else np.asarray(f, dtype=float)
+                       for f in fs)
+        total = model.md_sum(sigma, arrays, lambda: ex.block_sum(
+            zip(fs, (ex.g_bracket_vector(quot) for _mu, quot in quotients))))
+    return ex.add(start, total, sign)
 
 
 def md_to_paracontrolled(model: Model, md: ModelledDistribution,
@@ -374,7 +375,8 @@ def md_to_paracontrolled(model: Model, md: ModelledDistribution,
     With reports, `report` checks the Hölder slope of each <f_sigma>^g on the
     interior box against gamma - |sigma| within tol_slope, the NormReport
     kept on the check.  The coefficients are read as md.coeff arrays; a
-    product md_from formed with one is served by `Model.md_product`."""
+    sigma-step's sum that md_from formed from the same arrays is served by
+    `Model.md_sum`."""
     S, grid = model.structure, model.grid
     gamma = md.gamma
     ex = BracketExtractor(model, 0)

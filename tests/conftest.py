@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from regpara.algebra import ConcreteRegularityStructure, FreeVector
-from regpara.grid import Grid
+from regpara.grid import Field, Grid
 from regpara.library import structure
 from regpara.models import build_g, build_pi, g_as_model, random_brackets
+from regpara.paraproducts import modified_paraproduct
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +34,23 @@ def bhz_structure():
 def build_random_model(S, grid, seed=20):
     gb, pib = random_brackets(S, grid, seed)
     return build_pi(S, grid, build_g(S, grid, gb), pib), gb, pib
+
+
+def lone_product(ex, c, u) -> np.ndarray:
+    """P^m_c u of the extractor ex's order m, formed alone by
+    `modified_paraproduct`, for Fields or arrays c and u."""
+    fields = (x if isinstance(x, Field) else Field(ex.model.grid, x) for x in (c, u))
+    return modified_paraproduct(ex.decomp, ex.m, *fields).values
+
+
+def products_one_by_one(ex, start, terms, sign=-1) -> np.ndarray:
+    """start + sign * P^m_c u for each (c, u) of terms, each product formed
+    alone (`lone_product`) and added in order into a copy of start: the
+    reference a step's block sum is checked against."""
+    acc = np.array(start.values if isinstance(start, Field) else start, dtype=float)
+    for c, u in terms:
+        acc += sign * lone_product(ex, c, u)
+    return acc
 
 
 def perturbed_structure(S, table, name, key, coeff):

@@ -215,6 +215,24 @@ def test_one_verdict_path():
     assert [s for s in _string_literals(cli_tree) if "FAIL" in s] == []
 
 
+def test_one_step_path():
+    """Every sum of paraproducts in models.py and translation.py is one
+    block sum: neither names paraproduct, modified_paraproduct or resonant,
+    and outside paraproducts.py only BracketExtractor and
+    reconstruct_family read paraproduct_sum (models.py imports it)."""
+    for name in ("models.py", "translation.py"):
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        for single in ("paraproduct", "modified_paraproduct", "resonant"):
+            assert list(_references(tree, single)) == [], (name, single)
+    refs = {
+        (path.name, owner)
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "paraproducts.py"
+        for owner in _references(ast.parse(path.read_text(encoding="utf-8")), "paraproduct_sum")
+    }
+    assert refs == {("models.py", None), ("models.py", "BracketExtractor"),
+                    ("models.py", "reconstruct_family")}
+
+
 def test_every_traced_name_resolves(monkeypatch):
     """Each (module, attribute) in perfbench/tracer.GROUPS names a module
     attribute or an entry of a class __dict__, as `Tracer.install` reads

@@ -28,7 +28,7 @@ from regpara.models import (
 from regpara.norms import holder_norm, interior_mask, log_scale_fit
 from regpara.translation import md_from_paracontrolled, random_md_brackets, validate_model
 
-from conftest import build_random_model
+from conftest import build_random_model, lone_product, products_one_by_one
 
 
 def rel_err(a, b):
@@ -466,8 +466,8 @@ class TestCoefficientMemo:
                 if left == mono or left.is_poly:
                     continue
                 u = ex.g_bracket(left)
-                kept = ex.product(ex.coefficient(c, right), u)
-                fresh = ex.product(float(c) * model.g_field(right), u.values.copy())
+                kept = lone_product(ex, ex.coefficient(c, right), u)
+                fresh = lone_product(ex, float(c) * model.g_field(right), u.values.copy())
                 assert np.array_equal(kept.view(np.int64), fresh.view(np.int64)), (mono, left)
 
     def test_one_field_per_key_and_none_held_after_extraction(self, monkeypatch):
@@ -605,7 +605,7 @@ class TestStepBlockSum:
         model, _gb, _pib = _coef_model(name, grid)
         for ex, start, terms in _multi_term_steps(model):
             got = ex.step(start, terms)
-            want = ex.accumulate(start, (ex.product(c, u) for c, u in terms), -1)
+            want = products_one_by_one(ex, start, terms)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("name, grid", COEF_CASES, ids=COEF_IDS)

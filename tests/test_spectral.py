@@ -11,6 +11,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -670,6 +671,26 @@ def test_a_block_row_is_intact_until_the_next_is_taken(grid):
             taken += 1
         assert taken == count
         assert len(slots) == min(decomp.lanes, count)
+
+
+def test_two_pairs_take_a_stack_of_two_rows():
+    """Two pairs at n = 32768 (four lanes) take a stack of two rows, not
+    of four: the traced peak of the call is its two-row ring and a two-row
+    stack, with less than a third stack row to spare."""
+    grid = Grid(1, 32768, np.pi)
+    decomp = make_partition(grid)
+    pairs = _block_pairs(decomp, 2)
+    ring, stack_row = 2 * 8 * grid.n, 16 * decomp.radius.size   # float rows, complex rows
+    tracemalloc.start()
+    try:
+        for _row in decomp.blocks(pairs):
+            pass
+        del _row
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ring + 3 * stack_row
+    assert peak >= ring + 2 * stack_row
 
 
 # -- the heap policy -----------------------------------------------------------

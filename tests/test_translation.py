@@ -21,7 +21,14 @@ from regpara.blocks import derivative
 from regpara.characters import f_character_values, field_character
 from regpara.grid import Field, Grid
 from regpara.library import structure
-from regpara.models import Model, build_g, random_brackets, reconstruct, reconstruction_family
+from regpara.models import (
+    BracketExtractor,
+    Model,
+    build_g,
+    random_brackets,
+    reconstruct,
+    reconstruction_family,
+)
 from regpara.norms import (
     dyadic_separations,
     holder_norm,
@@ -47,7 +54,7 @@ from regpara.translation import (
     validate_model,
 )
 
-from conftest import build_random_model, perturbed_structure
+from conftest import build_random_model, perturbed_structure, products_one_by_one
 
 GAMMA = Fraction(9, 8)
 
@@ -261,14 +268,18 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _sigma_mu_pairs(S):
+def _quotients(S):
+    """sigma -> [(mu, mu/sigma)] for every sigma below GAMMA that has a
+    quotient, in the order of its sigma-step."""
     from regpara.translation import _plus_quotients
 
     symbols = S.base_symbols(GAMMA)
-    return {(s, mu) for s in symbols for mu, _q in _plus_quotients(S, symbols, s)}
+    return {s: quots for s in symbols if (quots := list(_plus_quotients(S, symbols, s)))}
 
 
 class TestMdProductMemo:
+    """The model's memo of the md sigma-steps' sums (`Model.md_sum`)."""
+
     @pytest.mark.parametrize("name, grid", MEMO_CASES, ids=MEMO_IDS)
     def test_outputs_equal_those_of_a_fresh_model(self, name, grid):
         S = _memo_structure(name)
@@ -276,7 +287,7 @@ class TestMdProductMemo:
         md = _d_mode_md(model)
         system = md_to_paracontrolled(model, md)
         md2 = md_from_paracontrolled(model, dict(system.brackets), GAMMA, mode="general")
-        assert model._md_products
+        assert model._md_sums
         want = md_to_paracontrolled(_fresh_model(S, grid), md)
         want2 = md_from_paracontrolled(_fresh_model(S, grid), dict(system.brackets), GAMMA,
                                        mode="general")
@@ -295,44 +306,37 @@ class TestMdProductMemo:
     @pytest.mark.parametrize("name, grid", MEMO_CASES, ids=MEMO_IDS)
     def test_md_recursion_products_are_formed_once(self, name, grid, monkeypatch):
         """Across md_from (D mode), md_to and the general-mode rebuild of
-        md_to's brackets, each product P_{f_mu} <mu/sigma>^g is formed once."""
+        md_to's brackets, the sum of each sigma-step is formed once: md_from
+        forms those of the core sigmas, md_to those of the polynomial-
+        decorated ones, whose coefficients md_from took from the diagonal-
+        derivative formula, and the rebuild none."""
         import regpara.models as models
 
         S = _memo_structure(name)
         model = _fresh_model(S, grid)
-        pairs, inside, formed = [], [], []   # pairs formed; the one forming; its products
-        paraproduct, md_product = models.modified_paraproduct, models.Model.md_product
+        formed = []
+        md_sum = models.Model.md_sum
 
-        def spy(decomp, m, f, g):
-            if inside:
-                formed.append((m, hash(f.values.tobytes()), hash(g.values.tobytes())))
-            return paraproduct(decomp, m, f, g)
-
-        def tagged(self, sigma, mu, f_mu, form):
+        def tagged(self, sigma, coeffs, form):
             def tagged_form():
-                pairs.append((sigma, mu))
-                inside.append((sigma, mu))
-                try:
-                    return form()
-                finally:
-                    inside.pop()
-            return md_product(self, sigma, mu, f_mu, tagged_form)
+                formed.append(sigma)
+                return form()
+            return md_sum(self, sigma, coeffs, tagged_form)
 
-        monkeypatch.setattr(models, "modified_paraproduct", spy)
-        monkeypatch.setattr(models.Model, "md_product", tagged)
+        monkeypatch.setattr(models.Model, "md_sum", tagged)
 
         def stage(run):
             del formed[:]
-            return run(), set(formed)
+            return run(), list(formed)
 
         md, by_from = stage(lambda: _d_mode_md(model))
         system, by_to = stage(lambda: md_to_paracontrolled(model, md, with_reports=False))
         _md2, by_general = stage(lambda: md_from_paracontrolled(
             model, dict(system.brackets), GAMMA, mode="general"))
-        assert by_from and not by_from & by_to
-        assert by_general == set()
-        # md_from forms the pairs of the core sigmas, md_to the rest
-        assert Counter(pairs) == Counter(_sigma_mu_pairs(S))
+        sigmas = _quotients(S)
+        assert Counter(by_from) == Counter(s for s in sigmas if not any(s.poly))
+        assert Counter(by_to) == Counter(s for s in sigmas if any(s.poly))
+        assert by_from and by_general == []
 
     def test_a_changed_coefficient_gets_its_own_product(self):
         S, grid = _memo_structure("toy"), Grid(1, 1024, np.pi)
@@ -340,7 +344,7 @@ class TestMdProductMemo:
         md = _d_mode_md(model)
         first = md_to_paracontrolled(model, md, with_reports=False)
         # a multiplier of the recursion, held as a Field's (read-only) values
-        mu = next(mu for _s, mu in sorted(_sigma_mu_pairs(S), key=str))
+        mu = min((mu for quots in _quotients(S).values() for mu, _q in quots), key=str)
         coeffs = dict(md.coeffs)
         coeffs[mu] = Field(grid, 2.0 * md.coeffs[mu]).values
         changed = ModelledDistribution(S, grid, GAMMA, coeffs)
@@ -351,7 +355,9 @@ class TestMdProductMemo:
             assert _same_bits(got.brackets[s], v), s
             moved += not _same_bits(v, first.brackets[s])
         assert moved > 1   # mu's own bracket and one below it at least
-        # the entries now hold the new coefficient; the old md forms its own again
+        # the entries now hold the new coefficients, one per sigma; the old
+        # md forms its own sums again
+        assert len(model._md_sums) == len(_quotients(S))
         again = md_to_paracontrolled(model, md, with_reports=False)
         for s, v in first.brackets.items():
             assert _same_bits(again.brackets[s], v), s
@@ -363,7 +369,7 @@ class TestMdProductMemo:
                                         {s: v.copy() for s, v in md.coeffs.items()})
         model = _fresh_model(S, grid)
         first = md_to_paracontrolled(model, writable, with_reports=False)
-        assert model._md_products == {}
+        assert model._md_sums == {}
         for v in writable.coeffs.values():
             v *= 3.0
         got = md_to_paracontrolled(model, writable, with_reports=False)
@@ -371,7 +377,7 @@ class TestMdProductMemo:
         for s, v in want.brackets.items():
             assert _same_bits(got.brackets[s], v), s
             assert not _same_bits(v, first.brackets[s]), s
-        assert model._md_products == {}
+        assert model._md_sums == {}
 
     @pytest.mark.parametrize("name, grid", MEMO_CASES, ids=MEMO_IDS)
     def test_each_coefficient_is_transformed_once(self, name, grid, monkeypatch):
@@ -434,62 +440,81 @@ class TestMdProductMemo:
         validate_model(model)
         assert len(calls) == len(model._diag) > 0
 
-    def test_memo_is_bounded_by_the_sigma_mu_pairs(self):
+    def test_memo_holds_one_entry_per_sigma_with_a_quotient(self):
         S, grid = _memo_structure("toy"), Grid(1, 1024, np.pi)
         model = _fresh_model(S, grid)
+        sigmas = _quotients(S)
         for seed in range(5):
             md = _d_mode_md(model, 200 + 10 * seed)
             system = md_to_paracontrolled(model, md, with_reports=False)
             md_from_paracontrolled(model, dict(system.brackets), GAMMA, mode="general")
-            assert set(model._md_products) <= _sigma_mu_pairs(S)
-        assert len(model._md_products) == len(_sigma_mu_pairs(S))
+            assert set(model._md_sums) <= set(sigmas)
+            assert all(len(coeffs) == len(sigmas[s])
+                       for s, (coeffs, _total) in model._md_sums.items())
+        assert len(model._md_sums) == len(sigmas)
+
+    @pytest.mark.parametrize("name, grid", MEMO_CASES, ids=MEMO_IDS)
+    def test_a_sigma_step_is_the_sum_of_its_products(self, name, grid):
+        """Each bracket md_to forms, f_sigma minus one block sum, equals
+        f_sigma minus the products P_{f_mu} <mu/sigma>^g of its sigma-step
+        added one by one in order, to 1e-12 of the largest value."""
+        S = _memo_structure(name)
+        model = _fresh_model(S, grid)
+        md = _d_mode_md(model)
+        system = md_to_paracontrolled(model, md, with_reports=False)
+        ex = BracketExtractor(model, 0)
+        steps = _quotients(S)
+        for sigma, quots in steps.items():
+            terms = [(md.coeff(mu), ex.g_bracket_vector(quot)) for mu, quot in quots]
+            want = products_one_by_one(ex, md.coeff(sigma), terms)
+            got = system.brackets[sigma]
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), sigma
+        assert steps and max(map(len, steps.values())) == (3 if name == "toy" else 1)
 
 
 def _recorded_products(monkeypatch):
-    """(made, steps): every product an extractor forms, alone (`product`)
-    or as a term of a step's block sum, as (extractor, f, g, stacked
-    inverse-transform rows made for it), and those that Model.md_product
-    formed, the last of each of its forms (a bracket's own recursion may
-    come before).  A step's term is drawn after the rows of the one before
-    it are formed, and its rows before the next is drawn.  f and g are
-    kept, so their ids stay distinct."""
+    """(made, steps): every product an extractor forms as a term of a block
+    sum (`BracketExtractor.block_sum`), as (extractor, f, g, stacked
+    inverse-transform rows made for it), and the terms of the sums that
+    Model.md_sum formed, the sigma-steps (the recursions of their brackets
+    run inside their draw).  A term is drawn after the rows of the one
+    before it are formed, and its rows before the next is drawn.  f and g
+    are kept, so their ids stay distinct."""
     import regpara.models as models
     from regpara.blocks import BlockDecomposition
 
-    made, steps, rows = [], [], []
-    irfft, product = BlockDecomposition.irfft, models.BracketExtractor.product
-    step, md_product = models.BracketExtractor.step, models.Model.md_product
+    made, steps, rows, sums = [], [], [], []
+    irfft = BlockDecomposition.irfft
+    block_sum, md_sum = models.BracketExtractor.block_sum, models.Model.md_sum
 
     def counting(self, spec, size=None, out=None):
         if spec.ndim > self.grid.dim:   # a stack of rows, not a final transform
             rows.append(len(spec))
         return irfft(self, spec, size, out)
 
-    def recording(self, c, u):
-        first = len(rows)
-        out = product(self, c, u)
-        made.append((self, c, u, sum(rows[first:])))
-        return out
+    def drawing(self, terms):
+        mine = []
+        sums.append(mine)
 
-    def drawing(self, start, terms, sign=-1):
         def drawn():
             for c, u in terms:
                 first = len(rows)
                 yield c, u
                 made.append((self, c, u, sum(rows[first:])))
-        return step(self, start, drawn(), sign)
+                mine.append(made[-1])
+        return block_sum(self, drawn())
 
-    def tagged(self, sigma, mu, f_mu, form):
+    def tagged(self, sigma, coeffs, form):
         def tagged_form():
+            first = len(sums)
             out = form()
-            steps.append(made[-1])
+            steps.extend(sums[first])   # the sum form() starts first is the step's
             return out
-        return md_product(self, sigma, mu, f_mu, tagged_form)
+        return md_sum(self, sigma, coeffs, tagged_form)
 
     monkeypatch.setattr(BlockDecomposition, "irfft", counting)
-    monkeypatch.setattr(models.BracketExtractor, "product", recording)
-    monkeypatch.setattr(models.BracketExtractor, "step", drawing)
-    monkeypatch.setattr(models.Model, "md_product", tagged)
+    monkeypatch.setattr(models.BracketExtractor, "block_sum", drawing)
+    monkeypatch.setattr(models.Model, "md_sum", tagged)
     return made, steps
 
 
