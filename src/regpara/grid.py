@@ -7,7 +7,6 @@ x^k keeps its meaning for characters and models.
 from __future__ import annotations
 
 import functools
-import os
 import struct
 from dataclasses import dataclass
 
@@ -231,33 +230,38 @@ class TwoParamField:
         return cls(f.grid, np.outer(f.values, g.values))
 
 
-def write_field(path, f: Field) -> None:
+def field_bytes(f: Field) -> bytes:
     """Binary format: magic, u32 dim, u32 n, f64 box, n^d little-endian f64."""
+    return (FIELD_MAGIC + struct.pack("<IId", f.grid.dim, f.grid.n, f.grid.box)
+            + f.values.astype("<f8").tobytes(order="C"))
+
+
+def write_field(path, f: Field) -> None:
     with open(path, "wb") as fh:
-        fh.write(FIELD_MAGIC)
-        fh.write(struct.pack("<II", f.grid.dim, f.grid.n))
-        fh.write(struct.pack("<d", f.grid.box))
-        fh.write(f.values.astype("<f8").tobytes(order="C"))
+        fh.write(field_bytes(f))
+
+
+def parse_field(data: bytes, source) -> Field:
+    """The field in `data`: a field file's bytes, in a bundle the ones read
+    once and checked against the manifest.  Header and byte count are
+    checked first, so malformed bytes name `source` and the byte counts.
+    The Field copies the payload, so `data` can go once it is formed."""
+    if data[:4] != FIELD_MAGIC:
+        raise ValueError(f"{source}: bad magic {data[:4]!r}, expected {FIELD_MAGIC!r}")
+    if len(data) < 20:
+        raise ValueError(f"{source}: {len(data)} bytes, expected at least a 20-byte header")
+    dim, n, box = struct.unpack_from("<IId", data, 4)
+    try:
+        grid = Grid(dim, n, box)
+    except ValueError as exc:
+        raise ValueError(f"{source}: bad header: {exc}") from None
+    expected = 20 + 8 * grid.size
+    if len(data) != expected:
+        raise ValueError(f"{source}: {len(data)} bytes, expected {expected} for dim {dim}, n {n}")
+    return Field(grid, np.frombuffer(data, dtype="<f8", offset=20).reshape(grid.shape))
 
 
 def read_field(path) -> Field:
-    """The field written by write_field.  The header's grid and the file's
-    size are checked before the payload is read, so a malformed file names
-    its path and the byte counts instead of failing in the reader."""
+    """The field in the file at path, read once and parsed by parse_field."""
     with open(path, "rb") as fh:
-        header = fh.read(20)
-        if header[:4] != FIELD_MAGIC:
-            raise ValueError(f"{path}: bad magic {header[:4]!r}, expected {FIELD_MAGIC!r}")
-        size = os.fstat(fh.fileno()).st_size
-        if len(header) < 20:
-            raise ValueError(f"{path}: {size} bytes, expected at least a 20-byte header")
-        dim, n, box = struct.unpack("<IId", header[4:])
-        try:
-            grid = Grid(dim, n, box)
-        except ValueError as exc:
-            raise ValueError(f"{path}: bad header: {exc}") from None
-        expected = 20 + 8 * grid.size
-        if size != expected:
-            raise ValueError(f"{path}: {size} bytes, expected {expected} for dim {dim}, n {n}")
-        data = np.frombuffer(fh.read(8 * grid.size), dtype="<f8").reshape(grid.shape)
-        return Field(grid, data)
+        return parse_field(fh.read(), path)

@@ -31,6 +31,7 @@ with ' + '.
 """
 from __future__ import annotations
 
+import io
 import os
 import re
 from fractions import Fraction
@@ -56,13 +57,13 @@ class FileFormatError(ValueError):
         self.col = col
 
 
-def _content_lines(path) -> list[tuple[int, str]]:
+def content_lines(text: str) -> list[tuple[int, str]]:
+    """(number, text) of each line, split as in text mode, not blank once '#' comments are cut."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                out.append((i, line))
+    for i, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            out.append((i, line))
     return out
 
 
@@ -93,7 +94,9 @@ def read_rule(path) -> Rule:
     noises: list[tuple[str, Fraction]] = []
     kernels: list[tuple[str, Fraction]] = []
     products: list[tuple[int, tuple[tuple[str, int], ...]]] = []  # (line, product)
-    for line_no, line in _content_lines(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = content_lines(fh.read())
+    for line_no, line in lines:
         parts = line.split()
         key = parts[0]
         if key == "dim" and len(parts) == 2:
@@ -266,49 +269,60 @@ def _parse_terms(path, line_no, text: str):
 # -- structure files ------------------------------------------------------------------
 
 def read_structure(path) -> ConcreteRegularityStructure:
-    lines = _content_lines(path)
+    """The structure file at path; a `rule` line names a rule file beside it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_structure(fh.read(), path, os.path.dirname(os.path.abspath(str(path))))
+
+
+def parse_structure(text: str, source, rule_dir) -> ConcreteRegularityStructure:
+    """The structure in `text`, errors naming `source` and a line.  A `rule`
+    line names a rule file under `rule_dir`.  A bundle's reader passes the
+    structure.txt bytes it read once and checked, with rule_dir None: a
+    bundle's structure cannot reference a rule file, which no manifest lists."""
     dim = None
     cutoff = None
     gen_lines = []
     table_lines = []
     rule_ref = None
-    for line_no, line in lines:
+    for line_no, line in content_lines(text):
         parts = line.split(None, 1)
         key = parts[0]
         if key not in ("dim", "cutoff", "rule", "gen", "dplus", "delta"):
-            raise FileFormatError(path, line_no, f"unrecognised structure line {line!r}")
+            raise FileFormatError(source, line_no, f"unrecognised structure line {line!r}")
         if len(parts) == 1:
-            raise FileFormatError(path, line_no, f"{key!r} needs a value")
+            raise FileFormatError(source, line_no, f"{key!r} needs a value")
         value = parts[1]
         if key == "dim":
-            dim = _parse_int(path, line_no, value, 1)
+            dim = _parse_int(source, line_no, value, 1)
         elif key == "cutoff":
-            cutoff = _parse_fraction(path, line_no, value)
+            cutoff = _parse_fraction(source, line_no, value)
         elif key == "rule":
             bits = value.split()
             if len(bits) != 2 or bits[1] not in ("canonical", "noncanonical"):
-                raise FileFormatError(path, line_no,
+                raise FileFormatError(source, line_no,
                                       "expected 'rule PATH canonical|noncanonical'")
-            rule_ref = (bits[0], bits[1] == "noncanonical")
+            if rule_dir is None:
+                raise FileFormatError(source, line_no, f"rule {bits[0]}: a bundle's structure "
+                                      "cannot reference a rule file")
+            rule_ref = (os.path.join(rule_dir, bits[0]), bits[1] == "noncanonical")
         elif key == "gen":
             gen_lines.append((line_no, value))
         else:
             table_lines.append((line_no, key, value))
 
     if rule_ref is not None:
-        rule_path = os.path.join(os.path.dirname(os.path.abspath(str(path))), rule_ref[0])
-        basis = enumerate_basis(read_rule(rule_path))
+        basis = enumerate_basis(read_rule(rule_ref[0]))
         return export_structure(basis, noncanonical=rule_ref[1])
 
     if dim is None or cutoff is None:
-        raise FileFormatError(path, 0, "missing 'dim' or 'cutoff'")
+        raise FileFormatError(source, 0, "missing 'dim' or 'cutoff'")
     plus_gens: dict[str, Fraction] = {}
     base_gens: dict[str, Fraction] = {"1": Fraction(0)}
     for line_no, body in gen_lines:
         bits = body.split()
         if len(bits) != 3 or bits[1] not in ("plus", "base"):
-            raise FileFormatError(path, line_no, "expected 'gen NAME plus|base HOMOG'")
-        name, kind, h = bits[0], bits[1], _parse_fraction(path, line_no, bits[2])
+            raise FileFormatError(source, line_no, "expected 'gen NAME plus|base HOMOG'")
+        name, kind, h = bits[0], bits[1], _parse_fraction(source, line_no, bits[2])
         if kind == "plus":
             plus_gens[name] = h
         else:
@@ -320,16 +334,16 @@ def read_structure(path) -> ConcreteRegularityStructure:
              "delta": (base_gens, delta_table, parse_base_symbol)}
     for line_no, kind, body in table_lines:
         if "=" not in body:
-            raise FileFormatError(path, line_no, f"expected 'NAME = terms' in {body!r}")
+            raise FileFormatError(source, line_no, f"expected 'NAME = terms' in {body!r}")
         name, terms_text = body.split("=", 1)
         name = name.strip()
         gens, table, parse_left = kinds[kind]
         terms = []
-        for coeff, left, right in _parse_terms(path, line_no, terms_text.strip()):
-            right_mono = parse_plus_monomial(path, line_no, right, dim, plus_gens)
-            terms.append(((parse_left(path, line_no, left, dim, gens), right_mono), coeff))
+        for coeff, left, right in _parse_terms(source, line_no, terms_text.strip()):
+            right_mono = parse_plus_monomial(source, line_no, right, dim, plus_gens)
+            terms.append(((parse_left(source, line_no, left, dim, gens), right_mono), coeff))
         if name not in gens:
-            raise FileFormatError(path, line_no, f"{kind} for unknown generator {name!r}")
+            raise FileFormatError(source, line_no, f"{kind} for unknown generator {name!r}")
         table[name] = FreeVector(terms)
     return ConcreteRegularityStructure(
         dim=dim,
@@ -338,11 +352,11 @@ def read_structure(path) -> ConcreteRegularityStructure:
         base_gens=base_gens,
         dplus_table=dplus_table,
         delta_table=delta_table,
-        name=os.path.splitext(os.path.basename(str(path)))[0],
+        name=os.path.splitext(os.path.basename(str(source)))[0],
     )
 
 
-def write_structure(path, S: ConcreteRegularityStructure) -> None:
+def structure_text(S: ConcreteRegularityStructure) -> str:
     """Deterministic serialization: sorted generators and canonical term order."""
     lines = [f"dim {S.dim}", f"cutoff {S.cutoff}"]
     for name in sorted(S.plus_gens):
@@ -356,5 +370,9 @@ def write_structure(path, S: ConcreteRegularityStructure) -> None:
                 f"{c} * {left} (x) {right}" for (left, right), c in table[name].sorted_items()
             )
             lines.append(f"{kind} {name} = {terms}")
+    return "\n".join(lines) + "\n"
+
+
+def write_structure(path, S: ConcreteRegularityStructure) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(structure_text(S))

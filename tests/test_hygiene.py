@@ -23,6 +23,8 @@ SEARCHED = ("src", "demos", "perfbench")
 TEST_ONLY = {
     "ell_identity_defect": "the acceptance gate checks the ell-identity of every tree with it",
     "write_rule": "the writer of the rule-file format, kept for its read/write round trip",
+    "read_config": "the path reader of config files; a bundle reader parses the config.txt "
+                   "bytes it checked with parse_config",
     "synthesis_top": "the highest block synthesized inputs fill, bounding test slope fits",
     "two_param_block": "one two-parameter block Q_j, checked against a brute-force kernel",
 }

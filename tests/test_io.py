@@ -1,8 +1,11 @@
 """File formats: binary fields, structure/rule text files, tree grammar,
 bundles with manifests."""
+import builtins
 import dataclasses
+import hashlib
 import os
 import shutil
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,12 +17,10 @@ from hypothesis import strategies as st
 from regpara import cli
 from regpara.bundles import (
     Config,
-    _write_manifest,
     read_bracket_bundle,
     read_config,
     read_model_bundle,
     write_bracket_bundle,
-    write_config,
     write_model_bundle,
 )
 from regpara.grid import Field, Grid, read_field, write_field
@@ -36,6 +37,20 @@ from regpara.structure_io import (
 from regpara.trees import TreeParseError, parse_tree
 
 from conftest import build_random_model
+
+
+@pytest.fixture
+def opens(monkeypatch):
+    """(path, mode) of every builtins.open call the test makes."""
+    seen = []
+    real_open = builtins.open
+
+    def spy(file, mode="r", *args, **kwargs):
+        seen.append((os.fspath(file), mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    return seen
 
 
 class TestFieldFormat:
@@ -380,7 +395,7 @@ class TestBundles:
         lines[0] = make_line(first, rel, root)
         (root / name).write_text("\n".join(lines) + "\n")
         if name == "fields.txt":
-            _write_manifest(root)
+            self._rehash(root, name)
             shutil.copy(other / rel, root / "g" / "extra.fld")   # a file no manifest lists
         message = f"{root / name} line 1 {lines[0]!r}: {problem}"
         with pytest.raises(ValueError) as err:
@@ -400,6 +415,15 @@ class TestBundles:
         assert np.array_equal(back["a"].values, named["a"].values)
         assert (root / "gamma.txt").read_text().strip() == "9/8"
         assert extra == {"gamma.txt": "9/8"}
+
+    @staticmethod
+    def _rehash(root, name):
+        """Puts the sha256 of root/name as it now reads in its manifest line."""
+        digest = hashlib.sha256((root / name).read_bytes()).hexdigest()
+        manifest = root / "manifest.txt"
+        manifest.write_text("".join(digest + line[64:] + "\n" if line.endswith(f"  {name}")
+                                    else line + "\n"
+                                    for line in manifest.read_text().splitlines()))
 
     @staticmethod
     def _unlist(root, name):
@@ -444,10 +468,98 @@ class TestBundles:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {md}: gamma.txt is not in the manifest\n"
 
+    def test_structure_cannot_reference_a_rule_file(self, toy_structure, tmp_path, capsys,
+                                                    opens):
+        """A listed, correctly hashed structure.txt that names a rule file
+        outside the bundle is refused with its file and line, and the rule
+        file is never opened; model-check exits 2."""
+        model, _gb, _pib = build_random_model(toy_structure, Grid(1, 64, np.pi), seed=5)
+        root = tmp_path / "model"
+        write_model_bundle(root, model, Config(n=64))
+        write_rule(tmp_path / "outside.rule", RULES["toy"])
+        (root / "structure.txt").write_text("rule ../outside.rule canonical\n")
+        self._rehash(root, "structure.txt")
+        message = (f"{root / 'structure.txt'}:1: rule ../outside.rule: a bundle's structure "
+                   "cannot reference a rule file")
+        opens.clear()
+        with pytest.raises(FileFormatError) as err:
+            read_model_bundle(root)
+        assert str(err.value) == message
+        assert cli.main(["model-check", "--model", str(root)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        outside = [path for path, _mode in opens
+                   if not os.path.abspath(path).startswith(f"{root}{os.sep}")]
+        assert outside == []
+
+    @staticmethod
+    def _bundle(tmp_path, kind):
+        """The root of a toy bundle of one kind, written by the CLI at grid 64;
+        model-extract and md-build also write a report.txt that no manifest
+        lists."""
+        model, out = str(tmp_path / "model"), str(tmp_path / kind)
+        assert cli.main(["model-build", "--structure", "toy", "--grid", "64",
+                         "--out", model]) == 0
+        if kind == "bracket":
+            # the status is not checked: slope checks may FAIL at grid 64
+            cli.main(["model-extract", "--model", model, "--out", out])
+        elif kind == "md":
+            assert cli.main(["md-build", "--model", model, "--gamma", "9/8", "--out", out]) == 0
+        return tmp_path / kind
+
+    @pytest.mark.parametrize("kind", ["model", "bracket", "md"])
+    def test_reader_opens_each_listed_file_once(self, tmp_path, capsys, opens, kind):
+        """Reading a bundle opens manifest.txt and each file it lists once,
+        and no other file."""
+        root = self._bundle(tmp_path, kind)
+        listed = [line.split("  ", 1)[1]
+                  for line in (root / "manifest.txt").read_text().splitlines()]
+        assert "report.txt" not in listed
+        assert (root / "report.txt").exists() == (kind != "model")
+        opens.clear()
+        (read_model_bundle if kind == "model" else read_bracket_bundle)(root)
+        assert sorted(os.path.relpath(path, root) for path, _mode in opens) == \
+            sorted(listed + ["manifest.txt"])
+        assert {mode for _path, mode in opens} <= {"r", "rb"}
+
+    def test_writer_opens_each_file_once_for_writing(self, toy_structure, tmp_path, opens):
+        """Writing a bundle opens each file it writes once, for writing only:
+        the manifest hashes the bytes written, not a second read of them."""
+        model, _gb, _pib = build_random_model(toy_structure, Grid(1, 64, np.pi), seed=5)
+        for root in (tmp_path / "model", tmp_path / "md"):
+            opens.clear()
+            if root.name == "model":
+                write_model_bundle(root, model, Config(n=64))
+            else:
+                write_bracket_bundle(root, toy_structure, {"a": synthesize(0.5, 1, model.grid)},
+                                     Config(n=64), kind="md", extra={"gamma.txt": "9/8"})
+            written = sorted(str(path.relative_to(root)) for path in root.rglob("*")
+                             if path.is_file())
+            assert sorted(os.path.relpath(path, root) for path, _mode in opens) == written
+            assert {mode for _path, mode in opens} <= {"w", "wb"}
+
+    def test_reader_holds_one_field_file_at_a_time(self, tmp_path, capsys):
+        """Reading a toy model bundle written at grid 32768 holds, beyond what
+        it returns, at most the bytes of one field file and the text files:
+        each field file's bytes go once its Field is formed."""
+        root = tmp_path / "model"
+        assert cli.main(["model-build", "--structure", "toy", "--grid", "32768",
+                         "--out", str(root)]) == 0
+        files = [path for path in root.rglob("*") if path.is_file()]
+        field_file = max(path.stat().st_size for path in files if path.suffix == ".fld")
+        texts = sum(path.stat().st_size for path in files if path.suffix == ".txt")
+        tracemalloc.start()
+        try:
+            model, _cfg = read_model_bundle(root)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(model.pi) > 2
+        assert peak - held <= field_file + texts
+
     def test_config_round_trip(self, tmp_path):
         cfg = Config(n=128, seed=9, tol_slope=0.25)
         p = tmp_path / "config.txt"
-        write_config(p, cfg)
+        p.write_text("".join(line + "\n" for line in cfg.lines()))
         back = read_config(p)
         assert back == cfg
 
