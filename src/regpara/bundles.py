@@ -97,11 +97,13 @@ def _bundle_lines(path, text, count):
         yield where, parts
 
 
-def _write_bundle(root, structure, cfg: Config, field_maps, extra=None) -> None:
-    """Structure, config, one field file per entry of each (sub, named
-    fields) pair, the `fields.txt` naming them and the extra text files,
-    each written once, then the manifest of the sha256 of those bytes."""
+def _write_bundle(root, structure, cfg: Config, array_maps, extra=None) -> None:
+    """Structure, config, one field file on the config's grid per entry of
+    each (sub, named arrays) pair, formed as it is written, the `fields.txt`
+    naming them and the extra text files, each written once, then the
+    manifest of the sha256 of those bytes."""
     digests = {}
+    grid = cfg.grid()
 
     def put(rel, data: bytes) -> None:
         with open(os.path.join(root, rel), "wb") as fh:
@@ -112,14 +114,12 @@ def _write_bundle(root, structure, cfg: Config, field_maps, extra=None) -> None:
     put("structure.txt", structure_text(structure).encode())
     put("config.txt", "".join(line + "\n" for line in cfg.lines()).encode())
     lines = []
-    for sub, named_fields in field_maps:
+    for sub, named_arrays in array_maps:
         os.makedirs(os.path.join(root, sub), exist_ok=True)
-        for i, (name, f) in enumerate(sorted(named_fields.items())):
-            if not isinstance(f, Field):
-                raise TypeError("expected Field values")
+        for i, (name, values) in enumerate(sorted(named_arrays.items())):
             rel = f"{sub}/{i:04d}.fld"
             lines.append(f"{sub} {rel} {name}\n")
-            put(rel, field_bytes(f))
+            put(rel, field_bytes(grid, values))
     put("fields.txt", "".join(lines).encode())
     for name, text in (extra or {}).items():
         put(name, (text if text.endswith("\n") else text + "\n").encode())
@@ -171,9 +171,10 @@ def _read_bundle(root) -> tuple[list[tuple[str, str, Field]], Config, str, dict[
 
 
 def write_model_bundle(root, model: Model, cfg: Config) -> None:
+    """The g and Pi arrays of model, on the grid of cfg, the model's."""
     _write_bundle(root, model.structure, cfg, [
-        ("g", {n: Field(model.grid, v) for n, v in model.g.values.items()}),
-        ("pi", {n: Field(model.grid, v) for n, v in model.pi.items() if n != "1"}),
+        ("g", model.g.values),
+        ("pi", {n: v for n, v in model.pi.items() if n != "1"}),
     ])
 
 
@@ -187,9 +188,10 @@ def read_model_bundle(root) -> tuple[Model, Config]:
     return Model(S, grid, g, pi_values), cfg
 
 
-def write_bracket_bundle(root, structure, named_fields: dict[str, Field], cfg: Config,
+def write_bracket_bundle(root, structure, named_arrays: dict[str, np.ndarray], cfg: Config,
                          kind: str = "bracket", extra: dict[str, str] | None = None) -> None:
-    _write_bundle(root, structure, cfg, [(kind, named_fields)], extra)
+    """The named arrays, on the grid of cfg, and the extra text files."""
+    _write_bundle(root, structure, cfg, [(kind, named_arrays)], extra)
 
 
 def read_bracket_bundle(root) -> tuple[dict[str, Field], Config, dict[str, str]]:

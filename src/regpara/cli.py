@@ -23,7 +23,7 @@ from .bundles import (
     write_bracket_bundle,
     write_model_bundle,
 )
-from .grid import Field, read_field
+from .grid import read_field
 from .models import BracketExtractor, build_g, build_pi, default_m, extract_brackets, random_brackets
 from .norms import Report, holder_norm
 from .rules import (
@@ -178,8 +178,8 @@ def cmd_model_extract(args) -> int:
     model, cfg = read_model_bundle(args.model)
     data = extract_brackets(model, m=cfg.m if cfg.m >= 0 else None, tol_slope=cfg.tol_slope)
     if args.out:
-        named = {f"g:{mono}": Field(model.grid, v) for mono, v in data.g_side.items()}
-        named.update((f"pi:{sym}", Field(model.grid, v)) for sym, v in data.pi_side.items())
+        named = {f"g:{mono}": v for mono, v in data.g_side.items()}
+        named.update((f"pi:{sym}", v) for sym, v in data.pi_side.items())
         write_bracket_bundle(args.out, model.structure, named, cfg)
     lines = [f"m={data.m}"] + [_slope_line(c) for c in data.report.checks]
     return _emit(lines, args.out, report=data.report)
@@ -205,7 +205,7 @@ def cmd_md_build(args) -> int:
     lines = [f"gamma={gamma}", f"coefficients={len(md.coeffs)}"]
     lines += rep.lines()
     if args.out:
-        named = {f"f:{s}": Field(grid, v) for s, v in md.coeffs.items()}
+        named = {f"f:{s}": v for s, v in md.coeffs.items()}
         write_bracket_bundle(args.out, S, named, cfg, kind="md",
                              extra={"gamma.txt": str(gamma)})
     return _emit(lines, args.out, report=rep)
@@ -231,8 +231,8 @@ def cmd_md_extract(args) -> int:
     md = _read_md(model, args.md)
     system = md_to_paracontrolled(model, md, tol_slope=cfg.tol_slope)
     if args.out:
-        named = {f"b:{s}": Field(model.grid, v) for s, v in system.brackets.items()}
-        named["reconstruction"] = Field(model.grid, system.reconstruction_bracket)
+        named = {f"b:{s}": v for s, v in system.brackets.items()}
+        named["reconstruction"] = system.reconstruction_bracket
         write_bracket_bundle(args.out, model.structure, named, cfg, kind="pd")
     lines = [f"gamma={md.gamma}"] + [_slope_line(c) for c in system.report.checks]
     return _emit(lines, args.out, report=system.report)

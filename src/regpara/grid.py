@@ -230,15 +230,21 @@ class TwoParamField:
         return cls(f.grid, np.outer(f.values, g.values))
 
 
-def field_bytes(f: Field) -> bytes:
-    """Binary format: magic, u32 dim, u32 n, f64 box, n^d little-endian f64."""
-    return (FIELD_MAGIC + struct.pack("<IId", f.grid.dim, f.grid.n, f.grid.box)
-            + f.values.astype("<f8").tobytes(order="C"))
+def field_bytes(grid: Grid, values: np.ndarray) -> bytearray:
+    """Binary format: magic, u32 dim, u32 n, f64 box, n^d little-endian f64.
+    values, finite and of grid's shape, are copied once, into the buffer
+    returned."""
+    if np.shape(values) != grid.shape or not np.all(np.isfinite(values)):
+        raise ValueError(f"field values must be finite, of shape {grid.shape}")
+    out = bytearray(20 + 8 * grid.size)
+    out[:20] = FIELD_MAGIC + struct.pack("<IId", grid.dim, grid.n, grid.box)
+    np.frombuffer(out, dtype="<f8", offset=20).reshape(grid.shape)[...] = values
+    return out
 
 
 def write_field(path, f: Field) -> None:
     with open(path, "wb") as fh:
-        fh.write(field_bytes(f))
+        fh.write(field_bytes(f.grid, f.values))
 
 
 def parse_field(data: bytes, source) -> Field:

@@ -3,10 +3,11 @@ calculus: extraction of bracket data from models, and reconstruction of the
 Pi and g components from free bracket data.
 
 Both run one triangular recursion through `BracketExtractor.step`: extraction
-<tau> = Pi tau - sum_{sigma < tau} P^m_{g(tau/sigma)} <sigma> (sign -1), and
-reconstruction Pi tau = <tau> + the same sum (sign +1); likewise for g(tau).
-Every sum of paraproducts, a step's (`BracketExtractor.block_sum`, the md
-sigma-steps' too) or reconstruct_family's, is one `paraproduct_sum`.
+<tau> = Pi tau - sum c P^m_{g(tau/sigma)} <sigma> over the terms c sigma (x)
+tau/sigma of Delta tau, sigma < tau (sign -1), and reconstruction
+Pi tau = <tau> + the same sum (sign +1); likewise for g(tau).  Every sum of
+paraproducts, a step's (`BracketExtractor.block_sum`, the md sigma-steps'
+too) or reconstruct_family's, is one `paraproduct_sum`.
 """
 from __future__ import annotations
 
@@ -183,35 +184,37 @@ class BracketData:
 class BracketExtractor:
     """Lazy evaluation of the bracket recursions over one model.
 
-    Every recursion is `step(start, terms, sign)` = start + sign * sum P^m_c u
-    over (c, u) in terms, the sum one block sum over the terms
+    Every recursion is `step(start, terms, sign)` = start + sign * sum c P^m_f u
+    over (c, f, u) in terms, the sum one block sum over the terms
     (`paraproducts.paraproduct_sum`), so a step of k terms makes the
-    transforms of one product.  Extraction takes sign = -1:
+    transforms of one product.  Over the terms c nu (x) tau/nu of the
+    coproduct, extraction takes sign = -1:
 
-    g-side:  <tau>^{m,g}  = g(tau)  - sum_{1 < nu < tau, nu not poly} P^m_{g(tau/nu)} <nu>^{m,g}
-    Pi-side: <sigma>^{m,M} = Pi sigma - sum_{mu < sigma, mu not in B_X_} P^m_{g(sigma/mu)} <mu>^{m,M}
+    g-side:  <tau>^{m,g}  = g(tau)  - sum_{1 < nu < tau, nu not poly} c P^m_{g(tau/nu)} <nu>^{m,g}
+    Pi-side: <sigma>^{m,M} = Pi sigma - sum_{mu < sigma, mu not in B_X_} c P^m_{g(sigma/mu)} <mu>^{m,M}
 
     and reconstruction (build_g, build_pi) sign = +1, from the bracket.
 
-    Brackets and the coefficients c g(tau/sigma) of the coproduct terms are
-    kept as Fields, as each is an operand of the steps of every bracket above
-    it: each is evaluated and forward-transformed once per extractor.
+    Brackets and the coefficients g(tau/sigma), one per quotient whatever
+    the c of its terms, are kept as Fields, as each is an operand of the
+    steps of every bracket above it: each is evaluated and
+    forward-transformed once per extractor.
 
     `brackets(g_keys, pi_keys)` plans before it forms anything, so that the
     operand rows (`paraproducts`) of each coefficient and bracket are formed
     once.  The plan counts, from the coproducts alone, the products that
-    read each of them, and the other reads of each entry c = 1, g(quot):
-    one per coefficient c g(quot) scaled from it and one for the start of
-    the g-step of quot.  A Field is held before each product of it but its
-    last, so it keeps its rows from its first product to its last, and it
-    is released after that; a coefficient leaves the memo at its last read.
-    `pi_step` plans the Pi-brackets of md_to's reconstruction step with
-    that step's reads of them.  The terms of a step are drawn one at a
-    time, each after the rows of the one before are formed, so a release
-    comes after the product that was its operand's last.
-    An extractor without a plan (build_g, build_pi, the md sigma-steps)
-    holds each bracket it memoizes, for its own life, and no coefficient;
-    nothing leaves its memo.
+    read each of them, a coefficient's apart from a bracket's (a monomial
+    can be both, as toy's I[t](I[xi]) is), and the one other read of each
+    coefficient g(tau): the start of the g-step of tau.  A Field is held
+    before each product of it but its last, so it keeps its rows from its
+    first product to its last, and it is released after that; a coefficient
+    leaves the memo at its last read.  `pi_step` plans the Pi-brackets of
+    md_to's reconstruction step with that step's reads of them.  The terms
+    of a step are drawn one at a time, each after the rows of the one before
+    are formed, so a release comes after the product that was its operand's
+    last.  An extractor without a plan (build_g, build_pi, the md
+    sigma-steps) holds each bracket it memoizes, for its own life, and no
+    coefficient; nothing leaves its memo.
     """
 
     def __init__(self, model: Model, m: int):
@@ -220,12 +223,11 @@ class BracketExtractor:
         self.decomp = make_partition(model.grid)
         self._g_memo: dict[PlusMonomial, Field] = {}
         self._pi_memo: dict[BaseSymbol, Field] = {}
-        self._coef_memo: dict[tuple[Fraction, PlusMonomial], Field] = {}
-        # reads still to come, by coefficient key (c, quot) or bracket key:
-        # by products, and of an entry (1, quot) by the coefficients scaled
-        # from it and by the start of the g-step of quot; None without a plan
-        self._products: Counter | None = None
-        self._entry_reads: Counter = Counter()
+        self._coef_memo: dict[PlusMonomial, Field] = {}
+        # reads still to come: ("f", quot) by products of the coefficient
+        # g(quot), ("g", sigma) by those of the bracket of sigma, ("start",
+        # tau) by the start of the g-step of tau; None without a plan
+        self._reads: Counter | None = None
 
     def brackets(self, g_keys, pi_keys) -> tuple[dict, dict]:
         """The g-brackets of g_keys, then the Pi-brackets of pi_keys, as
@@ -238,7 +240,7 @@ class BracketExtractor:
         """Count the reads of the recursions of the g-brackets of g_keys and
         the Pi-brackets of pi_keys."""
         S = self.model.structure
-        products, entry_reads, seen = Counter(), Counter(), set()
+        reads, seen = Counter(), set()
         todo = [(mono, False) for mono in g_keys] + [(sym, True) for sym in pi_keys]
         while todo:
             tau, pi_side = todo.pop()
@@ -246,45 +248,44 @@ class BracketExtractor:
                 continue
             seen.add(tau)
             if not pi_side:
-                entry_reads[(1, tau)] += 1
-            for c, quot, sigma in self.term_keys(tau, S.delta(tau) if pi_side else S.delta_plus(tau)):
-                if c != 1 and (c, quot) not in products:
-                    entry_reads[(1, quot)] += 1
-                products[(c, quot)] += 1
-                products[sigma] += 1
+                reads["start", tau] += 1
+            for _c, quot, sigma in self.term_keys(tau, S.delta(tau) if pi_side else S.delta_plus(tau)):
+                reads["f", quot] += 1
+                reads["g", sigma] += 1
                 todo.append((sigma, pi_side))
-        self._products, self._entry_reads = products, entry_reads
+        self._reads = reads
 
     def _read(self, key, field: Field, side: str, product: bool = True) -> None:
-        """One planned read of `field`, the Field of key, done: by a product,
-        or else of a coefficient entry.  After its last product, its `side`
-        rows are released; after its last read, a coefficient leaves the
-        memo.  Unplanned reads change nothing."""
-        reads = self._products if product else self._entry_reads
-        if self._products is None or not reads[key]:
+        """One planned read of `field`, the Field of key: by a product, as
+        its `side` operand, "f" (a coefficient) or "g" (a bracket), or else
+        as the start of the g-step of key.  After its last product, its
+        `side` rows are released; after its last read, a coefficient leaves
+        the memo.  Unplanned reads change nothing."""
+        kind, reads = side if product else "start", self._reads
+        if reads is None or not reads[kind, key]:
             return
-        reads[key] -= 1
-        if product and not reads[key]:
+        reads[kind, key] -= 1
+        if product and not reads[kind, key]:
             release_rows(field, side)
-        if side == "f" and not (self._products[key] or self._entry_reads[key]):
+        if side == "f" and not (reads["f", key] or reads["start", key]):
             del self._coef_memo[key]
 
     def step(self, start, terms, sign: int = -1) -> np.ndarray:
-        """start + sign * sum_{(c, u) in terms} P^m_c u, the sum `block_sum`
-        of the terms; start is a Field or an array."""
+        """start + sign * sum_{(c, f, u) in terms} c P^m_f u, the sum
+        `block_sum` of the terms; start is a Field or an array."""
         return self.add(start, self.block_sum(terms), sign)
 
     def block_sum(self, terms) -> np.ndarray | None:
-        """sum_{(c, u) in terms} P^m_c u as one block sum
+        """sum_{(c, f, u) in terms} c P^m_f u as one block sum
         (`paraproducts.paraproduct_sum`) over the terms, drawn in order and
         each before the next, so that k terms make the transforms of one
-        product; c and u are Fields or arrays.  None for no term."""
+        product; f and u are Fields or arrays.  None for no term."""
         terms = iter(terms)
         first = next(terms, None)
         if first is None:
             return None
-        pairs = (self._fields(c, u) for c, u in itertools.chain([first], terms))
-        return paraproduct_sum(self.decomp, self.m, pairs).values
+        fields = ((c, *self._fields(f, u)) for c, f, u in itertools.chain([first], terms))
+        return paraproduct_sum(self.decomp, self.m, fields).values
 
     @staticmethod
     def add(start, total: np.ndarray | None, sign: int) -> np.ndarray:
@@ -295,22 +296,17 @@ class BracketExtractor:
             return np.array(start, dtype=float)
         return np.subtract(start, total) if sign < 0 else np.add(start, total)
 
-    def _fields(self, c, u) -> tuple[Field, Field]:
-        return tuple(x if isinstance(x, Field) else Field(self.model.grid, x) for x in (c, u))
+    def _fields(self, f, u) -> tuple[Field, Field]:
+        return tuple(x if isinstance(x, Field) else Field(self.model.grid, x) for x in (f, u))
 
-    def coefficient(self, c, quot: PlusMonomial) -> Field:
-        """c g(quot) as a read-only Field, one per (c, quot) and extractor.
-        The c = 1 entry evaluates g(quot), once; every other c scales that
-        entry's values.  g is set once, so a kept entry never goes stale."""
-        hit = self._coef_memo.get((c, quot))
+    def coefficient(self, quot: PlusMonomial) -> Field:
+        """g(quot) as a read-only Field, one per quotient and extractor: the
+        operand of every coproduct term c sigma (x) quot, whatever its c.  g
+        is set once, so a kept entry never goes stale."""
+        hit = self._coef_memo.get(quot)
         if hit is None:
-            if c == 1:
-                values = np.array(self.model.g_field(quot), dtype=float)
-            else:
-                base = self.coefficient(1, quot)
-                values = float(c) * base.values
-                self._read((1, quot), base, "f", product=False)
-            hit = self._coef_memo[(c, quot)] = Field.adopt(self.model.grid, values)
+            hit = self._coef_memo[quot] = Field.adopt(
+                self.model.grid, np.array(self.model.g_field(quot), dtype=float))
         return hit
 
     @staticmethod
@@ -321,42 +317,42 @@ class BracketExtractor:
                 if left != tau and not left.is_poly]
 
     def coproduct_terms(self, tau, coproduct: FreeVector, bracket):
-        """(c g(tau/sigma), <sigma>) for each term of `term_keys`; <sigma> =
-        bracket(sigma), and the coefficient comes from `coefficient`."""
-        return self._planned(((self.coefficient(c, quot), (c, quot)), (bracket(sigma), sigma))
+        """(c, g(tau/sigma), <sigma>) for each term of `term_keys`; <sigma> =
+        bracket(sigma), and g(tau/sigma) comes from `coefficient`."""
+        return self._planned((c, (self.coefficient(quot), quot), (bracket(sigma), sigma))
                              for c, quot, sigma in self.term_keys(tau, coproduct))
 
     def _planned(self, operands):
-        """(c, u) for each ((c, c_key), (u, u_key)) of operands, drawn one
-        at a time.  With a plan, an operand of a later product too is held
-        before the pair is yielded, and both reads are counted once its
-        product is formed, when the next pair is drawn."""
-        for (c, c_key), (u, u_key) in operands:
-            reads = ((c, c_key, "f"), (u, u_key, "g"))
-            for field, key, _side in reads:
-                if self._products is not None and self._products[key] > 1:
+        """(c, f, u) for each (c, (f, f_key), (u, u_key)) of operands, drawn
+        one at a time.  With a plan, an operand of a later product too is
+        held before the term is yielded, and both reads are counted once its
+        product is formed, when the next term is drawn."""
+        for c, (f, f_key), (u, u_key) in operands:
+            reads = ((f, f_key, "f"), (u, u_key, "g"))
+            for field, key, side in reads:
+                if self._reads is not None and self._reads[side, key] > 1:
                     hold_rows(field)
-            yield c, u
+            yield c, f, u
             for field, key, side in reads:
                 self._read(key, field, side)
 
-    def pi_step(self, start, coeffs: dict, sign: int = -1) -> np.ndarray:
-        """start + sign * sum_sigma P^m_{coeffs[sigma]} <sigma>^M over the
-        keys of coeffs in order: md_to's <f>^M = Rf - sum_sigma P_{f_sigma}
+    def pi_step(self, start, coeffs: dict) -> np.ndarray:
+        """start - sum_sigma P^m_{coeffs[sigma]} <sigma>^M over the keys of
+        coeffs in order: md_to's <f>^M = Rf - sum_sigma P_{f_sigma}
         <sigma>^M.  The Pi-brackets are planned, with the step's one read of
         each among their products, and formed before the step, so a bracket
         that is also an operand of their recursions keeps its rows from its
         first product there to the step's."""
         self._plan((), coeffs)
         for sym in coeffs:
-            self._products[sym] += 1
+            self._reads["g", sym] += 1
         brackets = {sym: self.pi_bracket(sym) for sym in coeffs}
-        return self.step(start, self._planned(((c, None), (brackets[sym], sym))
-                                              for sym, c in coeffs.items()), sign)
+        return self.step(start, self._planned((1, (f, None), (brackets[sym], sym))
+                                              for sym, f in coeffs.items()))
 
     def _memoize(self, memo: dict, key, bracket: Field) -> Field:
         """memo[key] = bracket, held for the extractor's life if it has no plan."""
-        if self._products is None:
+        if self._reads is None:
             hold_rows(bracket)
         memo[key] = bracket
         return bracket
@@ -367,26 +363,15 @@ class BracketExtractor:
         hit = self._g_memo.get(mono)
         if hit is None:
             # a step that adds no term leaves g(mono): the Field
-            # coefficient(1, mono) itself
+            # coefficient(mono) itself
             coproduct = self.model.structure.delta_plus(mono)
-            start = self.coefficient(1, mono)
+            start = self.coefficient(mono)
             hit = start if not self.term_keys(mono, coproduct) else Field.adopt(
                 self.model.grid, self.step(start, self.coproduct_terms(mono, coproduct,
                                                                        self.g_bracket)))
-            self._read((1, mono), start, "f", product=False)
+            self._read(mono, start, "f", product=False)
             self._memoize(self._g_memo, mono, hit)
         return hit
-
-    def g_bracket_vector(self, v: FreeVector) -> Field:
-        """sum c <mono> over the terms c mono of v; the memoized bracket
-        itself when v is one monomial with coefficient 1."""
-        terms = v.sorted_items()
-        if len(terms) == 1 and terms[0][1] == 1:
-            return self.g_bracket(terms[0][0])
-        acc = np.zeros(self.model.grid.shape)
-        for mono, c in terms:
-            acc += float(c) * self.g_bracket(mono).values
-        return Field.adopt(self.model.grid, acc)
 
     def pi_bracket(self, sym: BaseSymbol) -> Field:
         if sym.is_poly:
@@ -519,7 +504,7 @@ def reconstruct_family(model: Model, fam: SeparableFamily, gamma) -> Field:
         return fam.diagonal()
     grid = model.grid
     return paraproduct_sum(make_partition(grid), 0,
-                           ((Field(grid, coef), Field(grid, u)) for coef, u in fam.terms))
+                           ((1, Field(grid, coef), Field(grid, u)) for coef, u in fam.terms))
 
 
 # -- reconstruction of g from bracket data ------------------------------------------

@@ -15,30 +15,30 @@ through one inverse FFT, after |grad|^m when m > 0.  Forming products below
 their band also keeps the rounding error of real-space products above the
 band out of the spectrum, where |grad|^m would amplify it.
 
-`_block_sum` is one block sum over a sequence of (f, g) pairs: every
-pair's top-block products go into one real-space sum and each sub-grid
-group's into one sum on its sub-grid, so a sum of k products, as a step
-of the bracket recursions (`models.BracketExtractor.step`) is, makes one
-forward FFT per group, one of the top-block sum (m > 0) and one inverse
-FFT, as one product does.  `paraproduct_sum` is that sum of P^m products,
-and every sum of paraproducts in `models` and `translation` is one
-(`models.BracketExtractor.block_sum`, `models.reconstruct_family`);
-`paraproduct`, `modified_paraproduct` and `resonant` are its one-pair
-case.  A sum of several pairs rounds otherwise than the products added
-one by one, at the level of rounding.
+`_block_sum` is one block sum over a sequence of (c, f, g) terms: every
+term's top-block products go into one real-space sum and each sub-grid
+group's into one sum on its sub-grid, each times c (c = 1 multiplies
+nothing), so a sum of k products, as a step of the bracket recursions
+(`models.BracketExtractor.step`) is, makes one forward FFT per group, one
+of the top-block sum (m > 0) and one inverse FFT, as one product does.
+`paraproduct_sum` is that sum of P^m products, and every sum of
+paraproducts in `models` and `translation` is one; `paraproduct`,
+`modified_paraproduct` and `resonant` are its one-term case, c = 1.  A sum
+of several terms rounds otherwise than the products added one by one, at
+the level of rounding.
 
 Each operand side has one producer, `_rows`.  The rows of f (the factor
 of S_j, or of Delta_i in Pi) or of g (|grad|^{-m} g, the factor of
 Delta_j) are its top-block rows, from `BlockDecomposition.blocks`, then
 per sub-grid group one inverse FFT of the side's symbols times its
-restricted spectrum.  The pairs are drawn one at a time, and a pair's
+restricted spectrum.  The terms are drawn one at a time, and a term's
 rows are formed and multiplied before the next is drawn.
 
 A Field keeps its rows only while it is held (`hold_rows`), in one buffer
 per side, filled by the first product that forms them; the rows of a
 Field not held are formed for one product.  `models.BracketExtractor`
 holds: in a planned extraction an operand from its first product to its
-last, then it releases it (`release_rows`) as the next pair is drawn;
+last, then it releases it (`release_rows`) as the next term is drawn;
 without a plan each bracket it memoizes, for the extractor's life.  A row
 is the same transform, bit for bit, wherever it is formed (a lane of a
 stacked inverse FFT equals its lone transform), and the products are
@@ -162,38 +162,40 @@ def _rows(decomp: BlockDecomposition, resonant: bool, x: Field, side: str, m: in
                            size, out=out)
 
 
-def _pair_sums(decomp: BlockDecomposition, resonant: bool, f: Field, g: Field, m: int,
-               acc: np.ndarray) -> list:
-    """Adds the top-block products of f and |grad|^{-m} g into acc, and
-    returns each sub-grid group's sum of their products on its sub-grid.
-    The rows of both sides, and the rings they lie in, go with its return,
-    before the next pair of a block sum is drawn."""
+def _pair_sums(decomp: BlockDecomposition, resonant: bool, c: float, f: Field, g: Field,
+               m: int, acc: np.ndarray) -> list:
+    """Adds c times each top-block product of f and |grad|^{-m} g into acc,
+    and returns c times each sub-grid group's sum of their products on its
+    sub-grid.  The rows of both sides, and the rings they lie in, go with
+    its return, before the next term of a block sum is drawn."""
     groups, full = _schedule(decomp, resonant)
     frows, grows = _rows(decomp, resonant, f, "f"), _rows(decomp, resonant, g, "g", m)
     prod = np.empty(decomp.grid.shape)
     # zip draws from `full` first, so it stops before the sub-grid rows
     for _bands, fb, gb in zip(full, frows, grows):
-        acc += np.multiply(fb, gb, out=prod)
+        np.multiply(fb, gb, out=prod)
+        acc += prod if c == 1 else np.multiply(prod, c, out=prod)
     del prod
-    return [np.sum(fb * gb, axis=0) for _group, fb, gb in zip(groups, frows, grows)]
+    sums = [np.sum(fb * gb, axis=0) for _group, fb, gb in zip(groups, frows, grows)]
+    return sums if c == 1 else [np.multiply(part, c, out=part) for part in sums]
 
 
-def _block_sum(decomp: BlockDecomposition, resonant: bool, pairs, m: int = 0):
-    """|grad|^m of the block sum of sum_i P_{f_i} |grad|^{-m} g_i over the
-    (f_i, g_i) pairs (of Pi(f_i, g_i) when resonant, with m = 0), drawn one
-    at a time, each pair's products formed (`_pair_sums`) before the next
-    is drawn: the top blocks' products summed in real space, each sub-grid
-    group's on its sub-grid, then each group's sum through its spectrum
-    into the half spectrum, whose inverse FFT ends it, into the one array
-    returned; None for no pair."""
+def _block_sum(decomp: BlockDecomposition, resonant: bool, terms, m: int = 0):
+    """|grad|^m of the block sum of sum_i c_i P_{f_i} |grad|^{-m} g_i over the
+    (c_i, f_i, g_i) terms (of c_i Pi(f_i, g_i) when resonant, with m = 0),
+    drawn one at a time, each term's products formed (`_pair_sums`) before
+    the next is drawn: the top blocks' products summed in real space, each
+    sub-grid group's on its sub-grid, then each group's sum through its
+    spectrum into the half spectrum, whose inverse FFT ends it, into the one
+    array returned; None for no term."""
     groups, _full = _schedule(decomp, resonant)
     grid = decomp.grid
     acc = sums = None
-    for f, g in pairs:
+    for c, f, g in terms:
         _check(decomp, f, g)
         if acc is None:
             acc = np.zeros(grid.shape)
-        parts = _pair_sums(decomp, resonant, f, g, m, acc)
+        parts = _pair_sums(decomp, resonant, float(c), f, g, m, acc)
         if sums is None:
             sums = parts
         else:
@@ -214,16 +216,17 @@ def _block_sum(decomp: BlockDecomposition, resonant: bool, pairs, m: int = 0):
     return out
 
 
-def paraproduct_sum(decomp: BlockDecomposition, m: int, pairs) -> Field:
-    """sum_i P^m_{f_i} g_i over the (f_i, g_i) pairs of Fields, drawn one at
-    a time, as one block sum: the pairs share its transforms, one forward
-    FFT per sub-grid group, one of the top blocks (m > 0) and one inverse
-    FFT.  It rounds otherwise than adding the products one by one, at the
-    level of rounding; one pair is `modified_paraproduct` bit for bit, and
-    no pair the zero Field, made without a transform."""
+def paraproduct_sum(decomp: BlockDecomposition, m: int, terms) -> Field:
+    """sum_i c_i P^m_{f_i} g_i over the (c_i, f_i, g_i) terms, c_i a number
+    and f_i, g_i Fields, drawn one at a time, as one block sum: the terms
+    share its transforms, one forward FFT per sub-grid group, one of the top
+    blocks (m > 0) and one inverse FFT.  It rounds otherwise than adding the
+    products one by one, at the level of rounding; one term (1, f, g) is
+    `modified_paraproduct` bit for bit, and no term the zero Field, made
+    without a transform."""
     if m < 0:
         raise ValueError("modified paraproduct requires m in N")
-    out = _block_sum(decomp, False, pairs, m)
+    out = _block_sum(decomp, False, terms, m)
     return Field.zero(decomp.grid) if out is None else Field.adopt(decomp.grid, out)
 
 
@@ -239,12 +242,12 @@ def modified_paraproduct(decomp: BlockDecomposition, m: int, f: Field, g: Field)
     which is the same operator since both are linear.  m = 0 runs the
     identical code path as the plain paraproduct, so P^0 = P bit for bit.
     """
-    return paraproduct_sum(decomp, m, [(f, g)])
+    return paraproduct_sum(decomp, m, [(1, f, g)])
 
 
 def resonant(decomp: BlockDecomposition, f: Field, g: Field) -> Field:
     """Pi(f, g) = sum_{|i-j|<=1} (Delta_i f)(Delta_j g)."""
-    return Field.adopt(decomp.grid, _block_sum(decomp, True, [(f, g)]))
+    return Field.adopt(decomp.grid, _block_sum(decomp, True, [(1, f, g)]))
 
 
 def smooth_part(decomp: BlockDecomposition, g: Field) -> Field:

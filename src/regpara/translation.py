@@ -348,13 +348,13 @@ def _plus_quotients(S: ConcreteRegularityStructure, symbols, sigma: BaseSymbol):
 def _sigma_step(model: Model, ex: BracketExtractor, symbols, sigma: BaseSymbol,
                 start, coeff, sign: int) -> np.ndarray:
     """start + sign * T_sigma, T_sigma = sum_{sigma < mu} P_{f_mu} <mu/sigma>^g
-    over the quotients of sigma, with f_mu = coeff(mu), a Field or an array.
-    Every f_mu is drawn before the step starts, so no other sigma-step runs
-    inside its draw; T_sigma is one block sum (`BracketExtractor.block_sum`) and
-    comes from `Model.md_sum`, so md_from_paracontrolled and
-    md_to_paracontrolled form it once per model and coefficients.
-    <mu/sigma>^g is formed only with it, and ex, which has no plan, holds
-    its rows for the stage."""
+    over the quotients of sigma, f_mu = coeff(mu) a Field or an array, one
+    term (c, f_mu, <mono>^g) per term c mono of mu/sigma.  Every f_mu is
+    drawn before the step starts, so no other sigma-step runs inside its
+    draw; T_sigma is one block sum (`BracketExtractor.block_sum`) and comes
+    from `Model.md_sum`, so md_from_paracontrolled and md_to_paracontrolled
+    form it once per model and coefficients.  Each <mono>^g is formed only
+    with it, and ex, which has no plan, holds its rows for the stage."""
     quotients = list(_plus_quotients(model.structure, symbols, sigma))
     fs = [coeff(mu) for mu, _quot in quotients]
     total = None
@@ -362,7 +362,8 @@ def _sigma_step(model: Model, ex: BracketExtractor, symbols, sigma: BaseSymbol,
         arrays = tuple(f.values if isinstance(f, Field) else np.asarray(f, dtype=float)
                        for f in fs)
         total = model.md_sum(sigma, arrays, lambda: ex.block_sum(
-            zip(fs, (ex.g_bracket_vector(quot) for _mu, quot in quotients))))
+            (c, f, ex.g_bracket(mono)) for f, (_mu, quot) in zip(fs, quotients)
+            for mono, c in quot.sorted_items()))
     return ex.add(start, total, sign)
 
 

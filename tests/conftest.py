@@ -36,20 +36,21 @@ def build_random_model(S, grid, seed=20):
     return build_pi(S, grid, build_g(S, grid, gb), pib), gb, pib
 
 
-def lone_product(ex, c, u) -> np.ndarray:
-    """P^m_c u of the extractor ex's order m, formed alone by
-    `modified_paraproduct`, for Fields or arrays c and u."""
-    fields = (x if isinstance(x, Field) else Field(ex.model.grid, x) for x in (c, u))
-    return modified_paraproduct(ex.decomp, ex.m, *fields).values
+def lone_product(ex, c, f, u) -> np.ndarray:
+    """c P^m_f u of the extractor ex's order m, the product formed alone by
+    `modified_paraproduct` and then scaled by c, for Fields or arrays f and
+    u."""
+    fields = (x if isinstance(x, Field) else Field(ex.model.grid, x) for x in (f, u))
+    return float(c) * modified_paraproduct(ex.decomp, ex.m, *fields).values
 
 
 def products_one_by_one(ex, start, terms, sign=-1) -> np.ndarray:
-    """start + sign * P^m_c u for each (c, u) of terms, each product formed
-    alone (`lone_product`) and added in order into a copy of start: the
-    reference a step's block sum is checked against."""
+    """start + sign * c P^m_f u for each (c, f, u) of terms, each product
+    formed alone (`lone_product`) and added in order into a copy of start:
+    the reference a step's block sum is checked against."""
     acc = np.array(start.values if isinstance(start, Field) else start, dtype=float)
-    for c, u in terms:
-        acc += sign * lone_product(ex, c, u)
+    for c, f, u in terms:
+        acc += sign * lone_product(ex, c, f, u)
     return acc
 
 

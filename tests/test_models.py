@@ -403,13 +403,13 @@ COEF_IDS = ["toy-1024", "bhz-noncanonical-1024", "toy2d-64"]
 
 class _FreshCoefficients(BracketExtractor):
     """An extractor that forms every product from fresh Fields: it
-    evaluates every coefficient c g(tau/sigma) anew and copies every
-    bracket, as bare arrays, for every term that takes them, so that no
-    operand keeps rows."""
+    evaluates every coefficient g(tau/sigma) anew and copies every bracket,
+    as bare arrays, for every term that takes them, weighted by the term's
+    c, so that no operand keeps rows."""
 
     def coproduct_terms(self, tau, coproduct, bracket):
         for c, quot, sigma in self.term_keys(tau, coproduct):
-            yield float(c) * self.model.g_field(quot), bracket(sigma).values
+            yield c, self.model.g_field(quot), bracket(sigma).values
 
 
 def _coef_model(name, grid):
@@ -466,23 +466,53 @@ class TestCoefficientMemo:
                 if left == mono or left.is_poly:
                     continue
                 u = ex.g_bracket(left)
-                kept = lone_product(ex, ex.coefficient(c, right), u)
-                fresh = lone_product(ex, float(c) * model.g_field(right), u.values.copy())
+                kept = lone_product(ex, c, ex.coefficient(right), u)
+                fresh = lone_product(ex, c, model.g_field(right), u.values.copy())
                 assert np.array_equal(kept.view(np.int64), fresh.view(np.int64)), (mono, left)
 
+    @pytest.mark.parametrize("name, counts", [("toy", (7, 15)), ("bhz", (11, 22))],
+                             ids=["toy-1024", "bhz-noncanonical-1024"])
+    def test_one_coefficient_field_per_quotient(self, name, counts, monkeypatch):
+        """The products of an extraction take one coefficient Field per
+        distinct quotient tau/sigma of their coproduct terms, whatever their
+        c: 7 on toy and 11 on bhz --noncanonical, whose terms hold 15 and 22
+        pairs (c, tau/sigma)."""
+        model, _gb, _pib = _coef_model(name, Grid(1, 1024, np.pi))
+        operands, quots, pairs = {}, set(), set()
+        block_sum, term_keys = models.paraproduct_sum, BracketExtractor.term_keys
+
+        def recording(decomp, m, terms):
+            def drawn():
+                for c, f, u in terms:
+                    operands[id(f)] = f   # kept, so ids stay distinct
+                    yield c, f, u
+            return block_sum(decomp, m, drawn())
+
+        def keys(tau, coproduct):
+            out = term_keys(tau, coproduct)
+            quots.update(quot for _c, quot, _sigma in out)
+            pairs.update((c, quot) for c, quot, _sigma in out)
+            return out
+
+        monkeypatch.setattr(models, "paraproduct_sum", recording)
+        monkeypatch.setattr(BracketExtractor, "term_keys", staticmethod(keys))
+        extract_brackets(model, with_reports=False)
+        assert (len(operands), len(pairs)) == counts
+        assert len(quots) == len(operands)
+
     def test_one_field_per_key_and_none_held_after_extraction(self, monkeypatch):
-        """Each (c, tau/sigma) is one read-only Field for the extractor's
-        life; extraction lets the extractor go before its reports run, so
-        every coefficient array still alive while they run is the values of
-        an extracted g-bracket.  On toy that is one array, g(I[t](I[xi])),
-        the bracket of a step that adds no term."""
+        """Each quotient tau/sigma is one read-only Field for the
+        extractor's life; extraction lets the extractor go before its
+        reports run, so every coefficient array still alive while they run
+        is the values of an extracted g-bracket.  On toy that is one array,
+        g(I[t](I[xi])), the bracket of a step that adds no term."""
         model, _gb, _pib = _coef_model("toy", Grid(1, 1024, np.pi))
         fields, refs, live_at_reports = {}, [], []
         coefficient = BracketExtractor.coefficient
 
-        def spy(self, c, quot):
-            f = coefficient(self, c, quot)
-            fields.setdefault((c, quot), set()).add(id(f))
+        def spy(self, quot):
+            f = coefficient(self, quot)
+            fields.setdefault(quot, set()).add(id(f))
             refs.append(weakref.ref(f.values))
             assert not f.values.flags.writeable
             return f
@@ -538,14 +568,14 @@ class TestCoefficientMemo:
         no_term = [mono for mono in S.plus_monomials(plus_bound(S)) if not mono.is_poly
                    and not list(ex.coproduct_terms(mono, S.delta_plus(mono), ex.g_bracket))]
         assert [str(mono) for mono in no_term] == ["I[t;(0)](I[xi;(0)](1))"]
-        assert ex.g_bracket(no_term[0]) is ex.coefficient(1, no_term[0])
+        assert ex.g_bracket(no_term[0]) is ex.coefficient(no_term[0])
 
 
 class TestOperandRows:
     def test_each_operand_side_is_transformed_once(self, monkeypatch):
         """One toy extraction at n = 1024 forms the operand rows of each of
-        its 15 coefficients and 9 brackets once, 8 rows a side (6 on
-        sub-grids, 2 top blocks): 192 inverse-transform rows for its 31
+        its 7 coefficients and 9 brackets once, 8 rows a side (6 on
+        sub-grids, 2 top blocks): 128 inverse-transform rows for its 31
         products, where forming both sides of every product made 496."""
         model, _gb, _pib = _coef_model("toy", Grid(1, 1024, np.pi))
         groups, full = paraproducts._schedule(make_partition(model.grid), False)
@@ -558,19 +588,19 @@ class TestOperandRows:
                 rows.append(len(spec))
             return irfft(self, spec, size, out)
 
-        def recording(decomp, m, pairs):
+        def recording(decomp, m, terms):
             def drawn():
-                for pair in pairs:
-                    operands.append(pair)
-                    yield pair
+                for term in terms:
+                    operands.append(term)
+                    yield term
             return block_sum(decomp, m, drawn())
 
         monkeypatch.setattr(BlockDecomposition, "irfft", counting)
         monkeypatch.setattr(models, "paraproduct_sum", recording)
         extract_brackets(model, with_reports=False)
-        coefs, brackets = ({id(pair[side]) for pair in operands} for side in (0, 1))
-        assert (len(operands), len(coefs), len(brackets), per_side) == (31, 15, 9, 8)
-        assert sum(rows) == (len(coefs) + len(brackets)) * per_side == 192
+        coefs, brackets = ({id(term[side]) for term in operands} for side in (1, 2))
+        assert (len(operands), len(coefs), len(brackets), per_side) == (31, 7, 9, 8)
+        assert sum(rows) == (len(coefs) + len(brackets)) * per_side == 128
 
 
 def _multi_term_steps(model):
@@ -583,7 +613,7 @@ def _multi_term_steps(model):
     ex = BracketExtractor(model, default_m(S))
     out = []
     for keys, delta, bracket, start in (
-            (data.g_side, S.delta_plus, ex.g_bracket, lambda mono: ex.coefficient(1, mono)),
+            (data.g_side, S.delta_plus, ex.g_bracket, ex.coefficient),
             (data.pi_side, S.delta, ex.pi_bracket, model.pi_symbol)):
         for tau in keys:
             terms = list(ex.coproduct_terms(tau, delta(tau), bracket))
@@ -592,7 +622,7 @@ def _multi_term_steps(model):
     gamma = Fraction(9, 8)
     md = md_from_paracontrolled(model, random_md_brackets(S, model.grid, gamma, 100), gamma)
     ex0 = BracketExtractor(model, 0)
-    terms = [(md.coeff(sym), ex0.pi_bracket(sym)) for sym in data.pi_side]
+    terms = [(1, md.coeff(sym), ex0.pi_bracket(sym)) for sym in data.pi_side]
     out.append((ex0, reconstruct(model, md.coeffs, gamma), terms))
     return out
 
@@ -616,9 +646,9 @@ class TestStepBlockSum:
         one product does; a step with no term makes no transform."""
         model, _gb, _pib = _coef_model(name, grid)
         ex, start, terms = max(_multi_term_steps(model), key=lambda step: len(step[2]))
-        terms = [(c if isinstance(c, Field) else Field(grid, c), u) for c, u in terms]
-        for c, u in terms:
-            c.spectrum, u.spectrum
+        terms = [(c, f if isinstance(f, Field) else Field(grid, f), u) for c, f, u in terms]
+        for _c, f, u in terms:
+            f.spectrum, u.spectrum
         forward, inverse = [], []
 
         def spy(fn, calls, forward_fft):

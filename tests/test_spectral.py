@@ -13,6 +13,7 @@ import textwrap
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -471,31 +472,52 @@ def test_stacked_block_sums_are_bit_identical(stack_case):
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_a_one_pair_block_sum_is_the_modified_paraproduct(stack_case, m):
-    """paraproduct_sum over one pair is P^m bit for bit, and so the block
-    sum with every block transformed on its own."""
+    """paraproduct_sum over one term with c = 1, an int, a float or a
+    Fraction, is P^m bit for bit, and so the block sum with every block
+    transformed on its own."""
     grid, (f, g, *_) = stack_case
     decomp = make_partition(grid)
     u, v = Field(grid, f), Field(grid, g)
-    got = paraproducts.paraproduct_sum(decomp, m, [(u, v)]).values
-    assert np.array_equal(got.view(np.int64), modified_paraproduct(decomp, m, u, v).values.view(np.int64))
     gspec = decomp.half_power(-m) * v.spectrum if m else v.spectrum
     want = _block_sum_one_at_a_time(decomp, False, u.spectrum, gspec, m)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    lone = modified_paraproduct(decomp, m, u, v).values
+    for c in (1, 1.0, Fraction(1)):
+        got = paraproducts.paraproduct_sum(decomp, m, [(c, u, v)]).values
+        assert np.array_equal(got.view(np.int64), lone.view(np.int64)), c
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), c
+
+
+@pytest.mark.parametrize("c", [2, -3, 0.5, Fraction(-3, 2)])
+@pytest.mark.parametrize("grid", [Grid(1, 4096, np.pi), Grid(2, 64, np.pi)], ids=["d1", "d2"])
+def test_a_weighted_term_is_c_times_its_product(grid, c):
+    """One term (c, f, g) of a block sum is c times the one-pair sum, to
+    1e-13 of its largest value, for P^m (m = 0..3) and for Pi."""
+    decomp = make_partition(grid)
+    rng = np.random.default_rng(53)
+    u, v = (Field(grid, rng.standard_normal(grid.shape)) for _ in range(2))
+    cases = [(f"P^{m}", paraproducts.paraproduct_sum(decomp, m, [(c, u, v)]).values,
+              modified_paraproduct(decomp, m, u, v).values) for m in range(4)]
+    cases.append(("Pi", paraproducts._block_sum(decomp, True, [(c, u, v)]),
+                  resonant(decomp, u, v).values))
+    for name, got, one in cases:
+        want = float(c) * one
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
 
 
 @pytest.mark.parametrize("grid", [Grid(1, 4096, np.pi), Grid(2, 256, np.pi)], ids=["d1", "d2"])
 def test_a_block_sum_is_the_sum_of_its_products(grid):
-    """Over several pairs, sub-grid groups on both grids, paraproduct_sum
-    equals the products added one by one, to 1e-12 of the largest value;
+    """Over several terms, sub-grid groups on both grids, paraproduct_sum
+    equals the products weighted by their c and added one by one, to 1e-12
+    of the largest value;
     over none it is zero."""
     decomp = make_partition(grid)
     rng = np.random.default_rng(47)
     fields = [Field(grid, rng.standard_normal(grid.shape)) for _ in range(4)]
-    pairs = [(fields[0], fields[1]), (fields[2], fields[1]), (fields[3], fields[0])]
+    terms = [(1, fields[0], fields[1]), (-2, fields[2], fields[1]), (0.5, fields[3], fields[0])]
     assert paraproducts._schedule(decomp, False)[0]
     for m in range(4):
-        got = paraproducts.paraproduct_sum(decomp, m, iter(pairs)).values
-        want = sum(modified_paraproduct(decomp, m, f, g).values for f, g in pairs)
+        got = paraproducts.paraproduct_sum(decomp, m, iter(terms)).values
+        want = sum(c * modified_paraproduct(decomp, m, f, g).values for c, f, g in terms)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), m
     assert not paraproducts.paraproduct_sum(decomp, 0, []).values.any()
 
@@ -595,7 +617,7 @@ def test_stack_depth_follows_the_dimension(monkeypatch, grid):
     sub = _count_subgrid_transforms(monkeypatch, grid)
     for is_resonant in (False, True):
         del sub[:]
-        paraproducts._block_sum(decomp, is_resonant, [(f, f)])
+        paraproducts._block_sum(decomp, is_resonant, [(1, f, f)])
         groups = paraproducts._schedule(decomp, is_resonant)[0]
         assert sub == [(size,) * grid.dim for size, _syms in groups for _side in "fg"]
 

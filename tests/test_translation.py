@@ -465,11 +465,41 @@ class TestMdProductMemo:
         ex = BracketExtractor(model, 0)
         steps = _quotients(S)
         for sigma, quots in steps.items():
-            terms = [(md.coeff(mu), ex.g_bracket_vector(quot)) for mu, quot in quots]
+            terms = [(c, md.coeff(mu), ex.g_bracket(mono))
+                     for mu, quot in quots for mono, c in quot.sorted_items()]
             want = products_one_by_one(ex, md.coeff(sigma), terms)
             got = system.brackets[sigma]
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), sigma
         assert steps and max(map(len, steps.values())) == (3 if name == "toy" else 1)
+
+    def test_a_sigma_step_weights_each_monomial_of_a_quotient(self, monkeypatch):
+        """A quotient mu/sigma = sum c mono gives the sigma-step one term
+        (c, f_mu, <mono>^g) per monomial, so the step is f_sigma minus
+        P_{f_mu} of the vector bracket sum c <mono>^g, to 1e-12 of the
+        largest value.  No shipped structure has such a quotient below
+        gamma = 3/2, so toy's quotients of one sigma are replaced by one of
+        two monomials with c = 2 and -3/2."""
+        import regpara.translation as translation
+
+        S, grid = _memo_structure("toy"), Grid(1, 1024, np.pi)
+        model = _fresh_model(S, grid)
+        md = _d_mode_md(model)
+        model._md_sums.clear()
+        steps = _quotients(S)
+        sigma = max(steps, key=lambda s: len(steps[s]))
+        mus = [mu for mu, _quot in steps[sigma]]
+        monos = list(dict.fromkeys(mono for quots in steps.values() for _mu, quot in quots
+                                   for mono, _c in quot.sorted_items()))
+        weighted = FreeVector([(monos[0], Fraction(2)), (monos[1], Fraction(-3, 2))])
+        monkeypatch.setattr(translation, "_plus_quotients", lambda _S, _symbols, s:
+                            [(mu, weighted) for mu in mus] if s == sigma else [])
+        ex = BracketExtractor(model, 0)
+        got = translation._sigma_step(model, ex, S.base_symbols(GAMMA), sigma, md.coeff(sigma),
+                                      md.coeff, sign=-1)
+        vector = sum(float(c) * ex.g_bracket(mono).values for mono, c in weighted.sorted_items())
+        want = products_one_by_one(ex, md.coeff(sigma), [(1, md.coeff(mu), vector) for mu in mus])
+        assert len(mus) == 3 and len(monos) >= 2
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _recorded_products(monkeypatch):
@@ -497,10 +527,10 @@ def _recorded_products(monkeypatch):
         sums.append(mine)
 
         def drawn():
-            for c, u in terms:
+            for c, f, u in terms:
                 first = len(rows)
-                yield c, u
-                made.append((self, c, u, sum(rows[first:])))
+                yield c, f, u
+                made.append((self, f, u, sum(rows[first:])))
                 mine.append(made[-1])
         return block_sum(self, drawn())
 

@@ -10,6 +10,11 @@ prints `<output> <sha256>` lines:
   (D)-mode md of that pass validated on its model (a step the pass leaves
   out in d = 1): arrays by their dtype, shape and bytes, reports by their
   lines, dicts entry by entry in the order of their keys' strings;
+- `bhz-4096:<step>`, the same steps, validate_md among them, on bhz
+  --noncanonical at n = 4096, formed by calling the library directly: the
+  model from `random_brackets` at seed 1, extracted with reports, and the
+  (D)-mode md from `random_md_brackets` at gamma = 9/8 and seed 1.  Its
+  coproducts have terms with c != 1 on both the g- and the Pi-side;
 - `cli-512:<chain>:<verb>` for the exit status and stdout of every verb of
   both `perfbench/clichain.py` chains (roundtrip at seed 1), and
   `cli-512:<chain>/<file>` for every file the bundle verbs write;
@@ -32,6 +37,7 @@ import itertools
 import runpy
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 sys.dont_write_bytecode = True
@@ -43,8 +49,17 @@ import numpy as np  # noqa: E402
 import clichain  # noqa: E402
 import pipeline  # noqa: E402
 from regpara.characters import Character  # noqa: E402
-from regpara.models import Model  # noqa: E402
-from regpara.translation import validate_md  # noqa: E402
+from regpara.grid import Grid  # noqa: E402
+from regpara.library import structure  # noqa: E402
+from regpara.models import Model, build_g, build_pi, extract_brackets, random_brackets  # noqa: E402
+from regpara.translation import (  # noqa: E402
+    md_from_paracontrolled,
+    md_to_paracontrolled,
+    random_md_brackets,
+    reconstruction_report,
+    validate_md,
+    validate_model,
+)
 
 SEED = 1
 
@@ -89,6 +104,25 @@ def pipeline_outputs():
     yield "toy-1d-32k:validate_md", validate_md(results["build_pi"], results["md_from_d"])
 
 
+def bhz_outputs():
+    S, grid, gamma = structure("bhz", noncanonical=True), Grid(1, 4096, np.pi), Fraction(9, 8)
+    g_brackets, pi_brackets = random_brackets(S, grid, SEED)
+    g = build_g(S, grid, g_brackets)
+    yield "bhz-4096:build_g", g
+    model = build_pi(S, grid, g, pi_brackets)
+    yield "bhz-4096:build_pi", model
+    yield "bhz-4096:extract_brackets", extract_brackets(model)
+    yield "bhz-4096:validate_model", validate_model(model)
+    md = md_from_paracontrolled(model, random_md_brackets(S, grid, gamma, SEED), gamma, mode="d")
+    yield "bhz-4096:md_from_d", md
+    yield "bhz-4096:validate_md", validate_md(model, md)
+    system = md_to_paracontrolled(model, md)
+    yield "bhz-4096:md_to", system
+    yield "bhz-4096:md_from_general", md_from_paracontrolled(
+        model, dict(system.brackets), gamma, mode="general")
+    yield "bhz-4096:reconstruction_report", reconstruction_report(model, md)
+
+
 def cli_outputs():
     with tempfile.TemporaryDirectory() as tmp:
         inp = clichain.setup("cli-512", SEED, Path(tmp) / "work")
@@ -109,7 +143,8 @@ def demo_outputs():
 
 def main() -> int:
     lines = []
-    for name, obj in itertools.chain(pipeline_outputs(), cli_outputs(), demo_outputs()):
+    for name, obj in itertools.chain(pipeline_outputs(), bhz_outputs(), cli_outputs(),
+                                     demo_outputs()):
         lines.append(f"{name} {digest(obj)}")
         print(lines[-1])
     print("all", digest("\n".join(lines)))
