@@ -57,6 +57,11 @@ TWO_NOISE_RULE = Rule(
 
 RULES = {r.name: r for r in (TOY_RULE, TOY2D_RULE, BHZ_RULE, TWO_NOISE_RULE)}
 
+# The export sweep: (rule, cutoff) pairs each of which exports or raises ClosureError.
+EXPORT_SWEEP = (
+    *((name, c) for name in ("toy", "twonoise", "toy2d") for c in ("1", "5/4", "3/2", "7/4", "2")),
+    *(("bhz", c) for c in ("2", "5/2", "3", "4")), ("toy", "5/2"), ("toy", "3"))
+
 
 @functools.lru_cache(maxsize=None)
 def basis(name: str) -> TreeBasis:

@@ -2,10 +2,13 @@
 assumption-(D) scans, and export to concrete regularity structures.
 
 The rule object is a simplified stand-in for BHZ conformity: a node's child
-edge-type multiset must be contained in one of the allowed products, kernel
-edges graft non-empty trees, noise edges graft the unit only, and polynomial
-and e-decorations are capped to keep the bases finite.  Trees carry the n, e
-and f decorations only: the extended (o-) decoration of BHZ is not modelled.
+edge-type multiset must be contained in one of the allowed products, noise
+edges graft the unit only, and polynomial and e-decorations are capped to
+keep the bases finite.  Kernel edges kill polynomials, I_k(X^n) = 0 (Hairer
+2014, section 5), in TreeAlgebra.graft, the one graft every tree here goes
+through.  An export whose basis misses a factor of a coproduct term raises
+ClosureError.  Trees carry the n, e and f decorations only: the extended
+(o-) decoration of BHZ is not modelled.
 """
 from __future__ import annotations
 
@@ -42,6 +45,16 @@ EDGE_LIMIT = 30
 
 class SubcriticalityError(RuntimeError):
     pass
+
+
+class ClosureError(ValueError):
+    """An export whose basis misses a factor of a coproduct term: the
+    enumeration is not closed under Delta at its cutoff.  `witness` is the
+    missing tree, `term` the term of Delta it was found in."""
+
+    def __init__(self, witness: str, where: str, left, right, tree):
+        self.witness, self.term = witness, f"{left} (x) {right} in Delta({tree})"
+        super().__init__(f"{witness} missing from {where}, in the term {self.term}")
 
 
 @dataclass(frozen=True)
@@ -113,11 +126,11 @@ class TreeBasis:
 def enumerate_basis(rule: Rule) -> TreeBasis:
     """Generate all conforming trees below the cutoff, the non-canonical
     companion basis, and the plus-generator closure."""
-    algebra = TreeAlgebra(rule.dim, rule.types())
+    kernel_types = dict(rule.kernels)
+    algebra = TreeAlgebra(rule.dim, rule.types(), kernel_types)
     cutoff = Fraction(rule.cutoff)
     d = rule.dim
     noise_types = dict(rule.noises)
-    kernel_types = dict(rule.kernels)
 
     def admissible(t: DecoratedTree) -> bool:
         if algebra.homogeneity(t) >= cutoff:
@@ -145,13 +158,10 @@ def enumerate_basis(rule: Rule) -> TreeBasis:
         for i in range(d):
             e = tuple(1 if a == i else 0 for a in range(d))
             candidates.append(x_mul(e, t))
-        # kernel grafts; pure-polynomial arguments are left out, yet Delta
-        # forms such grafts as left factors above the shipped cutoffs, where
-        # export raises KeyError (ROADMAP item 2)
-        if t.edge_count() > 0:
-            for kname in sorted(kernel_types):
-                for e in mi_range(d, rule.max_e):
-                    candidates.append(graft(kname, e, t))
+        # kernel grafts (none of a pure polynomial: I_k(X^n) = 0)
+        for kname in sorted(kernel_types):
+            for e in mi_range(d, rule.max_e):
+                candidates.extend(algebra.graft(kname, e, t).terms)
         # products with everything already generated
         if t.edge_count() > 0:
             for other in list(basis):
@@ -178,8 +188,9 @@ def enumerate_basis(rule: Rule) -> TreeBasis:
     def family(t: DecoratedTree) -> list[DecoratedTree]:
         """All positive e-decorated variants of one integrated tree."""
         (b,) = t.branches
-        h0 = algebra.homogeneity(graft(b.edge_type, mi_zero(d), b.child))
-        return [graft(b.edge_type, k, b.child) for k in mi_below_abs(d, h0)]
+        h0 = algebra.homogeneity(t) + mi_abs(b.e_dec)
+        return [member for k in mi_below_abs(d, h0)
+                for member in algebra.graft(b.edge_type, k, b.child).terms]
 
     pending: list[DecoratedTree] = []
 
@@ -258,16 +269,12 @@ def ell_identity_defect(basis: TreeBasis, l: Multi, k: Multi, tname: str, t: Dec
     """Delta(lI_k^t tau) - (lI_k^t (x) Id) Delta tau, which must contain only
     pure-polynomial left factors; returns the non-polynomial-left part."""
     algebra = basis.algebra
-    lhs: list = []
-    for can, c in algebra.to_canonical(t).items():
-        for tree, c2 in algebra.ell_graft(l, k, tname, can).items():
-            for (left, right), c3 in algebra.delta(tree).items():
-                lhs.append(((left, right), c * c2 * c3))
-    rhs: list = []
-    for can, c in algebra.to_canonical(t).items():
-        for (left, right), c2 in algebra.delta(can).items():
-            for tree, c3 in algebra.ell_graft(l, k, tname, left).items():
-                rhs.append(((tree, right), c * c2 * c3))
+    canonical = algebra.to_canonical(t)
+    lhs = [(term, c * c2) for tree, c in algebra.graft(tname, k, canonical, l).items()
+           for term, c2 in algebra.delta(tree).items()]
+    rhs = [((tree, right), c * c2 * c3) for can, c in canonical.items()
+           for (left, right), c2 in algebra.delta(can).items()
+           for tree, c3 in algebra.graft(tname, k, left, l).items()]
     defect = FreeVector(lhs) - FreeVector(rhs)
     bad = [
         ((left, right), c)
@@ -287,33 +294,28 @@ def export_structure(basis: TreeBasis, noncanonical: bool = False) -> ConcreteRe
 
     plus_gens = {serialize(t): algebra.homogeneity(t) for t in basis.plus_trees}
 
-    def plus_monomial(m: PlusMonomial) -> PlusMonomial:
+    def plus_monomial(m: PlusMonomial, term) -> PlusMonomial:
         """Rename tree keys to their names; a name is the tree's str, by which
-        keys are ordered, so the order holds."""
+        keys are ordered, so the order holds.  term: (left, right, tree) of
+        the coproduct term m is a factor of."""
         for tr, _mult in m.gens:
             if serialize(tr) not in plus_gens:
-                raise KeyError(f"integrated tree {serialize(tr)} missing from B_o^+")
+                raise ClosureError(serialize(tr), "B_o^+", *term)
         return PlusMonomial(tuple((serialize(tr), mult) for tr, mult in m.gens), m.poly)
 
     dplus_table = {}
     for t in basis.plus_trees:
         terms = []
         for (left, right), c in algebra.delta_plus_tree(t).items():
-            terms.append(((plus_monomial(left), plus_monomial(right)), c))
+            term = (left, right, t)
+            terms.append(((plus_monomial(left, term), plus_monomial(right, term)), c))
         dplus_table[serialize(t)] = FreeVector(terms)
 
     if noncanonical:
-        cores, delta, label = basis.b_dot_tilde, algebra.delta_noncanonical, "f-tree {} missing from B~."
+        cores, delta, where = basis.b_dot_tilde, algebra.delta_noncanonical, "B~."
     else:
-        cores, delta, label = basis.b_dot, algebra.delta, "tree {} missing from B."
+        cores, delta, where = basis.b_dot, algebra.delta, "B."
     core_names = {t: ("1" if t.is_unit else serialize(t)) for t in cores}
-
-    def base_symbol(tree: DecoratedTree) -> BaseSymbol:
-        core = tree.with_root_n(mi_zero(d))
-        nm = core_names.get(core)
-        if nm is None:
-            raise KeyError(label.format(serialize(core)))
-        return BaseSymbol(nm, tree.n_dec)
 
     delta_table = {}
     for t in cores:
@@ -321,7 +323,11 @@ def export_structure(basis: TreeBasis, noncanonical: bool = False) -> ConcreteRe
             continue
         terms = []
         for (left, right), c in delta(t).items():
-            terms.append(((base_symbol(left), plus_monomial(right)), c))
+            core = left.with_root_n(mi_zero(d))
+            if core not in core_names:
+                raise ClosureError(serialize(core), where, left, right, t)
+            symbol = BaseSymbol(core_names[core], left.n_dec)
+            terms.append(((symbol, plus_monomial(right, (left, right, t))), c))
         delta_table[core_names[t]] = FreeVector(terms)
     base_gens = {core_names[t]: algebra.homogeneity(t) for t in cores}
 

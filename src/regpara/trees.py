@@ -1,6 +1,7 @@
 """Decorated rooted trees: tree operations, homogeneity, the structural
-coproduct, the polynomial-shifted grafting operators, and the canonical /
-non-canonical change of representation.
+coproduct, the one graft of an edge (plain, polynomial-shifted or
+f-decorated; a kernel edge kills polynomials, I_k(X^n) = 0), and the
+canonical / non-canonical change of representation.
 
 A tree is stored as a root with its polynomial decoration n and a
 canonically sorted tuple of branches, so isomorphic decorated trees (any
@@ -128,15 +129,17 @@ def graft_f(edge_type: str, k: Multi, l: Multi, tau: DecoratedTree) -> Decorated
 
 
 def x_mul(k: Multi, tau: DecoratedTree) -> DecoratedTree:
-    return tau.with_root_n(mi_add(tau.n_dec, k))
+    return tau.with_root_n(mi_add(tau.n_dec, k)) if any(k) else tau
 
 
 class TreeAlgebra:
-    """Coproduct and basis-change machinery for one family of edge types."""
+    """Coproduct and basis-change machinery for one family of edge types,
+    of which the edge types named in kernels are kernels."""
 
-    def __init__(self, dim: int, types: dict[str, Fraction]):
+    def __init__(self, dim: int, types: dict[str, Fraction], kernels):
         self.dim = dim
         self.types = {k: Fraction(v) for k, v in types.items()}
+        self.kernels = frozenset(kernels)
         self._lock = threading.Lock()
         self._homog_memo: dict[DecoratedTree, Fraction] = {}
         self._delta_memo: dict[DecoratedTree, FreeVector] = {}
@@ -178,25 +181,16 @@ class TreeAlgebra:
         else:
             (b,) = t.branches
             if any(b.f_dec):
-                raise ValueError(
-                    "delta is defined on canonical trees; expand f-decorations first"
-                )
-            tau = b.child
-            k = b.e_dec
-            tname = b.edge_type
-            terms = []
-            for (left, right), c in self.delta(tau).items():
-                terms.append(((graft(tname, k, left), right), c))
+                raise ValueError("delta is defined on canonical trees; expand f-decorations first")
+            tau, k, tname = b.child, b.e_dec, b.edge_type
+            terms = [((tree, right), c * c2) for (left, right), c in self.delta(tau).items()
+                     for tree, c2 in self.graft(tname, k, left).items()]
             # strict truncation |l| + |k| < |tau| + |t| (ties excluded)
             room = self.homogeneity(tau) + self.types[tname] - mi_abs(k)
             for l in mi_below_abs(d, room):
-                inner = graft(tname, mi_add(k, l), tau)
-                terms.append(
-                    (
-                        (x_power(d, l), PlusMonomial.of_gen(inner, d)),
-                        Fraction(1, mi_factorial(l)),
-                    )
-                )
+                for inner, c in self.graft(tname, mi_add(k, l), tau).items():
+                    terms.append(((x_power(d, l), PlusMonomial.of_gen(inner, d)),
+                                  c / mi_factorial(l)))
             out = FreeVector(terms)
         return out
 
@@ -227,17 +221,34 @@ class TreeAlgebra:
             mono = mono.mul(PlusMonomial.of_gen(single, t.dim))
         return mono
 
-    # -- grafting with polynomial shifts ----------------------------------------
+    # -- the kernel graft, plain, polynomial-shifted or f-decorated ------------
 
-    def ell_graft(self, l: Multi, k: Multi, tname: str, v) -> FreeVector:
-        """lI_k^t(tau) = sum_m binom(l, m) X^m (-1)^{l-m} I_k^t(X^{l-m} tau),
-        linear over FreeVectors of canonical trees."""
-        return _shifted_grafts(l, v, lambda rest, tau: graft(tname, k, x_mul(rest, tau)))
-
-    def inverse_graft(self, l: Multi, k: Multi, tname: str, v) -> FreeVector:
-        """I_k^t(X^l tau) = sum_m binom(l,m) X^m (-1)^{l-m} {l-m}I_k^t(tau):
-        the inversion formula, producing f-decorated trees."""
-        return _shifted_grafts(l, v, lambda rest, tau: graft_f(tname, k, rest, tau))
+    def graft(self, tname: str, k: Multi, v, l: Multi | None = None,
+              inverse: bool = False) -> FreeVector:
+        """The one graft of an edge in the algebra, linear over a FreeVector
+        of trees (or one tree) v: each tree tau of v goes to
+        sum_m binom(s, m) X^m (-1)^{s-m} G(s - m), where
+        - by default s = l and G(r) = I_k^t(X^r tau): lI_k^t(tau), which for
+          l = 0 (or None) is the plain graft I_k^t(tau);
+        - with inverse, s = n is tau's root decoration, tau = X^n sigma, and
+          G(r) = {r}I_k^t(sigma), the f-decorated edge: the inversion formula
+          writing I_k^t(tau) over the non-canonical basis.
+        A kernel edge kills polynomials, I_k(X^n) = 0 (Hairer 2014, section
+        5): a tree without branches grafts to 0.  Noise edges graft it."""
+        out = []
+        for tau, c in (v.items() if isinstance(v, FreeVector) else ((v, Fraction(1)),)):
+            if not tau.branches and tname in self.kernels:
+                continue
+            s = tau.n_dec if inverse else l
+            if s is None or not any(s):   # the sum's one term, m = s = 0
+                out.append((graft(tname, k, tau), c))
+                continue
+            core = tau.with_root_n(mi_zero(self.dim)) if inverse else tau
+            for m in mi_below(s):
+                rest = mi_sub(s, m)
+                edge = graft_f(tname, k, rest, core) if inverse else graft(tname, k, x_mul(rest, core))
+                out.append((x_mul(m, edge), c * mi_binom(s, m) * (-1) ** mi_abs(rest)))
+        return FreeVector(out)
 
     # -- canonical <-> non-canonical -------------------------------------------
 
@@ -246,31 +257,20 @@ class TreeAlgebra:
         """Expand every f-decorated edge by the definition of lI_k^t."""
         out = FreeVector.single(x_power(self.dim, t.n_dec))
         for b in t.branches:
-            child = self.to_canonical(b.child)
-            if any(b.f_dec):
-                branch_vec = self.ell_graft(b.f_dec, b.e_dec, b.edge_type, child)
-            else:
-                branch_vec = FreeVector(
-                    [(graft(b.edge_type, b.e_dec, tau), c) for tau, c in child.items()]
-                )
-            out = out.mul(branch_vec, tree_product)
+            branch = self.graft(b.edge_type, b.e_dec, self.to_canonical(b.child), b.f_dec)
+            out = out.mul(branch, tree_product)
         return out
 
     @memoised("_to_noncan_memo")
     def to_noncanonical(self, t: DecoratedTree) -> FreeVector:
         """Expand a canonical tree over the f-decorated basis via the
         inversion formula; exact unitriangular change of basis."""
-        d = self.dim
-        out = FreeVector.single(x_power(d, t.n_dec))
+        out = FreeVector.single(x_power(self.dim, t.n_dec))
         for b in t.branches:
             if any(b.f_dec):
                 raise ValueError(f"{t} is not canonical (f-decorated edge)")
-            branch_vec = FreeVector(
-                [(ft, c * c2) for tau, c in self.to_noncanonical(b.child).items()
-                 for ft, c2 in self.inverse_graft(
-                     tau.n_dec, b.e_dec, b.edge_type, tau.with_root_n(mi_zero(d))).items()]
-            )
-            out = out.mul(branch_vec, tree_product)
+            branch = self.graft(b.edge_type, b.e_dec, self.to_noncanonical(b.child), inverse=True)
+            out = out.mul(branch, tree_product)
         return out
 
     def leading_ftree(self, t: DecoratedTree) -> DecoratedTree:
@@ -294,19 +294,6 @@ class TreeAlgebra:
                 for ftree, c3 in self.to_noncanonical(left).items():
                     acc_terms.append(((ftree, right), c * c2 * c3))
         return FreeVector(acc_terms)
-
-
-def _shifted_grafts(l: Multi, v, grafted) -> FreeVector:
-    """sum_m binom(l, m) X^m (-1)^{l-m} grafted(l - m, tau), linear over a
-    FreeVector (or a single tree) v: the sum of ell_graft and inverse_graft."""
-    if isinstance(v, DecoratedTree):
-        v = FreeVector.single(v)
-    out = []
-    for tau, c in v.items():
-        for m in mi_below(l):
-            rest = mi_sub(l, m)
-            out.append((x_mul(m, grafted(rest, tau)), c * mi_binom(l, m) * (-1) ** mi_abs(rest)))
-    return FreeVector(out)
 
 
 # -- parsing of the canonical term grammar --------------------------------------

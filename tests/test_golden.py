@@ -27,7 +27,8 @@ import pytest
 
 from regpara import cli, library
 from regpara.algebra import mi_str
-from regpara.rules import check_d_canonical, check_stronger_claim, enumerate_basis, export_structure
+from regpara.rules import (ClosureError, check_d_canonical, check_stronger_claim,
+                           enumerate_basis, export_structure)
 from regpara.structure_io import read_structure, write_structure
 from regpara.trees import serialize
 
@@ -130,7 +131,7 @@ def assumption_dump(name: str, cutoff: str) -> bytes:
     for kind in ("canonical", "noncanonical"):
         try:
             S = export_structure(basis, noncanonical=kind == "noncanonical")
-        except KeyError as exc:
+        except ClosureError as exc:
             lines.append(f"{kind} export {type(exc).__name__} {exc}")
             continue
         lines.append(f"{kind} check_assumptions")

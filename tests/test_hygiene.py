@@ -235,6 +235,38 @@ def test_one_step_path():
                     ("models.py", "reconstruct_family")}
 
 
+def _name_sites(tree: ast.Module, names):
+    """The dotted name of the function or class around each read or import
+    of one of names as a bare name (None at module level)."""
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from walk(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if (isinstance(child, ast.Name) and child.id in names
+                    or isinstance(child, ast.alias) and names & {child.name, child.asname}):
+                yield owner
+            yield from walk(child, owner)
+    yield from walk(tree, None)
+
+
+def test_one_graft_path():
+    """Every graft of a kernel edge goes through TreeAlgebra.graft, where
+    I_k(X^n) = 0: in the package, only TreeAlgebra.graft, graft itself (for
+    graft_f), the tree parser and the enumerator's noise seeds (one site)
+    name the tree constructors graft and graft_f, and only rules.py
+    imports one."""
+    sites = Counter(
+        (path.name, owner)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for owner in _name_sites(ast.parse(path.read_text(encoding="utf-8")), {"graft", "graft_f"})
+    )
+    assert set(sites) == {("trees.py", "graft"), ("trees.py", "TreeAlgebra.graft"),
+                          ("trees.py", "_TreeParser.factor"), ("rules.py", None),
+                          ("rules.py", "enumerate_basis")}
+    assert sites[("rules.py", "enumerate_basis")] == 1
+
+
 def test_every_traced_name_resolves(monkeypatch):
     """Each (module, attribute) in perfbench/tracer.GROUPS names a module
     attribute or an entry of a class __dict__, as `Tracer.install` reads

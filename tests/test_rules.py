@@ -1,11 +1,16 @@
 """Rule-driven enumeration, assumption-(D) scans, and structure export."""
+import dataclasses
+import functools
+import re
 from fractions import Fraction
 
 import pytest
 
+from regpara import cli
 from regpara.algebra import FreeVector
-from regpara.library import RULES, basis, structure
+from regpara.library import EXPORT_SWEEP, RULES, basis, structure
 from regpara.rules import (
+    ClosureError,
     Rule,
     SubcriticalityError,
     check_d_canonical,
@@ -14,6 +19,7 @@ from regpara.rules import (
     enumerate_basis,
     export_structure,
 )
+from regpara.structure_io import write_rule, write_structure
 from regpara.trees import serialize
 
 
@@ -129,3 +135,63 @@ class TestExport:
             h = S.base_gens[name]
             for (left, right), _c in vec.items():
                 assert S.homog_base(left) + S.homog_plus(right) == h
+
+
+# -- the export sweep past the shipped cutoffs ----------------------------------
+
+@functools.cache
+def _sweep_basis(name: str, cutoff: str):
+    return enumerate_basis(dataclasses.replace(RULES[name], cutoff=Fraction(cutoff)))
+
+
+def _roundtrip(S, tmp_path, capsys) -> float:
+    """max_rel_err of the roundtrip verb on S's generator brackets at seed 1,
+    on 1024 points (64^2 in d = 2)."""
+    path = tmp_path / "structure.txt"
+    write_structure(path, S)
+    grid = "1024" if S.dim == 1 else "64"
+    assert cli.main(["roundtrip", "--structure", str(path), "--grid", grid, "--seed", "1"]) == 0
+    return float(re.search(r"^max_rel_err=(\S+)$", capsys.readouterr().out, re.M).group(1))
+
+
+@pytest.mark.parametrize("noncanonical", [False, True], ids=["canonical", "noncanonical"])
+@pytest.mark.parametrize("name, cutoff", EXPORT_SWEEP,
+                         ids=[f"{n}-{c.replace('/', '_')}" for n, c in EXPORT_SWEEP])
+def test_export_sweep(name, cutoff, noncanonical, tmp_path, capsys):
+    """Each export of the sweep succeeds, but toy at 3, which raises
+    ClosureError.  A success passes A-C with no Hopf defect and its
+    generator round trip; the non-canonical basis passes D, and the
+    canonical one fails D, with its witness, iff a tree of B. carries a
+    polynomial decoration (its name has an X factor)."""
+    try:
+        S = export_structure(_sweep_basis(name, cutoff), noncanonical)
+    except ClosureError:
+        assert (name, cutoff) == ("toy", "3")
+        return
+    assert (name, cutoff) != ("toy", "3")
+    rep = S.check_assumptions()
+    assert rep.a_ok and rep.b_ok and rep.c_ok, rep.lines()
+    assert S.hopf_defects() == []
+    polynomial = not noncanonical and any("X(" in n for n in S.base_gens)
+    assert rep.d_ok != polynomial and (rep.d_witness is None) == rep.d_ok
+    assert _roundtrip(S, tmp_path, capsys) <= 1e-10
+
+
+@pytest.mark.parametrize("noncanonical, witness, where", [
+    (False, "I[t;(0)](X(2)*I[xi;(0)](1))*I[xi;(0)](1)", "B."),
+    (True, "I[t;(0);(2)](I[xi;(0)](1))*I[xi;(0)](1)", "B~."),
+], ids=["canonical", "noncanonical"])
+def test_closure_error_names_its_witness(noncanonical, witness, where, tmp_path, capsys):
+    """Toy at cutoff 3: Delta forms X^2 at an inner node, which polybound
+    leaves out of the basis; the export names the missing tree and the
+    coproduct term it is the left factor of, and the verbs exit 2 with it."""
+    with pytest.raises(ClosureError) as info:
+        export_structure(_sweep_basis("toy", "3"), noncanonical)
+    exc = info.value
+    assert exc.witness == witness and exc.term.startswith(f"{witness} (x) ")
+    assert str(exc) == f"{witness} missing from {where}, in the term {exc.term}"
+    path = tmp_path / "toy-3.rule"
+    write_rule(path, dataclasses.replace(RULES["toy"], cutoff=Fraction(3)))
+    flags = ["--noncanonical"] if noncanonical else []
+    assert cli.main(["structure-validate", "--structure", str(path), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {exc}\n"

@@ -33,7 +33,7 @@ TYPES = {"xi": Fraction(-5, 8), "t": Fraction(1)}
 
 @pytest.fixture(scope="module")
 def algebra():
-    return TreeAlgebra(1, TYPES)
+    return TreeAlgebra(1, TYPES, {"t"})
 
 
 def random_tree(rng: random.Random, depth: int = 3) -> DecoratedTree:
@@ -162,7 +162,7 @@ class TestStructuralCoproduct:
     def test_integrated_polynomial_noise_expansion(self, algebra):
         # Delta I_0^t(X Theta) = I_0^t(X Theta) (x) 1 + I_0^t(Theta) (x) X
         #   + sum_{|k| < |Theta| + 1 + |t|} X^k / k! (x) I_k^t(X Theta)
-        big = TreeAlgebra(1, {"th": Fraction(-9, 8), "t": Fraction(2)})
+        big = TreeAlgebra(1, {"th": Fraction(-9, 8), "t": Fraction(2)}, {"t"})
         th = graft("th", (0,), unit_tree(1))
         tau = graft("t", (0,), x_mul((1,), th))
         got = big.delta(tau)
@@ -212,13 +212,13 @@ class TestStructuralCoproduct:
 class TestShiftedGrafts:
     def test_zero_shift_is_plain_graft(self, algebra):
         xi = graft("xi", (0,), unit_tree(1))
-        got = algebra.ell_graft((0,), (1,), "t", xi)
+        got = algebra.graft("t", (1,), xi, (0,))
         assert got == FreeVector.single(graft("t", (1,), xi))
 
     def test_unit_shift_expansion(self, algebra):
         # eI_0(tau) = X I_0(tau) - I_0(X tau)
         xi = graft("xi", (0,), unit_tree(1))
-        got = algebra.ell_graft((1,), (0,), "t", xi)
+        got = algebra.graft("t", (0,), xi, (1,))
         want = FreeVector(
             [
                 (x_mul((1,), graft("t", (0,), xi)), 1),
@@ -227,12 +227,22 @@ class TestShiftedGrafts:
         )
         assert got == want
 
+    def test_kernel_edges_kill_polynomials(self, algebra):
+        """I_k(X^n) = 0 in every form of the graft; a noise edge grafts the unit."""
+        for n in ((0,), (2,)):
+            x = x_power(1, n)
+            assert not algebra.graft("t", (0,), x)
+            assert not algebra.graft("t", (0,), x, (1,))
+            assert not algebra.graft("t", (0,), x, inverse=True)
+        one = unit_tree(1)
+        assert algebra.graft("xi", (0,), one) == FreeVector.single(graft("xi", (0,), one))
+
     def test_inversion_round_trip(self, algebra):
         # I_k(X^l sigma) = sum_m binom(l, m) X^m (-1)^{l-m} {l-m}I_k(sigma)
         xi = graft("xi", (0,), unit_tree(1))
         for l in ((1,), (2,)):
             direct = FreeVector.single(graft("t", (0,), x_mul(l, xi)))
-            via = algebra.inverse_graft(l, (0,), "t", xi)
+            via = algebra.graft("t", (0,), x_mul(l, xi), inverse=True)
             back = FreeVector.zero()
             for ftree, c in via.items():
                 back = back + algebra.to_canonical(ftree).scale(c)

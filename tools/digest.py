@@ -20,6 +20,9 @@ prints `<output> <sha256>` lines:
   `cli-512:<chain>/<file>` for every file the bundle verbs write;
 - `demos:<script>` for the stdout of every script under `demos/`, run in
   this process;
+- `symbolic:<rule>@<cutoff>:<basis>` for every export of
+  `library.EXPORT_SWEEP`, on the canonical and the non-canonical basis: the
+  structure-file text, or the message of the ClosureError that stops it;
 - `all`, the sha256 of the lines above it.
 
 The chains run in a temporary directory, whose path is replaced by
@@ -50,8 +53,10 @@ import clichain  # noqa: E402
 import pipeline  # noqa: E402
 from regpara.characters import Character  # noqa: E402
 from regpara.grid import Grid  # noqa: E402
-from regpara.library import structure  # noqa: E402
+from regpara.library import EXPORT_SWEEP, RULES, structure  # noqa: E402
 from regpara.models import Model, build_g, build_pi, extract_brackets, random_brackets  # noqa: E402
+from regpara.rules import ClosureError, enumerate_basis, export_structure  # noqa: E402
+from regpara.structure_io import structure_text  # noqa: E402
 from regpara.translation import (  # noqa: E402
     md_from_paracontrolled,
     md_to_paracontrolled,
@@ -141,10 +146,21 @@ def demo_outputs():
         yield f"demos:{demo.stem}", out.getvalue()
 
 
+def symbolic_outputs():
+    for name, cutoff in EXPORT_SWEEP:
+        basis = enumerate_basis(dataclasses.replace(RULES[name], cutoff=Fraction(cutoff)))
+        for kind in ("canonical", "noncanonical"):
+            try:
+                out = structure_text(export_structure(basis, kind == "noncanonical"))
+            except ClosureError as exc:
+                out = str(exc)
+            yield f"symbolic:{name}@{cutoff}:{kind}", out
+
+
 def main() -> int:
     lines = []
     for name, obj in itertools.chain(pipeline_outputs(), bhz_outputs(), cli_outputs(),
-                                     demo_outputs()):
+                                     demo_outputs(), symbolic_outputs()):
         lines.append(f"{name} {digest(obj)}")
         print(lines[-1])
     print("all", digest("\n".join(lines)))
